@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import RngStream, make_channel, output_state, validate_density_matrix, worker_count
+from .channels import (
+    RngStream,
+    input_dim,
+    make_channel,
+    output_state,
+    validate_density_matrix,
+    worker_count,
+)
 from .errors import ValidationError
 from .moments import _infer_local_dim, f_beta
 from .pairings import PartialPairing, enumerate_partial_pairings, pairing_from_partial
@@ -362,10 +369,7 @@ def convergence_experiment(
     span = max(1, -(-samples // workers))
     jobs = []
     for gi, n in enumerate(n_grid):
-        d = math.floor(t * k * n)
-        if d < 1:
-            raise ValidationError(f"floor(t*k*n) = {d} is degenerate at n = {n}")
-        state = experiment_input(input_rule, r, d, custom_state)
+        state = experiment_input(input_rule, r, input_dim(k, n, t), custom_state)
         for lo in range(0, samples, span):
             jobs.append((gi, n, state, lo, min(lo + span, samples)))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -94,46 +95,60 @@ def validate_state_vector(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _haar_from_generator(gen: np.random.Generator, dim: int) -> np.ndarray:
-    g = gen.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+def input_dim(k: int, n: int, t: float) -> int:
+    """Channel input dimension d = floor(t*k*n); raise if it is below 1."""
+    d = math.floor(t * k * n)
+    if d < 1:
+        raise ValidationError(
+            f"floor(t*k*n) = {d} is degenerate at t={t}, k={k}, n={n}; need t*k*n >= 1"
+        )
+    return d
 
 
-def sample_haar_orthogonal(dim: int, rng: RngStream | np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal matrix: QR of a Gaussian matrix plus sign fix.
+def _haar_columns(
+    gens: Iterable[np.random.Generator], count: int, dim: int, cols: int
+) -> np.ndarray:
+    """First cols columns of one Haar orthogonal per generator, shape (count, dim, cols).
 
-    Multiplying the columns of Q by the signs of R's diagonal is required;
-    plain QR output is not Haar distributed.
+    Each generator draws a full dim x dim Gaussian matrix, so the bits taken
+    from a stream do not depend on cols.  Column j of Q depends only on the
+    first j+1 columns of G, so QR of the first cols columns gives the same
+    columns as a full QR, at a fraction of the cost.  Multiplying the columns
+    of Q by the signs of R's diagonal is required; plain QR output is not Haar
+    distributed.
     """
-    if dim < 1:
-        raise ValidationError(f"dimension must be >= 1, got {dim}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    return _haar_from_generator(gen, dim)
-
-
-def _haar_batch(dim: int, seed: int, first_stream: int, count: int) -> np.ndarray:
-    """Stack of Haar orthogonals; slice b comes entirely from stream first_stream + b."""
     g = np.empty((count, dim, dim))
-    for b in range(count):
-        g[b] = RngStream(seed, first_stream + b).generator().standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
+    for b, gen in enumerate(gens):
+        g[b] = gen.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g[:, :, :cols])
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1)).copy()
     signs[signs == 0] = 1.0
     return q * signs[:, None, :]
 
 
+def _stream_generators(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
+    """Generators of streams lo..hi-1, made one at a time; sample i uses stream (seed, i)."""
+    return (RngStream(seed, i).generator() for i in range(lo, hi))
+
+
+def sample_haar_orthogonal(dim: int, rng: RngStream | np.random.Generator) -> np.ndarray:
+    """Haar-distributed orthogonal matrix: QR of a Gaussian matrix plus sign fix."""
+    if dim < 1:
+        raise ValidationError(f"dimension must be >= 1, got {dim}")
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    return _haar_columns([gen], 1, dim, dim)[0]
+
+
 def make_channel(k: int, n: int, t: float, rng: RngStream | np.random.Generator) -> ChannelSpec:
-    """Draw one channel realization with input dimension d = floor(t*k*n)."""
+    """Draw one channel realization with input dimension d = floor(t*k*n).
+
+    The isometry is the first d columns of sample_haar_orthogonal(k*n, rng).
+    """
     if k < 1 or n < 1:
         raise ValidationError(f"k and n must be >= 1, got k={k}, n={n}")
-    d = math.floor(t * k * n)
-    if d < 1:
-        raise ValidationError(f"floor(t*k*n) = {d} is degenerate; need t*k*n >= 1")
-    u = sample_haar_orthogonal(k * n, rng)
-    v = np.ascontiguousarray(u[:, :d])
+    d = input_dim(k, n, t)
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    v = _haar_columns([gen], 1, k * n, d)[0]
     v.setflags(write=False)
     return ChannelSpec(k=k, n=n, t=t, d=d, isometry=v)
 
@@ -147,38 +162,25 @@ def apply_channel(spec: ChannelSpec, x: np.ndarray) -> np.ndarray:
     return np.einsum("imjm->ij", y.reshape(spec.k, spec.n, spec.k, spec.n))
 
 
-def _lifted_pure_batch(v: np.ndarray, psi: np.ndarray, d: int, r: int) -> np.ndarray:
-    """Apply the isometry batch factor-by-factor to a pure input on d^r.
-
-    v has shape (B, kn, d); the result has shape (B, kn, ..., kn) with r legs.
-    The full r-fold tensor power of V is never materialized.
-    """
-    t = psi.reshape((d,) * r)
-    t = np.einsum("bud,d...->bu...", v, t)
-    for x in range(1, r):
-        t = np.moveaxis(t, 1 + x, 1)
-        t = np.einsum("bud,bd...->bu...", v, t)
-        t = np.moveaxis(t, 1, 1 + x)
-    return t
-
-
 def _pure_output_batch(v: np.ndarray, psi: np.ndarray, k: int, n: int, r: int) -> np.ndarray:
     """Outputs of the r-th channel power on psi psi* for a batch of isometries.
 
-    Returns shape (B, k^r, k^r): the lifted tensors' ancilla legs are
-    contracted pairwise between ket and bra.
+    v has shape (B, kn, d).  V is applied to one leg of psi at a time, and
+    the lifted leg is moved to the back, so V^(tensor r) is never formed.  The
+    lifted state is then permuted to L of shape (B, k^r, n^r), output legs by
+    ancilla legs, and Z = L L^H traces out the ancilla.  Real inputs stay in
+    float64; the result is (B, k^r, k^r), real or complex as psi is.
     """
-    batch = v.shape[0]
-    d = v.shape[2]
-    lifted = _lifted_pure_batch(v, psi, d, r).reshape((batch,) + (k, n) * r)
-    ket = [0]
-    bra = [0]
-    for x in range(r):
-        ket += [1 + x, 1 + 2 * r + x]
-        bra += [1 + r + x, 1 + 2 * r + x]
-    out = [0] + list(range(1, 1 + 2 * r))
-    z = np.einsum(lifted, ket, lifted.conj(), bra, out, optimize=True)
-    return z.reshape(batch, k**r, k**r)
+    batch, _, d = v.shape
+    if not np.any(psi.imag):
+        psi = psi.real
+    lifted = psi.reshape(1, d, -1)  # a batch axis of 1 broadcasts against v
+    for _ in range(r):
+        lifted = (v @ lifted.reshape(lifted.shape[0], d, -1)).swapaxes(1, 2)
+    # legs are now (k_1, n_1, ..., k_r, n_r); put the k legs first
+    order = [0] + [1 + 2 * x for x in range(r)] + [2 + 2 * x for x in range(r)]
+    ell = lifted.reshape((batch,) + (k, n) * r).transpose(order).reshape(batch, k**r, n**r)
+    return ell @ ell.conj().swapaxes(1, 2)
 
 
 def _state_components(state: np.ndarray, dim: int) -> list[tuple[float, np.ndarray]]:
@@ -196,6 +198,7 @@ def _state_components(state: np.ndarray, dim: int) -> list[tuple[float, np.ndarr
 
 
 def _output_batch(v: np.ndarray, components, k: int, n: int, r: int) -> np.ndarray:
+    """Weighted sum of the pure-component outputs, shape (B, k^r, k^r)."""
     z = None
     for weight, vec in components:
         zi = _pure_output_batch(v, vec, k, n, r)
@@ -221,7 +224,7 @@ def apply_channel_power(
     if psi.shape[0] != spec.d**r:
         raise ValidationError(f"input vector has dim {psi.shape[0]}, expected d^r = {spec.d ** r}")
     psi = validate_state_vector(psi)
-    return _pure_output_batch(spec.isometry[None], psi, spec.k, spec.n, r)[0]
+    return _pure_output_batch(spec.isometry[None], psi, spec.k, spec.n, r)[0].astype(complex)
 
 
 def output_state(
@@ -232,7 +235,7 @@ def output_state(
         raise ValidationError(f"r must be >= 1, got {r}")
     _check_output_budget(spec.k, spec.n, r, budget)
     components = _state_components(state, spec.d**r)
-    return _output_batch(spec.isometry[None], components, spec.k, spec.n, r)[0]
+    return _output_batch(spec.isometry[None], components, spec.k, spec.n, r)[0].astype(complex)
 
 
 def _chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
@@ -290,9 +293,7 @@ def mc_trace_moment(
         raise ValidationError(f"samples must be >= 2, got {samples}")
     if p < 1:
         raise ValidationError(f"p must be >= 1, got {p}")
-    d = math.floor(t * k * n)
-    if d < 1:
-        raise ValidationError(f"floor(t*k*n) = {d} is degenerate")
+    d = input_dim(k, n, t)
     _check_output_budget(k, n, r, OUTPUT_TENSOR_BUDGET)
     components = _state_components(state, d**r)
     values = np.empty(samples)
@@ -301,8 +302,8 @@ def mc_trace_moment(
     def work(rng_range):
         lo, hi = rng_range
         for blo, bhi in _chunk_ranges(hi - lo, chunk):
-            u = _haar_batch(k * n, seed, lo + blo, bhi - blo)
-            z = _output_batch(u[:, :, :d], components, k, n, r)
+            v = _haar_columns(_stream_generators(seed, lo + blo, lo + bhi), bhi - blo, k * n, d)
+            z = _output_batch(v, components, k, n, r)
             values[lo + blo: lo + bhi] = _trace_power_batch(z, p).real
 
     span = _worker_span(samples, chunk, worker_count(threads))
@@ -325,9 +326,7 @@ def mc_mean_output(
     """Entrywise sample mean and standard error of the output state Z."""
     if samples < 2:
         raise ValidationError(f"samples must be >= 2, got {samples}")
-    d = math.floor(t * k * n)
-    if d < 1:
-        raise ValidationError(f"floor(t*k*n) = {d} is degenerate")
+    d = input_dim(k, n, t)
     _check_output_budget(k, n, r, OUTPUT_TENSOR_BUDGET)
     components = _state_components(state, d**r)
     dim = k**r
@@ -337,8 +336,8 @@ def mc_mean_output(
     def work(rng_range):
         lo, hi = rng_range
         for blo, bhi in _chunk_ranges(hi - lo, chunk):
-            u = _haar_batch(k * n, seed, lo + blo, bhi - blo)
-            outputs[lo + blo: lo + bhi] = _output_batch(u[:, :, :d], components, k, n, r)
+            v = _haar_columns(_stream_generators(seed, lo + blo, lo + bhi), bhi - blo, k * n, d)
+            outputs[lo + blo: lo + bhi] = _output_batch(v, components, k, n, r)
 
     span = _worker_span(samples, chunk, worker_count(threads))
     _run_chunks(_chunk_ranges(samples, span), work, threads)
@@ -363,8 +362,8 @@ def mc_conjugation_mean(
     def work(rng_range):
         lo, hi = rng_range
         for blo, bhi in _chunk_ranges(hi - lo, chunk):
-            u = _haar_batch(dim, seed, lo + blo, bhi - blo)
-            outputs[lo + blo: lo + bhi] = np.einsum("bij,jk,blk->bil", u, a, u)
+            u = _haar_columns(_stream_generators(seed, lo + blo, lo + bhi), bhi - blo, dim, dim)
+            outputs[lo + blo: lo + bhi] = u @ a @ u.swapaxes(1, 2)
 
     span = _worker_span(samples, chunk, worker_count(threads))
     _run_chunks(_chunk_ranges(samples, span), work, threads)

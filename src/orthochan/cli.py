@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import sys
 import time
 
@@ -24,7 +23,7 @@ from .asymptotics import (
     experiment_input,
     von_neumann_entropy,
 )
-from .channels import mc_trace_moment
+from .channels import input_dim, mc_trace_moment
 from .errors import OrthochanError, ValidationError
 from .moments import EXACT_PAIRING_CAP, CONTRACTION_BUDGET, exact_trace_moment, term_report
 from .pairings import enumerate_pairings, enumerate_partial_pairings
@@ -138,9 +137,7 @@ def cmd_wg(args) -> int:
 def cmd_moment(args) -> int:
     _validate_common(args)
     config = _config_dict(args, ["p", "r", "k", "n", "t", "input", "report"])
-    d = math.floor(args.t * args.k * args.n)
-    if d < 1:
-        raise ValidationError(f"floor(t*k*n) = {d} is degenerate")
+    d = input_dim(args.k, args.n, args.t)
     state = _load_state(args, d, args.r)
     if args.report == "terms":
         terms = term_report(
@@ -172,9 +169,7 @@ def cmd_moment(args) -> int:
 def cmd_simulate(args) -> int:
     _validate_common(args)
     config = _config_dict(args, ["p", "r", "k", "n", "t", "samples", "seed", "input", "format"])
-    d = math.floor(args.t * args.k * args.n)
-    if d < 1:
-        raise ValidationError(f"floor(t*k*n) = {d} is degenerate")
+    d = input_dim(args.k, args.n, args.t)
     state = _load_state(args, d, args.r)
     estimate, stderr = mc_trace_moment(
         args.p, args.r, args.k, args.n, args.t, state, args.samples, args.seed

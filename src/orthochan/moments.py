@@ -12,11 +12,11 @@ is what makes Monte Carlo cross-validation meaningful.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import input_dim
 from .errors import BudgetError, EnumerationLimitError, ValidationError
 from .pairings import (
     Pairing,
@@ -147,9 +147,7 @@ def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, bu
         raise EnumerationLimitError(
             f"exact engine needs 2pr = {2 * m} diagram endpoints, above cap {effective_cap}"
         )
-    d = math.floor(t * k * n)
-    if d < 1:
-        raise ValidationError(f"floor(t*k*n) = {d} is degenerate")
+    d = input_dim(k, n, t)
     state = np.asarray(state)
     expected = d**r
     if state.shape[0] != expected:

@@ -24,7 +24,7 @@ from .asymptotics import (
     op_S_tilde,
     von_neumann_entropy,
 )
-from .channels import THREADS_ENV_VAR, RngStream, mc_conjugation_mean, mc_trace_moment
+from .channels import THREADS_ENV_VAR, RngStream, input_dim, mc_conjugation_mean, mc_trace_moment
 from .moments import exact_trace_moment, term_report
 from .pairings import (
     PartialPairing,
@@ -110,7 +110,7 @@ def criterion_3_exactness(seed: int) -> CriterionResult:
         ((2, 1, 2, 3, 0.5), "r1"),
         ((2, 2, 2, 4, 0.5), "r2"),
     ):
-        d = math.floor(t * k * n)
+        d = input_dim(k, n, t)
         inputs = {
             "bell": (np.eye(d) / d if r == 1 else bell_state_vector(PartialPairing(2, ((0, 1),)), d)),
             "product": _product_vector(d, r),

@@ -1,3 +1,9 @@
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +11,7 @@ from orthochan.channels import (
     RngStream,
     apply_channel,
     apply_channel_power,
+    input_dim,
     make_channel,
     mc_conjugation_mean,
     mc_mean_output,
@@ -92,6 +99,20 @@ class TestChannelConstruction:
         with pytest.raises(ValidationError):
             make_channel(2, 1, 0.2, RngStream(0))
 
+    def test_input_dim(self):
+        assert input_dim(2, 3, 0.9) == 5
+        with pytest.raises(ValidationError, match="is degenerate"):
+            input_dim(2, 1, 0.2)
+
+    @pytest.mark.parametrize("k, n, t", [(2, 4, 0.5), (3, 5, 0.6), (2, 64, 0.5)])
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (7, 3)])
+    def test_isometry_is_leading_columns_of_haar_draw(self, k, n, t, seed, stream):
+        # only the first d Gaussian columns are orthogonalised; the stream is
+        # consumed as for a full draw, so the columns agree with it
+        spec = make_channel(k, n, t, RngStream(seed, stream))
+        u = sample_haar_orthogonal(k * n, RngStream(seed, stream))
+        assert np.max(np.abs(spec.isometry - u[:, : spec.d])) < 1e-13
+
 
 class TestChannelApplication:
     def test_trace_preserving(self):
@@ -152,6 +173,77 @@ class TestChannelApplication:
         spec = make_channel(2, 3, 0.5, RngStream(8))
         with pytest.raises(InvalidStateError):
             apply_channel_power(spec, 1, np.ones(spec.d))
+
+
+def _dense_output(v, k, n, r, rho):
+    """ptr over the ancilla of V^(tensor r) rho V^(tensor r)^T, built densely."""
+    big = functools.reduce(np.kron, [v] * r)
+    y = (big @ rho @ big.T).reshape((k, n) * (2 * r))
+    # ket legs are (k_1, n_1, ..., k_r, n_r), then the bra legs the same way
+    ket_k = [2 * x for x in range(r)]
+    ket_n = [2 * x + 1 for x in range(r)]
+    order = ket_k + ket_n + [2 * r + a for a in ket_k] + [2 * r + a for a in ket_n]
+    y = y.transpose(order).reshape(k**r, n**r, k**r, n**r)
+    return np.trace(y, axis1=1, axis2=3)
+
+
+class TestOutputAgainstDenseReference:
+    def _inputs(self, d, r):
+        rng = np.random.default_rng(10 + r)
+        dim = d**r
+        psi_c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi_r = rng.standard_normal(dim)
+        g = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+        rho = g @ g.conj().T
+        return {
+            "complex pure": psi_c / np.linalg.norm(psi_c),
+            "real pure": psi_r / np.linalg.norm(psi_r),
+            "mixed": rho / np.trace(rho).real,
+        }
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("k, n", [(2, 3), (3, 2)])
+    def test_output_state_matches_dense(self, k, n, r):
+        spec = make_channel(k, n, 0.5, RngStream(21, r))
+        for label, state in self._inputs(spec.d, r).items():
+            rho = state if state.ndim == 2 else np.outer(state, state.conj())
+            ref = _dense_output(spec.isometry, k, n, r, rho)
+            out = output_state(spec, r, state)
+            assert out.dtype == complex
+            assert np.max(np.abs(out - ref)) < 1e-13, label
+            if state.ndim == 1:
+                assert np.max(np.abs(apply_channel_power(spec, r, state) - ref)) < 1e-13, label
+
+
+_BLAS_THREADS_SCRIPT = """
+import numpy as np
+from orthochan.asymptotics import convergence_experiment
+from orthochan.channels import mc_trace_moment
+exp = convergence_experiment("bell", 2, 2, 0.5, (8, 64), samples=3, seed=4)
+print(repr(exp.rows))
+print(repr(mc_trace_moment(2, 2, 2, 4, 0.5, np.eye(16) / 16, samples=300, seed=5)))
+"""
+
+
+def _run_with_blas_threads(threads: int) -> str:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.update(
+        ORTHOCHAN_THREADS="1", OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads)
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_results_independent_of_blas_thread_count():
+    one = _run_with_blas_threads(1)
+    assert one.count("\n") == 2
+    assert one == _run_with_blas_threads(2)
 
 
 class TestMonteCarlo:
