@@ -25,12 +25,17 @@ from .asymptotics import (
 )
 from .channels import input_dim, mc_trace_moment
 from .errors import OrthochanError, ValidationError
-from .moments import EXACT_PAIRING_CAP, CONTRACTION_BUDGET, exact_trace_moment, term_report
-from .pairings import enumerate_pairings, enumerate_partial_pairings
+from .moments import (
+    CONTRACTION_BUDGET,
+    EXACT_PAIRING_CAP,
+    EXACT_PAIRING_HARD_CAP,
+    exact_trace_moment,
+    term_report,
+)
+from .pairings import double_factorial_odd, enumerate_pairings, enumerate_partial_pairings
 from .verify import report_text, run_all
 from .weingarten import wg_asymptotic, wg_exact
 
-HARD_PAIRING_CAP = 12
 HARD_DENSE_CAP = 2**26
 
 
@@ -84,9 +89,9 @@ def _validate_common(args):
         raise ValidationError(f"k must be >= 2, got {args.k}")
     if hasattr(args, "t") and not (0.0 < args.t < 1.0):
         raise ValidationError(f"t must lie in (0, 1), got {args.t}")
-    if hasattr(args, "max_pairing_size") and args.max_pairing_size > HARD_PAIRING_CAP:
+    if hasattr(args, "max_pairing_size") and args.max_pairing_size > EXACT_PAIRING_HARD_CAP:
         raise ValidationError(
-            f"--max-pairing-size {args.max_pairing_size} above hard bound {HARD_PAIRING_CAP}"
+            f"--max-pairing-size {args.max_pairing_size} above hard bound {EXACT_PAIRING_HARD_CAP}"
         )
     if hasattr(args, "max_dense_dim") and args.max_dense_dim > HARD_DENSE_CAP:
         raise ValidationError(
@@ -251,10 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", choices=["bell", "product", "mixed", "file"], default="bell")
     sp.add_argument("--input-file", default=None)
     sp.add_argument("--report", choices=["value", "terms"], default="value")
+    hard_pairings = double_factorial_odd(EXACT_PAIRING_HARD_CAP // 2)
     sp.add_argument(
         "--max-pairing-size", type=int, default=EXACT_PAIRING_CAP,
         help=f"cap on 2pr for the double pairing sum (default {EXACT_PAIRING_CAP}, hard "
-        f"bound {HARD_PAIRING_CAP}; 2pr=12 means 10395^2 = 1.1e8 terms and minutes of work)",
+        f"bound {EXACT_PAIRING_HARD_CAP}; at 2pr={EXACT_PAIRING_HARD_CAP} the dense "
+        f"{hard_pairings}^2 float64 Gram matrix and Weingarten table take "
+        f"{hard_pairings**2 * 8 / 1e9:.1f} GB each, and --report terms lists {hard_pairings**2:.1e} terms)",
     )
     sp.add_argument(
         "--max-dense-dim", type=int, default=CONTRACTION_BUDGET,

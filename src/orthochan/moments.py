@@ -23,20 +23,23 @@ from .pairings import (
     PartialPairing,
     bumps,
     connected_components,
+    coset_types,
     delta_gamma,
     dominant_pairs,
     enumerate_pairings,
     enumerate_partial_pairings,
     pairing_from_partial,
+    type_lengths,
 )
 from .weingarten import wg_exact
 
 EXACT_PAIRING_CAP = 8        # default max 2pr for the double pairing sum
-EXACT_PAIRING_HARD_CAP = 12  # absolute max; 10395^2 pairs beyond is hopeless
+EXACT_PAIRING_HARD_CAP = 12  # absolute max; at 12 the dense Gram and Wg are 10395^2 float64, ~0.9 GB each
 CONTRACTION_BUDGET = 2**24   # max d^(pr) free-index space in f_beta
+TERM_CHUNK = 2**15           # report terms built per batch of index arrays
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MomentTerm:
     """One (alpha, beta) summand of the exact trace-moment sum."""
 
@@ -156,8 +159,9 @@ def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, bu
         )
     pair_list = enumerate_pairings(m)
     delta, gamma = delta_gamma(p, r)
-    n_exp = np.array([connected_components(delta, a) for a in pair_list])
-    k_exp = np.array([connected_components(gamma, a) for a in pair_list])
+    counts, types = type_lengths(m), coset_types(m)
+    n_exp = counts[types[pair_list.index(delta)]]
+    k_exp = counts[types[pair_list.index(gamma)]]
     f_vals = np.array([f_beta(b, state, p, budget) for b in pair_list])
     table = wg_exact(m, k * n)
     return pair_list, n_exp, k_exp, f_vals, table
@@ -212,26 +216,27 @@ def term_report(
     cap: int = EXACT_PAIRING_CAP,
     budget: int = CONTRACTION_BUDGET,
 ) -> list[MomentTerm]:
-    """All (alpha, beta) summands of the exact trace moment, largest first."""
+    """All (alpha, beta) summands of the exact trace moment, largest first.
+
+    Ties in magnitude keep row-major (alpha, beta) order.
+    """
     pair_list, n_exp, k_exp, f_vals, table = _engine_arrays(p, r, k, n, t, state, cap, budget)
+    scale = float(n) ** n_exp * float(k) ** k_exp
+    values = ((scale[:, None] * f_vals[None, :]) * table.values).ravel()
+    order = np.argsort(-np.abs(values), kind="stable")
+    size = len(pair_list)
+    n_list, k_list, f_list = n_exp.tolist(), k_exp.tolist(), f_vals.tolist()
+    wg_flat = table.values.ravel()
     terms = []
-    for i, alpha in enumerate(pair_list):
-        scale = float(n) ** n_exp[i] * float(k) ** k_exp[i]
-        for j, beta in enumerate(pair_list):
-            wg = float(table.values[i, j])
-            value = scale * f_vals[j] * wg
-            terms.append(
-                MomentTerm(
-                    alpha=alpha,
-                    beta=beta,
-                    n_exp=int(n_exp[i]),
-                    k_exp=int(k_exp[i]),
-                    f_beta=complex(f_vals[j]),
-                    wg=wg,
-                    value=complex(value),
-                )
+    for start in range(0, len(order), TERM_CHUNK):
+        chunk = order[start:start + TERM_CHUNK]
+        rows, cols = np.divmod(chunk, size)
+        terms.extend(
+            MomentTerm(pair_list[i], pair_list[j], n_list[i], k_list[i], f_list[j], wg, value)
+            for i, j, wg, value in zip(
+                rows.tolist(), cols.tolist(), wg_flat[chunk].tolist(), values[chunk].tolist()
             )
-    terms.sort(key=lambda term: -abs(term.value))
+        )
     return terms
 
 

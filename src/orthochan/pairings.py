@@ -7,6 +7,10 @@ triples (copy i, channel x, side L/R) and flattened as
 
     index = ((i * r) + x) * 2 + side,      side: L = 0, R = 1.
 
+The coset type of a pair of pairings (the half-sizes of the components of
+their two-matching graph, a partition of m) is all that Gram and Weingarten
+entries depend on; coset_types tabulates it for every pair at once.
+
 Partial pairings (sets of disjoint pairs, possibly leaving singletons) index
 the dominant terms of the large-dimension expansion and the asymptotic
 operator family.
@@ -16,6 +20,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import EnumerationLimitError, ValidationError
 
@@ -152,8 +159,7 @@ def catalan(p: int) -> int:
     return math.comb(2 * p, p) // (p + 1)
 
 
-def enumerate_pairings(m: int, cap: int = PAIRING_ENUMERATION_CAP) -> list[Pairing]:
-    """All pairings of {0, ..., 2m-1} in smallest-unmatched-element-first order."""
+def _check_pairing_count(m: int, cap: int) -> None:
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
     count = double_factorial_odd(m)
@@ -161,6 +167,14 @@ def enumerate_pairings(m: int, cap: int = PAIRING_ENUMERATION_CAP) -> list[Pairi
         raise EnumerationLimitError(
             f"enumerating pairings of 2m={2 * m} points needs {count} pairings, above cap {cap}"
         )
+
+
+def enumerate_pairings(m: int, cap: int = PAIRING_ENUMERATION_CAP) -> list[Pairing]:
+    """All pairings of {0, ..., 2m-1} in smallest-unmatched-element-first order.
+
+    The first pairing is the identity pairing {(0, 1), (2, 3), ...}.
+    """
+    _check_pairing_count(m, cap)
 
     def rec(points):
         if not points:
@@ -213,6 +227,87 @@ def connected_components(alpha: Pairing, beta: Pairing) -> int:
     always equals half the cycle count of the product permutation.
     """
     return len(_component_sizes(alpha, beta))
+
+
+def partitions(m: int) -> tuple[tuple[int, ...], ...]:
+    """Partitions of m as non-increasing tuples, in reverse lexicographic order.
+
+    The position of a partition in this tuple is its coset-type id; the last
+    one, (1, ..., 1), is the type of a pairing with itself.
+    """
+    def rec(rest, largest):
+        if rest == 0:
+            yield ()
+            return
+        for part in range(min(rest, largest), 0, -1):
+            for tail in rec(rest - part, part):
+                yield (part,) + tail
+
+    return tuple(rec(m, m))
+
+
+def coset_type(alpha: Pairing, beta: Pairing) -> tuple[int, ...]:
+    """Half-sizes of the components of the two-matching graph, non-increasing.
+
+    This partition of m is the coset type of the pair: two pairs of pairings
+    are related by a relabelling of the points exactly when their types agree.
+    """
+    return tuple(sorted((s // 2 for s in _component_sizes(alpha, beta)), reverse=True))
+
+
+def type_lengths(m: int) -> np.ndarray:
+    """Component count (number of parts) of each coset type of half-size m, by type id."""
+    return np.array([len(lam) for lam in partitions(m)])
+
+
+def coset_types(m: int, cap: int = PAIRING_ENUMERATION_CAP) -> np.ndarray:
+    """Coset-type id of every pair of pairings of 2m points, as a read-only uint8 array.
+
+    Rows and columns follow enumerate_pairings(m) and ids index partitions(m),
+    so type_lengths(m)[coset_types(m)] is the component-count matrix.  Cached
+    per m.
+    """
+    _check_pairing_count(m, cap)
+    return _coset_types(m)
+
+
+@lru_cache(maxsize=None)  # one entry per m <= 6 under the enumeration cap
+def _coset_types(m: int) -> np.ndarray:
+    # Relabelling both pairings by a transposition s keeps their type, so
+    # type(s a s, b) = type(a, s b s): the row of s a s is the row of a
+    # permuted by b -> s b s.  Rows are filled outwards from the identity
+    # pairing (row 0, by union-find) along such conjugations.  Conjugates are
+    # found among the pairings by ranking image arrays read as base-2m integers.
+    pairs = enumerate_pairings(m)
+    count, size = len(pairs), 2 * m
+    ids = {lam: i for i, lam in enumerate(partitions(m))}
+    images = np.array([b.images for b in pairs])
+    place = size ** np.arange(size)
+    codes = images @ place
+    order = np.argsort(codes)
+    sorted_codes = codes[order]
+    conjugations = []  # b -> s b s as an index map, one per transposition s
+    for i, j in itertools.combinations(range(size), 2):
+        s = np.arange(size)
+        s[[i, j]] = j, i
+        conjugations.append(order[np.searchsorted(sorted_codes, s[images[:, s]] @ place)])
+    out = np.empty((count, count), dtype=np.uint8)
+    out[0] = [ids[coset_type(pairs[0], b)] for b in pairs]
+    seen = np.zeros(count, dtype=bool)
+    seen[0] = True
+    frontier = np.array([0])
+    while frontier.size:
+        reached = []
+        for conj in conjugations:
+            rows = conj[frontier]
+            fresh = ~seen[rows]
+            rows, parents = rows[fresh], frontier[fresh]
+            out[rows] = out[parents[:, None], conj]
+            seen[rows] = True
+            reached.append(rows)
+        frontier = np.concatenate(reached)
+    out.setflags(write=False)
+    return out
 
 
 def mobius(alpha: Pairing, beta: Pairing) -> int:

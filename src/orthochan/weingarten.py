@@ -1,8 +1,15 @@
 """Exact and leading-order orthogonal Weingarten functions.
 
-The exact table at half-size m and dimension parameter n is the pseudo-inverse
-of the Gram matrix G(a, b) = n^(#components of the two-matching graph); for
-n >= 2m the Gram matrix is invertible and the table is its true inverse.
+The exact table at half-size m and dimension parameter n is the Moore-Penrose
+inverse of the Gram matrix G(a, b) = n^(#components of the two-matching graph).
+The Gram matrix is singular exactly at integer n < m; elsewhere the table is
+its true inverse.
+
+Both matrices are class functions: their (a, b) entry depends only on the
+coset type of the pair, a partition of m.  These functions form a commutative
+algebra of dimension p(m) (the Hecke algebra of the Gelfand pair (S_2m, H_m)),
+and the pseudo-inverse is computed there, from p(m) numbers instead of a dense
+(2m-1)!! x (2m-1)!! matrix (Collins-Matsumoto 2009, Zinn-Justin 2010).
 """
 from __future__ import annotations
 
@@ -15,10 +22,12 @@ from .errors import ValidationError
 from .pairings import (
     PAIRING_ENUMERATION_CAP,
     Pairing,
-    connected_components,
+    connected_components,  # noqa: F401  looked up here by perfbench/spans.py
+    coset_types,
     enumerate_pairings,
     length,
     mobius,
+    type_lengths,
 )
 
 GRAM_EIGENVALUE_CUTOFF = 1e-12  # relative cutoff for the pseudo-inverse
@@ -27,12 +36,19 @@ TABLE_CACHE_SIZE = 32
 
 @dataclass(frozen=True, eq=False)
 class WeingartenTable:
-    """Exact Weingarten values for all pairing pairs at fixed (m, n)."""
+    """Exact Weingarten values for all pairing pairs at fixed (m, n).
+
+    rank is the rank of the Gram matrix; when singular is set (rank below the
+    pairing count, which happens at integer n < m) the values are the
+    Moore-Penrose pseudo-inverse rather than an inverse.
+    """
 
     m: int
     n: float
     pairings: tuple[Pairing, ...]
     values: np.ndarray
+    rank: int
+    singular: bool
     _index: dict[Pairing, int] = field(repr=False)
 
     def index(self, pairing: Pairing) -> int:
@@ -44,29 +60,53 @@ class WeingartenTable:
 
 def gram_matrix(m: int, n: float, cap: int = PAIRING_ENUMERATION_CAP) -> np.ndarray:
     """Loop-counting Gram matrix with entries n^connected_components(a, b)."""
-    pairs = enumerate_pairings(m, cap=cap)
-    g = np.empty((len(pairs), len(pairs)))
-    for i, a in enumerate(pairs):
-        g[i, i] = float(n) ** m
-        for j in range(i + 1, len(pairs)):
-            g[i, j] = g[j, i] = float(n) ** connected_components(a, pairs[j])
-    return g
+    types = coset_types(m, cap=cap)
+    return (float(n) ** type_lengths(m))[types]
 
 
-def _pseudo_inverse(g: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(g)
-    cut = GRAM_EIGENVALUE_CUTOFF * np.max(np.abs(w))
-    inv = np.where(np.abs(w) > cut, 1.0 / np.where(w == 0, 1.0, w), 0.0)
-    return (v * inv) @ v.T
+def _class_pseudo_inverse(types: np.ndarray, gram_row: np.ndarray) -> tuple[np.ndarray, int]:
+    """Pseudo-inverse of a class function given by its identity row, per type id.
+
+    Returns the coefficient of the pseudo-inverse on each coset type and the
+    rank of the matrix.  Type ids follow partitions(m); the last one is the
+    type of a pairing with itself.
+    """
+    first = types[0]
+    kinds = int(first.max()) + 1
+    _, reps = np.unique(first, return_index=True)  # one pairing of each type against the identity
+    sizes = np.bincount(first, minlength=kinds)
+    # structure constants E_lam E_mu = sum_nu c[lam, mu, nu] E_nu: c counts the
+    # b with type(e, b) = lam and type(b, reps[nu]) = mu
+    triples = (first.astype(np.intp) * kinds + types[reps]) * kinds + np.arange(kinds)[:, None]
+    c = np.bincount(triples.ravel(), minlength=kinds**3).reshape(kinds, kinds * kinds)
+    mult = (gram_row[reps] @ c).reshape(kinds, kinds).T  # multiplication by G on coefficients
+    # the trace form weights type lam by its class size; symmetrise with it
+    root = np.sqrt(sizes)
+    sym = root[:, None] * mult / root[None, :]
+    w, v = np.linalg.eigh((sym + sym.T) / 2)
+    keep = np.abs(w) > GRAM_EIGENVALUE_CUTOFF * np.max(np.abs(w))
+    ident = kinds - 1
+
+    def spectral(f):
+        # coefficients of f(G): f applied to the spectrum, acting on the unit
+        return (v * f) @ v[ident] * root[ident] / root
+
+    coeff = spectral(np.where(keep, 1.0 / np.where(w == 0, 1.0, w), 0.0))
+    # the kept spectral projector has trace rank, i.e. rank / count on the diagonal
+    rank = int(round(len(first) * spectral(keep.astype(float))[ident]))
+    return coeff, rank
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _build_table(m: int, n: float) -> WeingartenTable:
     pairs = tuple(enumerate_pairings(m))
-    values = _pseudo_inverse(gram_matrix(m, n))
+    types = coset_types(m)
+    coeff, rank = _class_pseudo_inverse(types, gram_matrix(m, n)[0])
+    values = coeff[types]
     values.setflags(write=False)
     return WeingartenTable(
-        m=m, n=n, pairings=pairs, values=values, _index={p: i for i, p in enumerate(pairs)}
+        m=m, n=n, pairings=pairs, values=values, rank=rank, singular=rank < len(pairs),
+        _index={p: i for i, p in enumerate(pairs)},
     )
 
 

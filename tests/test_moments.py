@@ -32,6 +32,7 @@ from orthochan.pairings import (
     length,
     pairing_from_partial,
 )
+from orthochan.weingarten import wg_exact
 
 
 def random_density(dim, seed):
@@ -222,7 +223,40 @@ class TestExactMeanOutput:
         assert gaps[1] < 5.0 / 32
 
 
+def term_report_reference(p, r, k, n, t, state):
+    """The report by a nested loop over (alpha, beta) and a stable sort on -|value|."""
+    pair_list = enumerate_pairings(p * r)
+    delta, gamma = delta_gamma(p, r)
+    table = wg_exact(p * r, k * n)
+    f_vals = [f_beta(b, state, p) for b in pair_list]
+    terms = []
+    for i, alpha in enumerate(pair_list):
+        n_exp = connected_components(delta, alpha)
+        k_exp = connected_components(gamma, alpha)
+        scale = float(n) ** n_exp * float(k) ** k_exp
+        for j, beta in enumerate(pair_list):
+            wg = float(table.values[i, j])
+            terms.append((alpha, beta, n_exp, k_exp, f_vals[j], wg, scale * f_vals[j] * wg))
+    terms.sort(key=lambda term: -abs(term[6]))
+    return terms
+
+
 class TestTermReport:
+    @pytest.mark.parametrize("case", ["p2_r1_n3_mixed", "p1_r2_n4_bell"])
+    def test_matches_nested_loop_reference(self, case):
+        if case == "p2_r1_n3_mixed":
+            args = (2, 1, 2, 3, 0.5, np.eye(3) / 3)
+        else:
+            args = (1, 2, 2, 4, 0.5, bell_state_vector(PartialPairing(2, ((0, 1),)), 4))
+        terms = term_report(*args)
+        ref = term_report_reference(*args)
+        assert [(term.alpha, term.beta) for term in terms] == [row[:2] for row in ref]
+        assert [(term.n_exp, term.k_exp) for term in terms] == [row[2:4] for row in ref]
+        for term, (_, _, _, _, f, wg, value) in zip(terms, ref):
+            assert abs(term.f_beta - f) <= 1e-12 * abs(f)
+            assert abs(term.wg - wg) <= 1e-12 * abs(wg)
+            assert abs(term.value - value) <= 1e-12 * abs(value)
+
     def test_sums_to_exact_value(self):
         rho = np.eye(3) / 3
         terms = term_report(2, 1, 2, 3, 0.5, rho)

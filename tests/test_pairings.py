@@ -12,6 +12,8 @@ from orthochan.pairings import (
     bumps,
     combine_copies,
     connected_components,
+    coset_type,
+    coset_types,
     delta_gamma,
     dominant_pairs,
     double_factorial_odd,
@@ -23,8 +25,11 @@ from orthochan.pairings import (
     mobius,
     pairing_from_partial,
     partial_pairing_count,
+    partitions,
     transverse_pairings,
+    type_lengths,
 )
+from orthochan.pairings import _component_sizes
 
 
 def graph_components_oracle(alpha, beta):
@@ -136,6 +141,63 @@ class TestConnectedComponents:
                 via_cycles = a.compose(b).cycle_count() // 2
                 via_length = m - length(a.compose(b)) // 2
                 assert via_graph == graph_components_oracle(a, b) == via_cycles == via_length
+
+
+class TestCosetTypes:
+    def test_partitions(self):
+        assert partitions(1) == ((1,),)
+        assert partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+        assert [len(partitions(m)) for m in range(1, 7)] == [1, 2, 3, 5, 7, 11]
+        assert type_lengths(4).tolist() == [1, 2, 2, 3, 4]
+
+    @staticmethod
+    def _check_pair(types, pairings, i, j):
+        m = pairings[0].size // 2
+        a, b = pairings[i], pairings[j]
+        halves = sorted((s // 2 for s in _component_sizes(a, b)), reverse=True)
+        assert partitions(m)[types[i, j]] == coset_type(a, b) == tuple(halves)
+        assert type_lengths(m)[types[i, j]] == connected_components(a, b)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_every_pair_matches_union_find(self, m):
+        types = coset_types(m)
+        pairings = enumerate_pairings(m)
+        assert types.shape == (len(pairings),) * 2 and types.dtype == np.uint8
+        for i in range(len(pairings)):
+            for j in range(len(pairings)):
+                self._check_pair(types, pairings, i, j)
+
+    def test_sampled_pairs_match_union_find_m5(self):
+        types = coset_types(5)
+        pairings = enumerate_pairings(5)
+        rng = np.random.default_rng(0)
+        for i, j in rng.integers(0, len(pairings), size=(5000, 2)).tolist():
+            self._check_pair(types, pairings, i, j)
+
+    def test_symmetric_identity_diagonal_and_read_only(self):
+        types = coset_types(4)
+        assert np.array_equal(types, types.T)
+        assert np.all(np.diag(types) == len(partitions(4)) - 1)  # type (1, 1, 1, 1)
+        assert coset_types(4) is types
+        with pytest.raises(ValueError):
+            types[0, 0] = 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_class_sizes(self, m):
+        # type lam occurs 2^m m! / (z_lam 2^len(lam)) times against one pairing,
+        # with z_lam = prod_i i^(mult_i) mult_i!
+        def expected(lam):
+            z = math.prod(i ** lam.count(i) * math.factorial(lam.count(i)) for i in set(lam))
+            return 2**m * math.factorial(m) // (z * 2 ** len(lam))
+
+        counts = np.bincount(coset_types(m)[0], minlength=len(partitions(m)))
+        assert counts.tolist() == [expected(lam) for lam in partitions(m)]
+
+    def test_cap(self):
+        with pytest.raises(EnumerationLimitError):
+            coset_types(4, cap=104)
+        with pytest.raises(ValidationError):
+            coset_types(0)
 
 
 class TestMobius:

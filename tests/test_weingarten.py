@@ -4,11 +4,20 @@ import pytest
 from orthochan.errors import EnumerationLimitError
 from orthochan.pairings import enumerate_pairings, Pairing, Permutation
 from orthochan.weingarten import (
+    GRAM_EIGENVALUE_CUTOFF,
     gram_matrix,
     integrate_monomial,
     wg_asymptotic,
     wg_exact,
 )
+
+
+def dense_pseudo_inverse(g):
+    """Moore-Penrose inverse of the dense Gram matrix by eigh, with the library's cutoff."""
+    w, v = np.linalg.eigh(g)
+    cut = GRAM_EIGENVALUE_CUTOFF * np.max(np.abs(w))
+    inv = np.where(np.abs(w) > cut, 1.0 / np.where(w == 0, 1.0, w), 0.0)
+    return (v * inv) @ v.T
 
 
 def m2_closed_form(n):
@@ -97,6 +106,30 @@ class TestExactTable:
 
     def test_cache_returns_same_object(self):
         assert wg_exact(2, 5) is wg_exact(2, 5)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 10])
+    def test_class_solve_matches_dense_pseudo_inverse(self, m, n):
+        # covers every singular case n < m of these grids
+        dense = dense_pseudo_inverse(gram_matrix(m, n))
+        values = wg_exact(m, n).values
+        assert np.max(np.abs(values - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("m,n,singular", [(5, 4, True), (2, 1, True), (3, 2, True), (4, 6, False)])
+    def test_rank_and_singular(self, m, n, singular):
+        table = wg_exact(m, n)
+        assert table.rank == np.linalg.matrix_rank(gram_matrix(m, n))
+        assert table.singular is singular
+        assert table.singular == (table.rank < len(table.pairings))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_singular_exactly_at_integer_n_below_m(self, m):
+        for n in (1, 2, 3, 4, 5, 6, 1.5, 3.5):
+            assert wg_exact(m, n).singular == (n == int(n) and n < m)
+
+    def test_values_are_read_only(self):
+        with pytest.raises(ValueError):
+            wg_exact(2, 5).values[0, 0] = 0.0
 
 
 class TestAsymptotic:
