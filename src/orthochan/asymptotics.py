@@ -17,9 +17,9 @@ from .channels import (
     RngStream,
     input_dim,
     make_channel,
+    map_ordered,
     output_state,
     validate_density_matrix,
-    worker_count,
 )
 from .errors import ValidationError
 from .moments import _infer_local_dim, f_beta
@@ -362,34 +362,18 @@ def convergence_experiment(
     if not n_grid or samples < 1:
         raise ValidationError("need a nonempty n grid and samples >= 1")
     body = convex_body(r, k, t)
-    dists = np.empty((len(n_grid), samples))
-    ents = np.empty((len(n_grid), samples))
+    states = [experiment_input(input_rule, r, input_dim(k, n, t), custom_state) for n in n_grid]
 
-    workers = worker_count(threads)
-    span = max(1, -(-samples // workers))
-    jobs = []
-    for gi, n in enumerate(n_grid):
-        state = experiment_input(input_rule, r, input_dim(k, n, t), custom_state)
-        for lo in range(0, samples, span):
-            jobs.append((gi, n, state, lo, min(lo + span, samples)))
+    def draw(job):
+        gi, s = job
+        spec = make_channel(k, n_grid[gi], t, RngStream(seed, gi * samples + s))
+        z = output_state(spec, r, states[gi])
+        proj = project_to_body(z, body)
+        return proj.distance, von_neumann_entropy(z), proj.converged, proj.iterations
 
-    def work(job):
-        gi, n, state, lo, hi = job
-        for s in range(lo, hi):
-            spec = make_channel(k, n, t, RngStream(seed, gi * samples + s))
-            z = output_state(spec, r, state)
-            dists[gi, s] = distance_to_body(z, body)
-            ents[gi, s] = von_neumann_entropy(z)
-
-    if workers == 1 or len(jobs) == 1:
-        for job in jobs:
-            work(job)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, jobs))
-
+    jobs = [(gi, s) for gi in range(len(n_grid)) for s in range(samples)]
+    table = np.array(list(map_ordered(draw, jobs, threads))).reshape(len(n_grid), samples, 4)
+    dists, ents, converged, iterations = np.moveaxis(table, -1, 0)
     rows = tuple(
         (n, s, float(dists[gi, s]), float(ents[gi, s]))
         for gi, n in enumerate(n_grid)
@@ -409,6 +393,8 @@ def convergence_experiment(
                 "entropy_median": float(np.median(erow)),
                 "entropy_q10": float(np.quantile(erow, 0.10)),
                 "entropy_q90": float(np.quantile(erow, 0.90)),
+                "unconverged": int(samples - converged[gi].sum()),
+                "max_iterations": int(iterations[gi].max()),
             }
         )
     return ExperimentResult(

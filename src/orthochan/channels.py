@@ -8,9 +8,11 @@ function of (seed, sample index) regardless of threading or batching.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,6 +25,12 @@ TRACE_TOL = 1e-10
 NEGATIVE_EIGENVALUE_TOL = 1e-10
 OUTPUT_TENSOR_BUDGET = 2**24  # max entries of the (kn)^r lifted state tensor
 THREADS_ENV_VAR = "ORTHOCHAN_THREADS"
+
+# numpy's SeedSequence hash constants, reproduced by _stream_keys
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -119,16 +127,74 @@ def _haar_columns(
     """
     g = np.empty((count, dim, dim))
     for b, gen in enumerate(gens):
-        g[b] = gen.standard_normal((dim, dim))
+        gen.standard_normal(out=g[b])
     q, r = np.linalg.qr(g[:, :, :cols])
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1)).copy()
     signs[signs == 0] = 1.0
     return q * signs[:, None, :]
 
 
+def _seed_hash(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One step of SeedSequence's multiplicative hash on uint32 words; returns the next constant."""
+    nxt = const * mult & _MASK32
+    words = (words ^ np.uint32(const)) * np.uint32(nxt)
+    return words ^ (words >> np.uint32(16)), nxt
+
+
+def _stream_keys(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Philox keys of streams lo..hi-1 of seed, shape (hi - lo, 2), uint64.
+
+    Row j is SeedSequence(seed, spawn_key=(lo + j,)).generate_state(2, uint64),
+    the key RngStream(seed, lo + j) hands to Philox, computed for all rows at
+    once.  SeedSequence mixes the seed's words into its four pool words first
+    and the spawn words last, so the pool before the spawn words is
+    SeedSequence(seed).pool for every stream, and the hash constant has by
+    then advanced 16 + 4*max(0, words - 4) times.  Only the mixing of the
+    spawn words (one below 2**32, two from there on) and the final
+    generate_state depend on the index.
+    """
+    if not 0 <= lo <= hi <= 2**64:
+        raise ValidationError(f"stream indices must lie in [0, 2**64), got [{lo}, {hi})")
+    pool = np.random.SeedSequence(seed).pool
+    seed_words = max(1, -(-operator.index(seed).bit_length() // 32))
+    start = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, seed_words - 4), 2**32) % 2**32
+    index = np.arange(lo, hi, dtype=np.uint64)
+    keys = np.empty((hi - lo, 2), dtype=np.uint64)
+    for two_words in (False, True):
+        rows = (index >= 2**32) == two_words
+        if not rows.any():
+            continue
+        spawn = [index[rows] & _MASK32, index[rows] >> np.uint64(32)][: 1 + two_words]
+        spawn = [word.astype(np.uint32) for word in spawn]
+        mixer = [np.full(int(rows.sum()), w, dtype=np.uint32) for w in pool]
+        const = start
+        for word in spawn:
+            for j in range(4):
+                hashed, const = _seed_hash(word, const, _MULT_A)
+                mixed = np.uint32(_MIX_MULT_L) * mixer[j] - np.uint32(_MIX_MULT_R) * hashed
+                mixer[j] = mixed ^ (mixed >> np.uint32(16))
+        state, const = [], _INIT_B
+        for word in mixer:
+            hashed, const = _seed_hash(word, const, _MULT_B)
+            state.append(hashed.astype(np.uint64))
+        keys[rows, 0] = state[0] | (state[1] << np.uint64(32))
+        keys[rows, 1] = state[2] | (state[3] << np.uint64(32))
+    return keys
+
+
 def _stream_generators(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
-    """Generators of streams lo..hi-1, made one at a time; sample i uses stream (seed, i)."""
-    return (RngStream(seed, i).generator() for i in range(lo, hi))
+    """One generator, set in turn to the start of streams lo..hi-1 of seed.
+
+    Each state it takes is that of RngStream(seed, i).generator() bit for
+    bit: key from _stream_keys, counter 0, buffer empty.  Draw from it before
+    taking the next one.
+    """
+    gen = RngStream(seed, lo).generator()
+    state = gen.bit_generator.state  # a fresh stream: counter 0, buffer empty
+    for key in _stream_keys(seed, lo, hi):
+        state["state"]["key"] = key
+        gen.bit_generator.state = state
+        yield gen
 
 
 def sample_haar_orthogonal(dim: int, rng: RngStream | np.random.Generator) -> np.ndarray:
@@ -238,32 +304,57 @@ def output_state(
     return _output_batch(spec.isometry[None], components, spec.k, spec.n, r)[0].astype(complex)
 
 
-def _chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+def map_ordered(work: Callable, jobs, threads: int | None = None) -> Iterator:
+    """work(job) for every job, yielded in job order, on worker_count(threads) threads."""
+    jobs = list(jobs)
+    workers = min(worker_count(threads), len(jobs))
+    if workers <= 1:
+        yield from map(work, jobs)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(work, jobs)
 
 
-def _mc_chunk_size(k: int, n: int, r: int) -> int:
-    # keep the per-chunk arrays around a few million entries; the Haar batch
-    # itself costs (kn)^2 per sample regardless of r
-    per_sample = max((k * n) ** r, (k * n) ** 2)
-    return max(1, min(1024, 4_000_000 // per_sample))
+def _chunk_size(entries_per_sample: int) -> int:
+    # keep the per-chunk arrays around a few million entries.  The size is a
+    # function of the problem dimensions only, never of the worker count: the
+    # chunks fix the order in which partial results are combined.
+    return max(1, min(1024, 4_000_000 // entries_per_sample))
 
 
-def _worker_span(samples: int, chunk: int, workers: int) -> int:
-    # align worker splits to batch boundaries so batch grouping (and thus
-    # bitwise output) is independent of the worker count
-    per_worker = -(-samples // workers)
-    return chunk * max(1, -(-per_worker // chunk))
+def _chan_combine(a, b):
+    """Merge two (count, mean, M2) partials (Chan, Golub and LeVeque)."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (nb / n), m2_a + m2_b + (delta.conj() * delta).real * (na * nb / n)
 
 
-def _run_chunks(chunks, work, threads: int | None):
-    workers = worker_count(threads)
-    if workers == 1 or len(chunks) == 1:
-        for c in chunks:
-            work(c)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, chunks))
+def _sample_stats(
+    samples: int, seed: int, chunk: int, draw: Callable, threads: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise mean and standard error of draw's values over samples 0..samples-1.
+
+    draw(gens, count) maps count generators, sample i's from stream (seed, i),
+    to an array of count values, scalars or matrices.  Each chunk of samples
+    is reduced to (count, mean, M2), M2 the sum of |x - mean|^2, and the
+    partials are combined in chunk order, so the result is the same under any
+    thread count and memory does not grow with the sample count.
+    """
+    if samples < 2:
+        raise ValidationError(f"samples must be >= 2, got {samples}")
+
+    def partial(bounds):
+        lo, hi = bounds
+        x = draw(_stream_generators(seed, lo, hi), hi - lo)
+        mean = x.mean(axis=0)
+        dev = x - mean
+        return hi - lo, mean, (dev.conj() * dev).real.sum(axis=0)
+
+    bounds = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
+    count, mean, m2 = functools.reduce(_chan_combine, map_ordered(partial, bounds, threads))
+    return mean, np.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
 def _trace_power_batch(z: np.ndarray, p: int) -> np.ndarray:
@@ -271,6 +362,18 @@ def _trace_power_batch(z: np.ndarray, p: int) -> np.ndarray:
     for _ in range(p - 1):
         m = m @ z
     return np.einsum("bii->b", m)
+
+
+def _output_draw(r: int, k: int, n: int, t: float, state: np.ndarray):
+    """Chunk size and draw(gens, count) -> outputs (count, k^r, k^r) of r-th channel powers."""
+    d = input_dim(k, n, t)
+    _check_output_budget(k, n, r, OUTPUT_TENSOR_BUDGET)
+    components = _state_components(state, d**r)
+
+    def draw(gens, count):
+        return _output_batch(_haar_columns(gens, count, k * n, d), components, k, n, r)
+
+    return _chunk_size(max((k * n) ** r, (k * n) ** 2)), draw
 
 
 def mc_trace_moment(
@@ -286,31 +389,19 @@ def mc_trace_moment(
 ) -> tuple[float, float]:
     """Sample mean and standard error of Tr Z^p over independent channel draws.
 
-    Sample i uses random stream (seed, i); accumulation is indexed, so the
-    result is bitwise reproducible for a given seed under any thread count.
+    Sample i uses random stream (seed, i), and partial results are combined
+    in a fixed order, so the result is bitwise reproducible for a given seed
+    under any thread count.
     """
-    if samples < 2:
-        raise ValidationError(f"samples must be >= 2, got {samples}")
     if p < 1:
         raise ValidationError(f"p must be >= 1, got {p}")
-    d = input_dim(k, n, t)
-    _check_output_budget(k, n, r, OUTPUT_TENSOR_BUDGET)
-    components = _state_components(state, d**r)
-    values = np.empty(samples)
-    chunk = _mc_chunk_size(k, n, r)
+    chunk, outputs = _output_draw(r, k, n, t, state)
 
-    def work(rng_range):
-        lo, hi = rng_range
-        for blo, bhi in _chunk_ranges(hi - lo, chunk):
-            v = _haar_columns(_stream_generators(seed, lo + blo, lo + bhi), bhi - blo, k * n, d)
-            z = _output_batch(v, components, k, n, r)
-            values[lo + blo: lo + bhi] = _trace_power_batch(z, p).real
+    def draw(gens, count):
+        return _trace_power_batch(outputs(gens, count), p).real
 
-    span = _worker_span(samples, chunk, worker_count(threads))
-    _run_chunks(_chunk_ranges(samples, span), work, threads)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(samples))
-    return mean, stderr
+    mean, stderr = _sample_stats(samples, seed, chunk, draw, threads)
+    return float(mean), float(stderr)
 
 
 def mc_mean_output(
@@ -324,26 +415,9 @@ def mc_mean_output(
     threads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise sample mean and standard error of the output state Z."""
-    if samples < 2:
-        raise ValidationError(f"samples must be >= 2, got {samples}")
-    d = input_dim(k, n, t)
-    _check_output_budget(k, n, r, OUTPUT_TENSOR_BUDGET)
-    components = _state_components(state, d**r)
-    dim = k**r
-    outputs = np.empty((samples, dim, dim), dtype=complex)
-    chunk = _mc_chunk_size(k, n, r)
-
-    def work(rng_range):
-        lo, hi = rng_range
-        for blo, bhi in _chunk_ranges(hi - lo, chunk):
-            v = _haar_columns(_stream_generators(seed, lo + blo, lo + bhi), bhi - blo, k * n, d)
-            outputs[lo + blo: lo + bhi] = _output_batch(v, components, k, n, r)
-
-    span = _worker_span(samples, chunk, worker_count(threads))
-    _run_chunks(_chunk_ranges(samples, span), work, threads)
-    mean = outputs.mean(axis=0)
-    var = outputs.real.var(axis=0, ddof=1) + outputs.imag.var(axis=0, ddof=1)
-    return mean, np.sqrt(var / samples)
+    chunk, outputs = _output_draw(r, k, n, t, state)
+    mean, stderr = _sample_stats(samples, seed, chunk, outputs, threads)
+    return mean.astype(complex), stderr
 
 
 def mc_conjugation_mean(
@@ -353,20 +427,10 @@ def mc_conjugation_mean(
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"A must be square, got shape {a.shape}")
-    if samples < 2:
-        raise ValidationError(f"samples must be >= 2, got {samples}")
     dim = a.shape[0]
-    outputs = np.empty((samples, dim, dim))
-    chunk = max(1, 2_000_000 // (dim * dim))
 
-    def work(rng_range):
-        lo, hi = rng_range
-        for blo, bhi in _chunk_ranges(hi - lo, chunk):
-            u = _haar_columns(_stream_generators(seed, lo + blo, lo + bhi), bhi - blo, dim, dim)
-            outputs[lo + blo: lo + bhi] = u @ a @ u.swapaxes(1, 2)
+    def draw(gens, count):
+        u = _haar_columns(gens, count, dim, dim)
+        return u @ a @ u.swapaxes(1, 2)
 
-    span = _worker_span(samples, chunk, worker_count(threads))
-    _run_chunks(_chunk_ranges(samples, span), work, threads)
-    mean = outputs.mean(axis=0)
-    stderr = outputs.std(axis=0, ddof=1) / math.sqrt(samples)
-    return mean, stderr
+    return _sample_stats(samples, seed, _chunk_size(dim * dim), draw, threads)

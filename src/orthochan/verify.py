@@ -6,6 +6,7 @@ the same seed is byte-identical.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -15,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
+    basis_product_state,
     bell_state_vector,
     convergence_experiment,
     entropy_extremal,
@@ -113,7 +115,7 @@ def criterion_3_exactness(seed: int) -> CriterionResult:
         d = input_dim(k, n, t)
         inputs = {
             "bell": (np.eye(d) / d if r == 1 else bell_state_vector(PartialPairing(2, ((0, 1),)), d)),
-            "product": _product_vector(d, r),
+            "product": basis_product_state(d, r),
         }
         for rule, state in inputs.items():
             exact = exact_trace_moment(p, r, k, n, t, state)
@@ -132,12 +134,6 @@ def criterion_3_exactness(seed: int) -> CriterionResult:
         ok,
         f"p=1 exact {p1!r}; {detail}",
     )
-
-
-def _product_vector(d: int, r: int) -> np.ndarray:
-    psi = np.zeros(d**r)
-    psi[0] = 1.0
-    return psi
 
 
 def criterion_4_wg_asymptotics(seed: int) -> CriterionResult:
@@ -300,22 +296,17 @@ def criterion_10_q_spectrum(seed: int) -> CriterionResult:
     )
 
 
-def _with_threads(value: str | None):
-    class _Env:
-        def __enter__(self):
-            self.old = os.environ.get(THREADS_ENV_VAR)
-            if value is None:
-                os.environ.pop(THREADS_ENV_VAR, None)
-            else:
-                os.environ[THREADS_ENV_VAR] = value
-
-        def __exit__(self, *exc):
-            if self.old is None:
-                os.environ.pop(THREADS_ENV_VAR, None)
-            else:
-                os.environ[THREADS_ENV_VAR] = self.old
-
-    return _Env()
+@contextlib.contextmanager
+def _with_threads(value: str):
+    old = os.environ.get(THREADS_ENV_VAR)
+    os.environ[THREADS_ENV_VAR] = value
+    try:
+        yield
+    finally:
+        if old is None:
+            os.environ.pop(THREADS_ENV_VAR, None)
+        else:
+            os.environ[THREADS_ENV_VAR] = old
 
 
 def criterion_11_determinism(seed: int) -> CriterionResult:

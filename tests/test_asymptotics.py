@@ -1,10 +1,13 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from orthochan import asymptotics
 from orthochan.asymptotics import (
+    PROJECTION_MAX_ITER,
     basis_product_state,
     bell_input,
     bell_state_vector,
@@ -288,6 +291,18 @@ class TestConvergenceExperiment:
         monkeypatch.setenv("ORTHOCHAN_THREADS", "3")
         res2 = convergence_experiment("bell", 2, 2, 0.5, (8, 16), samples=6, seed=4)
         assert res1.rows == res2.rows
+        assert res1.summary == res2.summary
+
+    def test_summary_reports_projection_convergence(self, monkeypatch):
+        full = convergence_experiment("bell", 2, 2, 0.5, (8, 16), samples=4, seed=3)
+        one_step = functools.partial(asymptotics.project_to_body, max_iter=1)
+        monkeypatch.setattr(asymptotics, "project_to_body", one_step)
+        cut = convergence_experiment("bell", 2, 2, 0.5, (8, 16), samples=4, seed=3)
+        for row, short in zip(full.summary, cut.summary):
+            assert row["unconverged"] == 0
+            # a draw that needed a second step stops unconverged after one
+            assert 2 <= row["max_iterations"] < PROJECTION_MAX_ITER
+            assert short["max_iterations"] == 1 and short["unconverged"] >= 1
 
     def test_distance_decreases_with_n(self):
         res = convergence_experiment("bell", 2, 2, 0.5, (8, 32), samples=20, seed=5)

@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,9 @@ import pytest
 
 from orthochan.channels import (
     RngStream,
+    _haar_columns,
+    _stream_generators,
+    _stream_keys,
     apply_channel,
     apply_channel_power,
     input_dim,
@@ -42,6 +46,52 @@ class TestRngStream:
             RngStream(7, other).generator().standard_normal(4)
         again = RngStream(7, 5).generator().standard_normal(4)
         assert np.array_equal(direct, again)
+
+
+# seeds of one, two, three and seven 32-bit words; the last is made the way the
+# benchmark derives its per-op seeds
+KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 1,
+             int(np.random.SeedSequence([0, 1, 3]).generate_state(1)[0])]
+
+
+class TestStreamKeys:
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    @pytest.mark.parametrize(
+        "lo, hi",
+        # chunk edges at 1024; an index from 2**32 on is spawned as two words
+        [(0, 3), (1022, 1027), (2**32 - 3, 2**32 + 2), (2**64 - 2, 2**64)],
+    )
+    def test_keys_match_seed_sequence(self, seed, lo, hi):
+        keys = _stream_keys(seed, lo, hi)
+        assert keys.shape == (hi - lo, 2) and keys.dtype == np.uint64
+        for i in range(lo, hi):
+            ref = np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
+            assert np.array_equal(keys[i - lo], ref), i
+
+    def test_indices_beyond_two_words_raise(self):
+        with pytest.raises(ValidationError):
+            _stream_keys(0, 2**64 - 1, 2**64 + 1)
+        with pytest.raises(ValidationError):
+            _stream_keys(0, -1, 2)
+
+    @pytest.mark.parametrize("seed", [7, 2**200 + 1])
+    def test_reseated_generator_draws_stream_bits(self, seed):
+        # every stream of a chunk, the middle ones included, draws the bits of
+        # a generator built for it alone, however much its predecessor drew
+        for i, gen in enumerate(_stream_generators(seed, 1000, 1040), start=1000):
+            ref = RngStream(seed, i).generator()
+            assert np.array_equal(gen.standard_normal((3, 3)), ref.standard_normal((3, 3)))
+            # an odd number of 32-bit draws leaves half a word buffered
+            assert np.array_equal(
+                gen.integers(0, 99, 3, dtype=np.int32), ref.integers(0, 99, 3, dtype=np.int32)
+            )
+            assert np.array_equal(gen.random(i % 7), ref.random(i % 7))
+
+    def test_chunk_draws_equal_single_draws(self):
+        u = _haar_columns(_stream_generators(5, 512, 520), 8, 6, 6)
+        for b, i in enumerate(range(512, 520)):
+            q, r = np.linalg.qr(RngStream(5, i).generator().standard_normal((6, 6)))
+            assert np.array_equal(u[b], q * np.sign(np.diag(r)))
 
 
 class TestHaarSampling:
@@ -218,10 +268,11 @@ class TestOutputAgainstDenseReference:
 _BLAS_THREADS_SCRIPT = """
 import numpy as np
 from orthochan.asymptotics import convergence_experiment
-from orthochan.channels import mc_trace_moment
+from orthochan.channels import mc_mean_output, mc_trace_moment
 exp = convergence_experiment("bell", 2, 2, 0.5, (8, 64), samples=3, seed=4)
 print(repr(exp.rows))
 print(repr(mc_trace_moment(2, 2, 2, 4, 0.5, np.eye(16) / 16, samples=300, seed=5)))
+print(repr([x.tolist() for x in mc_mean_output(2, 2, 4, 0.5, np.eye(16) / 16, samples=2100, seed=6)]))
 """
 
 
@@ -242,7 +293,7 @@ def _run_with_blas_threads(threads: int) -> str:
 
 def test_results_independent_of_blas_thread_count():
     one = _run_with_blas_threads(1)
-    assert one.count("\n") == 2
+    assert one.count("\n") == 3
     assert one == _run_with_blas_threads(2)
 
 
@@ -258,12 +309,19 @@ class TestMonteCarlo:
         assert a == b
 
     def test_thread_count_invariance(self, monkeypatch):
-        rho = np.eye(3) / 3
-        monkeypatch.setenv("ORTHOCHAN_THREADS", "1")
-        a = mc_trace_moment(2, 1, 2, 3, 0.5, rho, samples=700, seed=1)
-        monkeypatch.setenv("ORTHOCHAN_THREADS", "3")
-        b = mc_trace_moment(2, 1, 2, 3, 0.5, rho, samples=700, seed=1)
-        assert a == b
+        # 2500 samples span three chunks, so the workers share them out
+        estimates = (
+            lambda: mc_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, samples=2500, seed=1),
+            lambda: mc_mean_output(2, 2, 4, 0.5, np.eye(16) / 16, samples=2500, seed=1),
+            lambda: mc_conjugation_mean(np.arange(16.0).reshape(4, 4), samples=2500, seed=1),
+        )
+        for estimate in estimates:
+            monkeypatch.setenv("ORTHOCHAN_THREADS", "1")
+            a = estimate()
+            monkeypatch.setenv("ORTHOCHAN_THREADS", "3")
+            b = estimate()
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
 
     def test_explicit_threads_argument(self):
         rho = np.eye(3) / 3
@@ -287,6 +345,20 @@ class TestMonteCarlo:
         assert mean.shape == (2, 2)
         assert stderr.shape == (2, 2)
         assert abs(np.trace(mean) - 1.0) < 1e-10
+
+    def test_mean_output_memory_does_not_grow_with_samples(self):
+        # per-chunk partials are combined as they arrive; keeping every
+        # sample's 4 x 4 complex output would add 4.6 MB between these runs
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                mc_mean_output(2, 2, 4, 0.5, np.eye(16) / 16, samples=samples, seed=3, threads=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2_000), peak(20_000)
+        assert large <= small + 256 * 1024
 
     def test_mean_output_matches_exact_first_moment(self):
         # at r=1 the exact mean output is the maximally mixed state

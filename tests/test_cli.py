@@ -119,6 +119,7 @@ class TestSubcommands:
         )
         payload = json.loads(out)
         assert payload["results"]["summary"][0]["n"] == 8
+        assert payload["results"]["summary"][0]["unconverged"] == 0
 
     def test_experiment_bytes_stable_across_threads(self, capsys, monkeypatch):
         args = (
