@@ -25,7 +25,6 @@ from .errors import ValidationError
 from .moments import _infer_local_dim, f_beta
 from .pairings import PartialPairing, enumerate_partial_pairings, pairing_from_partial
 
-ENTROPY_EIGENVALUE_CLIP = 1e-10
 PROJECTION_TOL = 1e-8
 PROJECTION_MAX_ITER = 10_000
 
@@ -135,15 +134,14 @@ def op_Q_tilde(block: PartialPairing, d: int) -> np.ndarray:
     return out
 
 
-def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float, d: int | None = None) -> np.ndarray:
+def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.ndarray:
     """Limit shape of the mean output: sum over blocks of <T~_B, rho> R~_B.
 
     Equals the alternating expansion over <Q~_A, rho> S~_A by Moebius
     inversion; the two agree to float precision for any input.
     """
     state = np.asarray(state)
-    if d is None:
-        d = _infer_local_dim(state.shape[0], r)
+    d = _infer_local_dim(state.shape[0], r)
     out = np.zeros((k**r, k**r), dtype=complex)
     for block in enumerate_partial_pairings(r):
         beta = pairing_from_partial(block, 1, r)
@@ -180,21 +178,16 @@ def basis_product_state(d: int, r: int) -> np.ndarray:
     return psi
 
 
-def von_neumann_entropy(rho: np.ndarray, base: str = "e") -> float:
-    """Spectral entropy -sum(lam log lam), clipping eigenvalues in [-1e-10, 0] to 0.
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Spectral entropy -sum(lam log lam) in nats, clipping eigenvalues in [-1e-10, 0] to 0.
 
     Eigenvalues below the clip window mean the input is not a state and raise.
     """
-    rho = validate_density_matrix(rho, tol=ENTROPY_EIGENVALUE_CLIP)
+    rho = validate_density_matrix(rho)
     eigs = np.linalg.eigvalsh(rho)
     eigs = np.clip(eigs, 0.0, None)
     positive = eigs[eigs > 0]
-    value = float(-np.sum(positive * np.log(positive)))
-    if base == "e":
-        return value
-    if base == "2" or base == 2:
-        return value / math.log(2.0)
-    raise ValidationError(f"unsupported entropy base {base!r}; use 'e' or '2'")
+    return float(-np.sum(positive * np.log(positive)))
 
 
 def isotropic_entropy(k: int, t: float) -> float:
@@ -251,17 +244,13 @@ def _frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a, b)))
 
 
-def project_to_body(
-    x: np.ndarray,
-    body: ConvexBody,
-    tol: float = PROJECTION_TOL,
-    max_iter: int = PROJECTION_MAX_ITER,
-) -> BodyProjection:
+def project_to_body(x: np.ndarray, body: ConvexBody) -> BodyProjection:
     """Frobenius projection onto the body by conditional gradient over vertex weights.
 
     Starts at the nearest vertex; each step moves toward the vertex with the
     most negative gradient score (first in canonical order on ties) with exact
-    line search, until the duality gap drops below tol.
+    line search, until the duality gap drops below PROJECTION_TOL or
+    PROJECTION_MAX_ITER steps are taken.
     """
     x = np.asarray(x, dtype=complex)
     verts = body.vertices
@@ -273,12 +262,12 @@ def project_to_body(
     point = verts[int(np.argmin(dists0))].copy()
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, PROJECTION_MAX_ITER + 1):
         diff = point - x
         scores = np.array([_frobenius_inner(v, diff) for v in verts])
         j = int(np.argmin(scores))
         gap = 2.0 * (_frobenius_inner(point, diff) - scores[j])
-        if gap <= tol:
+        if gap <= PROJECTION_TOL:
             converged = True
             break
         direction = verts[j] - point
@@ -296,23 +285,13 @@ def project_to_body(
     return BodyProjection(distance=distance, weights=weights, converged=converged, iterations=iterations)
 
 
-def distance_to_body(
-    x: np.ndarray,
-    body: ConvexBody,
-    tol: float = PROJECTION_TOL,
-    max_iter: int = PROJECTION_MAX_ITER,
-) -> float:
-    """Frobenius distance from a Hermitian matrix to the body."""
-    return project_to_body(x, body, tol=tol, max_iter=max_iter).distance
-
-
 def maximal_block(r: int) -> PartialPairing:
     """Canonical maximal partial pairing: (0,1), (2,3), ..., last point single if r is odd."""
     return PartialPairing(r, tuple((2 * j, 2 * j + 1) for j in range(r // 2)))
 
 
-def experiment_input(rule: str, r: int, d: int, custom_state=None) -> np.ndarray:
-    """Input state for a convergence run: Bell-product, basis product, or custom."""
+def experiment_input(rule: str, r: int, d: int) -> np.ndarray:
+    """Input state for a convergence run: Bell-product or basis product."""
     if rule == "bell":
         block = maximal_block(r)
         if r % 2 == 0:
@@ -320,11 +299,7 @@ def experiment_input(rule: str, r: int, d: int, custom_state=None) -> np.ndarray
         return bell_input(block, d)
     if rule == "product":
         return basis_product_state(d, r)
-    if rule == "custom":
-        if custom_state is None:
-            raise ValidationError("custom rule requires a custom_state callable")
-        return custom_state(d)
-    raise ValidationError(f"unknown input rule {rule!r}; use bell, product, or custom")
+    raise ValidationError(f"unknown input rule {rule!r}; use bell or product")
 
 
 @dataclass(frozen=True)
@@ -343,15 +318,7 @@ class ExperimentResult:
 
 
 def convergence_experiment(
-    input_rule: str,
-    r: int,
-    k: int,
-    t: float,
-    n_grid,
-    samples: int,
-    seed: int,
-    threads: int | None = None,
-    custom_state=None,
+    input_rule: str, r: int, k: int, t: float, n_grid, samples: int, seed: int
 ) -> ExperimentResult:
     """Distances to the body and output entropies over independent channel draws.
 
@@ -362,7 +329,7 @@ def convergence_experiment(
     if not n_grid or samples < 1:
         raise ValidationError("need a nonempty n grid and samples >= 1")
     body = convex_body(r, k, t)
-    states = [experiment_input(input_rule, r, input_dim(k, n, t), custom_state) for n in n_grid]
+    states = [experiment_input(input_rule, r, input_dim(k, n, t)) for n in n_grid]
 
     def draw(job):
         gi, s = job
@@ -372,7 +339,7 @@ def convergence_experiment(
         return proj.distance, von_neumann_entropy(z), proj.converged, proj.iterations
 
     jobs = [(gi, s) for gi in range(len(n_grid)) for s in range(samples)]
-    table = np.array(list(map_ordered(draw, jobs, threads))).reshape(len(n_grid), samples, 4)
+    table = np.array(list(map_ordered(draw, jobs))).reshape(len(n_grid), samples, 4)
     dists, ents, converged, iterations = np.moveaxis(table, -1, 0)
     rows = tuple(
         (n, s, float(dists[gi, s]), float(ents[gi, s]))

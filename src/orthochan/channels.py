@@ -44,6 +44,12 @@ class RngStream:
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        if operator.index(self.seed) < 0 or operator.index(self.stream) < 0:
+            raise ValidationError(
+                f"seed and stream index must be >= 0, got seed={self.seed}, stream={self.stream}"
+            )
+
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.Philox(ss))
@@ -66,37 +72,45 @@ class ChannelSpec:
             )
 
 
-def worker_count(threads: int | None = None) -> int:
-    """Explicit thread count, else the ORTHOCHAN_THREADS env var, else 1."""
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValidationError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
+def worker_count() -> int:
+    """The ORTHOCHAN_THREADS env var, else 1."""
+    raw = os.environ.get(THREADS_ENV_VAR, "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ValidationError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
     if threads < 1:
         raise ValidationError(f"thread count must be >= 1, got {threads}")
     return threads
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = NEGATIVE_EIGENVALUE_TOL) -> np.ndarray:
-    """Check Hermiticity, unit trace, and near-positivity; return as complex array."""
-    rho = np.asarray(rho)
+def _check_hermitian_unit_trace(rho: np.ndarray) -> None:
+    """The O(D^2) checks of a density matrix: square, finite, Hermitian, unit trace."""
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"density matrix must be square, got shape {rho.shape}")
-    rho = rho.astype(complex)
+    if not np.all(np.isfinite(rho)):
+        raise InvalidStateError("density matrix has non-finite entries")
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise InvalidStateError("matrix is not Hermitian within tolerance")
     if abs(np.trace(rho).real - 1.0) > max(TRACE_TOL, 1e-12 * rho.shape[0]):
         raise InvalidStateError(f"trace is {np.trace(rho).real}, expected 1")
+
+
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Check Hermiticity, unit trace, and near-positivity; return as complex array."""
+    rho = np.asarray(rho)
+    _check_hermitian_unit_trace(rho)
+    rho = rho.astype(complex)
     eigs = np.linalg.eigvalsh(rho)
-    if eigs[0] < -tol:
-        raise InvalidStateError(f"smallest eigenvalue {eigs[0]} below -{tol}")
+    if eigs[0] < -NEGATIVE_EIGENVALUE_TOL:
+        raise InvalidStateError(f"smallest eigenvalue {eigs[0]} below -{NEGATIVE_EIGENVALUE_TOL}")
     return rho
 
 
 def validate_state_vector(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi).astype(complex).ravel()
+    if not np.all(np.isfinite(psi)):
+        raise InvalidStateError("state vector has non-finite entries")
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-10:
         raise InvalidStateError(f"state vector has norm {norm}, expected 1")
@@ -197,15 +211,14 @@ def _stream_generators(seed: int, lo: int, hi: int) -> Iterator[np.random.Genera
         yield gen
 
 
-def sample_haar_orthogonal(dim: int, rng: RngStream | np.random.Generator) -> np.ndarray:
+def sample_haar_orthogonal(dim: int, rng: RngStream) -> np.ndarray:
     """Haar-distributed orthogonal matrix: QR of a Gaussian matrix plus sign fix."""
     if dim < 1:
         raise ValidationError(f"dimension must be >= 1, got {dim}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    return _haar_columns([gen], 1, dim, dim)[0]
+    return _haar_columns([rng.generator()], 1, dim, dim)[0]
 
 
-def make_channel(k: int, n: int, t: float, rng: RngStream | np.random.Generator) -> ChannelSpec:
+def make_channel(k: int, n: int, t: float, rng: RngStream) -> ChannelSpec:
     """Draw one channel realization with input dimension d = floor(t*k*n).
 
     The isometry is the first d columns of sample_haar_orthogonal(k*n, rng).
@@ -213,8 +226,7 @@ def make_channel(k: int, n: int, t: float, rng: RngStream | np.random.Generator)
     if k < 1 or n < 1:
         raise ValidationError(f"k and n must be >= 1, got k={k}, n={n}")
     d = input_dim(k, n, t)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    v = _haar_columns([gen], 1, k * n, d)[0]
+    v = _haar_columns([rng.generator()], 1, k * n, d)[0]
     v.setflags(write=False)
     return ChannelSpec(k=k, n=n, t=t, d=d, isometry=v)
 
@@ -272,42 +284,26 @@ def _output_batch(v: np.ndarray, components, k: int, n: int, r: int) -> np.ndarr
     return z
 
 
-def _check_output_budget(k: int, n: int, r: int, budget: int):
-    if (k * n) ** r > budget:
+def _check_output_budget(k: int, n: int, r: int):
+    if (k * n) ** r > OUTPUT_TENSOR_BUDGET:
         raise BudgetError(
-            f"lifted state tensor needs (kn)^r = {(k * n) ** r} entries, above budget {budget}"
+            f"lifted state tensor needs (kn)^r = {(k * n) ** r} entries, above budget {OUTPUT_TENSOR_BUDGET}"
         )
 
 
-def apply_channel_power(
-    spec: ChannelSpec, r: int, psi: np.ndarray, budget: int = OUTPUT_TENSOR_BUDGET
-) -> np.ndarray:
-    """Output of the r-th tensor power on a pure input, a k^r density matrix."""
-    if r < 1:
-        raise ValidationError(f"r must be >= 1, got {r}")
-    _check_output_budget(spec.k, spec.n, r, budget)
-    psi = np.asarray(psi).ravel()
-    if psi.shape[0] != spec.d**r:
-        raise ValidationError(f"input vector has dim {psi.shape[0]}, expected d^r = {spec.d ** r}")
-    psi = validate_state_vector(psi)
-    return _pure_output_batch(spec.isometry[None], psi, spec.k, spec.n, r)[0].astype(complex)
-
-
-def output_state(
-    spec: ChannelSpec, r: int, state: np.ndarray, budget: int = OUTPUT_TENSOR_BUDGET
-) -> np.ndarray:
+def output_state(spec: ChannelSpec, r: int, state: np.ndarray) -> np.ndarray:
     """Output of the r-th tensor power on a pure vector or a density matrix."""
     if r < 1:
         raise ValidationError(f"r must be >= 1, got {r}")
-    _check_output_budget(spec.k, spec.n, r, budget)
+    _check_output_budget(spec.k, spec.n, r)
     components = _state_components(state, spec.d**r)
     return _output_batch(spec.isometry[None], components, spec.k, spec.n, r)[0].astype(complex)
 
 
-def map_ordered(work: Callable, jobs, threads: int | None = None) -> Iterator:
-    """work(job) for every job, yielded in job order, on worker_count(threads) threads."""
+def map_ordered(work: Callable, jobs) -> Iterator:
+    """work(job) for every job, yielded in job order, on worker_count() threads."""
     jobs = list(jobs)
-    workers = min(worker_count(threads), len(jobs))
+    workers = min(worker_count(), len(jobs))
     if workers <= 1:
         yield from map(work, jobs)
         return
@@ -331,9 +327,7 @@ def _chan_combine(a, b):
     return n, mean_a + delta * (nb / n), m2_a + m2_b + (delta.conj() * delta).real * (na * nb / n)
 
 
-def _sample_stats(
-    samples: int, seed: int, chunk: int, draw: Callable, threads: int | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _sample_stats(samples: int, seed: int, chunk: int, draw: Callable) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise mean and standard error of draw's values over samples 0..samples-1.
 
     draw(gens, count) maps count generators, sample i's from stream (seed, i),
@@ -353,7 +347,7 @@ def _sample_stats(
         return hi - lo, mean, (dev.conj() * dev).real.sum(axis=0)
 
     bounds = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
-    count, mean, m2 = functools.reduce(_chan_combine, map_ordered(partial, bounds, threads))
+    count, mean, m2 = functools.reduce(_chan_combine, map_ordered(partial, bounds))
     return mean, np.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
@@ -367,7 +361,7 @@ def _trace_power_batch(z: np.ndarray, p: int) -> np.ndarray:
 def _output_draw(r: int, k: int, n: int, t: float, state: np.ndarray):
     """Chunk size and draw(gens, count) -> outputs (count, k^r, k^r) of r-th channel powers."""
     d = input_dim(k, n, t)
-    _check_output_budget(k, n, r, OUTPUT_TENSOR_BUDGET)
+    _check_output_budget(k, n, r)
     components = _state_components(state, d**r)
 
     def draw(gens, count):
@@ -377,15 +371,7 @@ def _output_draw(r: int, k: int, n: int, t: float, state: np.ndarray):
 
 
 def mc_trace_moment(
-    p: int,
-    r: int,
-    k: int,
-    n: int,
-    t: float,
-    state: np.ndarray,
-    samples: int,
-    seed: int,
-    threads: int | None = None,
+    p: int, r: int, k: int, n: int, t: float, state: np.ndarray, samples: int, seed: int
 ) -> tuple[float, float]:
     """Sample mean and standard error of Tr Z^p over independent channel draws.
 
@@ -400,29 +386,20 @@ def mc_trace_moment(
     def draw(gens, count):
         return _trace_power_batch(outputs(gens, count), p).real
 
-    mean, stderr = _sample_stats(samples, seed, chunk, draw, threads)
+    mean, stderr = _sample_stats(samples, seed, chunk, draw)
     return float(mean), float(stderr)
 
 
 def mc_mean_output(
-    r: int,
-    k: int,
-    n: int,
-    t: float,
-    state: np.ndarray,
-    samples: int,
-    seed: int,
-    threads: int | None = None,
+    r: int, k: int, n: int, t: float, state: np.ndarray, samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise sample mean and standard error of the output state Z."""
     chunk, outputs = _output_draw(r, k, n, t, state)
-    mean, stderr = _sample_stats(samples, seed, chunk, outputs, threads)
+    mean, stderr = _sample_stats(samples, seed, chunk, outputs)
     return mean.astype(complex), stderr
 
 
-def mc_conjugation_mean(
-    a: np.ndarray, samples: int, seed: int, threads: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def mc_conjugation_mean(a: np.ndarray, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise mean and standard error of U A U^T over Haar orthogonal draws."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -433,4 +410,4 @@ def mc_conjugation_mean(
         u = _haar_columns(gens, count, dim, dim)
         return u @ a @ u.swapaxes(1, 2)
 
-    return _sample_stats(samples, seed, _chunk_size(dim * dim), draw, threads)
+    return _sample_stats(samples, seed, _chunk_size(dim * dim), draw)

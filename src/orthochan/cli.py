@@ -87,6 +87,8 @@ def _csv_output(config: dict, header: list[str], rows) -> str:
 def _validate_common(args):
     if hasattr(args, "k") and args.k < 2:
         raise ValidationError(f"k must be >= 2, got {args.k}")
+    if hasattr(args, "r") and args.r < 1:
+        raise ValidationError(f"r must be >= 1, got {args.r}")
     if hasattr(args, "t") and not (0.0 < args.t < 1.0):
         raise ValidationError(f"t must lie in (0, 1), got {args.t}")
     if hasattr(args, "max_pairing_size") and args.max_pairing_size > EXACT_PAIRING_HARD_CAP:
@@ -206,10 +208,9 @@ def cmd_body(args) -> int:
 
 def cmd_experiment(args) -> int:
     _validate_common(args)
-    n_grid = tuple(int(x) for x in args.n.split(","))
     config = _config_dict(args, ["rule", "r", "k", "t", "samples", "seed", "format"])
-    config["n"] = list(n_grid)
-    result = convergence_experiment(args.rule, args.r, args.k, args.t, n_grid, args.samples, args.seed)
+    config["n"] = list(args.n)
+    result = convergence_experiment(args.rule, args.r, args.k, args.t, args.n, args.samples, args.seed)
     if args.format == "csv":
         rows = [(n, s, repr(dist), repr(ent)) for n, s, dist, ent in result.rows]
         _write(args.out, _csv_output(config, ["n", "sample", "dist", "entropy"], rows))
@@ -225,6 +226,13 @@ def cmd_verify(args) -> int:
     if args.out not in (None, "-"):
         sys.stdout.write(text)
     return 0 if all(r.passed for r in results) else 4
+
+
+def _int_grid(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--n", required=True, help="comma-separated grid, e.g. 32,64,128")
+    sp.add_argument("--n", type=_int_grid, required=True, help="comma-separated grid, e.g. 32,64,128")
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import input_dim
+from .channels import _check_hermitian_unit_trace, input_dim, validate_state_vector
 from .errors import BudgetError, EnumerationLimitError, ValidationError
 from .pairings import (
+    PAIRING_HALF_SIZE_CAP,
     Pairing,
     PartialPairing,
-    bumps,
     connected_components,
     coset_types,
     delta_gamma,
@@ -34,7 +34,7 @@ from .pairings import (
 from .weingarten import wg_exact
 
 EXACT_PAIRING_CAP = 8        # default max 2pr for the double pairing sum
-EXACT_PAIRING_HARD_CAP = 12  # absolute max; at 12 the dense Gram and Wg are 10395^2 float64, ~0.9 GB each
+EXACT_PAIRING_HARD_CAP = 2 * PAIRING_HALF_SIZE_CAP  # absolute max 2pr (12); see the CLI help for its cost
 CONTRACTION_BUDGET = 2**24   # max d^(pr) free-index space in f_beta
 TERM_CHUNK = 2**15           # report terms built per batch of index arrays
 
@@ -157,6 +157,11 @@ def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, bu
         raise ValidationError(
             f"input state has dim {state.shape[0]}, expected d^r = {expected} for d = {d}"
         )
+    # the checks of the Monte Carlo engine, bar the O(D^3) spectrum; the sums use state as given
+    if state.ndim == 1:
+        validate_state_vector(state)
+    else:
+        _check_hermitian_unit_trace(state)
     pair_list = enumerate_pairings(m)
     delta, gamma = delta_gamma(p, r)
     counts, types = type_lengths(m), coset_types(m)
@@ -183,21 +188,15 @@ def exact_trace_moment(
     return float((weights @ table.values @ f_vals).real)
 
 
-def exact_mean_output(
-    r: int,
-    k: int,
-    n: int,
-    t: float,
-    state: np.ndarray,
-    cap: int = EXACT_PAIRING_CAP,
-    budget: int = CONTRACTION_BUDGET,
-) -> np.ndarray:
+def exact_mean_output(r: int, k: int, n: int, t: float, state: np.ndarray) -> np.ndarray:
     """Exact E Z at finite n: the first-moment sum with open output legs.
 
     The scalar k-loop factor of the trace sum is replaced by the k-space
     wiring matrix of each alpha, yielding a Hermitian trace-one k^r matrix.
     """
-    pair_list, n_exp, _, f_vals, table = _engine_arrays(1, r, k, n, t, state, cap, budget)
+    pair_list, n_exp, _, f_vals, table = _engine_arrays(
+        1, r, k, n, t, state, EXACT_PAIRING_CAP, CONTRACTION_BUDGET
+    )
     coeff = table.values @ f_vals
     out = np.zeros((k**r, k**r), dtype=complex)
     for i, alpha in enumerate(pair_list):
@@ -275,13 +274,11 @@ def asymptotic_trace_moment(
     return total
 
 
-def g_from_state(
-    state: np.ndarray, r: int, k: int, n: int, t: float, budget: int = CONTRACTION_BUDGET
-) -> dict[PartialPairing, float]:
+def g_from_state(state: np.ndarray, r: int, k: int, n: int, t: float) -> dict[PartialPairing, float]:
     """Block weights g_B = f_beta(B) / (tkn)^|B| of a concrete input state."""
     out = {}
     for block in enumerate_partial_pairings(r):
         beta = pairing_from_partial(block, 1, r)
-        value = f_beta(beta, state, 1, budget).real / (t * n * k) ** block.n_pairs
+        value = f_beta(beta, state, 1, CONTRACTION_BUDGET).real / (t * n * k) ** block.n_pairs
         out[block] = value
     return out

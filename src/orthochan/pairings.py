@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import EnumerationLimitError, ValidationError
 
-PAIRING_ENUMERATION_CAP = 10395  # largest allowed (2m-1)!!, i.e. m <= 6
+PAIRING_HALF_SIZE_CAP = 6        # largest m whose pairings of 2m points are enumerated
+PAIRING_ENUMERATION_CAP = math.prod(range(1, 2 * PAIRING_HALF_SIZE_CAP, 2))  # (2m-1)!! = 10395
 PARTIAL_PAIRING_CAP = 8          # largest ground set for partial pairings
 TRANSVERSE_BRUTE_CAP = 5         # largest q = pr for transverse brute force
 
@@ -159,22 +160,23 @@ def catalan(p: int) -> int:
     return math.comb(2 * p, p) // (p + 1)
 
 
-def _check_pairing_count(m: int, cap: int) -> None:
+def _check_pairing_count(m: int) -> None:
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
     count = double_factorial_odd(m)
-    if count > cap:
+    if count > PAIRING_ENUMERATION_CAP:
         raise EnumerationLimitError(
-            f"enumerating pairings of 2m={2 * m} points needs {count} pairings, above cap {cap}"
+            f"enumerating pairings of 2m={2 * m} points needs {count} pairings, "
+            f"above cap {PAIRING_ENUMERATION_CAP}"
         )
 
 
-def enumerate_pairings(m: int, cap: int = PAIRING_ENUMERATION_CAP) -> list[Pairing]:
+def enumerate_pairings(m: int) -> list[Pairing]:
     """All pairings of {0, ..., 2m-1} in smallest-unmatched-element-first order.
 
     The first pairing is the identity pairing {(0, 1), (2, 3), ...}.
     """
-    _check_pairing_count(m, cap)
+    _check_pairing_count(m)
 
     def rec(points):
         if not points:
@@ -260,14 +262,14 @@ def type_lengths(m: int) -> np.ndarray:
     return np.array([len(lam) for lam in partitions(m)])
 
 
-def coset_types(m: int, cap: int = PAIRING_ENUMERATION_CAP) -> np.ndarray:
+def coset_types(m: int) -> np.ndarray:
     """Coset-type id of every pair of pairings of 2m points, as a read-only uint8 array.
 
     Rows and columns follow enumerate_pairings(m) and ids index partitions(m),
     so type_lengths(m)[coset_types(m)] is the component-count matrix.  Cached
     per m.
     """
-    _check_pairing_count(m, cap)
+    _check_pairing_count(m)
     return _coset_types(m)
 
 
@@ -331,15 +333,6 @@ def box_index(i: int, x: int, side: int, p: int, r: int) -> int:
     return ((i * r) + x) * 2 + side
 
 
-def box_label(idx: int, p: int, r: int) -> tuple[int, int, int]:
-    """Inverse of box_index."""
-    cell, side = divmod(idx, 2)
-    i, x = divmod(cell, r)
-    if not (0 <= i < p):
-        raise ValidationError(f"index {idx} out of range for p={p}, r={r}")
-    return i, x, side
-
-
 def delta_gamma(p: int, r: int) -> tuple[Pairing, Pairing]:
     """Wiring pairings of the p-th trace-moment diagram with r channel copies.
 
@@ -387,17 +380,15 @@ def transverse_pairings(p: int, r: int) -> list[Pairing]:
     return out
 
 
-def min_transverse_distance(
-    beta: Pairing, p: int, r: int, cap: int = TRANSVERSE_BRUTE_CAP
-) -> tuple[int, list[Pairing]]:
+def min_transverse_distance(beta: Pairing, p: int, r: int) -> tuple[int, list[Pairing]]:
     """Brute-force minimum of |tau * beta| over transverse tau, with all minimizers.
 
     The minimum equals twice the bump count of beta; the minimizers keep every
     transverse pair of beta and match R-side bumps to L-side bumps.
     """
     q = p * r
-    if q > cap:
-        raise EnumerationLimitError(f"transverse brute force needs q = pr <= {cap}, got {q}")
+    if q > TRANSVERSE_BRUTE_CAP:
+        raise EnumerationLimitError(f"transverse brute force needs q = pr <= {TRANSVERSE_BRUTE_CAP}, got {q}")
     _check_diagram_size(beta, p, r)
     best = None
     minimizers: list[Pairing] = []
@@ -411,12 +402,14 @@ def min_transverse_distance(
     return best, minimizers
 
 
-def enumerate_partial_pairings(r: int, cap: int = PARTIAL_PAIRING_CAP) -> list[PartialPairing]:
+def enumerate_partial_pairings(r: int) -> list[PartialPairing]:
     """All partial pairings of {0, ..., r-1}, sorted by (pair count, pair list)."""
     if r < 0:
         raise ValidationError(f"r must be >= 0, got {r}")
-    if r > cap:
-        raise EnumerationLimitError(f"partial pairing enumeration capped at r <= {cap}, got {r}")
+    if r > PARTIAL_PAIRING_CAP:
+        raise EnumerationLimitError(
+            f"partial pairing enumeration capped at r <= {PARTIAL_PAIRING_CAP}, got {r}"
+        )
 
     def rec(points):
         if not points:
@@ -461,16 +454,14 @@ def pairing_from_partial(block: PartialPairing, p: int, r: int) -> Pairing:
     return Pairing.from_pairs(pairs, 2 * p * r)
 
 
-def dominant_pairs(
-    p: int, r: int, inward_only: bool = False, cap: int = PARTIAL_PAIRING_CAP
-) -> list[tuple[PartialPairing, PartialPairing]]:
+def dominant_pairs(p: int, r: int, inward_only: bool = False) -> list[tuple[PartialPairing, PartialPairing]]:
     """All (A, B) with B a partial pairing of the p x r cell grid and A a sub-pairing.
 
     These index the moment-sum terms that saturate the large-n exponent bounds.
     With inward_only, B is restricted to pairs of cells sharing the copy index
     (the blocks surviving in the second-moment leading order).
     """
-    blocks = enumerate_partial_pairings(p * r, cap=cap)
+    blocks = enumerate_partial_pairings(p * r)
     if inward_only:
         blocks = [b for b in blocks if all(c1 // r == c2 // r for c1, c2 in b.pairs)]
     out = []

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .pairings import (
-    PAIRING_ENUMERATION_CAP,
     Pairing,
     connected_components,  # noqa: F401  looked up here by perfbench/spans.py
     coset_types,
@@ -58,9 +57,9 @@ class WeingartenTable:
         return float(self.values[self._index[alpha], self._index[beta]])
 
 
-def gram_matrix(m: int, n: float, cap: int = PAIRING_ENUMERATION_CAP) -> np.ndarray:
+def gram_matrix(m: int, n: float) -> np.ndarray:
     """Loop-counting Gram matrix with entries n^connected_components(a, b)."""
-    types = coset_types(m, cap=cap)
+    types = coset_types(m)
     return (float(n) ** type_lengths(m))[types]
 
 
@@ -126,7 +125,7 @@ def wg_asymptotic(alpha: Pairing, beta: Pairing, n: float) -> float:
     return float(n) ** (-m - dist / 2) * mobius(alpha, beta)
 
 
-def integrate_monomial(index_rows, n: float, cap: int = PAIRING_ENUMERATION_CAP) -> float:
+def integrate_monomial(index_rows, n: float) -> float:
     """Haar average of a monomial in orthogonal-matrix entries.
 
     index_rows lists the (row, column) index of each factor U_{ij}.  Odd
@@ -139,7 +138,7 @@ def integrate_monomial(index_rows, n: float, cap: int = PAIRING_ENUMERATION_CAP)
     if not rows:
         return 1.0
     m = len(rows) // 2
-    pairs = enumerate_pairings(m, cap=cap)
+    pairs = enumerate_pairings(m)
     i_ok = np.array(
         [all(rows[s][0] == rows[t][0] for s, t in a.pairs) for a in pairs], dtype=float
     )

@@ -152,6 +152,29 @@ class TestSubcommands:
         assert path.read_text().splitlines()[1] == "alpha_index,beta_index,exact,asymptotic,ratio"
 
 
+STATE_FILES = {
+    "norm2": "[[2, 0], [0, 0], [0, 0]]",
+    "nan": "[[NaN, 0], [0, 0], [0, 0]]",
+    "huge": "[[1e400, 0], [0, 0], [0, 0]]",  # json reads it as inf
+}
+_DIMS = ["--p", "2", "--k", "2", "--n", "3", "--t", "0.5"]
+_EXPERIMENT = ["experiment", "--rule", "bell", "--k", "2", "--t", "0.5", "--samples", "2"]
+MALFORMED = [
+    ("moment-norm2", ["moment", *_DIMS, "--r", "1", "--input", "file", "--input-file", "{norm2}"]),
+    ("moment-nan", ["moment", *_DIMS, "--r", "1", "--input", "file", "--input-file", "{nan}"]),
+    ("moment-huge", ["moment", *_DIMS, "--r", "1", "--input", "file", "--input-file", "{huge}"]),
+    ("simulate-nan", ["simulate", *_DIMS, "--r", "1", "--samples", "10", "--input", "file", "--input-file", "{nan}"]),
+    ("simulate-seed", ["simulate", *_DIMS, "--r", "1", "--samples", "10", "--seed", "-1"]),
+    ("experiment-seed", [*_EXPERIMENT, "--r", "2", "--n", "8", "--seed", "-1"]),
+    ("verify-seed", ["verify", "--seed", "-1"]),
+    ("experiment-grid", [*_EXPERIMENT, "--r", "2", "--n", "8,abc"]),
+    ("simulate-r0", ["simulate", *_DIMS, "--r", "0", "--samples", "10"]),
+    ("moment-r0", ["moment", *_DIMS, "--r", "0"]),
+    ("body-r0", ["body", "--r", "0", "--k", "2", "--t", "0.5"]),
+    ("experiment-r0", [*_EXPERIMENT, "--r", "0", "--n", "8"]),
+]
+
+
 class TestExitCodes:
     def test_validation_error(self, capsys):
         code, _ = run_cli(capsys, "moment", "--p", "1", "--r", "1", "--k", "1",
@@ -185,6 +208,20 @@ class TestExitCodes:
                           "--n", "3", "--t", "0.5", "--input", "file",
                           "--input-file", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [argv for _, argv in MALFORMED], ids=[name for name, _ in MALFORMED])
+    def test_malformed_input_exits_2(self, capsys, tmp_path, argv):
+        files = {}
+        for name, text in STATE_FILES.items():
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(text)
+        try:
+            code = main([arg.format(**files) for arg in argv])
+        except SystemExit as exc:  # argparse rejects the argument itself
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
 
     def test_argparse_usage_error_is_2(self):
         with pytest.raises(SystemExit) as err:

@@ -10,7 +10,7 @@ from orthochan.asymptotics import (
     mean_output_asymptotic,
 )
 from orthochan.channels import mc_mean_output, mc_trace_moment
-from orthochan.errors import BudgetError, EnumerationLimitError, ValidationError
+from orthochan.errors import BudgetError, EnumerationLimitError, InvalidStateError, ValidationError
 from orthochan.moments import (
     asymptotic_trace_moment,
     exact_mean_output,
@@ -179,6 +179,25 @@ class TestExactTraceMoment:
         with pytest.raises(EnumerationLimitError):
             exact_trace_moment(3, 2, 2, 3, 0.5, np.eye(3**2) / 9)
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            np.array([2.0, 0.0, 0.0]),
+            np.array([np.nan, 0.0, 0.0]),
+            np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        ],
+        ids=["norm-2 vector", "nan vector", "non-Hermitian matrix"],
+    )
+    def test_rejects_what_monte_carlo_rejects(self, state):
+        with pytest.raises(InvalidStateError):
+            mc_trace_moment(2, 1, 2, 3, 0.5, state, samples=10, seed=0)
+        with pytest.raises(InvalidStateError):
+            exact_trace_moment(2, 1, 2, 3, 0.5, state)
+        with pytest.raises(InvalidStateError):
+            exact_mean_output(1, 2, 3, 0.5, state)
+        with pytest.raises(InvalidStateError):
+            term_report(2, 1, 2, 3, 0.5, state)
+
 
 class TestExactMeanOutput:
     def test_r1_is_maximally_mixed(self):
@@ -217,7 +236,7 @@ class TestExactMeanOutput:
             d = math.floor(t * k * n)
             bell = bell_state_vector(PartialPairing(2, ((0, 1),)), d)
             exact = exact_mean_output(r, k, n, t, bell)
-            asym = mean_output_asymptotic(bell, r, k, t, d)
+            asym = mean_output_asymptotic(bell, r, k, t)
             gaps.append(np.max(np.abs(exact - asym)))
         assert gaps[1] < gaps[0]
         assert gaps[1] < 5.0 / 32
@@ -359,7 +378,7 @@ class TestAsymptoticTraceMoment:
             for b2, v2 in g1.items():
                 g2[combine_copies([b1, b2], r)] = v1 * v2
         lhs = asymptotic_trace_moment(2, r, k, t, g2)
-        m = mean_output_asymptotic(bell, r, k, t, d)
+        m = mean_output_asymptotic(bell, r, k, t)
         assert lhs == pytest.approx(float(np.trace(m @ m).real), rel=1e-9)
 
     def test_invalid_g_rejected(self):
@@ -397,5 +416,5 @@ class TestGFromState:
         k, t, n = 2, 0.5, 8
         d = int(t * k * n)
         bell = bell_state_vector(PartialPairing(2, ((0, 1),)), d)
-        m = mean_output_asymptotic(bell, 2, k, t, d)
+        m = mean_output_asymptotic(bell, 2, k, t)
         assert np.max(np.abs(m - isotropic_eta(k, t))) < 1e-12

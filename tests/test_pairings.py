@@ -195,7 +195,7 @@ class TestCosetTypes:
 
     def test_cap(self):
         with pytest.raises(EnumerationLimitError):
-            coset_types(4, cap=104)
+            coset_types(7)
         with pytest.raises(ValidationError):
             coset_types(0)
 
