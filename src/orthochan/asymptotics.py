@@ -15,11 +15,11 @@ import numpy as np
 
 from .channels import (
     RngStream,
+    _validated_spectrum,
     input_dim,
     make_channel,
     map_ordered,
     output_state,
-    validate_density_matrix,
 )
 from .errors import ValidationError
 from .moments import _infer_local_dim, f_beta
@@ -183,8 +183,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
     Eigenvalues below the clip window mean the input is not a state and raise.
     """
-    rho = validate_density_matrix(rho)
-    eigs = np.linalg.eigvalsh(rho)
+    _, eigs = _validated_spectrum(rho)
     eigs = np.clip(eigs, 0.0, None)
     positive = eigs[eigs > 0]
     return float(-np.sum(positive * np.log(positive)))

@@ -96,15 +96,20 @@ def _check_hermitian_unit_trace(rho: np.ndarray) -> None:
         raise InvalidStateError(f"trace is {np.trace(rho).real}, expected 1")
 
 
-def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, unit trace, and near-positivity; return as complex array."""
+def _validated_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """validate_density_matrix's checks; returns the complex array and its ascending spectrum."""
     rho = np.asarray(rho)
     _check_hermitian_unit_trace(rho)
     rho = rho.astype(complex)
     eigs = np.linalg.eigvalsh(rho)
     if eigs[0] < -NEGATIVE_EIGENVALUE_TOL:
         raise InvalidStateError(f"smallest eigenvalue {eigs[0]} below -{NEGATIVE_EIGENVALUE_TOL}")
-    return rho
+    return rho, eigs
+
+
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Check Hermiticity, unit trace, and near-positivity; return as complex array."""
+    return _validated_spectrum(rho)[0]
 
 
 def validate_state_vector(psi: np.ndarray) -> np.ndarray:

@@ -84,6 +84,11 @@ def _csv_output(config: dict, header: list[str], rows) -> str:
     return buf.getvalue()
 
 
+def _number_cell(z: complex) -> str:
+    """A CSV cell: the repr of a real number, or [re; im] when the imaginary part is non-zero."""
+    return repr(z.real) if z.imag == 0 else f"[{z.real!r}; {z.imag!r}]"
+
+
 def _validate_common(args):
     if hasattr(args, "k") and args.k < 2:
         raise ValidationError(f"k must be >= 2, got {args.k}")
@@ -157,9 +162,9 @@ def cmd_moment(args) -> int:
                 json.dumps(term.beta.pair_list()).replace(",", ";"),
                 term.n_exp,
                 term.k_exp,
-                repr(term.f_beta.real),
+                _number_cell(term.f_beta),
                 repr(term.wg),
-                repr(term.value.real),
+                _number_cell(term.value),
             )
             for term in terms
         ]

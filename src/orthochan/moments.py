@@ -12,7 +12,8 @@ is what makes Monte Carlo cross-validation meaningful.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,10 +24,11 @@ from .pairings import (
     Pairing,
     PartialPairing,
     connected_components,
+    copy_orbits,
     coset_types,
     delta_gamma,
     dominant_pairs,
-    enumerate_pairings,
+    enumerate_pairings,  # noqa: F401  looked up here by perfbench/spans.py
     enumerate_partial_pairings,
     pairing_from_partial,
     type_lengths,
@@ -39,8 +41,7 @@ CONTRACTION_BUDGET = 2**24   # max d^(pr) free-index space in f_beta
 TERM_CHUNK = 2**15           # report terms built per batch of index arrays
 
 
-@dataclass(frozen=True, slots=True)
-class MomentTerm:
+class MomentTerm(NamedTuple):
     """One (alpha, beta) summand of the exact trace-moment sum."""
 
     alpha: Pairing
@@ -162,14 +163,20 @@ def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, bu
         validate_state_vector(state)
     else:
         _check_hermitian_unit_trace(state)
-    pair_list = enumerate_pairings(m)
+    table = wg_exact(m, k * n)
+    pair_list = table.pairings
     delta, gamma = delta_gamma(p, r)
     counts, types = type_lengths(m), coset_types(m)
-    n_exp = counts[types[pair_list.index(delta)]]
-    k_exp = counts[types[pair_list.index(gamma)]]
-    f_vals = np.array([f_beta(b, state, p, budget) for b in pair_list])
-    table = wg_exact(m, k * n)
+    n_exp = counts[types[table.index(delta)]]
+    k_exp = counts[types[table.index(gamma)]]
+    f_vals = _f_values(pair_list, state, p, r, budget)
     return pair_list, n_exp, k_exp, f_vals, table
+
+
+def _f_values(pair_list, state: np.ndarray, p: int, r: int, budget: int) -> np.ndarray:
+    """f_beta of every pairing, contracted once per orbit of the copy permutations."""
+    orbit, reps = copy_orbits(p, r)
+    return np.array([f_beta(pair_list[i], state, p, budget) for i in reps])[orbit]
 
 
 def exact_trace_moment(
@@ -224,18 +231,29 @@ def term_report(
     values = ((scale[:, None] * f_vals[None, :]) * table.values).ravel()
     order = np.argsort(-np.abs(values), kind="stable")
     size = len(pair_list)
+    # Terms share the Python objects of their row's exponents, their column's
+    # f and their coset type's Wg; only the values are new per term.
     n_list, k_list, f_list = n_exp.tolist(), k_exp.tolist(), f_vals.tolist()
-    wg_flat = table.values.ravel()
+    types = coset_types(p * r)
+    wg_by_type = np.empty(len(type_lengths(p * r)))
+    wg_by_type[types[0]] = table.values[0]
+    wg_list = wg_by_type.tolist()
+    types = types.ravel()
+    make = partial(tuple.__new__, MomentTerm)
     terms = []
     for start in range(0, len(order), TERM_CHUNK):
         chunk = order[start:start + TERM_CHUNK]
         rows, cols = np.divmod(chunk, size)
-        terms.extend(
-            MomentTerm(pair_list[i], pair_list[j], n_list[i], k_list[i], f_list[j], wg, value)
-            for i, j, wg, value in zip(
-                rows.tolist(), cols.tolist(), wg_flat[chunk].tolist(), values[chunk].tolist()
-            )
-        )
+        rows, cols = rows.tolist(), cols.tolist()
+        terms.extend(map(make, zip(
+            map(pair_list.__getitem__, rows),
+            map(pair_list.__getitem__, cols),
+            map(n_list.__getitem__, rows),
+            map(k_list.__getitem__, rows),
+            map(f_list.__getitem__, cols),
+            map(wg_list.__getitem__, types[chunk].tolist()),
+            values[chunk].tolist(),
+        )))
     return terms
 
 

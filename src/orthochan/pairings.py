@@ -171,13 +171,18 @@ def _check_pairing_count(m: int) -> None:
         )
 
 
-def enumerate_pairings(m: int) -> list[Pairing]:
+def enumerate_pairings(m: int) -> tuple[Pairing, ...]:
     """All pairings of {0, ..., 2m-1} in smallest-unmatched-element-first order.
 
-    The first pairing is the identity pairing {(0, 1), (2, 3), ...}.
+    The first pairing is the identity pairing {(0, 1), (2, 3), ...}.  Cached
+    per m; every call returns the same tuple.
     """
     _check_pairing_count(m)
+    return _enumerate_pairings(m)
 
+
+@lru_cache(maxsize=None)  # one entry per m <= 6 under the enumeration cap
+def _enumerate_pairings(m: int) -> tuple[Pairing, ...]:
     def rec(points):
         if not points:
             yield ()
@@ -189,7 +194,7 @@ def enumerate_pairings(m: int) -> list[Pairing]:
             for sub in rec(rest):
                 yield ((a, b),) + sub
 
-    return [Pairing.from_pairs(p, 2 * m) for p in rec(tuple(range(2 * m)))]
+    return tuple(Pairing.from_pairs(p, 2 * m) for p in rec(tuple(range(2 * m))))
 
 
 def length(sigma: Permutation) -> int:
@@ -273,26 +278,36 @@ def coset_types(m: int) -> np.ndarray:
     return _coset_types(m)
 
 
+def _conjugation_maps(m: int, involutions) -> list[np.ndarray]:
+    """Index maps b -> s b s over enumerate_pairings(m), one per involution s of the 2m points.
+
+    Conjugates are found among the pairings by ranking image arrays read as
+    base-2m integers.
+    """
+    size = 2 * m
+    images = np.array([b.images for b in enumerate_pairings(m)])
+    place = size ** np.arange(size)
+    codes = images @ place
+    order = np.argsort(codes)
+    sorted_codes = codes[order]
+    return [order[np.searchsorted(sorted_codes, s[images[:, s]] @ place)] for s in involutions]
+
+
 @lru_cache(maxsize=None)  # one entry per m <= 6 under the enumeration cap
 def _coset_types(m: int) -> np.ndarray:
     # Relabelling both pairings by a transposition s keeps their type, so
     # type(s a s, b) = type(a, s b s): the row of s a s is the row of a
     # permuted by b -> s b s.  Rows are filled outwards from the identity
-    # pairing (row 0, by union-find) along such conjugations.  Conjugates are
-    # found among the pairings by ranking image arrays read as base-2m integers.
+    # pairing (row 0, by union-find) along such conjugations.
     pairs = enumerate_pairings(m)
     count, size = len(pairs), 2 * m
     ids = {lam: i for i, lam in enumerate(partitions(m))}
-    images = np.array([b.images for b in pairs])
-    place = size ** np.arange(size)
-    codes = images @ place
-    order = np.argsort(codes)
-    sorted_codes = codes[order]
-    conjugations = []  # b -> s b s as an index map, one per transposition s
+    transpositions = []
     for i, j in itertools.combinations(range(size), 2):
         s = np.arange(size)
         s[[i, j]] = j, i
-        conjugations.append(order[np.searchsorted(sorted_codes, s[images[:, s]] @ place)])
+        transpositions.append(s)
+    conjugations = _conjugation_maps(m, transpositions)
     out = np.empty((count, count), dtype=np.uint8)
     out[0] = [ids[coset_type(pairs[0], b)] for b in pairs]
     seen = np.zeros(count, dtype=bool)
@@ -310,6 +325,49 @@ def _coset_types(m: int) -> np.ndarray:
         frontier = np.concatenate(reached)
     out.setflags(write=False)
     return out
+
+
+def copy_orbits(p: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the diagram pairings of p copies of r cells under relabelling the copies.
+
+    A permutation sigma of the copies moves endpoint (i, x, side) to
+    (sigma(i), x, side) and a pairing beta to sigma beta sigma^-1; f_beta of p
+    copies of one state is constant on these orbits.  Returns (orbit, reps):
+    the orbit id of every pairing of enumerate_pairings(p * r), and the index
+    of the first pairing of each orbit, in increasing order, so that
+    reps[orbit] lies in the orbit of each pairing.  Both are read-only and
+    cached per (p, r).
+    """
+    if p < 1 or r < 1:
+        raise ValidationError(f"p and r must be >= 1, got p={p}, r={r}")
+    _check_pairing_count(p * r)
+    return _copy_orbits(p, r)
+
+
+@lru_cache(maxsize=None)
+def _copy_orbits(p: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    # The swaps of neighbouring copies generate S_p, so an orbit is a connected
+    # component of the graph joining each pairing to its conjugates by the
+    # swaps; every pairing takes the least index of its component.
+    legs = np.arange(2 * r)  # the endpoints of one copy, relative to its first
+    swaps = []
+    for c in range(p - 1):
+        s = np.arange(2 * p * r)
+        s[2 * r * c + legs], s[2 * r * (c + 1) + legs] = 2 * r * (c + 1) + legs, 2 * r * c + legs
+        swaps.append(s)
+    conjugations = _conjugation_maps(p * r, swaps)
+    least = np.arange(len(enumerate_pairings(p * r)))
+    while True:
+        step = least
+        for conj in conjugations:
+            step = np.minimum(step, step[conj])
+        if np.array_equal(step, least):
+            break
+        least = step
+    reps, orbit = np.unique(least, return_inverse=True)
+    orbit.setflags(write=False)
+    reps.setflags(write=False)
+    return orbit, reps
 
 
 def mobius(alpha: Pairing, beta: Pairing) -> int:

@@ -27,6 +27,7 @@ from orthochan.asymptotics import (
     project_to_body,
     von_neumann_entropy,
 )
+from orthochan.channels import validate_density_matrix
 from orthochan.errors import InvalidStateError, ValidationError
 from orthochan.pairings import PartialPairing, enumerate_partial_pairings
 
@@ -205,6 +206,36 @@ class TestEntropy:
     def test_invalid_state_raises(self):
         with pytest.raises(InvalidStateError):
             von_neumann_entropy(np.diag([1.2, -0.2]))
+
+    def test_one_spectrum_per_entropy(self, monkeypatch):
+        # the spectrum of the validation is the one the entropy uses: bitwise
+        # the value of validating, then diagonalising again
+        def two_pass(rho):
+            validate_density_matrix(rho)
+            eigs = np.clip(np.linalg.eigvalsh(np.asarray(rho).astype(complex)), 0.0, None)
+            positive = eigs[eigs > 0]
+            return float(-np.sum(positive * np.log(positive)))
+
+        rng = np.random.default_rng(4)
+        states = []
+        for dim in (2, 3, 6, 16):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            rho = g @ g.conj().T
+            states.append(rho / np.trace(rho))
+            real = g.real @ g.real.T
+            states.append(real / np.trace(real))
+        expected = [two_pass(rho) for rho in states]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        for rho, value in zip(states, expected):
+            assert von_neumann_entropy(rho) == value
+        assert len(calls) == len(states)
 
     def test_extremal_closed_form_empty(self):
         assert entropy_extremal(PartialPairing(3, ()), 2, 0.5) == pytest.approx(3 * math.log(2))

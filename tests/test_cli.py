@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from orthochan.cli import main, matrix_from_json, matrix_to_json
+from orthochan.moments import exact_trace_moment, term_report
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +145,44 @@ class TestSubcommands:
         )
         assert code == 0
         assert json.loads(out)["results"]["value"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_moment_terms_csv_keeps_imaginary_parts(self, capsys, tmp_path):
+        # a complex r = 2 input makes many f_beta and values complex; each such
+        # cell reads [re; im], like the ;-separated pair cells
+        rng = np.random.default_rng(8)
+        psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        psi /= np.linalg.norm(psi)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps([[x.real, x.imag] for x in psi]))
+        code, out = run_cli(
+            capsys, "moment", "--p", "2", "--r", "2", "--k", "2", "--n", "3", "--t", "0.5",
+            "--input", "file", "--input-file", str(path), "--report", "terms",
+        )
+        assert code == 0
+
+        def number(cell):
+            if cell.startswith("["):
+                re, im = json.loads(cell.replace(";", ","))
+                assert im != 0
+                return complex(re, im)
+            return float(cell)
+
+        state = matrix_from_json(json.loads(path.read_text()))
+        terms = term_report(2, 2, 2, 3, 0.5, state)
+        lines = out.strip().splitlines()[2:]
+        assert len(lines) == len(terms) == 105**2
+        complex_cells = 0
+        for line, term in zip(lines, terms):
+            alpha, beta, n_exp, k_exp, f, wg, value = line.split(",")
+            assert json.loads(alpha.replace(";", ",")) == term.alpha.pair_list()
+            assert json.loads(beta.replace(";", ",")) == term.beta.pair_list()
+            assert (int(n_exp), int(k_exp)) == (term.n_exp, term.k_exp)
+            assert number(f) == term.f_beta and number(value) == term.value
+            assert float(wg) == term.wg
+            complex_cells += f.startswith("[") + value.startswith("[")
+        assert complex_cells > 0
+        total = sum(number(line.split(",")[-1]) for line in lines)
+        assert total.real == pytest.approx(exact_trace_moment(2, 2, 2, 3, 0.5, state), abs=1e-12)
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"

@@ -12,6 +12,9 @@ from orthochan.asymptotics import (
 from orthochan.channels import mc_mean_output, mc_trace_moment
 from orthochan.errors import BudgetError, EnumerationLimitError, InvalidStateError, ValidationError
 from orthochan.moments import (
+    CONTRACTION_BUDGET,
+    MomentTerm,
+    _f_values,
     asymptotic_trace_moment,
     exact_mean_output,
     exact_trace_moment,
@@ -109,6 +112,21 @@ class TestFBeta:
             beta = pairing_from_partial(block, p, r)
             inward = sum(1 for c1, c2 in block.pairs if c1 // r == c2 // r)
             assert abs(f_beta(beta, state, p)) <= d**inward + 1e-9
+
+    @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+    @pytest.mark.parametrize("kind", ["density", "vector"])
+    def test_orbit_batched_values_match_per_pairing(self, p, r, kind):
+        d = 2
+        if kind == "density":
+            state = random_density(d**r, seed=p + 10 * r)
+        else:
+            rng = np.random.default_rng(p + 10 * r)
+            state = rng.standard_normal(d**r) + 1j * rng.standard_normal(d**r)
+            state /= np.linalg.norm(state)
+        pairings = enumerate_pairings(p * r)
+        per_pairing = np.array([f_beta(beta, state, p) for beta in pairings])
+        batched = _f_values(pairings, state, p, r, CONTRACTION_BUDGET)
+        assert np.max(np.abs(batched - per_pairing)) <= 1e-14 * np.max(np.abs(per_pairing))
 
     def test_budget(self):
         beta = enumerate_pairings(2)[0]
@@ -275,6 +293,27 @@ class TestTermReport:
             assert abs(term.f_beta - f) <= 1e-12 * abs(f)
             assert abs(term.wg - wg) <= 1e-12 * abs(wg)
             assert abs(term.value - value) <= 1e-12 * abs(value)
+
+    def test_terms_are_immutable_tuples(self):
+        term = term_report(2, 1, 2, 3, 0.5, np.eye(3) / 3)[0]
+        assert isinstance(term, MomentTerm)
+        copy = MomentTerm(*term)
+        assert copy == term and hash(copy) == hash(term) and len({copy, term}) == 1
+        assert (term.alpha, term.beta, term.n_exp, term.k_exp) == tuple(term)[:4]
+        assert (term.f_beta, term.wg, term.value) == tuple(term)[4:]
+        with pytest.raises(AttributeError):
+            term.value = 0.0
+
+    def test_wg_is_the_table_entry(self):
+        rng = np.random.default_rng(2)
+        psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        psi /= np.linalg.norm(psi)
+        table = wg_exact(4, 6)
+        terms = term_report(2, 2, 2, 3, 0.5, psi)
+        assert len(terms) == len(table.pairings) ** 2
+        for term in terms:
+            wg = table.values[table.index(term.alpha), table.index(term.beta)]
+            assert term.wg == wg and type(term.wg) is float
 
     def test_sums_to_exact_value(self):
         rho = np.eye(3) / 3

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -12,6 +13,7 @@ from orthochan.pairings import (
     bumps,
     combine_copies,
     connected_components,
+    copy_orbits,
     coset_type,
     coset_types,
     delta_gamma,
@@ -82,6 +84,11 @@ class TestEnumeration:
     def test_cap_error_names_cap(self):
         with pytest.raises(EnumerationLimitError, match="10395"):
             enumerate_pairings(7)
+
+    def test_cached_tuple(self):
+        first = enumerate_pairings(3)
+        assert isinstance(first, tuple)
+        assert enumerate_pairings(3) is first
 
     def test_serialization_round_trip(self):
         p = enumerate_pairings(2)[1]
@@ -198,6 +205,71 @@ class TestCosetTypes:
             coset_types(7)
         with pytest.raises(ValidationError):
             coset_types(0)
+
+
+def copy_permutation(sigma, r):
+    """The endpoint permutation moving copy i to copy sigma[i], as an image list."""
+    return [((sigma[e // (2 * r)] * r) + (e // 2) % r) * 2 + e % 2 for e in range(2 * len(sigma) * r)]
+
+
+def conjugate(images, s):
+    """Images of s b s^-1 for the pairing b with the given images."""
+    out = [0] * len(images)
+    for e, b in enumerate(images):
+        out[s[e]] = s[b]
+    return tuple(out)
+
+
+class TestCopyOrbits:
+    @pytest.mark.parametrize("p,r", [(1, 3), (2, 1), (3, 1), (2, 2), (4, 1), (5, 1), (3, 2)])
+    def test_orbits_match_brute_force(self, p, r):
+        # every copy permutation applied to every pairing
+        pairings = enumerate_pairings(p * r)
+        index = {b.images: i for i, b in enumerate(pairings)}
+        perms = [copy_permutation(sigma, r) for sigma in itertools.permutations(range(p))]
+        brute = {frozenset(index[conjugate(b.images, s)] for s in perms) for b in pairings}
+        orbit, reps = copy_orbits(p, r)
+        assert orbit.shape == (len(pairings),) and len(reps) == len(brute)
+        found = {frozenset(np.flatnonzero(orbit == o).tolist()) for o in range(len(reps))}
+        assert found == brute
+        assert reps.tolist() == sorted(min(members) for members in brute)
+        assert np.array_equal(orbit[reps], np.arange(len(reps)))
+        for members in brute:
+            assert math.factorial(p) % len(members) == 0
+
+    @pytest.mark.parametrize(
+        "p,r,count", [(1, 3, 15), (2, 1, 3), (5, 1, 20), (2, 2, 65), (3, 2, 1779), (6, 1, 44)]
+    )
+    def test_orbit_counts_by_burnside(self, p, r, count):
+        # orbit count = average number of pairings a copy permutation fixes;
+        # the fixed count depends only on the cycle type of the permutation
+        images = [b.images for b in enumerate_pairings(p * r)]
+        fixed = {}
+        total = 0
+        for sigma in itertools.permutations(range(p)):
+            cycle_type = tuple(sorted(len(c) for c in Permutation(sigma).cycles()))
+            if cycle_type not in fixed:
+                s = copy_permutation(sigma, r)
+                fixed[cycle_type] = sum(conjugate(b, s) == b for b in images)
+            total += fixed[cycle_type]
+        assert total % math.factorial(p) == 0
+        assert total // math.factorial(p) == count == len(copy_orbits(p, r)[1])
+        sizes = np.bincount(copy_orbits(p, r)[0])
+        assert sizes.sum() == len(images) and np.all(math.factorial(p) % sizes == 0)
+
+    def test_cached_and_read_only(self):
+        orbit, reps = copy_orbits(3, 1)
+        assert copy_orbits(3, 1)[0] is orbit
+        with pytest.raises(ValueError):
+            orbit[0] = 1
+        with pytest.raises(ValueError):
+            reps[0] = 1
+
+    def test_limits(self):
+        with pytest.raises(ValidationError):
+            copy_orbits(0, 2)
+        with pytest.raises(EnumerationLimitError):
+            copy_orbits(7, 1)
 
 
 class TestMobius:
