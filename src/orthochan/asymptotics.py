@@ -8,6 +8,7 @@ minimized at maximal B, i.e. at Bell-product inputs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,12 +22,11 @@ from .channels import (
     map_ordered,
     output_state,
 )
-from .errors import ValidationError
+from .errors import OrthochanError, ValidationError
 from .moments import _infer_local_dim, f_beta
 from .pairings import PartialPairing, enumerate_partial_pairings, pairing_from_partial
 
-PROJECTION_TOL = 1e-8
-PROJECTION_MAX_ITER = 10_000
+KKT_TOL = 1e-12  # relative slack of the projection's optimality certificate
 
 
 def maximally_entangled(dim: int, normalized: bool = False) -> np.ndarray:
@@ -222,6 +222,12 @@ class ConvexBody:
     blocks: tuple[PartialPairing, ...]
     vertices: np.ndarray  # (n_vertices, k^r, k^r)
 
+    @functools.cached_property
+    def _bordered_gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """Float rows of the vertices (Re<A, B> is their dot product) and [[G, 1], [1, 0]], G_ij = Re<S_i, S_j>."""
+        flat = self.vertices.reshape(len(self.vertices), -1).view(float)
+        return flat, np.block([[flat @ flat.T, np.ones((len(flat), 1))], [np.ones((1, len(flat))), 0.0]])
+
 
 def convex_body(r: int, k: int, t: float) -> ConvexBody:
     """Build the body for given (r, k, t); vertex order is the canonical block order."""
@@ -235,53 +241,46 @@ def convex_body(r: int, k: int, t: float) -> ConvexBody:
 class BodyProjection:
     distance: float
     weights: np.ndarray
-    converged: bool
-    iterations: int
-
-
-def _frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.real(np.vdot(a, b)))
+    converged: bool  # always True: a projection without a certificate raises
+    iterations: int  # active-set steps, the final certificate check included
 
 
 def project_to_body(x: np.ndarray, body: ConvexBody) -> BodyProjection:
-    """Frobenius projection onto the body by conditional gradient over vertex weights.
+    """Exact Frobenius projection onto the body by Wolfe's nearest-point method.
 
-    Starts at the nearest vertex; each step moves toward the vertex with the
-    most negative gradient score (first in canonical order on ties) with exact
-    line search, until the duality gap drops below PROJECTION_TOL or
-    PROJECTION_MAX_ITER steps are taken.
+    In weights w, g = G w - b (G_ij = Re<S_i, S_j>, b_i = Re<S_i, X>) is half the
+    gradient of the squared distance.  From the nearest vertex each step adds the
+    lowest-scoring vertex and solves the support's bordered KKT system, or stops
+    where that solution leaves the simplex and drops the vertex reached.  Returns
+    once w >= 0, sum w = 1 and min g >= w.g - KKT_TOL (1 + |X|^2); raises after V^2 steps.
     """
     x = np.asarray(x, dtype=complex)
-    verts = body.vertices
-    if x.shape != verts.shape[1:]:
-        raise ValidationError(f"matrix has shape {x.shape}, expected {verts.shape[1:]}")
-    dists0 = [_frobenius_inner(v - x, v - x) for v in verts]
-    weights = np.zeros(len(verts))
-    weights[int(np.argmin(dists0))] = 1.0
-    point = verts[int(np.argmin(dists0))].copy()
-    converged = False
-    iterations = 0
-    for iterations in range(1, PROJECTION_MAX_ITER + 1):
-        diff = point - x
-        scores = np.array([_frobenius_inner(v, diff) for v in verts])
-        j = int(np.argmin(scores))
-        gap = 2.0 * (_frobenius_inner(point, diff) - scores[j])
-        if gap <= PROJECTION_TOL:
-            converged = True
-            break
-        direction = verts[j] - point
-        denom = _frobenius_inner(direction, direction)
-        if denom <= 0.0:
-            converged = True
-            break
-        step = min(1.0, max(0.0, -_frobenius_inner(diff, direction) / denom))
-        if step == 0.0:
-            break
-        weights *= 1.0 - step
-        weights[j] += step
-        point = (1.0 - step) * point + step * verts[j]
-    distance = math.sqrt(max(0.0, _frobenius_inner(point - x, point - x)))
-    return BodyProjection(distance=distance, weights=weights, converged=converged, iterations=iterations)
+    target = x.reshape(-1).view(float)
+    slack = KKT_TOL * (1.0 + target @ target)  # bounds |G| and |b| (every |S_i| <= 1); not finite unless x is
+    if x.shape != body.vertices.shape[1:] or not math.isfinite(slack):
+        raise ValidationError(f"need a finite {body.vertices.shape[1:]} matrix, got shape {x.shape}")
+    flat, kkt = body._bordered_gram
+    n_verts, gram, b = len(flat), kkt[:-1, :-1], flat @ target
+    support = np.arange(n_verts) == (gram.diagonal() - 2.0 * b).argmin()  # start at the nearest vertex
+    weights, settled = support.astype(float), True  # settled: weights minimise over the support's hull
+    for step in range(1, n_verts**2 + 1):
+        if settled:
+            grad = gram @ weights - b
+            if grad.min() >= weights @ grad - slack and weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= KKT_TOL:
+                diff = weights @ flat - target
+                return BodyProjection(math.sqrt(diff @ diff), weights, True, step)
+            support[grad.argmin()] = True
+        rows = np.concatenate((support.nonzero()[0], [n_verts]))
+        affine = np.linalg.solve(kkt.take(rows, 0).take(rows, 1), np.concatenate((b, [1.0]))[rows])[:-1]
+        settled = affine.min() > 0.0
+        if not settled:  # step towards affine until a weight reaches zero, and drop that vertex
+            current = weights[support]
+            ratios = np.divide(current, current - affine, out=np.full_like(affine, np.inf), where=affine <= 0.0)
+            affine = np.maximum(current + ratios.min() * (affine - current), 0.0)
+            affine[ratios.argmin()] = 0.0
+        weights[support] = affine
+        support = weights > 0.0
+    raise OrthochanError(f"no KKT certificate for the projection onto {n_verts} vertices in {n_verts**2} steps")
 
 
 def maximal_block(r: int) -> PartialPairing:

@@ -23,7 +23,7 @@ from .errors import BudgetError, InvalidStateError, ValidationError
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 NEGATIVE_EIGENVALUE_TOL = 1e-10
-OUTPUT_TENSOR_BUDGET = 2**24  # max entries of the (kn)^r lifted state tensor
+OUTPUT_TENSOR_BUDGET = 2**24  # max entries of one lifted block, (kn)^r per factor column
 THREADS_ENV_VAR = "ORTHOCHAN_THREADS"
 
 # numpy's SeedSequence hash constants, reproduced by _stream_keys
@@ -245,64 +245,63 @@ def apply_channel(spec: ChannelSpec, x: np.ndarray) -> np.ndarray:
     return np.einsum("imjm->ij", y.reshape(spec.k, spec.n, spec.k, spec.n))
 
 
-def _pure_output_batch(v: np.ndarray, psi: np.ndarray, k: int, n: int, r: int) -> np.ndarray:
-    """Outputs of the r-th channel power on psi psi* for a batch of isometries.
+def _state_components(state: np.ndarray, dim: int) -> np.ndarray:
+    """A dim x C factor F of the input with F F^H = state, real when it can be.
 
-    v has shape (B, kn, d).  V is applied to one leg of psi at a time, and
-    the lifted leg is moved to the back, so V^(tensor r) is never formed.  The
-    lifted state is then permuted to L of shape (B, k^r, n^r), output legs by
-    ancilla legs, and Z = L L^H traces out the ancilla.  Real inputs stay in
-    float64; the result is (B, k^r, k^r), real or complex as psi is.
+    A vector is its own single column; a density matrix gives its eigenvectors
+    of weight above 1e-12, each times the square root of its weight.
     """
-    batch, _, d = v.shape
-    if not np.any(psi.imag):
-        psi = psi.real
-    lifted = psi.reshape(1, d, -1)  # a batch axis of 1 broadcasts against v
-    for _ in range(r):
-        lifted = (v @ lifted.reshape(lifted.shape[0], d, -1)).swapaxes(1, 2)
-    # legs are now (k_1, n_1, ..., k_r, n_r); put the k legs first
-    order = [0] + [1 + 2 * x for x in range(r)] + [2 + 2 * x for x in range(r)]
-    ell = lifted.reshape((batch,) + (k, n) * r).transpose(order).reshape(batch, k**r, n**r)
-    return ell @ ell.conj().swapaxes(1, 2)
-
-
-def _state_components(state: np.ndarray, dim: int) -> list[tuple[float, np.ndarray]]:
-    """Decompose a pure vector or density matrix into weighted pure components."""
     state = np.asarray(state)
+    if state.shape not in ((dim,), (dim, dim)):
+        raise ValidationError(f"state has shape {state.shape}, expected ({dim},) or ({dim}, {dim})")
     if state.ndim == 1:
-        if state.shape[0] != dim:
-            raise ValidationError(f"state vector has dim {state.shape[0]}, expected {dim}")
-        return [(1.0, validate_state_vector(state))]
-    if state.shape != (dim, dim):
-        raise ValidationError(f"state has shape {state.shape}, expected ({dim}, {dim})")
-    rho = validate_density_matrix(state)
-    eigs, vecs = np.linalg.eigh(rho)
-    return [(float(w), vecs[:, i].copy()) for i, w in enumerate(eigs) if w > 1e-12]
+        factor = validate_state_vector(state)[:, None]
+    else:
+        eigs, vecs = np.linalg.eigh(validate_density_matrix(state))
+        factor = vecs[:, eigs > 1e-12] * np.sqrt(eigs[eigs > 1e-12])
+    return factor if np.any(factor.imag) else factor.real
 
 
-def _output_batch(v: np.ndarray, components, k: int, n: int, r: int) -> np.ndarray:
-    """Weighted sum of the pure-component outputs, shape (B, k^r, k^r)."""
-    z = None
-    for weight, vec in components:
-        zi = _pure_output_batch(v, vec, k, n, r)
-        z = weight * zi if z is None else z + weight * zi
-    return z
-
-
-def _check_output_budget(k: int, n: int, r: int):
+def _block_columns(k: int, n: int, r: int) -> int:
+    """Factor columns lifted at once, so (kn)^r x columns stays within OUTPUT_TENSOR_BUDGET."""
     if (k * n) ** r > OUTPUT_TENSOR_BUDGET:
         raise BudgetError(
             f"lifted state tensor needs (kn)^r = {(k * n) ** r} entries, above budget {OUTPUT_TENSOR_BUDGET}"
         )
+    return OUTPUT_TENSOR_BUDGET // (k * n) ** r
+
+
+def _output_batch(v: np.ndarray, factor: np.ndarray, k: int, n: int, r: int, cols: int) -> np.ndarray:
+    """Outputs of the r-th channel power on F F^H for a batch of isometries, (B, k^r, k^r).
+
+    v has shape (B, kn, d) and F (d^r, C).  V is applied to one leg of F at a
+    time and the lifted leg moved to the back, so V^(tensor r) is never formed.
+    F's column axis rides along as one more ancilla leg: with L of shape
+    (B, k^r, C n^r), output legs by ancilla legs, Z = L L^H traces out the
+    ancilla and sums the components.  F is lifted cols columns at a time; real
+    factors stay in float64.
+    """
+    batch, _, d = v.shape
+    # after r lifts the legs are (C, k_1, n_1, ..., k_r, n_r); put the k legs first
+    order = [0] + [2 + 2 * x for x in range(r)] + [1] + [3 + 2 * x for x in range(r)]
+
+    def lift(lo):
+        lifted = factor[:, lo : lo + cols].reshape(1, d, -1)  # a batch axis of 1 broadcasts against v
+        for _ in range(r):
+            lifted = (v @ lifted.reshape(lifted.shape[0], d, -1)).swapaxes(1, 2)
+        ell = lifted.reshape((batch, -1) + (k, n) * r).transpose(order).reshape(batch, k**r, -1)
+        return ell @ ell.conj().swapaxes(1, 2)
+
+    return functools.reduce(operator.add, map(lift, range(0, factor.shape[1], cols)))
 
 
 def output_state(spec: ChannelSpec, r: int, state: np.ndarray) -> np.ndarray:
     """Output of the r-th tensor power on a pure vector or a density matrix."""
     if r < 1:
         raise ValidationError(f"r must be >= 1, got {r}")
-    _check_output_budget(spec.k, spec.n, r)
-    components = _state_components(state, spec.d**r)
-    return _output_batch(spec.isometry[None], components, spec.k, spec.n, r)[0].astype(complex)
+    cols = _block_columns(spec.k, spec.n, r)
+    factor = _state_components(state, spec.d**r)
+    return _output_batch(spec.isometry[None], factor, spec.k, spec.n, r, cols)[0].astype(complex)
 
 
 def map_ordered(work: Callable, jobs) -> Iterator:
@@ -366,13 +365,14 @@ def _trace_power_batch(z: np.ndarray, p: int) -> np.ndarray:
 def _output_draw(r: int, k: int, n: int, t: float, state: np.ndarray):
     """Chunk size and draw(gens, count) -> outputs (count, k^r, k^r) of r-th channel powers."""
     d = input_dim(k, n, t)
-    _check_output_budget(k, n, r)
-    components = _state_components(state, d**r)
+    cols = _block_columns(k, n, r)
+    factor = _state_components(state, d**r)
+    cols = min(cols, factor.shape[1])
 
     def draw(gens, count):
-        return _output_batch(_haar_columns(gens, count, k * n, d), components, k, n, r)
+        return _output_batch(_haar_columns(gens, count, k * n, d), factor, k, n, r, cols)
 
-    return _chunk_size(max((k * n) ** r, (k * n) ** 2)), draw
+    return _chunk_size(max((k * n) ** r * cols, (k * n) ** 2)), draw
 
 
 def mc_trace_moment(
@@ -406,9 +406,10 @@ def mc_mean_output(
 
 def mc_conjugation_mean(a: np.ndarray, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise mean and standard error of U A U^T over Haar orthogonal draws."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"A must be square, got shape {a.shape}")
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or np.any(np.imag(a)) or not np.isfinite(a).all():
+        raise ValidationError(f"A must be a square matrix of finite real entries, got shape {a.shape}")
+    a = a.real.astype(float)
     dim = a.shape[0]
 
     def draw(gens, count):

@@ -6,7 +6,6 @@ import pytest
 
 from orthochan import asymptotics
 from orthochan.asymptotics import (
-    PROJECTION_MAX_ITER,
     basis_product_state,
     bell_input,
     bell_state_vector,
@@ -28,7 +27,7 @@ from orthochan.asymptotics import (
     von_neumann_entropy,
 )
 from orthochan.channels import validate_density_matrix
-from orthochan.errors import InvalidStateError, ValidationError
+from orthochan.errors import InvalidStateError, OrthochanError, ValidationError
 from orthochan.pairings import PartialPairing, enumerate_partial_pairings
 
 
@@ -302,6 +301,73 @@ class TestBodyProjection:
             body = convex_body(r, 2, 0.5)
             assert len(body.blocks) == len(enumerate_partial_pairings(r))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        # NaN compares false with every tolerance, so it must not reach the solve
+        body = convex_body(2, 2, 0.5)
+        with pytest.raises(ValidationError, match="finite"):
+            project_to_body(np.full((4, 4), bad), body)
+        vertex = body.vertices[1].copy()
+        vertex[2, 3] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            project_to_body(vertex, body)
+
+    @pytest.mark.parametrize("r, k, t", [(1, 2, 0.5), (2, 2, 0.5), (2, 3, 0.3), (3, 2, 0.5), (3, 3, 0.7), (4, 2, 0.5)])
+    def test_matches_brute_force_over_all_supports(self, r, k, t):
+        # the projection is the nearest of the affine minimisers, over every
+        # support, whose weights are non-negative
+        body = convex_body(r, k, t)
+        n_verts, dim = len(body.vertices), k**r
+        flat = body.vertices.reshape(n_verts, -1)
+        for x in _points_around(body, np.random.default_rng(100 * r + k)):
+            best = math.inf
+            for size in range(1, n_verts + 1):
+                for support in itertools.combinations(range(n_verts), size):
+                    sub = flat[list(support)]
+                    kkt = np.ones((size + 1, size + 1))
+                    kkt[:size, :size] = (sub.conj() @ sub.T).real
+                    kkt[size, size] = 0.0
+                    rhs = np.append((sub.conj() @ x.reshape(dim * dim)).real, 1.0)
+                    weights = np.linalg.solve(kkt, rhs)[:size]
+                    if weights.min() >= 0.0:
+                        best = min(best, np.linalg.norm(weights @ sub - x.reshape(dim * dim)))
+            assert abs(project_to_body(x, body).distance - best) <= 1e-12
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_weights_carry_a_kkt_certificate(self, r):
+        body = convex_body(r, 2, 0.5)
+        for x in _points_around(body, np.random.default_rng(r)):
+            proj = project_to_body(x, body)
+            gram = np.array([[np.vdot(a, b).real for b in body.vertices] for a in body.vertices])
+            b = np.array([np.vdot(a, x).real for a in body.vertices])
+            grad = gram @ proj.weights - b
+            # the slack's scale 1 + |X|^2 bounds every |G_ij| and |b_i|, as vertices are states
+            scale = 1.0 + np.vdot(x, x).real
+            assert max(np.abs(gram).max(), np.abs(b).max()) <= scale
+            assert proj.converged and 1 <= proj.iterations <= len(gram) ** 2
+            assert proj.weights.min() >= 0.0 and proj.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert grad.min() >= proj.weights @ grad - asymptotics.KKT_TOL * scale
+            point = np.tensordot(proj.weights, body.vertices, 1)
+            assert proj.distance == pytest.approx(np.linalg.norm(point - x), rel=1e-12, abs=1e-15)
+
+    def test_no_certificate_raises(self, monkeypatch):
+        # a negative tolerance can never be met; the step bound turns that into an error
+        monkeypatch.setattr(asymptotics, "KKT_TOL", -1.0)
+        body = convex_body(4, 2, 0.5)
+        with pytest.raises(OrthochanError, match="no KKT certificate") as info:
+            project_to_body(0.5 * body.vertices[0] + 0.5 * body.vertices[-1], body)
+        assert type(info.value) is OrthochanError
+
+
+def _points_around(body, rng):
+    """Random Hermitian points at distances from 1e-6 to 10 of a random point of the body."""
+    dim = body.vertices.shape[1]
+    for scale in (1e-6, 1e-3, 1e-1, 10.0):
+        inside = rng.dirichlet(np.full(len(body.vertices), 0.5)) @ body.vertices.reshape(len(body.vertices), -1)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = g + g.conj().T
+        yield inside.reshape(dim, dim) + scale * h / np.linalg.norm(h)
+
 
 class TestConvergenceExperiment:
     def test_structure_and_determinism(self):
@@ -320,14 +386,34 @@ class TestConvergenceExperiment:
         assert res1.summary == res2.summary
 
     def test_summary_reports_projection_convergence(self, monkeypatch):
-        full = convergence_experiment("bell", 2, 2, 0.5, (8, 16), samples=4, seed=3)
-        monkeypatch.setattr(asymptotics, "PROJECTION_MAX_ITER", 1)
-        cut = convergence_experiment("bell", 2, 2, 0.5, (8, 16), samples=4, seed=3)
-        for row, short in zip(full.summary, cut.summary):
-            assert row["unconverged"] == 0
-            # a draw that needed a second step stops unconverged after one
-            assert 2 <= row["max_iterations"] < PROJECTION_MAX_ITER
-            assert short["max_iterations"] == 1 and short["unconverged"] >= 1
+        calls = []
+
+        def recording(z, body):
+            proj = project_to_body(z, body)
+            calls.append(proj)
+            return proj
+
+        monkeypatch.setattr(asymptotics, "project_to_body", recording)
+        monkeypatch.setenv("ORTHOCHAN_THREADS", "1")  # draws run, and are recorded, in order
+        res = convergence_experiment("bell", 3, 2, 0.5, (4, 6), samples=4, seed=3)
+        for gi, row in enumerate(res.summary):
+            draws = calls[4 * gi : 4 * gi + 4]
+            assert row["unconverged"] == 0 and all(proj.converged for proj in draws)
+            assert row["max_iterations"] == max(proj.iterations for proj in draws) >= 2
+
+    def test_even_power_bell_inputs_minimise_entropy_at_r4(self):
+        # the paper's even-power claim at r = 4: Bell-product inputs reach the
+        # two-isotropic-pair entropy, below product inputs (n = 8 is too small
+        # for the order to show, so the check runs at n = 16)
+        samples = 10
+        bell = convergence_experiment("bell", 4, 2, 0.5, (16,), samples, seed=41)
+        prod = convergence_experiment("product", 4, 2, 0.5, (16,), samples, seed=42)
+        h_bell = np.array([row[3] for row in bell.rows])
+        h_prod = np.array([row[3] for row in prod.rows])
+        pooled = math.sqrt(h_bell.var(ddof=1) / samples + h_prod.var(ddof=1) / samples)
+        assert h_prod.mean() - h_bell.mean() > 3.0 * pooled
+        assert abs(h_bell.mean() - 2 * isotropic_entropy(2, 0.5)) <= 0.1
+        assert bell.summary[0]["unconverged"] == 0 and prod.summary[0]["unconverged"] == 0
 
     def test_distance_decreases_with_n(self):
         res = convergence_experiment("bell", 2, 2, 0.5, (8, 32), samples=20, seed=5)

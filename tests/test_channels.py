@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from orthochan import channels
 from orthochan.channels import (
     RngStream,
     _haar_columns,
@@ -267,6 +268,17 @@ class TestOutputAgainstDenseReference:
             assert out.dtype == complex
             assert np.max(np.abs(out - ref)) < 1e-13, label
 
+    @pytest.mark.parametrize("columns", [1, 2])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_mixed_input_lifted_in_column_blocks(self, monkeypatch, r, columns):
+        # a budget of columns * (kn)^r splits the rank-3 factor into several blocks
+        k, n = 2, 3
+        spec = make_channel(k, n, 0.5, RngStream(22, r))
+        rho = self._inputs(spec.d, r)["mixed"]
+        monkeypatch.setattr(channels, "OUTPUT_TENSOR_BUDGET", columns * (k * n) ** r)
+        out = output_state(spec, r, rho)
+        assert np.max(np.abs(out - _dense_output(spec.isometry, k, n, r, rho))) < 1e-13
+
 
 _BLAS_THREADS_SCRIPT = """
 import numpy as np
@@ -392,6 +404,20 @@ class TestValidation:
             validate_density_matrix(rho)
         with pytest.raises(InvalidStateError, match="non-finite"):
             validate_state_vector(np.array([1.0, bad]))
+        a = np.eye(3)
+        a[0, 2] = bad
+        with pytest.raises(ValidationError, match="finite real"):
+            mc_conjugation_mean(a, samples=10, seed=0)
+
+    def test_conjugation_mean_rejects_complex_entries(self):
+        # casting to float would drop the imaginary part with only a warning
+        a = np.arange(9.0).reshape(3, 3)
+        with pytest.raises(ValidationError, match="finite real"):
+            mc_conjugation_mean(a + 1j * np.eye(3), samples=10, seed=0)
+        # a complex array with zero imaginary parts is the real matrix, bit for bit
+        real = mc_conjugation_mean(a, samples=10, seed=0)
+        for x, y in zip(real, mc_conjugation_mean(a + 0j, samples=10, seed=0)):
+            assert np.array_equal(x, y)
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("ORTHOCHAN_THREADS", "5")
