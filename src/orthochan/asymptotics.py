@@ -16,6 +16,7 @@ import numpy as np
 
 from .channels import (
     RngStream,
+    _checked_state,
     _validated_spectrum,
     input_dim,
     make_channel,
@@ -142,6 +143,7 @@ def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.nd
     """
     state = np.asarray(state)
     d = _infer_local_dim(state.shape[0], r)
+    _checked_state(state, d**r)
     out = np.zeros((k**r, k**r), dtype=complex)
     for block in enumerate_partial_pairings(r):
         beta = pairing_from_partial(block, 1, r)
@@ -212,7 +214,7 @@ def entropy_extremal(block: PartialPairing, k: int, t: float) -> float:
     return block.n_pairs * isotropic_entropy(k, t) + (r - 2 * block.n_pairs) * math.log(k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexBody:
     """The attractor body: extremal states S_B indexed by partial pairings."""
 
@@ -237,7 +239,7 @@ def convex_body(r: int, k: int, t: float) -> ConvexBody:
     return ConvexBody(r=r, k=k, t=t, blocks=blocks, vertices=vertices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BodyProjection:
     distance: float
     weights: np.ndarray

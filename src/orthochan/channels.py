@@ -55,7 +55,7 @@ class RngStream:
         return np.random.Generator(np.random.Philox(ss))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSpec:
     """One realization of the random channel: dimensions plus its isometry."""
 
@@ -122,9 +122,26 @@ def validate_state_vector(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _checked_state(state: np.ndarray, dim: int) -> np.ndarray:
+    """Every engine's input-state rule; returns the state as a complex array.
+
+    A shape other than (dim,) or (dim, dim) raises ValidationError; a vector
+    that is not finite of unit norm, or a matrix that is not finite, Hermitian
+    and of unit trace, InvalidStateError.  Positivity needs a spectrum, so only
+    the Monte Carlo lift, which computes one, checks it.
+    """
+    state = np.asarray(state)
+    if state.shape not in ((dim,), (dim, dim)):
+        raise ValidationError(f"state has shape {state.shape}, expected ({dim},) or ({dim}, {dim})")
+    if state.ndim == 1:
+        return validate_state_vector(state)
+    _check_hermitian_unit_trace(state)
+    return state.astype(complex)
+
+
 def input_dim(k: int, n: int, t: float) -> int:
     """Channel input dimension d = floor(t*k*n); raise if it is below 1."""
-    d = math.floor(t * k * n)
+    d = math.floor(t * k * n * (1 + 1e-12))  # lifted over round-off: 0.3*3*30 = 26.999999999999996
     if d < 1:
         raise ValidationError(
             f"floor(t*k*n) = {d} is degenerate at t={t}, k={k}, n={n}; need t*k*n >= 1"
@@ -251,13 +268,13 @@ def _state_components(state: np.ndarray, dim: int) -> np.ndarray:
     A vector is its own single column; a density matrix gives its eigenvectors
     of weight above 1e-12, each times the square root of its weight.
     """
-    state = np.asarray(state)
-    if state.shape not in ((dim,), (dim, dim)):
-        raise ValidationError(f"state has shape {state.shape}, expected ({dim},) or ({dim}, {dim})")
+    state = _checked_state(state, dim)
     if state.ndim == 1:
-        factor = validate_state_vector(state)[:, None]
+        factor = state[:, None]
     else:
-        eigs, vecs = np.linalg.eigh(validate_density_matrix(state))
+        eigs, vecs = np.linalg.eigh(state)
+        if eigs[0] < -NEGATIVE_EIGENVALUE_TOL:
+            raise InvalidStateError(f"smallest eigenvalue {eigs[0]} below -{NEGATIVE_EIGENVALUE_TOL}")
         factor = vecs[:, eigs > 1e-12] * np.sqrt(eigs[eigs > 1e-12])
     return factor if np.any(factor.imag) else factor.real
 

@@ -32,7 +32,7 @@ from .moments import (
     exact_trace_moment,
     term_report,
 )
-from .pairings import double_factorial_odd, enumerate_pairings, enumerate_partial_pairings
+from .pairings import PAIRING_ENUMERATION_CAP, enumerate_pairings, enumerate_partial_pairings
 from .verify import report_text, run_all
 from .weingarten import wg_asymptotic, wg_exact
 
@@ -269,13 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", choices=["bell", "product", "mixed", "file"], default="bell")
     sp.add_argument("--input-file", default=None)
     sp.add_argument("--report", choices=["value", "terms"], default="value")
-    hard_pairings = double_factorial_odd(EXACT_PAIRING_HARD_CAP // 2)
     sp.add_argument(
         "--max-pairing-size", type=int, default=EXACT_PAIRING_CAP,
         help=f"cap on 2pr for the double pairing sum (default {EXACT_PAIRING_CAP}, hard "
         f"bound {EXACT_PAIRING_HARD_CAP}; at 2pr={EXACT_PAIRING_HARD_CAP} the dense "
-        f"{hard_pairings}^2 float64 Gram matrix and Weingarten table take "
-        f"{hard_pairings**2 * 8 / 1e9:.1f} GB each, and --report terms lists {hard_pairings**2:.1e} terms)",
+        f"{PAIRING_ENUMERATION_CAP}^2 float64 Gram matrix and Weingarten table take "
+        f"{PAIRING_ENUMERATION_CAP**2 * 8 / 1e9:.1f} GB each, and --report terms lists {PAIRING_ENUMERATION_CAP**2:.1e} terms)",
     )
     sp.add_argument(
         "--max-dense-dim", type=int, default=CONTRACTION_BUDGET,

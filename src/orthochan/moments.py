@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import _check_hermitian_unit_trace, input_dim, validate_state_vector
+from .channels import _checked_state, input_dim
 from .errors import BudgetError, EnumerationLimitError, ValidationError
 from .pairings import (
     PAIRING_HALF_SIZE_CAP,
@@ -95,7 +95,8 @@ def f_beta(beta: Pairing, state: np.ndarray, p: int, budget: int = CONTRACTION_B
 
     Never materializes the pattern matrix: each pair of beta identifies two
     state legs, leaving one free index per pair, and the d^(pr)-point sum is
-    delegated to einsum.  The modulus is bounded by d^bumps(beta).
+    delegated to einsum.  The modulus is bounded by d^bumps(beta).  Unchecked:
+    callers check the state once (channels._checked_state), this runs per orbit.
     """
     if beta.size % (2 * p) != 0:
         raise ValidationError(f"pairing size {beta.size} is not a multiple of 2p = {2 * p}")
@@ -151,18 +152,7 @@ def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, bu
         raise EnumerationLimitError(
             f"exact engine needs 2pr = {2 * m} diagram endpoints, above cap {effective_cap}"
         )
-    d = input_dim(k, n, t)
-    state = np.asarray(state)
-    expected = d**r
-    if state.shape[0] != expected:
-        raise ValidationError(
-            f"input state has dim {state.shape[0]}, expected d^r = {expected} for d = {d}"
-        )
-    # the checks of the Monte Carlo engine, bar the O(D^3) spectrum; the sums use state as given
-    if state.ndim == 1:
-        validate_state_vector(state)
-    else:
-        _check_hermitian_unit_trace(state)
+    _checked_state(state, input_dim(k, n, t) ** r)  # the sums contract the state as given
     table = wg_exact(m, k * n)
     pair_list = table.pairings
     delta, gamma = delta_gamma(p, r)
@@ -293,7 +283,8 @@ def asymptotic_trace_moment(
 
 
 def g_from_state(state: np.ndarray, r: int, k: int, n: int, t: float) -> dict[PartialPairing, float]:
-    """Block weights g_B = f_beta(B) / (tkn)^|B| of a concrete input state."""
+    """Block weights g_B = f_beta(B) / (tkn)^|B| of a concrete input state on d^r, d = floor(tkn)."""
+    _checked_state(state, input_dim(k, n, t) ** r)
     out = {}
     for block in enumerate_partial_pairings(r):
         beta = pairing_from_partial(block, 1, r)

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import EnumerationLimitError, ValidationError
 
 PAIRING_HALF_SIZE_CAP = 6        # largest m whose pairings of 2m points are enumerated
-PAIRING_ENUMERATION_CAP = math.prod(range(1, 2 * PAIRING_HALF_SIZE_CAP, 2))  # (2m-1)!! = 10395
 PARTIAL_PAIRING_CAP = 8          # largest ground set for partial pairings
 TRANSVERSE_BRUTE_CAP = 5         # largest q = pr for transverse brute force
 
@@ -48,9 +47,6 @@ class Permutation:
     @property
     def size(self) -> int:
         return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
 
     def compose(self, other: "Permutation") -> "Permutation":
         """Return self∘other, i.e. apply other first."""
@@ -150,10 +146,10 @@ class PartialPairing:
 
 def double_factorial_odd(m: int) -> int:
     """(2m-1)!! = number of pairings of 2m points."""
-    out = 1
-    for j in range(1, 2 * m, 2):
-        out *= j
-    return out
+    return math.prod(range(1, 2 * m, 2))
+
+
+PAIRING_ENUMERATION_CAP = double_factorial_odd(PAIRING_HALF_SIZE_CAP)  # 10395 pairings at m = 6
 
 
 def catalan(p: int) -> int:
@@ -163,10 +159,9 @@ def catalan(p: int) -> int:
 def _check_pairing_count(m: int) -> None:
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
-    count = double_factorial_odd(m)
-    if count > PAIRING_ENUMERATION_CAP:
+    if m > PAIRING_HALF_SIZE_CAP:
         raise EnumerationLimitError(
-            f"enumerating pairings of 2m={2 * m} points needs {count} pairings, "
+            f"enumerating pairings of 2m={2 * m} points needs {double_factorial_odd(m)} pairings, "
             f"above cap {PAIRING_ENUMERATION_CAP}"
         )
 

@@ -160,6 +160,16 @@ class TestChannelConstruction:
         with pytest.raises(ValidationError, match="is degenerate"):
             input_dim(2, 1, 0.2)
 
+    @pytest.mark.parametrize("k, n, t, d", [(3, 30, 0.3, 27), (2, 45, 0.7, 63), (3, 60, 0.15, 27)])
+    def test_input_dim_survives_round_off(self, k, n, t, d):
+        # t*k*n lands just under d in floating point, e.g. 0.3*3*30 = 26.999999999999996
+        assert t * k * n < d
+        assert input_dim(k, n, t) == d
+
+    def test_input_dim_at_half_is_kn_over_two(self):
+        assert [input_dim(2, n, 0.5) for n in range(1, 257)] == list(range(1, 257))
+        assert [input_dim(k, 8, 0.5) for k in (3, 4)] == [12, 16]
+
     @pytest.mark.parametrize("k, n, t", [(2, 4, 0.5), (3, 5, 0.6), (2, 64, 0.5)])
     @pytest.mark.parametrize("seed, stream", [(0, 0), (7, 3)])
     def test_isometry_is_leading_columns_of_haar_draw(self, k, n, t, seed, stream):

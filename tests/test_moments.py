@@ -9,7 +9,7 @@ from orthochan.asymptotics import (
     isotropic_eta,
     mean_output_asymptotic,
 )
-from orthochan.channels import mc_mean_output, mc_trace_moment
+from orthochan.channels import RngStream, make_channel, mc_mean_output, mc_trace_moment, output_state
 from orthochan.errors import BudgetError, EnumerationLimitError, InvalidStateError, ValidationError
 from orthochan.moments import (
     CONTRACTION_BUDGET,
@@ -198,23 +198,38 @@ class TestExactTraceMoment:
             exact_trace_moment(3, 2, 2, 3, 0.5, np.eye(3**2) / 9)
 
     @pytest.mark.parametrize(
-        "state",
+        "state, error, positivity_only",
         [
-            np.array([2.0, 0.0, 0.0]),
-            np.array([np.nan, 0.0, 0.0]),
-            np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            pytest.param(2 * np.eye(9)[0], InvalidStateError, False, id="norm-2 vector"),
+            pytest.param(np.full(9, np.nan), InvalidStateError, False, id="nan vector"),
+            pytest.param(np.eye(9) / 9 + np.eye(9, k=1) / 9, InvalidStateError, False, id="non-Hermitian matrix"),
+            pytest.param(2 * np.eye(9) / 9, InvalidStateError, False, id="trace-2 matrix"),
+            pytest.param(np.eye(9, 10) / 9, ValidationError, False, id="non-square array"),
+            pytest.param(np.eye(8) / 8, ValidationError, False, id="wrong dimension"),
+            pytest.param(np.diag([1.5, -0.5] + [0.0] * 7), InvalidStateError, True, id="negative eigenvalue"),
         ],
-        ids=["norm-2 vector", "nan vector", "non-Hermitian matrix"],
     )
-    def test_rejects_what_monte_carlo_rejects(self, state):
-        with pytest.raises(InvalidStateError):
-            mc_trace_moment(2, 1, 2, 3, 0.5, state, samples=10, seed=0)
-        with pytest.raises(InvalidStateError):
-            exact_trace_moment(2, 1, 2, 3, 0.5, state)
-        with pytest.raises(InvalidStateError):
-            exact_mean_output(1, 2, 3, 0.5, state)
-        with pytest.raises(InvalidStateError):
-            term_report(2, 1, 2, 3, 0.5, state)
+    def test_rejects_what_monte_carlo_rejects(self, state, error, positivity_only):
+        # r = 2, k = 2, n = 3, t = 0.5: every engine expects a state on
+        # d^r = 9 dimensions (mean_output_asymptotic infers d, and 8 is not a
+        # square).  Positivity needs a spectrum, so only the Monte Carlo lift
+        # checks it; the exact and asymptotic sums stop at the O(D^2) checks.
+        calls = [
+            lambda: mc_trace_moment(2, 2, 2, 3, 0.5, state, samples=10, seed=0),
+            lambda: mc_mean_output(2, 2, 3, 0.5, state, samples=10, seed=0),
+            lambda: output_state(make_channel(2, 3, 0.5, RngStream(0)), 2, state),
+        ]
+        if not positivity_only:
+            calls += [
+                lambda: exact_trace_moment(2, 2, 2, 3, 0.5, state),
+                lambda: exact_mean_output(2, 2, 3, 0.5, state),
+                lambda: term_report(2, 2, 2, 3, 0.5, state),
+                lambda: mean_output_asymptotic(state, 2, 2, 0.5),
+                lambda: g_from_state(state, 2, 2, 3, 0.5),
+            ]
+        for call in calls:
+            with pytest.raises(error):
+                call()
 
 
 class TestExactMeanOutput:

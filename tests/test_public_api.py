@@ -7,6 +7,7 @@ an outside tool) is marked ``# noqa: F401`` on its line.
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orthochan
@@ -41,3 +42,19 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+ARRAY_HOLDERS = {
+    "ChannelSpec": lambda: orthochan.make_channel(2, 4, 0.5, orthochan.RngStream(0)),
+    "ConvexBody": lambda: orthochan.convex_body(2, 2, 0.5),
+    "BodyProjection": lambda: orthochan.project_to_body(np.eye(4) / 4, orthochan.convex_body(2, 2, 0.5)),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holding_dataclasses_compare_by_identity(build):
+    # a generated __eq__ compares the arrays inside a tuple and raises; these compare and hash by identity
+    x, rebuilt = build(), build()
+    assert x == x
+    assert x != rebuilt
+    assert hash(x) == hash(x) != hash(rebuilt)
