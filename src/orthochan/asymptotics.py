@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    OUTPUT_TENSOR_BUDGET,
     RngStream,
     _checked_state,
     _validated_spectrum,
@@ -23,9 +24,9 @@ from .channels import (
     map_ordered,
     output_state,
 )
-from .errors import OrthochanError, ValidationError
-from .moments import _infer_local_dim, f_beta
-from .pairings import PartialPairing, enumerate_partial_pairings, pairing_from_partial
+from .errors import BudgetError, OrthochanError, ValidationError
+from .moments import _infer_local_dim, f_beta, wiring_matrix
+from .pairings import PartialPairing, enumerate_partial_pairings, pairing_from_partial, wiring_offsets
 
 KKT_TOL = 1e-12  # relative slack of the projection's optimality certificate
 
@@ -61,37 +62,14 @@ def _place_factors(pair_op: np.ndarray, single_op: np.ndarray, block: PartialPai
     return np.einsum(*args).reshape(dim**r, dim**r)
 
 
-def _variable_grid(weights: list[int], dim: int) -> np.ndarray:
-    """Flat index offsets of all assignments of len(weights) base-dim variables."""
-    if not weights:
-        return np.zeros(1, dtype=np.int64)
-    grids = np.meshgrid(*([np.arange(dim)] * len(weights)), indexing="ij")
-    total = np.zeros(grids[0].shape, dtype=np.int64)
-    for weight, grid in zip(weights, grids):
-        total += weight * grid
-    return total.reshape(-1)
-
-
 def op_T(block: PartialPairing, k: int) -> np.ndarray:
     """Unnormalized pair projectors over block pairs, identity on singles.
 
-    The entries are the 0/1 delta pattern "both row legs of a pair equal,
-    both column legs equal, singles diagonal", so the matrix is filled by
-    scattering ones instead of contracting dense factors: row and column
-    pair variables are independent, single variables are shared.
+    This is the 0/1 wiring pattern of the block's diagram pairing (bumps on
+    both sides of each pair, a horizontal wire through each single), filled
+    by one scatter at its wiring offsets.
     """
-    r = block.n_points
-    dim = k
-    site_weight = [dim ** (r - 1 - s) for s in range(r)]
-    pair_weights = [site_weight[a] + site_weight[b] for a, b in block.pairs]
-    single_weights = [site_weight[s] for s in block.singles]
-    pair_part = _variable_grid(pair_weights, dim)      # one value per pair, per side
-    shared_part = _variable_grid(single_weights, dim)  # singles are shared by both sides
-    rows = pair_part[:, None] + shared_part[None, :]
-    cols = rows
-    out = np.zeros((dim**r, dim**r))
-    out[rows[:, None, :], cols[None, :, :]] = 1.0
-    return out
+    return wiring_matrix(pairing_from_partial(block, 1, block.n_points), 1, block.n_points, k)
 
 
 def op_T_tilde(block: PartialPairing, d: int) -> np.ndarray:
@@ -129,10 +107,14 @@ def op_Q_tilde(block: PartialPairing, d: int) -> np.ndarray:
     These resolve the identity, and their spectra concentrate on {0, 1} as the
     local dimension grows.
     """
-    out = np.zeros((d**block.n_points,) * 2)
+    r = block.n_points
+    size = d**r
+    flat = np.zeros(size * size)
     for sup in _superblocks(block):
-        out += (-1) ** (sup.n_pairs - block.n_pairs) * op_T_tilde(sup, d)
-    return out
+        flat[wiring_offsets(pairing_from_partial(sup, 1, r), 1, r, d)] += (
+            (-1) ** (sup.n_pairs - block.n_pairs) * (1.0 / d**sup.n_pairs)
+        )
+    return flat.reshape(size, size)
 
 
 def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.ndarray:
@@ -234,6 +216,11 @@ class ConvexBody:
 def convex_body(r: int, k: int, t: float) -> ConvexBody:
     """Build the body for given (r, k, t); vertex order is the canonical block order."""
     blocks = tuple(enumerate_partial_pairings(r))
+    if len(blocks) * k ** (2 * r) > OUTPUT_TENSOR_BUDGET:
+        raise BudgetError(
+            f"convex body needs {len(blocks)} vertices of k^(2r) = {k ** (2 * r)} entries, "
+            f"{len(blocks) * k ** (2 * r)} in all, above budget {OUTPUT_TENSOR_BUDGET}"
+        )
     vertices = np.stack([op_S_tilde(b, k, t) for b in blocks]).astype(complex)
     vertices.setflags(write=False)
     return ConvexBody(r=r, k=k, t=t, blocks=blocks, vertices=vertices)

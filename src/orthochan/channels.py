@@ -23,7 +23,9 @@ from .errors import BudgetError, InvalidStateError, ValidationError
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 NEGATIVE_EIGENVALUE_TOL = 1e-10
-OUTPUT_TENSOR_BUDGET = 2**24  # max entries of one lifted block, (kn)^r per factor column
+# max entries of one lifted block ((kn)^r per factor column) and of the convex
+# body's vertex stack (V vertices of k^(2r) entries)
+OUTPUT_TENSOR_BUDGET = 2**24
 THREADS_ENV_VAR = "ORTHOCHAN_THREADS"
 
 # numpy's SeedSequence hash constants, reproduced by _stream_keys
@@ -140,11 +142,15 @@ def _checked_state(state: np.ndarray, dim: int) -> np.ndarray:
 
 
 def input_dim(k: int, n: int, t: float) -> int:
-    """Channel input dimension d = floor(t*k*n); raise if it is below 1."""
+    """Channel input dimension d = floor(t*k*n); raise unless 1 <= d <= kn, as an isometry needs."""
     d = math.floor(t * k * n * (1 + 1e-12))  # lifted over round-off: 0.3*3*30 = 26.999999999999996
     if d < 1:
         raise ValidationError(
             f"floor(t*k*n) = {d} is degenerate at t={t}, k={k}, n={n}; need t*k*n >= 1"
+        )
+    if d > k * n:
+        raise ValidationError(
+            f"floor(t*k*n) = {d} exceeds kn = {k * n} at t={t}, k={k}, n={n}; need t <= 1"
         )
     return d
 

@@ -32,6 +32,7 @@ from .pairings import (
     enumerate_partial_pairings,
     pairing_from_partial,
     type_lengths,
+    wiring_offsets,
 )
 from .weingarten import wg_exact
 
@@ -125,24 +126,14 @@ def wiring_matrix(pairing: Pairing, p: int, r: int, dim: int) -> np.ndarray:
     """Dense delta-pattern matrix of a diagram pairing on (C^dim)^(pr).
 
     Rows are indexed by the R-side legs in (copy, channel) order, columns by
-    the L-side legs; entry 1 where every pair's two leg indices agree.  This
-    is the dense counterpart of f_beta, kept for oracle use and for the
-    k-space wiring of mean-output sums; its operator norm is dim^bumps.
+    the L-side legs; entry 1 where every pair's two leg indices agree.  The
+    ones are scattered at pairings.wiring_offsets.  This is the dense
+    counterpart of f_beta, kept for oracle use; its operator norm is dim^bumps.
     """
-    if pairing.size != 2 * p * r:
-        raise ValidationError(f"pairing acts on {pairing.size} points, expected 2pr = {2 * p * r}")
-    eye = np.eye(dim)
-    args = []
-    leg_var = {}
-    for var, (s, u) in enumerate(pairing.pairs):
-        args.extend((eye, [2 * var, 2 * var + 1]))
-        leg_var[s] = 2 * var
-        leg_var[u] = 2 * var + 1
-    q = p * r
-    rows = [leg_var[2 * c + 1] for c in range(q)]  # R legs, cell order
-    cols = [leg_var[2 * c] for c in range(q)]      # L legs, cell order
-    args.append(rows + cols)
-    return np.einsum(*args).reshape(dim**q, dim**q)
+    size = dim ** (p * r)
+    out = np.zeros(size * size)
+    out[wiring_offsets(pairing, p, r, dim)] = 1.0
+    return out.reshape(size, size)
 
 
 def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, budget: int):
@@ -189,17 +180,18 @@ def exact_mean_output(r: int, k: int, n: int, t: float, state: np.ndarray) -> np
     """Exact E Z at finite n: the first-moment sum with open output legs.
 
     The scalar k-loop factor of the trace sum is replaced by the k-space
-    wiring matrix of each alpha, yielding a Hermitian trace-one k^r matrix.
+    wiring pattern of each alpha, yielding a Hermitian trace-one k^r matrix.
     """
     pair_list, n_exp, _, f_vals, table = _engine_arrays(
         1, r, k, n, t, state, EXACT_PAIRING_CAP, CONTRACTION_BUDGET
     )
     coeff = table.values @ f_vals
-    out = np.zeros((k**r, k**r), dtype=complex)
+    size = k**r
+    flat = np.zeros(size * size, dtype=complex)
     for i, alpha in enumerate(pair_list):
-        # rows of the mean output are L legs, hence the transpose
-        out += (float(n) ** n_exp[i] * coeff[i]) * wiring_matrix(alpha, 1, r, k).T
-    return out
+        flat[wiring_offsets(alpha, 1, r, k)] += float(n) ** n_exp[i] * coeff[i]
+    # rows of the mean output are L legs, hence the transpose
+    return np.ascontiguousarray(flat.reshape(size, size).T)
 
 
 def term_report(

@@ -410,6 +410,27 @@ def _check_diagram_size(pairing: Pairing, p: int, r: int):
         raise ValidationError(f"pairing acts on {pairing.size} points, expected 2pr = {2 * p * r}")
 
 
+def wiring_offsets(pairing: Pairing, p: int, r: int, dim: int) -> np.ndarray:
+    """Flat positions of the ones in the dim^(pr) x dim^(pr) delta pattern of a diagram pairing.
+
+    Rows are indexed by the R legs and columns by the L legs, each in cell
+    order with cell 0 most significant; an entry is one where every pair's two
+    legs carry the same index.  Each pair is thus one base-dim variable whose
+    weight is the sum of its two legs' place values in the flattened matrix.
+    The dim^(pr) offsets are distinct, so one scatter fills the pattern.
+    """
+    _check_diagram_size(pairing, p, r)
+    q = p * r
+    place = np.empty(2 * q, dtype=np.int64)
+    place[SIDE_L::2] = dim ** np.arange(q - 1, -1, -1)  # column digit of cell c
+    place[SIDE_R::2] = place[SIDE_L::2] * dim**q        # row digit of cell c
+    offsets = np.zeros(1, dtype=np.int64)
+    values = np.arange(dim)
+    for s, u in pairing.pairs:
+        offsets = (offsets[:, None] + (place[s] + place[u]) * values).reshape(-1)
+    return offsets
+
+
 def bumps(beta: Pairing, p: int, r: int) -> int:
     """Number of pairs of beta joining two R-side endpoints."""
     _check_diagram_size(beta, p, r)

@@ -13,6 +13,7 @@ and the pseudo-inverse is computed there, from p(m) numbers instead of a dense
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -109,15 +110,20 @@ def _build_table(m: int, n: float) -> WeingartenTable:
     )
 
 
+def _check_dimension(n: float) -> None:
+    if not 0 < n < math.inf:  # NaN fails both comparisons
+        raise ValidationError(f"dimension parameter must be finite and positive, got {n}")
+
+
 def wg_exact(m: int, n: float) -> WeingartenTable:
     """Exact Weingarten table, cached per (m, n)."""
-    if n <= 0:
-        raise ValidationError(f"dimension parameter must be positive, got {n}")
+    _check_dimension(n)
     return _build_table(int(m), float(n))
 
 
 def wg_asymptotic(alpha: Pairing, beta: Pairing, n: float) -> float:
     """Leading-order value n^(-m - |ab|/2) * mobius(a, b)."""
+    _check_dimension(n)
     if alpha.size != beta.size:
         raise ValidationError(f"size mismatch: {alpha.size} vs {beta.size}")
     m = alpha.size // 2

@@ -27,7 +27,7 @@ from orthochan.asymptotics import (
     von_neumann_entropy,
 )
 from orthochan.channels import validate_density_matrix
-from orthochan.errors import InvalidStateError, OrthochanError, ValidationError
+from orthochan.errors import BudgetError, InvalidStateError, OrthochanError, ValidationError
 from orthochan.pairings import PartialPairing, enumerate_partial_pairings
 
 
@@ -295,6 +295,18 @@ class TestBodyProjection:
         proj = project_to_body(body.vertices[1], body)
         assert proj.converged
         assert proj.weights.sum() == pytest.approx(1.0)
+
+    def test_vertex_stack_over_budget_raises_before_building(self, monkeypatch):
+        # r = 3, k = 2: four vertices of 2^6 entries each
+        assert len(convex_body(3, 2, 0.5).vertices) == 4
+        monkeypatch.setattr(asymptotics, "OUTPUT_TENSOR_BUDGET", 4 * 2**6)
+        convex_body(3, 2, 0.5)
+        monkeypatch.setattr(asymptotics, "OUTPUT_TENSOR_BUDGET", 4 * 2**6 - 1)
+        built = []
+        monkeypatch.setattr(asymptotics, "op_S_tilde", lambda *args: built.append(args))
+        with pytest.raises(BudgetError, match="4 vertices"):
+            convex_body(3, 2, 0.5)
+        assert built == []
 
     def test_vertex_count_matches_partial_pairings(self):
         for r in (1, 2, 3, 4):

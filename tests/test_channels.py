@@ -27,6 +27,7 @@ from orthochan.channels import (
     worker_count,
 )
 from orthochan.errors import InvalidStateError, ValidationError
+from orthochan.moments import exact_trace_moment
 from orthochan.weingarten import integrate_monomial
 
 
@@ -157,8 +158,14 @@ class TestChannelConstruction:
 
     def test_input_dim(self):
         assert input_dim(2, 3, 0.9) == 5
+        assert input_dim(2, 4, 1.0) == 8
         with pytest.raises(ValidationError, match="is degenerate"):
             input_dim(2, 1, 0.2)
+        # d = 12 > kn = 8: no isometry, so no engine may take the input
+        with pytest.raises(ValidationError, match="exceeds kn = 8"):
+            input_dim(2, 4, 1.5)
+        with pytest.raises(ValidationError, match="exceeds kn = 8"):
+            exact_trace_moment(2, 1, 2, 4, 1.5, np.eye(12)[0])
 
     @pytest.mark.parametrize("k, n, t, d", [(3, 30, 0.3, 27), (2, 45, 0.7, 63), (3, 60, 0.15, 27)])
     def test_input_dim_survives_round_off(self, k, n, t, d):

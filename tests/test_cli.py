@@ -211,6 +211,8 @@ MALFORMED = [
     ("moment-r0", ["moment", *_DIMS, "--r", "0"]),
     ("body-r0", ["body", "--r", "0", "--k", "2", "--t", "0.5"]),
     ("experiment-r0", [*_EXPERIMENT, "--r", "0", "--n", "8"]),
+    ("wg-nan", ["wg", "--m", "2", "--n", "nan"]),
+    ("wg-inf", ["wg", "--m", "2", "--n", "inf"]),
 ]
 
 

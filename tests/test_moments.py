@@ -9,7 +9,7 @@ from orthochan.asymptotics import (
     isotropic_eta,
     mean_output_asymptotic,
 )
-from orthochan.channels import RngStream, make_channel, mc_mean_output, mc_trace_moment, output_state
+from orthochan.channels import RngStream, input_dim, make_channel, mc_mean_output, mc_trace_moment, output_state
 from orthochan.errors import BudgetError, EnumerationLimitError, InvalidStateError, ValidationError
 from orthochan.moments import (
     CONTRACTION_BUDGET,
@@ -135,6 +135,22 @@ class TestFBeta:
             f_beta(beta, rho, 1, budget=10)
 
 
+def einsum_wiring(pairing, p, r, dim):
+    """Reference delta pattern: one identity factor per pair, contracted by einsum."""
+    eye = np.eye(dim)
+    args = []
+    leg_var = {}
+    for var, (s, u) in enumerate(pairing.pairs):
+        args.extend((eye, [2 * var, 2 * var + 1]))
+        leg_var[s] = 2 * var
+        leg_var[u] = 2 * var + 1
+    q = p * r
+    rows = [leg_var[2 * c + 1] for c in range(q)]  # R legs, cell order
+    cols = [leg_var[2 * c] for c in range(q)]      # L legs, cell order
+    args.append(rows + cols)
+    return np.einsum(*args).reshape(dim**q, dim**q)
+
+
 class TestWiringMatrix:
     def test_operator_norm_is_d_to_bumps(self):
         p, r, d = 1, 2, 3
@@ -146,6 +162,15 @@ class TestWiringMatrix:
     def test_horizontal_is_identity(self):
         delta, _ = delta_gamma(1, 2)
         assert np.array_equal(wiring_matrix(delta, 1, 2, 3), np.eye(9))
+
+    @pytest.mark.parametrize("p, m", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 4)])
+    def test_scatter_matches_einsum_over_identities(self, p, m):
+        for dim in (2, 3):
+            for beta in enumerate_pairings(m):
+                reference = einsum_wiring(beta, p, m // p, dim)
+                out = wiring_matrix(beta, p, m // p, dim)
+                assert out.dtype == reference.dtype
+                assert out.tobytes() == reference.tobytes()
 
 
 class TestExactTraceMoment:
@@ -434,6 +459,26 @@ class TestAsymptoticTraceMoment:
         lhs = asymptotic_trace_moment(2, r, k, t, g2)
         m = mean_output_asymptotic(bell, r, k, t)
         assert lhs == pytest.approx(float(np.trace(m @ m).real), rel=1e-9)
+
+    @pytest.mark.parametrize("rule", ["bell", "product"])
+    def test_exact_approaches_leading_order_at_m4(self, rule):
+        # 2pr = 8; each doubling of n must shrink the gap by criterion 4's decay bound
+        p, r, k, t = 2, 2, 2, 0.5
+        gaps = []
+        for n in (4, 8, 16, 32):
+            d = input_dim(k, n, t)
+            if rule == "bell":
+                state = bell_state_vector(PartialPairing(2, ((0, 1),)), d)
+            else:
+                state = basis_product_state(d, r)
+            g1 = g_from_state(state, r, k, n, t)
+            g2 = {}
+            for b1, v1 in g1.items():
+                for b2, v2 in g1.items():
+                    g2[combine_copies([b1, b2], r)] = v1 * v2
+            exact = exact_trace_moment(p, r, k, n, t, state)
+            gaps.append(abs(exact - asymptotic_trace_moment(p, r, k, t, g2)))
+        assert all(later <= 0.6 * earlier for earlier, later in zip(gaps, gaps[1:])), gaps
 
     def test_invalid_g_rejected(self):
         g = {PartialPairing(2, ()): 1.5}

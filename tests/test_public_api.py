@@ -1,8 +1,10 @@
-"""The public surface stays honest: __all__ resolves, and no module imports a name it never uses.
+"""The public surface stays honest: __all__ resolves, no module imports a name it never uses,
+and no private function or class is left with no reader.
 
-The repo runs no linter, so these two checks stand in for pyflakes' F401 and
-F822.  An import kept on purpose (for example, a name looked up in a module by
-an outside tool) is marked ``# noqa: F401`` on its line.
+The repo runs no linter, so these checks stand in for pyflakes' F401 and
+F822 and for a dead-code pass.  An import kept on purpose (for example, a
+name looked up in a module by an outside tool) is marked ``# noqa: F401`` on
+its line.
 """
 import ast
 from pathlib import Path
@@ -42,6 +44,27 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def unread_private_definitions(paths) -> list[str]:
+    """Private functions and classes defined in these modules whose names no module reads."""
+    defined = set()
+    read = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.add(f"{path.name}:{node.name}")
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(entry for entry in defined if entry.split(":")[1] not in read)
+
+
+def test_no_unread_private_definitions():
+    assert unread_private_definitions(SOURCES) == []
 
 
 ARRAY_HOLDERS = {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orthochan.errors import EnumerationLimitError
+from orthochan.errors import EnumerationLimitError, ValidationError
 from orthochan.pairings import enumerate_pairings, Pairing, Permutation
 from orthochan.weingarten import (
     GRAM_EIGENVALUE_CUTOFF,
@@ -130,6 +130,18 @@ class TestExactTable:
     def test_values_are_read_only(self):
         with pytest.raises(ValueError):
             wg_exact(2, 5).values[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", [0.0, -2.0, float("nan"), float("inf")])
+def test_dimension_must_be_finite_and_positive(n):
+    # NaN fails every comparison, so a bare n <= 0 test would let it through
+    pair = enumerate_pairings(1)[0]
+    with pytest.raises(ValidationError, match="finite and positive"):
+        wg_exact(1, n)
+    with pytest.raises(ValidationError, match="finite and positive"):
+        wg_asymptotic(pair, pair, n)
+    with pytest.raises(ValidationError, match="finite and positive"):
+        integrate_monomial([(0, 0), (0, 0)], n)
 
 
 class TestAsymptotic:
