@@ -24,7 +24,7 @@ from .channels import (
     map_ordered,
     output_state,
 )
-from .errors import BudgetError, OrthochanError, ValidationError
+from .errors import BudgetError, OrthochanError, ValidationError, checked_index
 from .moments import _infer_local_dim, f_beta, wiring_matrix
 from .pairings import PartialPairing, enumerate_partial_pairings, pairing_from_partial, wiring_offsets
 
@@ -38,12 +38,16 @@ def maximally_entangled(dim: int, normalized: bool = False) -> np.ndarray:
     return omega / dim if normalized else omega
 
 
+def _check_t(t: float) -> None:
+    if not 0.0 <= t <= 1.0:  # NaN fails both comparisons
+        raise ValidationError(f"t must lie in [0, 1], got {t}")
+
+
 def isotropic_eta(k: int, t: float) -> np.ndarray:
     """Isotropic state t/k * omega + (1-t)/k^2 * I on k^2."""
     if k < 2:
         raise ValidationError(f"k must be >= 2, got {k}")
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError(f"t must lie in [0, 1], got {t}")
+    _check_t(t)
     return (t / k) * maximally_entangled(k) + ((1.0 - t) / k**2) * np.eye(k**2)
 
 
@@ -82,6 +86,7 @@ def op_R_tilde(block: PartialPairing, k: int, t: float) -> np.ndarray:
 
     Traceless except at the empty block, where the trace is one.
     """
+    _check_t(t)
     pair_op = t * (maximally_entangled(k) / k - np.eye(k**2) / k**2)
     return _place_factors(pair_op, np.eye(k) / k, block, k)
 
@@ -123,6 +128,7 @@ def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.nd
     Equals the alternating expansion over <Q~_A, rho> S~_A by Moebius
     inversion; the two agree to float precision for any input.
     """
+    _check_t(t)
     state = np.asarray(state)
     d = _infer_local_dim(state.shape[0], r)
     _checked_state(state, d**r)
@@ -312,7 +318,7 @@ def convergence_experiment(
     Draw s of grid point index g uses random stream (seed, g*samples + s), so
     the result table is reproducible and thread-count independent.
     """
-    n_grid = tuple(int(n) for n in n_grid)
+    n_grid = tuple(checked_index(n, "n") for n in n_grid)
     if not n_grid or samples < 1:
         raise ValidationError("need a nonempty n grid and samples >= 1")
     body = convex_body(r, k, t)

@@ -143,6 +143,8 @@ def _checked_state(state: np.ndarray, dim: int) -> np.ndarray:
 
 def input_dim(k: int, n: int, t: float) -> int:
     """Channel input dimension d = floor(t*k*n); raise unless 1 <= d <= kn, as an isometry needs."""
+    if not math.isfinite(t * k * n):  # floor would raise ValueError or OverflowError
+        raise ValidationError(f"t*k*n must be finite, got t={t}, k={k}, n={n}")
     d = math.floor(t * k * n * (1 + 1e-12))  # lifted over round-off: 0.3*3*30 = 26.999999999999996
     if d < 1:
         raise ValidationError(

@@ -135,11 +135,11 @@ def cmd_pairings(args) -> int:
 
 def cmd_wg(args) -> int:
     config = _config_dict(args, ["m", "n"])
-    table = wg_exact(args.m, args.n)
+    values, pairings = wg_exact(args.m, args.n).values, enumerate_pairings(args.m)
     rows = []
-    for i, a in enumerate(table.pairings):
-        for j, b in enumerate(table.pairings):
-            exact = float(table.values[i, j])
+    for i, a in enumerate(pairings):
+        for j, b in enumerate(pairings):
+            exact = float(values[i, j])
             asym = wg_asymptotic(a, b, args.n)
             rows.append((i, j, repr(exact), repr(asym), repr(exact / asym)))
     _write(args.out, _csv_output(config, ["alpha_index", "beta_index", "exact", "asymptotic", "ratio"], rows))
@@ -272,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--max-pairing-size", type=int, default=EXACT_PAIRING_CAP,
         help=f"cap on 2pr for the double pairing sum (default {EXACT_PAIRING_CAP}, hard "
-        f"bound {EXACT_PAIRING_HARD_CAP}; at 2pr={EXACT_PAIRING_HARD_CAP} the dense "
-        f"{PAIRING_ENUMERATION_CAP}^2 float64 Gram matrix and Weingarten table take "
-        f"{PAIRING_ENUMERATION_CAP**2 * 8 / 1e9:.1f} GB each, and --report terms lists {PAIRING_ENUMERATION_CAP**2:.1e} terms)",
+        f"bound {EXACT_PAIRING_HARD_CAP}; at 2pr={EXACT_PAIRING_HARD_CAP} a cold Weingarten table gathers a "
+        f"transient {PAIRING_ENUMERATION_CAP}^2 float64 Gram matrix of "
+        f"{PAIRING_ENUMERATION_CAP**2 * 8 / 1e9:.1f} GB, and --report terms lists {PAIRING_ENUMERATION_CAP**2:.1e} terms)",
     )
     sp.add_argument(
         "--max-dense-dim", type=int, default=CONTRACTION_BUDGET,

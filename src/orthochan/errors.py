@@ -3,6 +3,7 @@
 Exit codes follow the CLI contract: 2 for validation problems, 3 for
 exceeded enumeration/memory budgets, 4 for verification failures.
 """
+import operator
 
 
 class OrthochanError(Exception):
@@ -29,3 +30,11 @@ class BudgetError(OrthochanError):
 
 class EnumerationLimitError(BudgetError):
     """A combinatorial enumeration would exceed its configured cap."""
+
+
+def checked_index(value, what: str) -> int:
+    """value as an int by operator.index; a float, string or other non-integer raises, never truncates."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None

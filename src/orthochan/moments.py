@@ -28,7 +28,7 @@ from .pairings import (
     coset_types,
     delta_gamma,
     dominant_pairs,
-    enumerate_pairings,  # noqa: F401  looked up here by perfbench/spans.py
+    enumerate_pairings,
     enumerate_partial_pairings,
     pairing_from_partial,
     type_lengths,
@@ -145,11 +145,9 @@ def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, bu
         )
     _checked_state(state, input_dim(k, n, t) ** r)  # the sums contract the state as given
     table = wg_exact(m, k * n)
-    pair_list = table.pairings
-    delta, gamma = delta_gamma(p, r)
+    pair_list = enumerate_pairings(m)
     counts, types = type_lengths(m), coset_types(m)
-    n_exp = counts[types[table.index(delta)]]
-    k_exp = counts[types[table.index(gamma)]]
+    n_exp, k_exp = (counts[types[pair_list.index(wiring)]] for wiring in delta_gamma(p, r))
     f_vals = _f_values(pair_list, state, p, r, budget)
     return pair_list, n_exp, k_exp, f_vals, table
 
@@ -172,8 +170,13 @@ def exact_trace_moment(
 ) -> float:
     """E Tr Z^p as the exact double pairing sum at finite n."""
     _, n_exp, k_exp, f_vals, table = _engine_arrays(p, r, k, n, t, state, cap, budget)
-    weights = float(n) ** n_exp * float(k) ** k_exp
-    return float((weights @ table.values @ f_vals).real)
+    # Wg f is constant on copy orbits: sum f per coset type on one row per orbit,
+    # weight each orbit by its total n^n_exp k^k_exp, then dot with Wg per type.
+    orbit, reps = copy_orbits(p, r)
+    types, kinds, f_real = coset_types(p * r), len(table.coefficients), np.ascontiguousarray(f_vals.real)
+    per_rep = np.array([np.bincount(types[rep], f_real, kinds) for rep in reps])
+    per_type = np.bincount(orbit, float(n) ** n_exp * float(k) ** k_exp) @ per_rep
+    return float(table.coefficients @ per_type)
 
 
 def exact_mean_output(r: int, k: int, n: int, t: float, state: np.ndarray) -> np.ndarray:
@@ -216,11 +219,8 @@ def term_report(
     # Terms share the Python objects of their row's exponents, their column's
     # f and their coset type's Wg; only the values are new per term.
     n_list, k_list, f_list = n_exp.tolist(), k_exp.tolist(), f_vals.tolist()
-    types = coset_types(p * r)
-    wg_by_type = np.empty(len(type_lengths(p * r)))
-    wg_by_type[types[0]] = table.values[0]
-    wg_list = wg_by_type.tolist()
-    types = types.ravel()
+    wg_list = table.coefficients.tolist()
+    types = coset_types(p * r).ravel()
     make = partial(tuple.__new__, MomentTerm)
     terms = []
     for start in range(0, len(order), TERM_CHUNK):

@@ -144,12 +144,12 @@ def criterion_4_wg_asymptotics(seed: int) -> CriterionResult:
     ok = True
     for m in range(1, 4):
         pairings = enumerate_pairings(m)
-        t1 = wg_exact(m, n1)
-        t2 = wg_exact(m, n2)
+        w1 = wg_exact(m, n1).values
+        w2 = wg_exact(m, n2).values
         for i, a in enumerate(pairings):
             for j, b in enumerate(pairings):
-                dev1 = abs(t1.values[i, j] / wg_asymptotic(a, b, n1) - 1.0)
-                dev2 = abs(t2.values[i, j] / wg_asymptotic(a, b, n2) - 1.0)
+                dev1 = abs(w1[i, j] / wg_asymptotic(a, b, n1) - 1.0)
+                dev2 = abs(w2[i, j] / wg_asymptotic(a, b, n2) - 1.0)
                 worst_dev = max(worst_dev, dev1)
                 if dev1 <= 1e-12:
                     ok = ok and dev2 <= 1e-12

@@ -9,17 +9,18 @@ Both matrices are class functions: their (a, b) entry depends only on the
 coset type of the pair, a partition of m.  These functions form a commutative
 algebra of dimension p(m) (the Hecke algebra of the Gelfand pair (S_2m, H_m)),
 and the pseudo-inverse is computed there, from p(m) numbers instead of a dense
-(2m-1)!! x (2m-1)!! matrix (Collins-Matsumoto 2009, Zinn-Justin 2010).
+(2m-1)!! x (2m-1)!! matrix (Collins-Matsumoto 2009, Zinn-Justin 2010).  A table
+keeps only these p(m) coefficients; the dense matrix is gathered when read.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_index
 from .pairings import (
     Pairing,
     connected_components,  # noqa: F401  looked up here by perfbench/spans.py
@@ -36,26 +37,25 @@ TABLE_CACHE_SIZE = 32
 
 @dataclass(frozen=True, eq=False)
 class WeingartenTable:
-    """Exact Weingarten values for all pairing pairs at fixed (m, n).
+    """Exact Weingarten function at fixed (m, n): its value on each coset type.
 
-    rank is the rank of the Gram matrix; when singular is set (rank below the
-    pairing count, which happens at integer n < m) the values are the
-    Moore-Penrose pseudo-inverse rather than an inverse.
+    coefficients follows partitions(m).  rank is the rank of the Gram matrix;
+    when singular is set (rank below the pairing count, at integer n < m) the
+    coefficients are those of the Moore-Penrose pseudo-inverse.
     """
 
     m: int
     n: float
-    pairings: tuple[Pairing, ...]
-    values: np.ndarray
+    coefficients: np.ndarray
     rank: int
     singular: bool
-    _index: dict[Pairing, int] = field(repr=False)
 
-    def index(self, pairing: Pairing) -> int:
-        return self._index[pairing]
-
-    def value(self, alpha: Pairing, beta: Pairing) -> float:
-        return float(self.values[self._index[alpha], self._index[beta]])
+    @property
+    def values(self) -> np.ndarray:
+        """Dense read-only table over enumerate_pairings(m), gathered anew on each read."""
+        values = self.coefficients[coset_types(self.m)]
+        values.setflags(write=False)
+        return values
 
 
 def gram_matrix(m: int, n: float) -> np.ndarray:
@@ -99,15 +99,10 @@ def _class_pseudo_inverse(types: np.ndarray, gram_row: np.ndarray) -> tuple[np.n
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _build_table(m: int, n: float) -> WeingartenTable:
-    pairs = tuple(enumerate_pairings(m))
     types = coset_types(m)
     coeff, rank = _class_pseudo_inverse(types, gram_matrix(m, n)[0])
-    values = coeff[types]
-    values.setflags(write=False)
-    return WeingartenTable(
-        m=m, n=n, pairings=pairs, values=values, rank=rank, singular=rank < len(pairs),
-        _index={p: i for i, p in enumerate(pairs)},
-    )
+    coeff.setflags(write=False)
+    return WeingartenTable(m=m, n=n, coefficients=coeff, rank=rank, singular=rank < len(types))
 
 
 def _check_dimension(n: float) -> None:
@@ -118,7 +113,7 @@ def _check_dimension(n: float) -> None:
 def wg_exact(m: int, n: float) -> WeingartenTable:
     """Exact Weingarten table, cached per (m, n)."""
     _check_dimension(n)
-    return _build_table(int(m), float(n))
+    return _build_table(checked_index(m, "m"), float(n))
 
 
 def wg_asymptotic(alpha: Pairing, beta: Pairing, n: float) -> float:

@@ -49,8 +49,14 @@ class TestIsotropicState:
         assert np.allclose(eigs, [0.125, 0.125, 0.125, 0.625])
 
     def test_t_range_validated(self):
-        with pytest.raises(ValidationError):
-            isotropic_eta(2, 1.5)
+        # the operator family and the mean-output limit share the state's check
+        for t in (1.5, 3.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match=r"t must lie in \[0, 1\]"):
+                isotropic_eta(2, t)
+            with pytest.raises(ValidationError, match=r"t must lie in \[0, 1\]"):
+                op_R_tilde(PartialPairing(2, ((0, 1),)), 2, t)
+            with pytest.raises(ValidationError, match=r"t must lie in \[0, 1\]"):
+                mean_output_asymptotic(np.eye(4) / 4, 2, 2, t)
 
 
 class TestOperatorFamily:
@@ -388,6 +394,12 @@ class TestConvergenceExperiment:
         assert res1.rows == res2.rows
         assert len(res1.rows) == 16
         assert [s["n"] for s in res1.summary] == [8, 16]
+
+    @pytest.mark.parametrize("n", [8.7, 8.0, "8"])
+    def test_grid_points_must_be_integers(self, n):
+        # int() would run n = 8 and report n_grid == (8,)
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            convergence_experiment("bell", 2, 2, 0.5, (n,), 2, 0)
 
     def test_thread_invariance(self, monkeypatch):
         monkeypatch.setenv("ORTHOCHAN_THREADS", "1")

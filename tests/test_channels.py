@@ -166,6 +166,12 @@ class TestChannelConstruction:
             input_dim(2, 4, 1.5)
         with pytest.raises(ValidationError, match="exceeds kn = 8"):
             exact_trace_moment(2, 1, 2, 4, 1.5, np.eye(12)[0])
+        # math.floor raises ValueError at NaN and OverflowError at infinity
+        for t in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValidationError, match="must be finite"):
+                input_dim(2, 3, t)
+            with pytest.raises(ValidationError, match="must be finite"):
+                exact_trace_moment(2, 1, 2, 3, t, np.eye(3) / 3)
 
     @pytest.mark.parametrize("k, n, t, d", [(3, 30, 0.3, 27), (2, 45, 0.7, 63), (3, 60, 0.15, 27)])
     def test_input_dim_survives_round_off(self, k, n, t, d):

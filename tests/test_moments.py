@@ -304,7 +304,7 @@ def term_report_reference(p, r, k, n, t, state):
     """The report by a nested loop over (alpha, beta) and a stable sort on -|value|."""
     pair_list = enumerate_pairings(p * r)
     delta, gamma = delta_gamma(p, r)
-    table = wg_exact(p * r, k * n)
+    values = wg_exact(p * r, k * n).values
     f_vals = [f_beta(b, state, p) for b in pair_list]
     terms = []
     for i, alpha in enumerate(pair_list):
@@ -312,7 +312,7 @@ def term_report_reference(p, r, k, n, t, state):
         k_exp = connected_components(gamma, alpha)
         scale = float(n) ** n_exp * float(k) ** k_exp
         for j, beta in enumerate(pair_list):
-            wg = float(table.values[i, j])
+            wg = float(values[i, j])
             terms.append((alpha, beta, n_exp, k_exp, f_vals[j], wg, scale * f_vals[j] * wg))
     terms.sort(key=lambda term: -abs(term[6]))
     return terms
@@ -348,11 +348,12 @@ class TestTermReport:
         rng = np.random.default_rng(2)
         psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         psi /= np.linalg.norm(psi)
-        table = wg_exact(4, 6)
+        values = wg_exact(4, 6).values
+        index = {pairing: i for i, pairing in enumerate(enumerate_pairings(4))}
         terms = term_report(2, 2, 2, 3, 0.5, psi)
-        assert len(terms) == len(table.pairings) ** 2
+        assert len(terms) == len(index) ** 2
         for term in terms:
-            wg = table.values[table.index(term.alpha), table.index(term.beta)]
+            wg = values[index[term.alpha], index[term.beta]]
             assert term.wg == wg and type(term.wg) is float
 
     def test_sums_to_exact_value(self):

@@ -2,9 +2,10 @@
 and no private function or class is left with no reader.
 
 The repo runs no linter, so these checks stand in for pyflakes' F401 and
-F822 and for a dead-code pass.  An import kept on purpose (for example, a
-name looked up in a module by an outside tool) is marked ``# noqa: F401`` on
-its line.
+F822 and for a dead-code pass.  An import kept on purpose is marked
+``# noqa: F401`` on its line, and the only purpose allowed is a lookup by the
+benchmark tracer: the (module, name) must be one of ``BOUNDARIES`` in
+``perfbench/spans.py``.
 """
 import ast
 from pathlib import Path
@@ -44,6 +45,35 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def traced_boundaries() -> set[tuple[str, str]]:
+    """(module, attribute path) of every entry of BOUNDARIES in perfbench/spans.py, read without importing it."""
+    for node in ast.parse(SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "BOUNDARIES" for t in node.targets):
+            return {(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts}
+    raise AssertionError(f"no BOUNDARIES in {SPANS}")
+
+
+def kept_imports(path: Path) -> list[tuple[str, str]]:
+    """(module, name) of every import this module keeps on a noqa: F401 line."""
+    lines = path.read_text().splitlines()
+    return [
+        (f"orthochan.{path.stem}", alias.asname or alias.name)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "# noqa: F401" in lines[alias.lineno - 1]
+    ]
+
+
+def test_kept_imports_are_traced_boundaries():
+    # a noqa: F401 import is kept only for the tracer's lookup; once the tracer stops wrapping it, it must go
+    boundaries = traced_boundaries()
+    assert [kept for path in SOURCES for kept in kept_imports(path) if kept not in boundaries] == []
 
 
 def unread_private_definitions(paths) -> list[str]:

@@ -1,8 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from orthochan.errors import EnumerationLimitError, ValidationError
-from orthochan.pairings import enumerate_pairings, Pairing, Permutation
+from orthochan.pairings import coset_types, enumerate_pairings, Pairing, partitions, Permutation
 from orthochan.weingarten import (
     GRAM_EIGENVALUE_CUTOFF,
     gram_matrix,
@@ -95,6 +97,8 @@ class TestExactTable:
         m = 3
         table = wg_exact(m, 9)
         pairings = enumerate_pairings(m)
+        index = {pairing: i for i, pairing in enumerate(pairings)}
+        values = table.values
         rng = np.random.default_rng(3)
         perm = Permutation(tuple(rng.permutation(2 * m)))
         inv = perm.inverse()
@@ -102,7 +106,7 @@ class TestExactTable:
             for b in pairings[:5]:
                 ca = Pairing(perm.compose(a).compose(inv).images)
                 cb = Pairing(perm.compose(b).compose(inv).images)
-                assert table.value(ca, cb) == pytest.approx(table.value(a, b), rel=1e-12)
+                assert values[index[ca], index[cb]] == pytest.approx(values[index[a], index[b]], rel=1e-12)
 
     def test_cache_returns_same_object(self):
         assert wg_exact(2, 5) is wg_exact(2, 5)
@@ -120,7 +124,7 @@ class TestExactTable:
         table = wg_exact(m, n)
         assert table.rank == np.linalg.matrix_rank(gram_matrix(m, n))
         assert table.singular is singular
-        assert table.singular == (table.rank < len(table.pairings))
+        assert table.singular == (table.rank < len(enumerate_pairings(m)))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_singular_exactly_at_integer_n_below_m(self, m):
@@ -130,6 +134,16 @@ class TestExactTable:
     def test_values_are_read_only(self):
         with pytest.raises(ValueError):
             wg_exact(2, 5).values[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            wg_exact(2, 5).coefficients[0] = 0.0
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_table_keeps_one_coefficient_per_coset_type(self, m):
+        # nothing of the pairing count's size is cached with the table
+        table = wg_exact(m, 2 * m + 1)
+        assert [f.name for f in fields(table)] == ["m", "n", "coefficients", "rank", "singular"]
+        assert table.coefficients.shape == (len(partitions(m)),)
+        assert np.array_equal(table.values, table.coefficients[coset_types(m)])
 
 
 @pytest.mark.parametrize("n", [0.0, -2.0, float("nan"), float("inf")])
@@ -144,6 +158,13 @@ def test_dimension_must_be_finite_and_positive(n):
         integrate_monomial([(0, 0), (0, 0)], n)
 
 
+@pytest.mark.parametrize("m", [2.9, 2.0, "2"])
+def test_half_size_must_be_an_integer(m):
+    # int() would build the m = 2 table for each of these
+    with pytest.raises(ValidationError, match="m must be an integer"):
+        wg_exact(m, 3)
+
+
 class TestAsymptotic:
     def test_m1(self):
         p = enumerate_pairings(1)[0]
@@ -155,19 +176,21 @@ class TestAsymptotic:
 
     def test_ratio_near_one_large_n(self):
         n = 1000
-        table = wg_exact(2, n)
-        for i, a in enumerate(table.pairings):
-            for j, b in enumerate(table.pairings):
-                ratio = table.values[i, j] / wg_asymptotic(a, b, n)
+        values = wg_exact(2, n).values
+        pairings = enumerate_pairings(2)
+        for i, a in enumerate(pairings):
+            for j, b in enumerate(pairings):
+                ratio = values[i, j] / wg_asymptotic(a, b, n)
                 assert ratio == pytest.approx(1.0, abs=0.01)
 
     def test_deviation_halves_when_n_doubles(self):
         n = 400
-        t1, t2 = wg_exact(3, n), wg_exact(3, 2 * n)
-        for i, a in enumerate(t1.pairings):
-            for j, b in enumerate(t1.pairings):
-                d1 = abs(t1.values[i, j] / wg_asymptotic(a, b, n) - 1)
-                d2 = abs(t2.values[i, j] / wg_asymptotic(a, b, 2 * n) - 1)
+        w1, w2 = wg_exact(3, n).values, wg_exact(3, 2 * n).values
+        pairings = enumerate_pairings(3)
+        for i, a in enumerate(pairings):
+            for j, b in enumerate(pairings):
+                d1 = abs(w1[i, j] / wg_asymptotic(a, b, n) - 1)
+                d2 = abs(w2[i, j] / wg_asymptotic(a, b, 2 * n) - 1)
                 if d1 > 1e-12:
                     assert d2 <= 0.6 * d1
 
