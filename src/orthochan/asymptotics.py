@@ -5,6 +5,10 @@ combination of the states S_B = (tensor of isotropic states over the pairs of
 B) x (maximally mixed singles), indexed by partial pairings B of the r copies.
 The body K = conv{S_B} attracts every output sequence, and its entropy is
 minimized at maximal B, i.e. at Bell-product inputs.
+
+Every operator of the family is one pairings.wiring_sum of the pair-projector
+wirings T_A: expanding the pair factors of R~_B, S~_B and G_B sums over the
+sub-blocks A of B, and Q~_B sums over the blocks containing B.
 """
 from __future__ import annotations
 
@@ -25,17 +29,15 @@ from .channels import (
     output_state,
 )
 from .errors import BudgetError, OrthochanError, ValidationError, checked_index
-from .moments import _infer_local_dim, f_beta, wiring_matrix
-from .pairings import PartialPairing, enumerate_partial_pairings, pairing_from_partial, wiring_offsets
+from .moments import _infer_local_dim, f_beta
+from .pairings import PartialPairing, enumerate_partial_pairings, pairing_from_partial, wiring_sum
 
 KKT_TOL = 1e-12  # relative slack of the projection's optimality certificate
 
 
-def maximally_entangled(dim: int, normalized: bool = False) -> np.ndarray:
-    """The rank-one pair projector Omega Omega^* on dim^2; trace dim (or 1 if normalized)."""
-    omega_vec = np.eye(dim).reshape(dim * dim)
-    omega = np.outer(omega_vec, omega_vec)
-    return omega / dim if normalized else omega
+def maximally_entangled(dim: int) -> np.ndarray:
+    """The rank-one pair projector Omega Omega^* on dim^2, of trace dim: op_T of one pair."""
+    return op_T(PartialPairing(2, ((0, 1),)), dim)
 
 
 def _check_t(t: float) -> None:
@@ -44,36 +46,23 @@ def _check_t(t: float) -> None:
 
 
 def isotropic_eta(k: int, t: float) -> np.ndarray:
-    """Isotropic state t/k * omega + (1-t)/k^2 * I on k^2."""
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
-    _check_t(t)
-    return (t / k) * maximally_entangled(k) + ((1.0 - t) / k**2) * np.eye(k**2)
+    """Isotropic state t/k * omega + (1-t)/k^2 * I on k^2: op_S_tilde of one pair."""
+    return op_S_tilde(PartialPairing(2, ((0, 1),)), k, t)
 
 
-def _place_factors(pair_op: np.ndarray, single_op: np.ndarray, block: PartialPairing, dim: int) -> np.ndarray:
-    """Tensor the two-site pair_op over block pairs and single_op over singles.
-
-    Sites of the dim^r operator follow the block's own point order 0..r-1.
-    """
-    r = block.n_points
-    args = []
-    for a, b in block.pairs:
-        args.extend((pair_op.reshape(dim, dim, dim, dim), [a, b, r + a, r + b]))
-    for s in block.singles:
-        args.extend((single_op, [s, r + s]))
-    args.append(list(range(2 * r)))
-    return np.einsum(*args).reshape(dim**r, dim**r)
+def _pattern_sum(terms, r: int, dim: int) -> np.ndarray:
+    """Sum of coeff * op_T(block, dim) over the (block, coeff) terms, blocks on r points."""
+    blocks, coeffs = zip(*terms)
+    return wiring_sum([pairing_from_partial(block, 1, r) for block in blocks], coeffs, 1, r, dim)
 
 
 def op_T(block: PartialPairing, k: int) -> np.ndarray:
     """Unnormalized pair projectors over block pairs, identity on singles.
 
     This is the 0/1 wiring pattern of the block's diagram pairing (bumps on
-    both sides of each pair, a horizontal wire through each single), filled
-    by one scatter at its wiring offsets.
+    both sides of each pair, a horizontal wire through each single).
     """
-    return wiring_matrix(pairing_from_partial(block, 1, block.n_points), 1, block.n_points, k)
+    return _pattern_sum([(block, 1.0)], block.n_points, k)
 
 
 def op_T_tilde(block: PartialPairing, d: int) -> np.ndarray:
@@ -84,16 +73,26 @@ def op_T_tilde(block: PartialPairing, d: int) -> np.ndarray:
 def op_R_tilde(block: PartialPairing, k: int, t: float) -> np.ndarray:
     """Signed expansion factor: t(omega/k - I/k^2) on pairs, I/k on singles.
 
+    Expanded, t^|B| sum over A in B of (-1)^(|B|-|A|) k^(|A|-r) T_A.
     Traceless except at the empty block, where the trace is one.
     """
     _check_t(t)
-    pair_op = t * (maximally_entangled(k) / k - np.eye(k**2) / k**2)
-    return _place_factors(pair_op, np.eye(k) / k, block, k)
+    r, b = block.n_points, block.n_pairs
+    terms = [(a, t**b * (-1) ** (b - a.n_pairs) / k ** (r - a.n_pairs)) for a in block.sub_blocks()]
+    return _pattern_sum(terms, r, k)
 
 
 def op_S_tilde(block: PartialPairing, k: int, t: float) -> np.ndarray:
-    """Extremal output state: isotropic states on pairs, maximally mixed singles."""
-    return _place_factors(isotropic_eta(k, t), np.eye(k) / k, block, k)
+    """Extremal output state: isotropic states on pairs, maximally mixed singles.
+
+    Expanded, sum over A in B of t^|A| (1-t)^(|B|-|A|) k^(|A|-r) T_A.
+    """
+    if k < 2:
+        raise ValidationError(f"k must be >= 2, got {k}")
+    _check_t(t)
+    r, b = block.n_points, block.n_pairs
+    terms = [(a, t**a.n_pairs * (1.0 - t) ** (b - a.n_pairs) / k ** (r - a.n_pairs)) for a in block.sub_blocks()]
+    return _pattern_sum(terms, r, k)
 
 
 def _superblocks(block: PartialPairing) -> list[PartialPairing]:
@@ -112,14 +111,8 @@ def op_Q_tilde(block: PartialPairing, d: int) -> np.ndarray:
     These resolve the identity, and their spectra concentrate on {0, 1} as the
     local dimension grows.
     """
-    r = block.n_points
-    size = d**r
-    flat = np.zeros(size * size)
-    for sup in _superblocks(block):
-        flat[wiring_offsets(pairing_from_partial(sup, 1, r), 1, r, d)] += (
-            (-1) ** (sup.n_pairs - block.n_pairs) * (1.0 / d**sup.n_pairs)
-        )
-    return flat.reshape(size, size)
+    terms = [(sup, (-1) ** (sup.n_pairs - block.n_pairs) * (1.0 / d**sup.n_pairs)) for sup in _superblocks(block)]
+    return _pattern_sum(terms, block.n_points, d)
 
 
 def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.ndarray:
@@ -146,7 +139,7 @@ def bell_input(block: PartialPairing, d: int) -> np.ndarray:
         raise ValidationError(
             f"block with {block.n_pairs} pairs on {block.n_points} points is not maximal"
         )
-    return _place_factors(maximally_entangled(d, normalized=True), np.eye(d) / d, block, d)
+    return _pattern_sum([(block, (1.0 / d) ** (block.n_points - block.n_pairs))], block.n_points, d)
 
 
 def bell_state_vector(block: PartialPairing, d: int) -> np.ndarray:
@@ -221,6 +214,8 @@ class ConvexBody:
 
 def convex_body(r: int, k: int, t: float) -> ConvexBody:
     """Build the body for given (r, k, t); vertex order is the canonical block order."""
+    if checked_index(r, "r") < 1:
+        raise ValidationError(f"r must be >= 1, got {r}")
     blocks = tuple(enumerate_partial_pairings(r))
     if len(blocks) * k ** (2 * r) > OUTPUT_TENSOR_BUDGET:
         raise BudgetError(
@@ -319,7 +314,7 @@ def convergence_experiment(
     the result table is reproducible and thread-count independent.
     """
     n_grid = tuple(checked_index(n, "n") for n in n_grid)
-    if not n_grid or samples < 1:
+    if not n_grid or checked_index(samples, "samples") < 1:
         raise ValidationError("need a nonempty n grid and samples >= 1")
     body = convex_body(r, k, t)
     states = [experiment_input(input_rule, r, input_dim(k, n, t)) for n in n_grid]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, InvalidStateError, ValidationError
+from .errors import BudgetError, InvalidStateError, ValidationError, checked_index
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -47,7 +47,7 @@ class RngStream:
     stream: int = 0
 
     def __post_init__(self):
-        if operator.index(self.seed) < 0 or operator.index(self.stream) < 0:
+        if checked_index(self.seed, "seed") < 0 or checked_index(self.stream, "stream") < 0:
             raise ValidationError(
                 f"seed and stream index must be >= 0, got seed={self.seed}, stream={self.stream}"
             )
@@ -142,7 +142,8 @@ def _checked_state(state: np.ndarray, dim: int) -> np.ndarray:
 
 
 def input_dim(k: int, n: int, t: float) -> int:
-    """Channel input dimension d = floor(t*k*n); raise unless 1 <= d <= kn, as an isometry needs."""
+    """Channel input dimension d = floor(t*k*n); raise unless k and n are integers and 1 <= d <= kn."""
+    k, n = checked_index(k, "k"), checked_index(n, "n")
     if not math.isfinite(t * k * n):  # floor would raise ValueError or OverflowError
         raise ValidationError(f"t*k*n must be finite, got t={t}, k={k}, n={n}")
     d = math.floor(t * k * n * (1 + 1e-12))  # lifted over round-off: 0.3*3*30 = 26.999999999999996
@@ -365,7 +366,7 @@ def _sample_stats(samples: int, seed: int, chunk: int, draw: Callable) -> tuple[
     partials are combined in chunk order, so the result is the same under any
     thread count and memory does not grow with the sample count.
     """
-    if samples < 2:
+    if checked_index(samples, "samples") < 2:
         raise ValidationError(f"samples must be >= 2, got {samples}")
 
     def partial(bounds):

@@ -24,7 +24,7 @@ from .asymptotics import (
     von_neumann_entropy,
 )
 from .channels import input_dim, mc_trace_moment
-from .errors import OrthochanError, ValidationError
+from .errors import BudgetError, OrthochanError, ValidationError
 from .moments import (
     CONTRACTION_BUDGET,
     EXACT_PAIRING_CAP,
@@ -32,11 +32,12 @@ from .moments import (
     exact_trace_moment,
     term_report,
 )
-from .pairings import PAIRING_ENUMERATION_CAP, enumerate_pairings, enumerate_partial_pairings
+from .pairings import PAIRING_ENUMERATION_CAP, coset_types, enumerate_pairings, enumerate_partial_pairings
 from .verify import report_text, run_all
 from .weingarten import wg_asymptotic, wg_exact
 
 HARD_DENSE_CAP = 2**26
+WG_HALF_SIZE_CAP = 5  # largest wg --m: (2m-1)!!^2 CSV rows, 893025 at m = 5 and 1.08e8 at m = 6
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -135,13 +136,16 @@ def cmd_pairings(args) -> int:
 
 def cmd_wg(args) -> int:
     config = _config_dict(args, ["m", "n"])
-    values, pairings = wg_exact(args.m, args.n).values, enumerate_pairings(args.m)
-    rows = []
-    for i, a in enumerate(pairings):
-        for j, b in enumerate(pairings):
-            exact = float(values[i, j])
-            asym = wg_asymptotic(a, b, args.n)
-            rows.append((i, j, repr(exact), repr(asym), repr(exact / asym)))
+    if args.m > WG_HALF_SIZE_CAP:
+        raise BudgetError(f"wg --m {args.m} would write (2m-1)!!^2 rows; the cap is m <= {WG_HALF_SIZE_CAP}")
+    table, pairings, types = wg_exact(args.m, args.n), enumerate_pairings(args.m), coset_types(args.m)
+    # exact, asymptotic and ratio depend only on the coset type: format them once per type
+    first = types[0].tolist()
+    cells = []
+    for kind, exact in enumerate(table.coefficients.tolist()):
+        asym = wg_asymptotic(pairings[0], pairings[first.index(kind)], args.n)
+        cells.append(f"{exact!r},{asym!r},{exact / asym!r}")
+    rows = ((i, j, cells[kind]) for i, row in enumerate(types.tolist()) for j, kind in enumerate(row))
     _write(args.out, _csv_output(config, ["alpha_index", "beta_index", "exact", "asymptotic", "ratio"], rows))
     return 0
 

@@ -32,7 +32,7 @@ from .pairings import (
     enumerate_partial_pairings,
     pairing_from_partial,
     type_lengths,
-    wiring_offsets,
+    wiring_sum,
 )
 from .weingarten import wg_exact
 
@@ -126,14 +126,11 @@ def wiring_matrix(pairing: Pairing, p: int, r: int, dim: int) -> np.ndarray:
     """Dense delta-pattern matrix of a diagram pairing on (C^dim)^(pr).
 
     Rows are indexed by the R-side legs in (copy, channel) order, columns by
-    the L-side legs; entry 1 where every pair's two leg indices agree.  The
-    ones are scattered at pairings.wiring_offsets.  This is the dense
-    counterpart of f_beta, kept for oracle use; its operator norm is dim^bumps.
+    the L-side legs; entry 1 where every pair's two leg indices agree.  This
+    is the dense counterpart of f_beta, kept for oracle use; its operator norm
+    is dim^bumps.
     """
-    size = dim ** (p * r)
-    out = np.zeros(size * size)
-    out[wiring_offsets(pairing, p, r, dim)] = 1.0
-    return out.reshape(size, size)
+    return wiring_sum([pairing], [1.0], p, r, dim)
 
 
 def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, budget: int):
@@ -188,13 +185,9 @@ def exact_mean_output(r: int, k: int, n: int, t: float, state: np.ndarray) -> np
     pair_list, n_exp, _, f_vals, table = _engine_arrays(
         1, r, k, n, t, state, EXACT_PAIRING_CAP, CONTRACTION_BUDGET
     )
-    coeff = table.values @ f_vals
-    size = k**r
-    flat = np.zeros(size * size, dtype=complex)
-    for i, alpha in enumerate(pair_list):
-        flat[wiring_offsets(alpha, 1, r, k)] += float(n) ** n_exp[i] * coeff[i]
+    coeffs = float(n) ** n_exp * (table.values @ f_vals)
     # rows of the mean output are L legs, hence the transpose
-    return np.ascontiguousarray(flat.reshape(size, size).T)
+    return np.ascontiguousarray(wiring_sum(pair_list, coeffs, 1, r, k).T)
 
 
 def term_report(

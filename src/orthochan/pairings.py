@@ -140,6 +140,11 @@ class PartialPairing:
     def contains(self, other: "PartialPairing") -> bool:
         return set(other.pairs) <= set(self.pairs)
 
+    def sub_blocks(self) -> list["PartialPairing"]:
+        """Every partial pairing contained in this one, by pair count, then in combinations order."""
+        sizes = range(self.n_pairs + 1)
+        return [PartialPairing(self.n_points, sub) for j in sizes for sub in itertools.combinations(self.pairs, j)]
+
     def sort_key(self):
         return (self.n_pairs, self.pairs)
 
@@ -431,6 +436,19 @@ def wiring_offsets(pairing: Pairing, p: int, r: int, dim: int) -> np.ndarray:
     return offsets
 
 
+def wiring_sum(pairings, coeffs, p: int, r: int, dim: int) -> np.ndarray:
+    """sum_i coeffs[i] times the delta pattern of pairings[i], a dim^(pr) x dim^(pr) matrix.
+
+    Starts from zeros of coeffs' dtype and adds each coefficient at its
+    pairing's wiring_offsets, in order, so no dense matrix is formed per term.
+    """
+    coeffs = np.asarray(coeffs)
+    flat = np.zeros(dim ** (2 * p * r), dtype=coeffs.dtype)
+    for pairing, coeff in zip(pairings, coeffs, strict=True):
+        flat[wiring_offsets(pairing, p, r, dim)] += coeff
+    return flat.reshape(dim ** (p * r), -1)
+
+
 def bumps(beta: Pairing, p: int, r: int) -> int:
     """Number of pairs of beta joining two R-side endpoints."""
     _check_diagram_size(beta, p, r)
@@ -538,12 +556,7 @@ def dominant_pairs(p: int, r: int, inward_only: bool = False) -> list[tuple[Part
     blocks = enumerate_partial_pairings(p * r)
     if inward_only:
         blocks = [b for b in blocks if all(c1 // r == c2 // r for c1, c2 in b.pairs)]
-    out = []
-    for block in blocks:
-        for size in range(block.n_pairs + 1):
-            for sub in itertools.combinations(block.pairs, size):
-                out.append((PartialPairing(block.n_points, sub), block))
-    return out
+    return [(sub, block) for block in blocks for sub in block.sub_blocks()]
 
 
 def combine_copies(blocks: list[PartialPairing], r: int) -> PartialPairing:

@@ -31,10 +31,21 @@ from orthochan.errors import BudgetError, InvalidStateError, OrthochanError, Val
 from orthochan.pairings import PartialPairing, enumerate_partial_pairings
 
 
-def sub_blocks(block):
-    for m in range(block.n_pairs + 1):
-        for sub in itertools.combinations(block.pairs, m):
-            yield PartialPairing(block.n_points, sub)
+def _place_factors(pair_op, single_op, block, dim):
+    """Dense reference: pair_op tensored over the block's pairs, single_op over its singles, by einsum."""
+    r = block.n_points
+    args = []
+    for a, b in block.pairs:
+        args.extend((pair_op.reshape(dim, dim, dim, dim), [a, b, r + a, r + b]))
+    for s in block.singles:
+        args.extend((single_op, [s, r + s]))
+    args.append(list(range(2 * r)))
+    return np.einsum(*args).reshape(dim**r, dim**r)
+
+
+def omega(dim):
+    vec = np.eye(dim).reshape(dim * dim)
+    return np.outer(vec, vec)
 
 
 class TestIsotropicState:
@@ -47,6 +58,12 @@ class TestIsotropicState:
     def test_eigenvalues_k2_t_half(self):
         eigs = np.sort(np.linalg.eigvalsh(isotropic_eta(2, 0.5)))
         assert np.allclose(eigs, [0.125, 0.125, 0.125, 0.625])
+
+    def test_k_below_two_rejected(self):
+        # the one-pair state and every extremal state share op_S_tilde's check
+        for call in (lambda: isotropic_eta(1, 0.5), lambda: op_S_tilde(PartialPairing(3, ((0, 2),)), 1, 0.5)):
+            with pytest.raises(ValidationError, match="k must be >= 2"):
+                call()
 
     def test_t_range_validated(self):
         # the operator family and the mean-output limit share the state's check
@@ -80,7 +97,7 @@ class TestOperatorFamily:
     def test_s_is_sum_of_r_over_sub_blocks(self, r):
         for k, t in ((2, 0.3), (3, 0.7)):
             for block in enumerate_partial_pairings(r):
-                total = sum(op_R_tilde(sub, k, t) for sub in sub_blocks(block))
+                total = sum(op_R_tilde(sub, k, t) for sub in block.sub_blocks())
                 assert np.max(np.abs(op_S_tilde(block, k, t) - total)) < 1e-12
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -89,7 +106,7 @@ class TestOperatorFamily:
         for block in enumerate_partial_pairings(r):
             total = sum(
                 (-1) ** (block.n_pairs - sub.n_pairs) * op_S_tilde(sub, k, t)
-                for sub in sub_blocks(block)
+                for sub in block.sub_blocks()
             )
             assert np.max(np.abs(op_R_tilde(block, k, t) - total)) < 1e-12
 
@@ -119,14 +136,22 @@ class TestOperatorFamily:
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_op_t_scatter_matches_dense_construction(self, r):
-        # the scatter fill against the generic tensor-placement route
-        from orthochan.asymptotics import _place_factors
-
+        # the signed pattern sums against the tensor products of their pair and single factors
         for d in (2, 3):
             for block in enumerate_partial_pairings(r):
                 scattered = op_T(block, d)
-                dense = _place_factors(maximally_entangled(d), np.eye(d), block, d)
+                dense = _place_factors(omega(d), np.eye(d), block, d)
                 assert np.array_equal(scattered, dense)
+                for t in (0.0, 0.3, 0.5, 1.0):
+                    eta = (t / d) * omega(d) + ((1.0 - t) / d**2) * np.eye(d**2)
+                    r_pair = t * (omega(d) / d - np.eye(d**2) / d**2)
+                    s_dense = _place_factors(eta, np.eye(d) / d, block, d)
+                    r_dense = _place_factors(r_pair, np.eye(d) / d, block, d)
+                    assert np.max(np.abs(op_S_tilde(block, d, t) - s_dense)) <= 1e-15
+                    assert np.max(np.abs(op_R_tilde(block, d, t) - r_dense)) <= 1e-15
+                if block.is_maximal():
+                    dense = _place_factors(omega(d) / d, np.eye(d) / d, block, d)
+                    assert np.max(np.abs(bell_input(block, d) - dense)) <= 1e-15
 
 
 class TestMeanOutputAsymptotic:
@@ -175,7 +200,7 @@ class TestBellInput:
     def test_r3_has_mixed_factor(self):
         d = 3
         g = bell_input(PartialPairing(3, ((0, 1),)), d)
-        omega_hat = maximally_entangled(d, normalized=True)
+        omega_hat = maximally_entangled(d) / d
         assert np.max(np.abs(g - np.kron(omega_hat, np.eye(d) / d))) < 1e-12
 
     def test_non_maximal_rejected(self):
@@ -400,6 +425,16 @@ class TestConvergenceExperiment:
         # int() would run n = 8 and report n_grid == (8,)
         with pytest.raises(ValidationError, match="n must be an integer"):
             convergence_experiment("bell", 2, 2, 0.5, (n,), 2, 0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: convex_body(0, 2, 0.5), lambda: convergence_experiment("product", 0, 2, 0.5, (8,), 2, 0)],
+        ids=["body", "experiment"],
+    )
+    def test_r_below_one_rejected(self, call):
+        # one partial pairing of no points would make a 1 x 1 body
+        with pytest.raises(ValidationError, match="r must be >= 1"):
+            call()
 
     def test_thread_invariance(self, monkeypatch):
         monkeypatch.setenv("ORTHOCHAN_THREADS", "1")

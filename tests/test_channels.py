@@ -26,6 +26,7 @@ from orthochan.channels import (
     validate_state_vector,
     worker_count,
 )
+from orthochan.asymptotics import convergence_experiment
 from orthochan.errors import InvalidStateError, ValidationError
 from orthochan.moments import exact_trace_moment
 from orthochan.weingarten import integrate_monomial
@@ -138,6 +139,18 @@ class TestHaarSampling:
             assert abs(vals.mean() - target) < 3 * se
 
 
+INTEGER_ARGUMENTS = {
+    "mc-samples": (lambda: mc_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, 2.5, 0), "samples"),
+    "mc-seed": (lambda: mc_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, 10, 1.5), "seed"),
+    "experiment-samples": (lambda: convergence_experiment("bell", 2, 2, 0.5, (8,), 2.5, 0), "samples"),
+    "channel-n": (lambda: make_channel(2, 2.5, 0.5, RngStream(0)), "n"),
+    "exact-n": (lambda: exact_trace_moment(2, 1, 2, 2.5, 0.5, np.eye(2) / 2), "n"),
+    "input-dim-k": (lambda: input_dim(2.0, 3, 0.5), "k"),
+    "stream-seed": (lambda: RngStream(1.5), "seed"),
+    "stream-index": (lambda: RngStream(0, 2.5), "stream"),
+}
+
+
 class TestChannelConstruction:
     def test_dimensions(self):
         spec = make_channel(2, 4, 0.5, RngStream(0))
@@ -172,6 +185,12 @@ class TestChannelConstruction:
                 input_dim(2, 3, t)
             with pytest.raises(ValidationError, match="must be finite"):
                 exact_trace_moment(2, 1, 2, 3, t, np.eye(3) / 3)
+
+    @pytest.mark.parametrize("call, what", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+    def test_integer_arguments_raise_validation_error(self, call, what):
+        # neither a TypeError from deep inside nor a value for a truncated dimension
+        with pytest.raises(ValidationError, match=f"{what} must be an integer"):
+            call()
 
     @pytest.mark.parametrize("k, n, t, d", [(3, 30, 0.3, 27), (2, 45, 0.7, 63), (3, 60, 0.15, 27)])
     def test_input_dim_survives_round_off(self, k, n, t, d):

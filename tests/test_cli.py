@@ -54,6 +54,31 @@ class TestSubcommands:
         first = lines[2].split(",")
         assert float(first[2]) == pytest.approx(11 / (10 * 9 * 12))
 
+    @pytest.mark.parametrize("m, n", [(1, 5.0), (2, 10.0), (3, 2.5), (3, 10.0)])
+    def test_wg_table_matches_per_pair_reference(self, capsys, m, n):
+        # the cells are formatted once per coset type; a per-pair loop must give the same bytes
+        from orthochan.pairings import enumerate_pairings
+        from orthochan.weingarten import wg_asymptotic, wg_exact
+
+        code, out = run_cli(capsys, "wg", "--m", str(m), "--n", str(n))
+        assert code == 0
+        values, pairings = wg_exact(m, n).values, enumerate_pairings(m)
+        expected = ["alpha_index,beta_index,exact,asymptotic,ratio"]
+        for i, a in enumerate(pairings):
+            for j, b in enumerate(pairings):
+                exact, asym = float(values[i, j]), wg_asymptotic(a, b, n)
+                expected.append(f"{i},{j},{exact!r},{asym!r},{exact / asym!r}")
+        assert out.splitlines()[1:] == expected
+
+    def test_wg_refuses_m6_before_building_a_table(self, capsys, monkeypatch):
+        import orthochan.cli as cli
+
+        built = []
+        monkeypatch.setattr(cli, "wg_exact", lambda *args: built.append(args))
+        monkeypatch.setattr(cli, "coset_types", lambda *args: built.append(args))
+        code, out = run_cli(capsys, "wg", "--m", "6", "--n", "10")
+        assert code == 3 and out == "" and built == []
+
     def test_moment_trace_preservation(self, capsys):
         code, out = run_cli(
             capsys, "moment", "--p", "1", "--r", "2", "--k", "2", "--n", "4",

@@ -34,6 +34,7 @@ from orthochan.pairings import (
     enumerate_partial_pairings,
     length,
     pairing_from_partial,
+    wiring_sum,
 )
 from orthochan.weingarten import wg_exact
 
@@ -171,6 +172,19 @@ class TestWiringMatrix:
                 out = wiring_matrix(beta, p, m // p, dim)
                 assert out.dtype == reference.dtype
                 assert out.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("p, m", [(1, 3), (2, 2)])
+    def test_wiring_sum_is_the_ordered_sum_of_patterns(self, p, m):
+        # each coefficient lands once per entry of its pattern, in the given order
+        rng = np.random.default_rng(m)
+        pairings = enumerate_pairings(m)
+        for coeffs in (rng.standard_normal(len(pairings)), rng.standard_normal(len(pairings)) + 1j):
+            reference = np.zeros((2**m, 2**m), dtype=coeffs.dtype)
+            for beta, c in zip(pairings, coeffs):
+                reference += c * einsum_wiring(beta, p, m // p, 2)
+            out = wiring_sum(pairings, coeffs, p, m // p, 2)
+            assert out.dtype == coeffs.dtype
+            assert np.array_equal(out, reference)
 
 
 class TestExactTraceMoment:

@@ -11,16 +11,31 @@ singular n < m needs no special case.
 
 For the basis product input every f_beta is 1, and the exact trace moment is
 an exact rational: the common row sum of Wg times sum_a n^cc(delta, a) k^cc(gamma, a).
+The maximally mixed input and the Bell-pair input contract p copies of the
+state into one fixed wiring eta (delta itself, or the pairs of neighbouring
+cells on each side), so f_beta = d^cc(beta, eta) / d^cc(delta, eta) and the
+moment is an exact rational too.
 """
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
-from orthochan.asymptotics import basis_product_state
-from orthochan.moments import exact_trace_moment
-from orthochan.pairings import coset_types, delta_gamma, enumerate_pairings, partitions
+from orthochan.asymptotics import basis_product_state, bell_state_vector, maximal_block
+from orthochan.moments import exact_trace_moment, f_beta
+from orthochan.pairings import (
+    SIDE_L,
+    SIDE_R,
+    Pairing,
+    box_index,
+    coset_types,
+    delta_gamma,
+    enumerate_pairings,
+    partitions,
+    type_lengths,
+)
 from orthochan.weingarten import wg_exact
 
 
@@ -184,3 +199,78 @@ def test_m6_basis_product_moments(p, r, n):
     assert exact_basis_moment(p, r, 2, n) == exact
     value = exact_trace_moment(p, r, 2, n, 0.5, basis_product_state(n, r), cap=12)
     assert relative_error(value, exact) <= rtol
+
+
+def bell_wiring(p: int, r: int) -> Pairing:
+    """The wiring of p copies of the Bell-pair input: cells 2j and 2j + 1 of each copy joined on each side."""
+    return Pairing.from_pairs(
+        [(box_index(i, x, side, p, r), box_index(i, x + 1, side, p, r))
+         for i in range(p) for x in range(0, r, 2) for side in (SIDE_L, SIDE_R)],
+        2 * p * r,
+    )
+
+
+def exact_wired_moment(p: int, r: int, k: int, n: int, d: int, eta: Pairing) -> Fraction:
+    """E Tr Z^p for an input with f_beta = d^cc(beta, eta) / d^cc(delta, eta).
+
+    The double sum is grouped by (cc(delta, a), cc(gamma, a), type(a, b),
+    cc(b, eta)), each cell a count times one rational term.
+    """
+    m = p * r
+    wg, _ = exact_weingarten(m, k * n)
+    types, lengths, pairs = coset_types(m), type_lengths(m), enumerate_pairings(m)
+    delta, gamma = delta_gamma(p, r)
+    cc_delta, cc_gamma, cc_eta = (lengths[types[pairs.index(w)]] for w in (delta, gamma, eta))
+    base, kinds = m + 1, len(wg)
+    keys = ((cc_delta[:, None] * base + cc_gamma[:, None]) * kinds + types) * base + cc_eta[None, :]
+    total = Fraction(0)
+    for key, count in zip(*(column.tolist() for column in np.unique(keys, return_counts=True))):
+        rest, c_eta = divmod(key, base)
+        rest, lam = divmod(rest, kinds)
+        c_delta, c_gamma = divmod(rest, base)
+        total += count * n**c_delta * k**c_gamma * wg[lam] * Fraction(d) ** c_eta
+    return total / Fraction(d) ** int(cc_eta[pairs.index(delta)])
+
+
+@pytest.mark.parametrize("p,r", [(1, 2), (2, 2), (1, 4), (3, 1)])
+def test_wired_inputs_contract_to_a_power_of_d(p, r):
+    # the premise of exact_wired_moment, checked pairing by pairing against the engine's contraction
+    d = 3
+    types, lengths, pairs = coset_types(p * r), type_lengths(p * r), enumerate_pairings(p * r)
+    inputs = [(delta_gamma(p, r)[0], np.eye(d**r) / d**r)]
+    if r % 2 == 0:
+        inputs.append((bell_wiring(p, r), bell_state_vector(maximal_block(r), d)))
+    for eta, state in inputs:
+        cc_eta = lengths[types[pairs.index(eta)]]
+        norm = d ** int(cc_eta[pairs.index(delta_gamma(p, r)[0])])
+        for beta, cc in zip(pairs, cc_eta.tolist()):
+            assert f_beta(beta, state, p) == pytest.approx(d**cc / norm, rel=1e-12, abs=0)
+
+
+# worst relative error of the engine's moment per m = pr, for the maximally
+# mixed input at every (p, r) and the Bell-pair input at even r
+MIXED_RTOL = {1: 0.0, 2: 5e-16, 3: 1.2e-15, 4: 1e-14, 5: 1.5e-13}
+BELL_CASES = [(p, r) for p, r in BASIS_CASES if r % 2 == 0]
+BELL_RTOL = {2: 7e-16, 4: 3e-14}
+
+
+@pytest.mark.parametrize("p,r", BASIS_CASES, ids=[f"p{p}_r{r}" for p, r in BASIS_CASES])
+def test_mixed_input_moments_match_rationals(p, r):
+    k, t = 2, 0.5
+    worst = 0.0
+    for n in (2, 3, 4):
+        exact = exact_wired_moment(p, r, k, n, n, delta_gamma(p, r)[0])
+        value = exact_trace_moment(p, r, k, n, t, np.eye(n**r) / n**r, cap=2 * p * r)
+        worst = max(worst, relative_error(value, exact))
+    assert worst <= MIXED_RTOL[p * r]
+
+
+@pytest.mark.parametrize("p,r", BELL_CASES, ids=[f"p{p}_r{r}" for p, r in BELL_CASES])
+def test_bell_input_moments_match_rationals(p, r):
+    k, t = 2, 0.5
+    worst = 0.0
+    for n in (2, 3, 4):
+        exact = exact_wired_moment(p, r, k, n, n, bell_wiring(p, r))
+        value = exact_trace_moment(p, r, k, n, t, bell_state_vector(maximal_block(r), n), cap=2 * p * r)
+        worst = max(worst, relative_error(value, exact))
+    assert worst <= BELL_RTOL[p * r]

@@ -1,14 +1,20 @@
-"""The README's Python examples run against the library as it is."""
+"""The README's Python examples and CLI examples run against the library as it is."""
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from orthochan.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
-BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.DOTALL | re.MULTILINE)
+README = (ROOT / "README.md").read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.DOTALL | re.MULTILINE)
+CLI_BLOCK = re.search(r"^## CLI examples\n\n```sh\n(.*?)^```", README, re.DOTALL | re.MULTILINE).group(1)
+CLI_LINES = [line for line in CLI_BLOCK.splitlines() if line.startswith("orthochan ")]
 
 
 def test_readme_has_python_examples():
@@ -23,3 +29,15 @@ def test_readme_python_block_runs(code):
         [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_has_cli_examples():
+    assert len(CLI_LINES) >= 6
+
+
+@pytest.mark.parametrize("line", CLI_LINES, ids=[shlex.split(line)[1] for line in CLI_LINES])
+def test_readme_cli_example_exits_0(line, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(shlex.split(line)[1:] + ["--out", str(out)]) == 0
+    assert out.read_text()
+    assert "error:" not in capsys.readouterr().err
