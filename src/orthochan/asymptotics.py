@@ -87,22 +87,11 @@ def op_S_tilde(block: PartialPairing, k: int, t: float) -> np.ndarray:
 
     Expanded, sum over A in B of t^|A| (1-t)^(|B|-|A|) k^(|A|-r) T_A.
     """
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
+    k = checked_index(k, "k", 2)
     _check_t(t)
     r, b = block.n_points, block.n_pairs
     terms = [(a, t**a.n_pairs * (1.0 - t) ** (b - a.n_pairs) / k ** (r - a.n_pairs)) for a in block.sub_blocks()]
     return _pattern_sum(terms, r, k)
-
-
-def _superblocks(block: PartialPairing) -> list[PartialPairing]:
-    """All partial pairings containing the given one."""
-    out = []
-    singles = block.singles
-    for extra in enumerate_partial_pairings(len(singles)):
-        pairs = block.pairs + tuple((singles[a], singles[b]) for a, b in extra.pairs)
-        out.append(PartialPairing(block.n_points, pairs))
-    return out
 
 
 def op_Q_tilde(block: PartialPairing, d: int) -> np.ndarray:
@@ -111,7 +100,8 @@ def op_Q_tilde(block: PartialPairing, d: int) -> np.ndarray:
     These resolve the identity, and their spectra concentrate on {0, 1} as the
     local dimension grows.
     """
-    terms = [(sup, (-1) ** (sup.n_pairs - block.n_pairs) * (1.0 / d**sup.n_pairs)) for sup in _superblocks(block)]
+    supers = [s for s in enumerate_partial_pairings(block.n_points) if s.contains(block)]
+    terms = [(sup, (-1) ** (sup.n_pairs - block.n_pairs) * (1.0 / d**sup.n_pairs)) for sup in supers]
     return _pattern_sum(terms, block.n_points, d)
 
 
@@ -156,7 +146,7 @@ def bell_state_vector(block: PartialPairing, d: int) -> np.ndarray:
 
 def basis_product_state(d: int, r: int) -> np.ndarray:
     """The product input e_0^(tensor r) as a unit vector on d^r."""
-    psi = np.zeros(d**r)
+    psi = np.zeros(checked_index(d, "d", 1) ** checked_index(r, "r", 1))
     psi[0] = 1.0
     return psi
 
@@ -214,8 +204,7 @@ class ConvexBody:
 
 def convex_body(r: int, k: int, t: float) -> ConvexBody:
     """Build the body for given (r, k, t); vertex order is the canonical block order."""
-    if checked_index(r, "r") < 1:
-        raise ValidationError(f"r must be >= 1, got {r}")
+    r = checked_index(r, "r", 1)
     blocks = tuple(enumerate_partial_pairings(r))
     if len(blocks) * k ** (2 * r) > OUTPUT_TENSOR_BUDGET:
         raise BudgetError(
@@ -280,6 +269,7 @@ def maximal_block(r: int) -> PartialPairing:
 
 def experiment_input(rule: str, r: int, d: int) -> np.ndarray:
     """Input state for a convergence run: Bell-product or basis product."""
+    r = checked_index(r, "r", 1)
     if rule == "bell":
         block = maximal_block(r)
         if r % 2 == 0:
@@ -313,9 +303,10 @@ def convergence_experiment(
     Draw s of grid point index g uses random stream (seed, g*samples + s), so
     the result table is reproducible and thread-count independent.
     """
-    n_grid = tuple(checked_index(n, "n") for n in n_grid)
-    if not n_grid or checked_index(samples, "samples") < 1:
-        raise ValidationError("need a nonempty n grid and samples >= 1")
+    n_grid = tuple(checked_index(n, "n", 1) for n in n_grid)
+    samples = checked_index(samples, "samples", 1)
+    if not n_grid:
+        raise ValidationError("need a nonempty n grid")
     body = convex_body(r, k, t)
     states = [experiment_input(input_rule, r, input_dim(k, n, t)) for n in n_grid]
 

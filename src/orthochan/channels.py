@@ -47,10 +47,8 @@ class RngStream:
     stream: int = 0
 
     def __post_init__(self):
-        if checked_index(self.seed, "seed") < 0 or checked_index(self.stream, "stream") < 0:
-            raise ValidationError(
-                f"seed and stream index must be >= 0, got seed={self.seed}, stream={self.stream}"
-            )
+        checked_index(self.seed, "seed")
+        checked_index(self.stream, "stream")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
@@ -81,9 +79,7 @@ def worker_count() -> int:
         threads = int(raw)
     except ValueError:
         raise ValidationError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    if threads < 1:
-        raise ValidationError(f"thread count must be >= 1, got {threads}")
-    return threads
+    return checked_index(threads, THREADS_ENV_VAR, 1)
 
 
 def _check_hermitian_unit_trace(rho: np.ndarray) -> None:
@@ -142,8 +138,8 @@ def _checked_state(state: np.ndarray, dim: int) -> np.ndarray:
 
 
 def input_dim(k: int, n: int, t: float) -> int:
-    """Channel input dimension d = floor(t*k*n); raise unless k and n are integers and 1 <= d <= kn."""
-    k, n = checked_index(k, "k"), checked_index(n, "n")
+    """Channel input dimension d = floor(t*k*n); raise unless k and n are integers >= 1 and 1 <= d <= kn."""
+    k, n = checked_index(k, "k", 1), checked_index(n, "n", 1)
     if not math.isfinite(t * k * n):  # floor would raise ValueError or OverflowError
         raise ValidationError(f"t*k*n must be finite, got t={t}, k={k}, n={n}")
     d = math.floor(t * k * n * (1 + 1e-12))  # lifted over round-off: 0.3*3*30 = 26.999999999999996
@@ -244,8 +240,7 @@ def _stream_generators(seed: int, lo: int, hi: int) -> Iterator[np.random.Genera
 
 def sample_haar_orthogonal(dim: int, rng: RngStream) -> np.ndarray:
     """Haar-distributed orthogonal matrix: QR of a Gaussian matrix plus sign fix."""
-    if dim < 1:
-        raise ValidationError(f"dimension must be >= 1, got {dim}")
+    dim = checked_index(dim, "dimension", 1)
     return _haar_columns([rng.generator()], 1, dim, dim)[0]
 
 
@@ -254,8 +249,6 @@ def make_channel(k: int, n: int, t: float, rng: RngStream) -> ChannelSpec:
 
     The isometry is the first d columns of sample_haar_orthogonal(k*n, rng).
     """
-    if k < 1 or n < 1:
-        raise ValidationError(f"k and n must be >= 1, got k={k}, n={n}")
     d = input_dim(k, n, t)
     v = _haar_columns([rng.generator()], 1, k * n, d)[0]
     v.setflags(write=False)
@@ -323,8 +316,7 @@ def _output_batch(v: np.ndarray, factor: np.ndarray, k: int, n: int, r: int, col
 
 def output_state(spec: ChannelSpec, r: int, state: np.ndarray) -> np.ndarray:
     """Output of the r-th tensor power on a pure vector or a density matrix."""
-    if r < 1:
-        raise ValidationError(f"r must be >= 1, got {r}")
+    r = checked_index(r, "r", 1)
     cols = _block_columns(spec.k, spec.n, r)
     factor = _state_components(state, spec.d**r)
     return _output_batch(spec.isometry[None], factor, spec.k, spec.n, r, cols)[0].astype(complex)
@@ -366,8 +358,7 @@ def _sample_stats(samples: int, seed: int, chunk: int, draw: Callable) -> tuple[
     partials are combined in chunk order, so the result is the same under any
     thread count and memory does not grow with the sample count.
     """
-    if checked_index(samples, "samples") < 2:
-        raise ValidationError(f"samples must be >= 2, got {samples}")
+    samples = checked_index(samples, "samples", 2)
 
     def partial(bounds):
         lo, hi = bounds
@@ -390,7 +381,7 @@ def _trace_power_batch(z: np.ndarray, p: int) -> np.ndarray:
 
 def _output_draw(r: int, k: int, n: int, t: float, state: np.ndarray):
     """Chunk size and draw(gens, count) -> outputs (count, k^r, k^r) of r-th channel powers."""
-    d = input_dim(k, n, t)
+    r, d = checked_index(r, "r", 1), input_dim(k, n, t)
     cols = _block_columns(k, n, r)
     factor = _state_components(state, d**r)
     cols = min(cols, factor.shape[1])
@@ -410,8 +401,7 @@ def mc_trace_moment(
     in a fixed order, so the result is bitwise reproducible for a given seed
     under any thread count.
     """
-    if p < 1:
-        raise ValidationError(f"p must be >= 1, got {p}")
+    p = checked_index(p, "p", 1)
     chunk, outputs = _output_draw(r, k, n, t, state)
 
     def draw(gens, count):

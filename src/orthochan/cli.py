@@ -24,7 +24,7 @@ from .asymptotics import (
     von_neumann_entropy,
 )
 from .channels import input_dim, mc_trace_moment
-from .errors import BudgetError, OrthochanError, ValidationError
+from .errors import BudgetError, OrthochanError, ValidationError, checked_index
 from .moments import (
     CONTRACTION_BUDGET,
     EXACT_PAIRING_CAP,
@@ -32,12 +32,17 @@ from .moments import (
     exact_trace_moment,
     term_report,
 )
-from .pairings import PAIRING_ENUMERATION_CAP, coset_types, enumerate_pairings, enumerate_partial_pairings
+from .pairings import (
+    PAIR_LISTING_HALF_SIZE_CAP,
+    PAIRING_ENUMERATION_CAP,
+    coset_types,
+    enumerate_pairings,
+    enumerate_partial_pairings,
+)
 from .verify import report_text, run_all
 from .weingarten import wg_asymptotic, wg_exact
 
 HARD_DENSE_CAP = 2**26
-WG_HALF_SIZE_CAP = 5  # largest wg --m: (2m-1)!!^2 CSV rows, 893025 at m = 5 and 1.08e8 at m = 6
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -91,10 +96,8 @@ def _number_cell(z: complex) -> str:
 
 
 def _validate_common(args):
-    if hasattr(args, "k") and args.k < 2:
-        raise ValidationError(f"k must be >= 2, got {args.k}")
-    if hasattr(args, "r") and args.r < 1:
-        raise ValidationError(f"r must be >= 1, got {args.r}")
+    if hasattr(args, "k"):
+        checked_index(args.k, "k", 2)
     if hasattr(args, "t") and not (0.0 < args.t < 1.0):
         raise ValidationError(f"t must lie in (0, 1), got {args.t}")
     if hasattr(args, "max_pairing_size") and args.max_pairing_size > EXACT_PAIRING_HARD_CAP:
@@ -136,8 +139,8 @@ def cmd_pairings(args) -> int:
 
 def cmd_wg(args) -> int:
     config = _config_dict(args, ["m", "n"])
-    if args.m > WG_HALF_SIZE_CAP:
-        raise BudgetError(f"wg --m {args.m} would write (2m-1)!!^2 rows; the cap is m <= {WG_HALF_SIZE_CAP}")
+    if args.m > PAIR_LISTING_HALF_SIZE_CAP:
+        raise BudgetError(f"wg --m {args.m} would write (2m-1)!!^2 rows; the cap is m <= {PAIR_LISTING_HALF_SIZE_CAP}")
     table, pairings, types = wg_exact(args.m, args.n), enumerate_pairings(args.m), coset_types(args.m)
     # exact, asymptotic and ratio depend only on the coset type: format them once per type
     first = types[0].tolist()
@@ -278,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"cap on 2pr for the double pairing sum (default {EXACT_PAIRING_CAP}, hard "
         f"bound {EXACT_PAIRING_HARD_CAP}; at 2pr={EXACT_PAIRING_HARD_CAP} a cold Weingarten table gathers a "
         f"transient {PAIRING_ENUMERATION_CAP}^2 float64 Gram matrix of "
-        f"{PAIRING_ENUMERATION_CAP**2 * 8 / 1e9:.1f} GB, and --report terms lists {PAIRING_ENUMERATION_CAP**2:.1e} terms)",
+        f"{PAIRING_ENUMERATION_CAP**2 * 8 / 1e9:.1f} GB; --report terms exits 3 above "
+        f"2pr={2 * PAIR_LISTING_HALF_SIZE_CAP}, where it would list {PAIRING_ENUMERATION_CAP**2:.1e} terms)",
     )
     sp.add_argument(
         "--max-dense-dim", type=int, default=CONTRACTION_BUDGET,

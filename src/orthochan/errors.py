@@ -32,9 +32,12 @@ class EnumerationLimitError(BudgetError):
     """A combinatorial enumeration would exceed its configured cap."""
 
 
-def checked_index(value, what: str) -> int:
-    """value as an int by operator.index; a float, string or other non-integer raises, never truncates."""
+def checked_index(value, what: str, least: int = 0) -> int:
+    """value as an int >= least by operator.index; a float, string or other non-integer raises, never truncates."""
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    if index < least:
+        raise ValidationError(f"{what} must be >= {least}, got {value}")
+    return index

@@ -18,8 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import _checked_state, input_dim
-from .errors import BudgetError, EnumerationLimitError, ValidationError
+from .errors import BudgetError, EnumerationLimitError, ValidationError, checked_index
 from .pairings import (
+    PAIR_LISTING_HALF_SIZE_CAP,
     PAIRING_HALF_SIZE_CAP,
     Pairing,
     PartialPairing,
@@ -28,6 +29,7 @@ from .pairings import (
     coset_types,
     delta_gamma,
     dominant_pairs,
+    double_factorial_odd,
     enumerate_pairings,
     enumerate_partial_pairings,
     pairing_from_partial,
@@ -63,34 +65,6 @@ def _infer_local_dim(total: int, copies: int) -> int:
     raise ValidationError(f"state dimension {total} is not a perfect {copies}-th power")
 
 
-def _state_operands(state: np.ndarray, p: int, r: int, d: int):
-    """Einsum operands and leg labellers for p copies of the input state.
-
-    Returns (operands, labels_fn) where labels_fn(copy, x, side) gives the
-    einsum axis label of that diagram endpoint's state leg.
-    """
-    state = np.asarray(state)
-    if state.ndim == 1:
-        psi = state.reshape((d,) * r)
-        operands = []
-        for _ in range(p):
-            operands.append(psi)
-            operands.append(psi.conj())
-
-        def axis_of(i, x, side):
-            # operand 2i carries the ket legs of copy i, operand 2i+1 the bra legs
-            return (2 * i + side, x)
-
-        return operands, axis_of
-    rho = state.reshape((d,) * (2 * r))
-    operands = [rho] * p
-
-    def axis_of(i, x, side):
-        return (i, x if side == 0 else r + x)
-
-    return operands, axis_of
-
-
 def f_beta(beta: Pairing, state: np.ndarray, p: int, budget: int = CONTRACTION_BUDGET) -> complex:
     """Contraction of p input-state copies against the delta pattern of beta.
 
@@ -107,19 +81,17 @@ def f_beta(beta: Pairing, state: np.ndarray, p: int, budget: int = CONTRACTION_B
     d = _infer_local_dim(total, r)
     if d ** (p * r) > budget:
         raise BudgetError(f"f_beta contraction needs d^(pr) = {d ** (p * r)} terms, above budget {budget}")
-    operands, axis_of = _state_operands(state, p, r, d)
-    labels = [[-1] * (op.ndim) for op in operands]
-    for var, (s, u) in enumerate(beta.pairs):
-        for endpoint in (s, u):
-            cell, side = divmod(endpoint, 2)
-            i, x = divmod(cell, r)
-            op_idx, axis = axis_of(i, x, side)
-            labels[op_idx][axis] = var
-    args = []
-    for op, lab in zip(operands, labels):
-        args.extend((op, lab))
-    args.append([])
-    return complex(np.einsum(*args))
+    # endpoint (copy i, cell x, side) takes the label of its pair; per copy, [ket legs], [bra legs]
+    labels = np.empty(2 * p * r, dtype=int)
+    labels[np.array(beta.pairs)] = np.arange(len(beta.pairs))[:, None]
+    labels = labels.reshape(p, r, 2).transpose(0, 2, 1).tolist()
+    if state.ndim == 1:
+        psi = state.reshape((d,) * r)
+        args = [arg for ket, bra in labels for arg in (psi, ket, psi.conj(), bra)]
+    else:
+        rho = state.reshape((d,) * (2 * r))
+        args = [arg for ket, bra in labels for arg in (rho, ket + bra)]
+    return complex(np.einsum(*args, []))
 
 
 def wiring_matrix(pairing: Pairing, p: int, r: int, dim: int) -> np.ndarray:
@@ -134,6 +106,7 @@ def wiring_matrix(pairing: Pairing, p: int, r: int, dim: int) -> np.ndarray:
 
 
 def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, budget: int):
+    p, r = checked_index(p, "p", 1), checked_index(r, "r", 1)
     m = p * r
     effective_cap = min(cap, EXACT_PAIRING_HARD_CAP)
     if 2 * m > effective_cap:
@@ -202,8 +175,15 @@ def term_report(
 ) -> list[MomentTerm]:
     """All (alpha, beta) summands of the exact trace moment, largest first.
 
-    Ties in magnitude keep row-major (alpha, beta) order.
+    Ties in magnitude keep row-major (alpha, beta) order.  Raises BudgetError
+    above pr = PAIR_LISTING_HALF_SIZE_CAP, before any table or f is built.
     """
+    m = checked_index(p, "p", 1) * checked_index(r, "r", 1)
+    if m > PAIR_LISTING_HALF_SIZE_CAP:
+        raise BudgetError(
+            f"a term report at 2pr = {2 * m} would list {double_factorial_odd(m) ** 2} terms; "
+            f"the cap is 2pr <= {2 * PAIR_LISTING_HALF_SIZE_CAP}"
+        )
     pair_list, n_exp, k_exp, f_vals, table = _engine_arrays(p, r, k, n, t, state, cap, budget)
     scale = float(n) ** n_exp * float(k) ** k_exp
     values = ((scale[:, None] * f_vals[None, :]) * table.values).ravel()

@@ -24,9 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EnumerationLimitError, ValidationError
+from .errors import EnumerationLimitError, ValidationError, checked_index
 
 PAIRING_HALF_SIZE_CAP = 6        # largest m whose pairings of 2m points are enumerated
+PAIR_LISTING_HALF_SIZE_CAP = 5   # largest m whose (2m-1)!!^2 pairs of pairings are listed: 893025, 1.08e8 at m = 6
 PARTIAL_PAIRING_CAP = 8          # largest ground set for partial pairings
 TRANSVERSE_BRUTE_CAP = 5         # largest q = pr for transverse brute force
 
@@ -162,9 +163,7 @@ def catalan(p: int) -> int:
 
 
 def _check_pairing_count(m: int) -> None:
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
-    if m > PAIRING_HALF_SIZE_CAP:
+    if checked_index(m, "m", 1) > PAIRING_HALF_SIZE_CAP:
         raise EnumerationLimitError(
             f"enumerating pairings of 2m={2 * m} points needs {double_factorial_odd(m)} pairings, "
             f"above cap {PAIRING_ENUMERATION_CAP}"
@@ -338,8 +337,7 @@ def copy_orbits(p: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     reps[orbit] lies in the orbit of each pairing.  Both are read-only and
     cached per (p, r).
     """
-    if p < 1 or r < 1:
-        raise ValidationError(f"p and r must be >= 1, got p={p}, r={r}")
+    p, r = checked_index(p, "p", 1), checked_index(r, "r", 1)
     _check_pairing_count(p * r)
     return _copy_orbits(p, r)
 
@@ -398,8 +396,7 @@ def delta_gamma(p: int, r: int) -> tuple[Pairing, Pairing]:
     trace; gamma joins (i, x, L) to (i-1, x, R) cyclically in i and encodes
     the matrix product under the trace.  For p = 1 the two coincide.
     """
-    if p < 1 or r < 1:
-        raise ValidationError(f"p and r must be >= 1, got p={p}, r={r}")
+    p, r = checked_index(p, "p", 1), checked_index(r, "r", 1)
     dpairs = []
     gpairs = []
     for i in range(p):
@@ -496,9 +493,7 @@ def min_transverse_distance(beta: Pairing, p: int, r: int) -> tuple[int, list[Pa
 
 def enumerate_partial_pairings(r: int) -> list[PartialPairing]:
     """All partial pairings of {0, ..., r-1}, sorted by (pair count, pair list)."""
-    if r < 0:
-        raise ValidationError(f"r must be >= 0, got {r}")
-    if r > PARTIAL_PAIRING_CAP:
+    if checked_index(r, "r") > PARTIAL_PAIRING_CAP:
         raise EnumerationLimitError(
             f"partial pairing enumeration capped at r <= {PARTIAL_PAIRING_CAP}, got {r}"
         )

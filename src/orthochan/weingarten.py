@@ -113,7 +113,7 @@ def _check_dimension(n: float) -> None:
 def wg_exact(m: int, n: float) -> WeingartenTable:
     """Exact Weingarten table, cached per (m, n)."""
     _check_dimension(n)
-    return _build_table(checked_index(m, "m"), float(n))
+    return _build_table(checked_index(m, "m", 1), float(n))
 
 
 def wg_asymptotic(alpha: Pairing, beta: Pairing, n: float) -> float:

@@ -26,9 +26,10 @@ from orthochan.channels import (
     validate_state_vector,
     worker_count,
 )
-from orthochan.asymptotics import convergence_experiment
+from orthochan.asymptotics import basis_product_state, convergence_experiment
 from orthochan.errors import InvalidStateError, ValidationError
 from orthochan.moments import exact_trace_moment
+from orthochan.pairings import copy_orbits, delta_gamma, enumerate_pairings, enumerate_partial_pairings
 from orthochan.weingarten import integrate_monomial
 
 
@@ -140,14 +141,31 @@ class TestHaarSampling:
 
 
 INTEGER_ARGUMENTS = {
-    "mc-samples": (lambda: mc_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, 2.5, 0), "samples"),
-    "mc-seed": (lambda: mc_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, 10, 1.5), "seed"),
-    "experiment-samples": (lambda: convergence_experiment("bell", 2, 2, 0.5, (8,), 2.5, 0), "samples"),
-    "channel-n": (lambda: make_channel(2, 2.5, 0.5, RngStream(0)), "n"),
-    "exact-n": (lambda: exact_trace_moment(2, 1, 2, 2.5, 0.5, np.eye(2) / 2), "n"),
-    "input-dim-k": (lambda: input_dim(2.0, 3, 0.5), "k"),
-    "stream-seed": (lambda: RngStream(1.5), "seed"),
-    "stream-index": (lambda: RngStream(0, 2.5), "stream"),
+    "mc-samples": (lambda: mc_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, 2.5, 0), "samples must be an integer"),
+    "mc-seed": (lambda: mc_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, 10, 1.5), "seed must be an integer"),
+    "experiment-samples": (
+        lambda: convergence_experiment("bell", 2, 2, 0.5, (8,), 2.5, 0), "samples must be an integer"
+    ),
+    "channel-n": (lambda: make_channel(2, 2.5, 0.5, RngStream(0)), "n must be an integer"),
+    "exact-n": (lambda: exact_trace_moment(2, 1, 2, 2.5, 0.5, np.eye(2) / 2), "n must be an integer"),
+    "input-dim-k": (lambda: input_dim(2.0, 3, 0.5), "k must be an integer"),
+    "stream-seed": (lambda: RngStream(1.5), "seed must be an integer"),
+    "stream-index": (lambda: RngStream(0, 2.5), "stream must be an integer"),
+    # entry points that once met a non-integer or a value below its least
+    # with a TypeError, an IndexError or another argument's message
+    "mc-p": (lambda: mc_trace_moment(2.5, 1, 2, 3, 0.5, np.eye(3) / 3, 10, 0), "p must be an integer"),
+    "mean-output-r": (lambda: mc_mean_output(2.0, 2, 3, 0.5, np.eye(9) / 9, 10, 0), "r must be an integer"),
+    "output-state-r": (
+        lambda: output_state(make_channel(2, 3, 0.5, RngStream(0)), 1.5, np.eye(3) / 3), "r must be an integer"
+    ),
+    "channel-n-string": (lambda: make_channel(2, "3", 0.5, RngStream(0)), "n must be an integer"),
+    "haar-dim": (lambda: sample_haar_orthogonal(2.5, RngStream(0)), "dimension must be an integer"),
+    "basis-d0": (lambda: basis_product_state(0, 2), "d must be >= 1, got 0"),
+    "exact-r0": (lambda: exact_trace_moment(2, 0, 2, 3, 0.5, np.eye(3) / 3), "r must be >= 1, got 0"),
+    "pairings-m": (lambda: enumerate_pairings(2.5), "m must be an integer"),
+    "partial-pairings-r": (lambda: enumerate_partial_pairings(2.5), "r must be an integer"),
+    "delta-gamma-p": (lambda: delta_gamma(1.5, 2), "p must be an integer"),
+    "copy-orbits-r": (lambda: copy_orbits(2, 1.5), "r must be an integer"),
 }
 
 
@@ -186,10 +204,10 @@ class TestChannelConstruction:
             with pytest.raises(ValidationError, match="must be finite"):
                 exact_trace_moment(2, 1, 2, 3, t, np.eye(3) / 3)
 
-    @pytest.mark.parametrize("call, what", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
-    def test_integer_arguments_raise_validation_error(self, call, what):
+    @pytest.mark.parametrize("call, message", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+    def test_integer_arguments_raise_validation_error(self, call, message):
         # neither a TypeError from deep inside nor a value for a truncated dimension
-        with pytest.raises(ValidationError, match=f"{what} must be an integer"):
+        with pytest.raises(ValidationError, match=message):
             call()
 
     @pytest.mark.parametrize("k, n, t, d", [(3, 30, 0.3, 27), (2, 45, 0.7, 63), (3, 60, 0.15, 27)])

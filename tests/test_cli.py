@@ -79,6 +79,22 @@ class TestSubcommands:
         code, out = run_cli(capsys, "wg", "--m", "6", "--n", "10")
         assert code == 3 and out == "" and built == []
 
+    def test_term_report_refuses_2pr_12_before_building_a_table(self, capsys, monkeypatch):
+        import orthochan.moments as moments
+
+        class TableBuilt(Exception):
+            pass
+
+        def no_table(*args):
+            raise TableBuilt
+
+        monkeypatch.setattr(moments, "wg_exact", no_table)
+        code = main(["moment", "--p", "3", "--r", "2", "--k", "2", "--n", "3", "--t", "0.5", "--input", "mixed",
+                     "--report", "terms", "--max-pairing-size", "12"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "would list 108056025 terms" in captured.err
+
     def test_moment_trace_preservation(self, capsys):
         code, out = run_cli(
             capsys, "moment", "--p", "1", "--r", "2", "--k", "2", "--n", "4",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from orthochan import moments
 from orthochan.asymptotics import (
     basis_product_state,
     bell_state_vector,
@@ -79,12 +80,24 @@ class TestFBeta:
             beta = pairing_from_partial(PartialPairing(2, ((0, 1),)), 1, 2)
             assert f_beta(beta, bell, 1) == pytest.approx(d)
 
-    @pytest.mark.parametrize("p,r,d", [(1, 2, 2), (1, 2, 3), (2, 1, 2), (2, 2, 2), (1, 3, 2)])
-    def test_against_dense_oracle(self, p, r, d):
-        rho = random_density(d**r, seed=10 * p + r)
+    @pytest.mark.parametrize(
+        "p,r,d,kind",
+        [
+            pytest.param(*dims, kind, id="-".join(map(str, dims)) + suffix)
+            for kind, suffix in (("density", ""), ("complex", "-complex-vector"), ("real", "-real-vector"))
+            for dims in [(1, 2, 2), (1, 2, 3), (2, 1, 2), (2, 2, 2), (1, 3, 2)]
+        ],
+    )
+    def test_against_dense_oracle(self, p, r, d, kind):
+        if kind == "density":
+            state = random_density(d**r, seed=10 * p + r)
+        else:
+            rng = np.random.default_rng(10 * p + r)
+            state = rng.standard_normal(d**r) + (1j * rng.standard_normal(d**r) if kind == "complex" else 0.0)
+            state /= np.linalg.norm(state)
         for beta in enumerate_pairings(p * r):
-            fast = f_beta(beta, rho, p)
-            dense = f_beta_dense_oracle(beta, rho, p, d, r)
+            fast = f_beta(beta, state, p)
+            dense = f_beta_dense_oracle(beta, state, p, d, r)
             assert fast == pytest.approx(dense, rel=1e-10, abs=1e-12)
 
     def test_pure_state_matches_projector(self):
@@ -347,6 +360,18 @@ class TestTermReport:
             assert abs(term.f_beta - f) <= 1e-12 * abs(f)
             assert abs(term.wg - wg) <= 1e-12 * abs(wg)
             assert abs(term.value - value) <= 1e-12 * abs(value)
+
+    def test_refuses_listing_above_cap_before_building(self, monkeypatch):
+        # 2pr = 12 would list 10395^2 terms from GB-sized arrays: refuse before any table or f
+        class TableBuilt(Exception):
+            pass
+
+        def no_table(*args):
+            raise TableBuilt
+
+        monkeypatch.setattr(moments, "wg_exact", no_table)
+        with pytest.raises(BudgetError, match="would list 108056025 terms"):
+            term_report(3, 2, 2, 3, 0.5, np.eye(9) / 9, cap=12)
 
     def test_terms_are_immutable_tuples(self):
         term = term_report(2, 1, 2, 3, 0.5, np.eye(3) / 3)[0]
