@@ -37,7 +37,7 @@ KKT_TOL = 1e-12  # relative slack of the projection's optimality certificate
 
 def maximally_entangled(dim: int) -> np.ndarray:
     """The rank-one pair projector Omega Omega^* on dim^2, of trace dim: op_T of one pair."""
-    return op_T(PartialPairing(2, ((0, 1),)), dim)
+    return op_T(PartialPairing(2, ((0, 1),)), checked_index(dim, "dim", 1))
 
 
 def _check_t(t: float) -> None:
@@ -62,11 +62,12 @@ def op_T(block: PartialPairing, k: int) -> np.ndarray:
     This is the 0/1 wiring pattern of the block's diagram pairing (bumps on
     both sides of each pair, a horizontal wire through each single).
     """
-    return _pattern_sum([(block, 1.0)], block.n_points, k)
+    return _pattern_sum([(block, 1.0)], block.n_points, checked_index(k, "k", 1))
 
 
 def op_T_tilde(block: PartialPairing, d: int) -> np.ndarray:
     """d^-|B| times op_T on local dimension d."""
+    d = checked_index(d, "d", 1)
     return op_T(block, d) / d**block.n_pairs
 
 
@@ -76,6 +77,7 @@ def op_R_tilde(block: PartialPairing, k: int, t: float) -> np.ndarray:
     Expanded, t^|B| sum over A in B of (-1)^(|B|-|A|) k^(|A|-r) T_A.
     Traceless except at the empty block, where the trace is one.
     """
+    k = checked_index(k, "k", 1)
     _check_t(t)
     r, b = block.n_points, block.n_pairs
     terms = [(a, t**b * (-1) ** (b - a.n_pairs) / k ** (r - a.n_pairs)) for a in block.sub_blocks()]
@@ -100,6 +102,7 @@ def op_Q_tilde(block: PartialPairing, d: int) -> np.ndarray:
     These resolve the identity, and their spectra concentrate on {0, 1} as the
     local dimension grows.
     """
+    d = checked_index(d, "d", 1)
     supers = [s for s in enumerate_partial_pairings(block.n_points) if s.contains(block)]
     terms = [(sup, (-1) ** (sup.n_pairs - block.n_pairs) * (1.0 / d**sup.n_pairs)) for sup in supers]
     return _pattern_sum(terms, block.n_points, d)
@@ -111,6 +114,7 @@ def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.nd
     Equals the alternating expansion over <Q~_A, rho> S~_A by Moebius
     inversion; the two agree to float precision for any input.
     """
+    r, k = checked_index(r, "r", 1), checked_index(k, "k", 1)
     _check_t(t)
     state = np.asarray(state)
     d = _infer_local_dim(state.shape[0], r)
@@ -125,6 +129,7 @@ def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.nd
 
 def bell_input(block: PartialPairing, d: int) -> np.ndarray:
     """Input G_B0: normalized pair projectors over a maximal block, mixed singles."""
+    d = checked_index(d, "d", 1)
     if not block.is_maximal():
         raise ValidationError(
             f"block with {block.n_pairs} pairs on {block.n_points} points is not maximal"
@@ -134,6 +139,7 @@ def bell_input(block: PartialPairing, d: int) -> np.ndarray:
 
 def bell_state_vector(block: PartialPairing, d: int) -> np.ndarray:
     """Pure version of bell_input for even point counts: unit vector on d^r."""
+    d = checked_index(d, "d", 1)
     if not block.is_maximal() or block.singles:
         raise ValidationError("a pure pair-product input needs a perfect pairing of the copies")
     r = block.n_points
@@ -264,6 +270,7 @@ def project_to_body(x: np.ndarray, body: ConvexBody) -> BodyProjection:
 
 def maximal_block(r: int) -> PartialPairing:
     """Canonical maximal partial pairing: (0,1), (2,3), ..., last point single if r is odd."""
+    r = checked_index(r, "r", 1)
     return PartialPairing(r, tuple((2 * j, 2 * j + 1) for j in range(r // 2)))
 
 

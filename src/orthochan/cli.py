@@ -29,8 +29,9 @@ from .moments import (
     CONTRACTION_BUDGET,
     EXACT_PAIRING_CAP,
     EXACT_PAIRING_HARD_CAP,
+    TERM_CHUNK,
+    _term_arrays,
     exact_trace_moment,
-    term_report,
 )
 from .pairings import (
     PAIR_LISTING_HALF_SIZE_CAP,
@@ -64,11 +65,16 @@ def matrix_from_json(data) -> np.ndarray:
 
 
 def _write(path: str | None, text: str):
+    _write_chunks(path, (text,))
+
+
+def _write_chunks(path: str | None, chunks):
+    """Write an iterable of text chunks to path, or to stdout for None or "-"."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _config_dict(args, keys) -> dict:
@@ -81,18 +87,46 @@ def _json_output(config: dict, results: dict) -> str:
     return json.dumps({"config": config, "results": results}, sort_keys=True) + "\n"
 
 
+def _csv_head(config: dict, header: list[str]) -> str:
+    return "# config " + json.dumps(config, sort_keys=True) + "\n" + ",".join(header) + "\n"
+
+
 def _csv_output(config: dict, header: list[str], rows) -> str:
     buf = io.StringIO()
-    buf.write("# config " + json.dumps(config, sort_keys=True) + "\n")
-    buf.write(",".join(header) + "\n")
+    buf.write(_csv_head(config, header))
     for row in rows:
         buf.write(",".join(str(x) for x in row) + "\n")
     return buf.getvalue()
 
 
-def _number_cell(z: complex) -> str:
-    """A CSV cell: the repr of a real number, or [re; im] when the imaginary part is non-zero."""
-    return repr(z.real) if z.imag == 0 else f"[{z.real!r}; {z.imag!r}]"
+def _number_cells(values: np.ndarray) -> list[str]:
+    """CSV cells: the repr of each real entry, or [re; im] where the imaginary part is non-zero."""
+    re, im = values.real.tolist(), values.imag.tolist()
+    cells = list(map(repr, re))
+    for i in np.flatnonzero(values.imag).tolist():
+        cells[i] = f"[{re[i]!r}; {im[i]!r}]"
+    return cells
+
+
+def _term_csv(config: dict, arrays):
+    """A term report CSV from moments._term_arrays, as its head and then a chunk of rows at a time.
+
+    Each pairing, exponent pair, f and Wg cell is formatted once; per term
+    only the value is formatted.
+    """
+    yield _csv_head(config, ["alpha", "beta", "n_exp", "k_exp", "f_beta", "wg", "value"])
+    pair_cells = [json.dumps(pairing.pair_list()).replace(",", ";") for pairing in arrays.pairings]
+    exp_cells = [f"{n},{k}" for n, k in zip(arrays.n_exp.tolist(), arrays.k_exp.tolist())]
+    f_cells, wg_cells = _number_cells(arrays.f_beta), list(map(repr, arrays.wg.tolist()))
+    for start in range(0, len(arrays.values), TERM_CHUNK):
+        part = slice(start, start + TERM_CHUNK)
+        yield "".join([
+            f"{pair_cells[i]},{pair_cells[j]},{exp_cells[i]},{f_cells[j]},{wg_cells[kind]},{value}\n"
+            for i, j, kind, value in zip(
+                arrays.rows[part].tolist(), arrays.cols[part].tolist(), arrays.types[part].tolist(),
+                _number_cells(arrays.values[part]),
+            )
+        ])
 
 
 def _validate_common(args):
@@ -159,23 +193,10 @@ def cmd_moment(args) -> int:
     d = input_dim(args.k, args.n, args.t)
     state = _load_state(args, d, args.r)
     if args.report == "terms":
-        terms = term_report(
-            args.p, args.r, args.k, args.n, args.t, state,
-            cap=args.max_pairing_size, budget=args.max_dense_dim,
+        arrays = _term_arrays(
+            args.p, args.r, args.k, args.n, args.t, state, args.max_pairing_size, args.max_dense_dim
         )
-        rows = [
-            (
-                json.dumps(term.alpha.pair_list()).replace(",", ";"),
-                json.dumps(term.beta.pair_list()).replace(",", ";"),
-                term.n_exp,
-                term.k_exp,
-                _number_cell(term.f_beta),
-                repr(term.wg),
-                _number_cell(term.value),
-            )
-            for term in terms
-        ]
-        _write(args.out, _csv_output(config, ["alpha", "beta", "n_exp", "k_exp", "f_beta", "wg", "value"], rows))
+        _write_chunks(args.out, _term_csv(config, arrays))
         return 0
     value = exact_trace_moment(
         args.p, args.r, args.k, args.n, args.t, state,

@@ -12,6 +12,7 @@ is what makes Monte Carlo cross-validation meaningful.
 """
 from __future__ import annotations
 
+import gc
 from functools import partial
 from typing import NamedTuple
 
@@ -163,6 +164,40 @@ def exact_mean_output(r: int, k: int, n: int, t: float, state: np.ndarray) -> np
     return np.ascontiguousarray(wiring_sum(pair_list, coeffs, 1, r, k).T)
 
 
+class _TermArrays(NamedTuple):
+    """A term report as arrays: per-pairing, per-row and per-type tables, plus
+    the row, column, coset type and value of each term, largest value first."""
+
+    pairings: tuple[Pairing, ...]
+    n_exp: np.ndarray
+    k_exp: np.ndarray
+    f_beta: np.ndarray
+    wg: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    types: np.ndarray
+    values: np.ndarray
+
+
+def _term_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, budget: int) -> _TermArrays:
+    """The terms of term_report, sorted, as index and value arrays; no per-term objects."""
+    m = checked_index(p, "p", 1) * checked_index(r, "r", 1)
+    if m > PAIR_LISTING_HALF_SIZE_CAP:
+        raise BudgetError(
+            f"a term report at 2pr = {2 * m} would list {double_factorial_odd(m) ** 2} terms; "
+            f"the cap is 2pr <= {2 * PAIR_LISTING_HALF_SIZE_CAP}"
+        )
+    pair_list, n_exp, k_exp, f_vals, table = _engine_arrays(p, r, k, n, t, state, cap, budget)
+    scale = float(n) ** n_exp * float(k) ** k_exp
+    values = ((scale[:, None] * f_vals[None, :]) * table.values).ravel()
+    order = np.argsort(-np.abs(values), kind="stable")
+    # the narrowest index type keeps the arrays small beside the boxed terms
+    index = np.min_scalar_type(len(pair_list) - 1)
+    rows, cols = (half.astype(index) for half in np.divmod(order, len(pair_list)))
+    types = coset_types(m).ravel()[order]
+    return _TermArrays(pair_list, n_exp, k_exp, f_vals, table.coefficients, rows, cols, types, values[order])
+
+
 def term_report(
     p: int,
     r: int,
@@ -178,37 +213,34 @@ def term_report(
     Ties in magnitude keep row-major (alpha, beta) order.  Raises BudgetError
     above pr = PAIR_LISTING_HALF_SIZE_CAP, before any table or f is built.
     """
-    m = checked_index(p, "p", 1) * checked_index(r, "r", 1)
-    if m > PAIR_LISTING_HALF_SIZE_CAP:
-        raise BudgetError(
-            f"a term report at 2pr = {2 * m} would list {double_factorial_odd(m) ** 2} terms; "
-            f"the cap is 2pr <= {2 * PAIR_LISTING_HALF_SIZE_CAP}"
-        )
-    pair_list, n_exp, k_exp, f_vals, table = _engine_arrays(p, r, k, n, t, state, cap, budget)
-    scale = float(n) ** n_exp * float(k) ** k_exp
-    values = ((scale[:, None] * f_vals[None, :]) * table.values).ravel()
-    order = np.argsort(-np.abs(values), kind="stable")
-    size = len(pair_list)
+    arrays = _term_arrays(p, r, k, n, t, state, cap, budget)
     # Terms share the Python objects of their row's exponents, their column's
     # f and their coset type's Wg; only the values are new per term.
-    n_list, k_list, f_list = n_exp.tolist(), k_exp.tolist(), f_vals.tolist()
-    wg_list = table.coefficients.tolist()
-    types = coset_types(p * r).ravel()
+    pairs = arrays.pairings
+    n_list, k_list, f_list = arrays.n_exp.tolist(), arrays.k_exp.tolist(), arrays.f_beta.tolist()
+    wg_list = arrays.wg.tolist()
     make = partial(tuple.__new__, MomentTerm)
     terms = []
-    for start in range(0, len(order), TERM_CHUNK):
-        chunk = order[start:start + TERM_CHUNK]
-        rows, cols = np.divmod(chunk, size)
-        rows, cols = rows.tolist(), cols.tolist()
-        terms.extend(map(make, zip(
-            map(pair_list.__getitem__, rows),
-            map(pair_list.__getitem__, cols),
-            map(n_list.__getitem__, rows),
-            map(k_list.__getitem__, rows),
-            map(f_list.__getitem__, cols),
-            map(wg_list.__getitem__, types[chunk].tolist()),
-            values[chunk].tolist(),
-        )))
+    # The terms are acyclic, so the cyclic collector has nothing to free in
+    # them; left on, it would rescan the growing list many times over.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for start in range(0, len(arrays.values), TERM_CHUNK):
+            chunk = slice(start, start + TERM_CHUNK)
+            rows, cols = arrays.rows[chunk].tolist(), arrays.cols[chunk].tolist()
+            terms.extend(map(make, zip(
+                map(pairs.__getitem__, rows),
+                map(pairs.__getitem__, cols),
+                map(n_list.__getitem__, rows),
+                map(k_list.__getitem__, rows),
+                map(f_list.__getitem__, cols),
+                map(wg_list.__getitem__, arrays.types[chunk].tolist()),
+                arrays.values[chunk].tolist(),
+            )))
+    finally:
+        if enabled:
+            gc.enable()
     return terms
 
 
@@ -249,6 +281,7 @@ def asymptotic_trace_moment(
 
 def g_from_state(state: np.ndarray, r: int, k: int, n: int, t: float) -> dict[PartialPairing, float]:
     """Block weights g_B = f_beta(B) / (tkn)^|B| of a concrete input state on d^r, d = floor(tkn)."""
+    r = checked_index(r, "r", 1)
     _checked_state(state, input_dim(k, n, t) ** r)
     out = {}
     for block in enumerate_partial_pairings(r):

@@ -180,20 +180,25 @@ def enumerate_pairings(m: int) -> tuple[Pairing, ...]:
     return _enumerate_pairings(m)
 
 
+# The recursive enumerations (_matchings, _partitions_below, _partial_matchings)
+# are module-level generators: a nested recursive closure refers to itself, and
+# each call would leave that reference cycle to the cyclic collector.
+def _matchings(points):
+    """Perfect matchings of the points as pair tuples, the first point's partner ascending."""
+    if not points:
+        yield ()
+        return
+    a = points[0]
+    for idx in range(1, len(points)):
+        b = points[idx]
+        rest = points[1:idx] + points[idx + 1:]
+        for sub in _matchings(rest):
+            yield ((a, b),) + sub
+
+
 @lru_cache(maxsize=None)  # one entry per m <= 6 under the enumeration cap
 def _enumerate_pairings(m: int) -> tuple[Pairing, ...]:
-    def rec(points):
-        if not points:
-            yield ()
-            return
-        a = points[0]
-        for idx in range(1, len(points)):
-            b = points[idx]
-            rest = points[1:idx] + points[idx + 1:]
-            for sub in rec(rest):
-                yield ((a, b),) + sub
-
-    return tuple(Pairing.from_pairs(p, 2 * m) for p in rec(tuple(range(2 * m))))
+    return tuple(Pairing.from_pairs(p, 2 * m) for p in _matchings(tuple(range(2 * m))))
 
 
 def length(sigma: Permutation) -> int:
@@ -241,15 +246,17 @@ def partitions(m: int) -> tuple[tuple[int, ...], ...]:
     The position of a partition in this tuple is its coset-type id; the last
     one, (1, ..., 1), is the type of a pairing with itself.
     """
-    def rec(rest, largest):
-        if rest == 0:
-            yield ()
-            return
-        for part in range(min(rest, largest), 0, -1):
-            for tail in rec(rest - part, part):
-                yield (part,) + tail
+    return tuple(_partitions_below(m, m))
 
-    return tuple(rec(m, m))
+
+def _partitions_below(rest: int, largest: int):
+    """Partitions of rest into parts <= largest, non-increasing, largest first part first."""
+    if rest == 0:
+        yield ()
+        return
+    for part in range(min(rest, largest), 0, -1):
+        for tail in _partitions_below(rest - part, part):
+            yield (part,) + tail
 
 
 def coset_type(alpha: Pairing, beta: Pairing) -> tuple[int, ...]:
@@ -498,21 +505,23 @@ def enumerate_partial_pairings(r: int) -> list[PartialPairing]:
             f"partial pairing enumeration capped at r <= {PARTIAL_PAIRING_CAP}, got {r}"
         )
 
-    def rec(points):
-        if not points:
-            yield ()
-            return
-        a = points[0]
-        rest = points[1:]
-        for sub in rec(rest):  # a stays single
-            yield sub
-        for idx, b in enumerate(rest):
-            for sub in rec(rest[:idx] + rest[idx + 1:]):
-                yield ((a, b),) + sub
-
-    out = [PartialPairing(r, p) for p in rec(tuple(range(r)))]
+    out = [PartialPairing(r, p) for p in _partial_matchings(tuple(range(r)))]
     out.sort(key=PartialPairing.sort_key)
     return out
+
+
+def _partial_matchings(points):
+    """Sets of disjoint pairs of the points, as pair tuples."""
+    if not points:
+        yield ()
+        return
+    a = points[0]
+    rest = points[1:]
+    for sub in _partial_matchings(rest):  # a stays single
+        yield sub
+    for idx, b in enumerate(rest):
+        for sub in _partial_matchings(rest[:idx] + rest[idx + 1:]):
+            yield ((a, b),) + sub
 
 
 def partial_pairing_count(r: int) -> int:

@@ -28,6 +28,7 @@ from orthochan.asymptotics import (
 )
 from orthochan.channels import validate_density_matrix
 from orthochan.errors import BudgetError, InvalidStateError, OrthochanError, ValidationError
+from orthochan.moments import g_from_state
 from orthochan.pairings import PartialPairing, enumerate_partial_pairings
 
 
@@ -76,7 +77,29 @@ class TestIsotropicState:
                 mean_output_asymptotic(np.eye(4) / 4, 2, 2, t)
 
 
+ONE_PAIR = PartialPairing(2, ((0, 1),))
+
+# dimensions and r below 1; each once raised ZeroDivisionError or returned nonsense
+BELOW_LEAST = {
+    "op-T-k": lambda: op_T(ONE_PAIR, 0),
+    "op-T-tilde-d": lambda: op_T_tilde(ONE_PAIR, 0),
+    "op-R-tilde-k": lambda: op_R_tilde(ONE_PAIR, 0, 0.5),
+    "op-Q-tilde-d": lambda: op_Q_tilde(PartialPairing(2, ()), 0),
+    "maximally-entangled-dim": lambda: maximally_entangled(0),
+    "bell-input-d": lambda: bell_input(maximal_block(3), 0),
+    "bell-vector-d": lambda: bell_state_vector(maximal_block(2), 0),
+    "maximal-block-r": lambda: maximal_block(-1),
+    "g-from-state-r": lambda: g_from_state(np.eye(1), 0, 2, 3, 0.5),
+    "mean-output-asymptotic-r": lambda: mean_output_asymptotic(np.eye(3) / 3, 0, 2, 0.5),
+}
+
+
 class TestOperatorFamily:
+    @pytest.mark.parametrize("call", BELOW_LEAST.values(), ids=BELOW_LEAST.keys())
+    def test_dimension_and_r_below_one_raise_validation_error(self, call):
+        with pytest.raises(ValidationError, match="must be >= 1"):
+            call()
+
     def test_s_empty_is_maximally_mixed(self):
         for r in (1, 2, 3):
             s = op_S_tilde(PartialPairing(r, ()), 2, 0.4)

@@ -26,10 +26,16 @@ from orthochan.channels import (
     validate_state_vector,
     worker_count,
 )
-from orthochan.asymptotics import basis_product_state, convergence_experiment
+from orthochan.asymptotics import basis_product_state, convergence_experiment, mean_output_asymptotic, op_T
 from orthochan.errors import InvalidStateError, ValidationError
 from orthochan.moments import exact_trace_moment
-from orthochan.pairings import copy_orbits, delta_gamma, enumerate_pairings, enumerate_partial_pairings
+from orthochan.pairings import (
+    PartialPairing,
+    copy_orbits,
+    delta_gamma,
+    enumerate_pairings,
+    enumerate_partial_pairings,
+)
 from orthochan.weingarten import integrate_monomial
 
 
@@ -166,6 +172,10 @@ INTEGER_ARGUMENTS = {
     "partial-pairings-r": (lambda: enumerate_partial_pairings(2.5), "r must be an integer"),
     "delta-gamma-p": (lambda: delta_gamma(1.5, 2), "p must be an integer"),
     "copy-orbits-r": (lambda: copy_orbits(2, 1.5), "r must be an integer"),
+    "op-T-k": (lambda: op_T(PartialPairing(2, ((0, 1),)), 2.5), "k must be an integer"),
+    "mean-output-asymptotic-r": (
+        lambda: mean_output_asymptotic(np.eye(3) / 3, 1.5, 2, 0.5), "r must be an integer"
+    ),
 }
 
 

@@ -3,14 +3,52 @@ import json
 import numpy as np
 import pytest
 
+from orthochan import __version__
 from orthochan.cli import main, matrix_from_json, matrix_to_json
-from orthochan.moments import exact_trace_moment, term_report
+from orthochan.moments import EXACT_PAIRING_CAP, exact_trace_moment, term_report
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def _reference_number_cell(z: complex) -> str:
+    return repr(z.real) if z.imag == 0 else f"[{z.real!r}; {z.imag!r}]"
+
+
+def reference_terms_csv(p, r, k, n, t, input_name, state, cap=EXACT_PAIRING_CAP) -> str:
+    """`moment --report terms` output rendered term by term from term_report: the byte reference.
+
+    The CLI formats from arrays, each shared cell once; this formats every
+    cell of every MomentTerm, as the CLI once did.  The CI workflow renders
+    the 2pr = 10 report with it and compares the bytes.
+    """
+    config = {"p": p, "r": r, "k": k, "n": n, "t": t, "input": input_name, "report": "terms", "version": __version__}
+    lines = ["# config " + json.dumps(config, sort_keys=True), "alpha,beta,n_exp,k_exp,f_beta,wg,value"]
+    for term in term_report(p, r, k, n, t, state, cap=cap):
+        row = (
+            json.dumps(term.alpha.pair_list()).replace(",", ";"),
+            json.dumps(term.beta.pair_list()).replace(",", ";"),
+            term.n_exp,
+            term.k_exp,
+            _reference_number_cell(term.f_beta),
+            repr(term.wg),
+            _reference_number_cell(term.value),
+        )
+        lines.append(",".join(str(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _complex_r2_state(tmp_path):
+    """A seeded complex unit vector on 3^2, written as a state file; many of its f_beta are complex."""
+    rng = np.random.default_rng(8)
+    psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    psi /= np.linalg.norm(psi)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps([[x.real, x.imag] for x in psi]))
+    return path
 
 
 class TestMatrixJson:
@@ -190,11 +228,7 @@ class TestSubcommands:
     def test_moment_terms_csv_keeps_imaginary_parts(self, capsys, tmp_path):
         # a complex r = 2 input makes many f_beta and values complex; each such
         # cell reads [re; im], like the ;-separated pair cells
-        rng = np.random.default_rng(8)
-        psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        psi /= np.linalg.norm(psi)
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps([[x.real, x.imag] for x in psi]))
+        path = _complex_r2_state(tmp_path)
         code, out = run_cli(
             capsys, "moment", "--p", "2", "--r", "2", "--k", "2", "--n", "3", "--t", "0.5",
             "--input", "file", "--input-file", str(path), "--report", "terms",
@@ -224,6 +258,25 @@ class TestSubcommands:
         assert complex_cells > 0
         total = sum(number(line.split(",")[-1]) for line in lines)
         assert total.real == pytest.approx(exact_trace_moment(2, 2, 2, 3, 0.5, state), abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["p4_r1_n3_mixed", "p2_r2_n3_complex_file"])
+    def test_moment_terms_csv_matches_per_term_reference(self, capsys, tmp_path, case):
+        # 2pr = 8: every character of the array-formatted CSV against the per-term rendering
+        if case == "p4_r1_n3_mixed":
+            p, r, input_args, state = 4, 1, ["--input", "mixed"], np.eye(3) / 3
+        else:
+            path = _complex_r2_state(tmp_path)
+            p, r, input_args = 2, 2, ["--input", "file", "--input-file", str(path)]
+            state = matrix_from_json(json.loads(path.read_text()))
+        code, out = run_cli(
+            capsys, "moment", "--p", str(p), "--r", str(r), "--k", "2", "--n", "3", "--t", "0.5",
+            *input_args, "--report", "terms",
+        )
+        assert code == 0
+        # lines with their ends, so a mismatch reports its first index rather than a text diff
+        lines = out.splitlines(keepends=True)
+        assert lines == reference_terms_csv(p, r, 2, 3, 0.5, input_args[1], state).splitlines(keepends=True)
+        assert len(lines) == 2 + 105**2
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"

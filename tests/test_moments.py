@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -372,6 +373,32 @@ class TestTermReport:
         monkeypatch.setattr(moments, "wg_exact", no_table)
         with pytest.raises(BudgetError, match="would list 108056025 terms"):
             term_report(3, 2, 2, 3, 0.5, np.eye(9) / 9, cap=12)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_leaves_the_collector_as_it_found_it(self, enabled, monkeypatch):
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert len(term_report(2, 1, 2, 3, 0.5, np.eye(3) / 3)) == 9
+            assert gc.isenabled() == enabled
+            with pytest.raises(InvalidStateError):
+                term_report(2, 1, 2, 3, 0.5, np.triu(np.ones((3, 3))) / 3)
+            assert gc.isenabled() == enabled
+            # a failure while the terms are boxed, with the collector paused
+            monkeypatch.setattr(moments, "MomentTerm", int)
+            with pytest.raises(TypeError):
+                term_report(2, 1, 2, 3, 0.5, np.eye(3) / 3)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_terms_hold_no_reference_cycles(self):
+        # what the paused collector skips while boxing must hold nothing for it to free
+        gc.collect()
+        terms = term_report(2, 2, 2, 3, 0.5, np.eye(9) / 9)
+        assert len(terms) == 105**2
+        del terms
+        assert gc.collect() == 0
 
     def test_terms_are_immutable_tuples(self):
         term = term_report(2, 1, 2, 3, 0.5, np.eye(3) / 3)[0]
