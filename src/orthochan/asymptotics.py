@@ -21,14 +21,14 @@ import numpy as np
 from .channels import (
     OUTPUT_TENSOR_BUDGET,
     RngStream,
+    _checked_spectrum,
     _checked_state,
-    _validated_spectrum,
     input_dim,
     make_channel,
     map_ordered,
     output_state,
 )
-from .errors import BudgetError, OrthochanError, ValidationError, checked_index
+from .errors import BudgetError, InvalidStateError, OrthochanError, ValidationError, checked_index
 from .moments import _infer_local_dim, f_beta
 from .pairings import PartialPairing, enumerate_partial_pairings, pairing_from_partial, wiring_sum
 
@@ -162,7 +162,10 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
     Eigenvalues below the clip window mean the input is not a state and raise.
     """
-    _, eigs = _validated_spectrum(rho)
+    rho = np.asarray(rho)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise InvalidStateError(f"density matrix must be square, got shape {rho.shape}")
+    eigs, _ = _checked_spectrum(_checked_state(rho, rho.shape[0]))
     eigs = np.clip(eigs, 0.0, None)
     positive = eigs[eigs > 0]
     return float(-np.sum(positive * np.log(positive)))

@@ -82,59 +82,40 @@ def worker_count() -> int:
     return checked_index(threads, THREADS_ENV_VAR, 1)
 
 
-def _check_hermitian_unit_trace(rho: np.ndarray) -> None:
-    """The O(D^2) checks of a density matrix: square, finite, Hermitian, unit trace."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidStateError(f"density matrix must be square, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise InvalidStateError("density matrix has non-finite entries")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-        raise InvalidStateError("matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > max(TRACE_TOL, 1e-12 * rho.shape[0]):
-        raise InvalidStateError(f"trace is {np.trace(rho).real}, expected 1")
-
-
-def _validated_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """validate_density_matrix's checks; returns the complex array and its ascending spectrum."""
-    rho = np.asarray(rho)
-    _check_hermitian_unit_trace(rho)
-    rho = rho.astype(complex)
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs[0] < -NEGATIVE_EIGENVALUE_TOL:
-        raise InvalidStateError(f"smallest eigenvalue {eigs[0]} below -{NEGATIVE_EIGENVALUE_TOL}")
-    return rho, eigs
-
-
-def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, unit trace, and near-positivity; return as complex array."""
-    return _validated_spectrum(rho)[0]
-
-
-def validate_state_vector(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi).astype(complex).ravel()
-    if not np.all(np.isfinite(psi)):
-        raise InvalidStateError("state vector has non-finite entries")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
-        raise InvalidStateError(f"state vector has norm {norm}, expected 1")
-    return psi
-
-
 def _checked_state(state: np.ndarray, dim: int) -> np.ndarray:
     """Every engine's input-state rule; returns the state as a complex array.
 
     A shape other than (dim,) or (dim, dim) raises ValidationError; a vector
     that is not finite of unit norm, or a matrix that is not finite, Hermitian
-    and of unit trace, InvalidStateError.  Positivity needs a spectrum, so only
-    the Monte Carlo lift, which computes one, checks it.
+    and of unit trace, InvalidStateError.  Positivity needs a spectrum, so
+    only _checked_spectrum, which computes one, checks it.
     """
     state = np.asarray(state)
     if state.shape not in ((dim,), (dim, dim)):
         raise ValidationError(f"state has shape {state.shape}, expected ({dim},) or ({dim}, {dim})")
     if state.ndim == 1:
-        return validate_state_vector(state)
-    _check_hermitian_unit_trace(state)
+        state = state.astype(complex)
+        if not np.all(np.isfinite(state)):
+            raise InvalidStateError("state vector has non-finite entries")
+        norm = np.linalg.norm(state)
+        if abs(norm - 1.0) > 1e-10:
+            raise InvalidStateError(f"state vector has norm {norm}, expected 1")
+        return state
+    if not np.all(np.isfinite(state)):
+        raise InvalidStateError("density matrix has non-finite entries")
+    if np.max(np.abs(state - state.conj().T)) > HERMITICITY_TOL:
+        raise InvalidStateError("matrix is not Hermitian within tolerance")
+    if abs(np.trace(state).real - 1.0) > max(TRACE_TOL, 1e-12 * dim):
+        raise InvalidStateError(f"trace is {np.trace(state).real}, expected 1")
     return state.astype(complex)
+
+
+def _checked_spectrum(rho: np.ndarray, vectors: bool = False):
+    """eigh(rho) if vectors, else (eigvalsh(rho), None); an eigenvalue below -NEGATIVE_EIGENVALUE_TOL raises."""
+    eigs, vecs = np.linalg.eigh(rho) if vectors else (np.linalg.eigvalsh(rho), None)
+    if eigs[0] < -NEGATIVE_EIGENVALUE_TOL:
+        raise InvalidStateError(f"smallest eigenvalue {eigs[0]} below -{NEGATIVE_EIGENVALUE_TOL}")
+    return eigs, vecs
 
 
 def input_dim(k: int, n: int, t: float) -> int:
@@ -274,9 +255,7 @@ def _state_components(state: np.ndarray, dim: int) -> np.ndarray:
     if state.ndim == 1:
         factor = state[:, None]
     else:
-        eigs, vecs = np.linalg.eigh(state)
-        if eigs[0] < -NEGATIVE_EIGENVALUE_TOL:
-            raise InvalidStateError(f"smallest eigenvalue {eigs[0]} below -{NEGATIVE_EIGENVALUE_TOL}")
+        eigs, vecs = _checked_spectrum(state, vectors=True)
         factor = vecs[:, eigs > 1e-12] * np.sqrt(eigs[eigs > 1e-12])
     return factor if np.any(factor.imag) else factor.real
 

@@ -8,7 +8,6 @@ pairs, and timing goes to stderr only.  Exit codes: 0 ok, 2 validation,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 import time
@@ -64,11 +63,7 @@ def matrix_from_json(data) -> np.ndarray:
     raise ValidationError("matrix JSON must be nested lists of [re, im] pairs")
 
 
-def _write(path: str | None, text: str):
-    _write_chunks(path, (text,))
-
-
-def _write_chunks(path: str | None, chunks):
+def _write(path: str | None, chunks):
     """Write an iterable of text chunks to path, or to stdout for None or "-"."""
     if path is None or path == "-":
         sys.stdout.writelines(chunks)
@@ -77,10 +72,12 @@ def _write_chunks(path: str | None, chunks):
             fh.writelines(chunks)
 
 
-def _config_dict(args, keys) -> dict:
-    cfg = {key: getattr(args, key) for key in keys}
-    cfg["version"] = __version__
-    return cfg
+def _config(args) -> dict:
+    """The config embedded in an output: every parsed flag but the out and input-file paths and the two caps."""
+    ignored = {"out", "input_file", "max_pairing_size", "max_dense_dim", "command", "func"}
+    config = {key: value for key, value in vars(args).items() if key not in ignored}
+    config["version"] = __version__
+    return config
 
 
 def _json_output(config: dict, results: dict) -> str:
@@ -89,14 +86,6 @@ def _json_output(config: dict, results: dict) -> str:
 
 def _csv_head(config: dict, header: list[str]) -> str:
     return "# config " + json.dumps(config, sort_keys=True) + "\n" + ",".join(header) + "\n"
-
-
-def _csv_output(config: dict, header: list[str], rows) -> str:
-    buf = io.StringIO()
-    buf.write(_csv_head(config, header))
-    for row in rows:
-        buf.write(",".join(str(x) for x in row) + "\n")
-    return buf.getvalue()
 
 
 def _number_cells(values: np.ndarray) -> list[str]:
@@ -160,19 +149,19 @@ def _load_state(args, d: int, r: int) -> np.ndarray:
 
 
 def cmd_pairings(args) -> int:
-    config = _config_dict(args, ["m", "partial"])
+    config = _config(args)
     if args.partial:
         blocks = enumerate_partial_pairings(args.m)
         results = {"count": len(blocks), "partial_pairings": [[list(p) for p in b.pairs] for b in blocks]}
     else:
         pairings = enumerate_pairings(args.m)
         results = {"count": len(pairings), "pairings": [p.pair_list() for p in pairings]}
-    _write(args.out, _json_output(config, results))
+    _write(args.out, [_json_output(config, results)])
     return 0
 
 
 def cmd_wg(args) -> int:
-    config = _config_dict(args, ["m", "n"])
+    config = _config(args)
     if args.m > PAIR_LISTING_HALF_SIZE_CAP:
         raise BudgetError(f"wg --m {args.m} would write (2m-1)!!^2 rows; the cap is m <= {PAIR_LISTING_HALF_SIZE_CAP}")
     table, pairings, types = wg_exact(args.m, args.n), enumerate_pairings(args.m), coset_types(args.m)
@@ -182,48 +171,45 @@ def cmd_wg(args) -> int:
     for kind, exact in enumerate(table.coefficients.tolist()):
         asym = wg_asymptotic(pairings[0], pairings[first.index(kind)], args.n)
         cells.append(f"{exact!r},{asym!r},{exact / asym!r}")
-    rows = ((i, j, cells[kind]) for i, row in enumerate(types.tolist()) for j, kind in enumerate(row))
-    _write(args.out, _csv_output(config, ["alpha_index", "beta_index", "exact", "asymptotic", "ratio"], rows))
+    rows = "".join(f"{i},{j},{cells[kind]}\n" for i, row in enumerate(types.tolist()) for j, kind in enumerate(row))
+    _write(args.out, [_csv_head(config, ["alpha_index", "beta_index", "exact", "asymptotic", "ratio"]), rows])
     return 0
 
 
 def cmd_moment(args) -> int:
-    _validate_common(args)
-    config = _config_dict(args, ["p", "r", "k", "n", "t", "input", "report"])
+    config = _config(args)
     d = input_dim(args.k, args.n, args.t)
     state = _load_state(args, d, args.r)
     if args.report == "terms":
         arrays = _term_arrays(
             args.p, args.r, args.k, args.n, args.t, state, args.max_pairing_size, args.max_dense_dim
         )
-        _write_chunks(args.out, _term_csv(config, arrays))
+        _write(args.out, _term_csv(config, arrays))
         return 0
     value = exact_trace_moment(
         args.p, args.r, args.k, args.n, args.t, state,
         cap=args.max_pairing_size, budget=args.max_dense_dim,
     )
-    _write(args.out, _json_output(config, {"value": value}))
+    _write(args.out, [_json_output(config, {"value": value})])
     return 0
 
 
 def cmd_simulate(args) -> int:
-    _validate_common(args)
-    config = _config_dict(args, ["p", "r", "k", "n", "t", "samples", "seed", "input", "format"])
+    config = _config(args)
     d = input_dim(args.k, args.n, args.t)
     state = _load_state(args, d, args.r)
     estimate, stderr = mc_trace_moment(
         args.p, args.r, args.k, args.n, args.t, state, args.samples, args.seed
     )
     if args.format == "csv":
-        _write(args.out, _csv_output(config, ["estimate", "stderr"], [(repr(estimate), repr(stderr))]))
+        _write(args.out, [_csv_head(config, ["estimate", "stderr"]), f"{estimate!r},{stderr!r}\n"])
     else:
-        _write(args.out, _json_output(config, {"estimate": estimate, "stderr": stderr}))
+        _write(args.out, [_json_output(config, {"estimate": estimate, "stderr": stderr})])
     return 0
 
 
 def cmd_body(args) -> int:
-    _validate_common(args)
-    config = _config_dict(args, ["r", "k", "t"])
+    config = _config(args)
     body = convex_body(args.r, args.k, args.t)
     vertices = []
     for block, vertex in zip(body.blocks, body.vertices):
@@ -235,27 +221,25 @@ def cmd_body(args) -> int:
                 "matrix": matrix_to_json(vertex),
             }
         )
-    _write(args.out, _json_output(config, {"vertices": vertices}))
+    _write(args.out, [_json_output(config, {"vertices": vertices})])
     return 0
 
 
 def cmd_experiment(args) -> int:
-    _validate_common(args)
-    config = _config_dict(args, ["rule", "r", "k", "t", "samples", "seed", "format"])
-    config["n"] = list(args.n)
+    config = _config(args)
     result = convergence_experiment(args.rule, args.r, args.k, args.t, args.n, args.samples, args.seed)
     if args.format == "csv":
-        rows = [(n, s, repr(dist), repr(ent)) for n, s, dist, ent in result.rows]
-        _write(args.out, _csv_output(config, ["n", "sample", "dist", "entropy"], rows))
+        rows = [f"{n},{s},{dist!r},{ent!r}\n" for n, s, dist, ent in result.rows]
+        _write(args.out, [_csv_head(config, ["n", "sample", "dist", "entropy"]), *rows])
     else:
-        _write(args.out, _json_output(config, {"summary": list(result.summary)}))
+        _write(args.out, [_json_output(config, {"summary": list(result.summary)})])
     return 0
 
 
 def cmd_verify(args) -> int:
     results = run_all(args.seed)
     text = report_text(results, args.seed)
-    _write(args.out, text)
+    _write(args.out, [text])
     if args.out not in (None, "-"):
         sys.stdout.write(text)
     return 0 if all(r.passed for r in results) else 4
@@ -276,26 +260,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"orthochan {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("pairings", help="enumerate pairings or partial pairings")
+    # flags that several subcommands take, each declared once as a parent parser
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    samples = argparse.ArgumentParser(add_help=False)
+    samples.add_argument("--samples", type=int, required=True)
+    channel = argparse.ArgumentParser(add_help=False)
+    channel.add_argument("--r", type=int, required=True)
+    channel.add_argument("--k", type=int, required=True)
+    channel.add_argument("--t", type=float, required=True)
+    moment = argparse.ArgumentParser(add_help=False, parents=[channel])  # a trace moment at one n
+    moment.add_argument("--p", type=int, required=True)
+    moment.add_argument("--n", type=int, required=True)
+    moment.add_argument("--input", choices=["bell", "product", "mixed", "file"], default="bell")
+    moment.add_argument("--input-file", default=None)
+
+    sp = sub.add_parser("pairings", parents=[out], help="enumerate pairings or partial pairings")
     sp.add_argument("--m", type=int, required=True, help="half-size (2m points), or ground-set size with --partial")
     sp.add_argument("--partial", action="store_true", help="enumerate partial pairings of m points")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_pairings)
 
-    sp = sub.add_parser("wg", help="dump a Weingarten table as CSV")
+    sp = sub.add_parser("wg", parents=[out], help="dump a Weingarten table as CSV")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=float, required=True)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_wg)
 
-    sp = sub.add_parser("moment", help="exact trace moment of the output state")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--input", choices=["bell", "product", "mixed", "file"], default="bell")
-    sp.add_argument("--input-file", default=None)
+    sp = sub.add_parser("moment", parents=[moment, out], help="exact trace moment of the output state")
     sp.add_argument("--report", choices=["value", "terms"], default="value")
     sp.add_argument(
         "--max-pairing-size", type=int, default=EXACT_PAIRING_CAP,
@@ -309,45 +301,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-dense-dim", type=int, default=CONTRACTION_BUDGET,
         help="cap on the d^(pr) contraction space of the input state",
     )
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_moment)
 
-    sp = sub.add_parser("simulate", help="Monte Carlo trace-moment estimate")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--samples", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--input", choices=["bell", "product", "mixed", "file"], default="bell")
-    sp.add_argument("--input-file", default=None)
+    sp = sub.add_parser("simulate", parents=[moment, samples, seed, out], help="Monte Carlo trace-moment estimate")
     sp.add_argument("--format", choices=["csv", "json"], default="json")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("body", help="dump the convex body's vertices and entropies")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--out", default=None)
+    sp = sub.add_parser("body", parents=[channel, out], help="dump the convex body's vertices and entropies")
     sp.set_defaults(func=cmd_body)
 
-    sp = sub.add_parser("experiment", help="convergence experiment over an n grid")
+    sp = sub.add_parser(
+        "experiment", parents=[channel, samples, seed, out], help="convergence experiment over an n grid"
+    )
     sp.add_argument("--rule", choices=["bell", "product"], required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--n", type=_int_grid, required=True, help="comma-separated grid, e.g. 32,64,128")
-    sp.add_argument("--samples", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_experiment)
 
-    sp = sub.add_parser("verify", help="run the acceptance criteria")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
+    sp = sub.add_parser("verify", parents=[seed, out], help="run the acceptance criteria")
     sp.set_defaults(func=cmd_verify)
 
     return parser
@@ -358,6 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
+        _validate_common(args)
         code = args.func(args)
     except OrthochanError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -74,6 +74,7 @@ def f_beta(beta: Pairing, state: np.ndarray, p: int, budget: int = CONTRACTION_B
     delegated to einsum.  The modulus is bounded by d^bumps(beta).  Unchecked:
     callers check the state once (channels._checked_state), this runs per orbit.
     """
+    p = checked_index(p, "p", 1)
     if beta.size % (2 * p) != 0:
         raise ValidationError(f"pairing size {beta.size} is not a multiple of 2p = {2 * p}")
     r = beta.size // (2 * p)

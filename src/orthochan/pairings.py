@@ -419,6 +419,11 @@ def _check_diagram_size(pairing: Pairing, p: int, r: int):
         raise ValidationError(f"pairing acts on {pairing.size} points, expected 2pr = {2 * p * r}")
 
 
+def _wiring_shape(p: int, r: int, dim: int) -> tuple[int, int, int]:
+    """p, r and dim of a wiring pattern, each an integer >= 1."""
+    return checked_index(p, "p", 1), checked_index(r, "r", 1), checked_index(dim, "dim", 1)
+
+
 def wiring_offsets(pairing: Pairing, p: int, r: int, dim: int) -> np.ndarray:
     """Flat positions of the ones in the dim^(pr) x dim^(pr) delta pattern of a diagram pairing.
 
@@ -428,6 +433,7 @@ def wiring_offsets(pairing: Pairing, p: int, r: int, dim: int) -> np.ndarray:
     weight is the sum of its two legs' place values in the flattened matrix.
     The dim^(pr) offsets are distinct, so one scatter fills the pattern.
     """
+    p, r, dim = _wiring_shape(p, r, dim)
     _check_diagram_size(pairing, p, r)
     q = p * r
     place = np.empty(2 * q, dtype=np.int64)
@@ -446,6 +452,7 @@ def wiring_sum(pairings, coeffs, p: int, r: int, dim: int) -> np.ndarray:
     Starts from zeros of coeffs' dtype and adds each coefficient at its
     pairing's wiring_offsets, in order, so no dense matrix is formed per term.
     """
+    p, r, dim = _wiring_shape(p, r, dim)  # before the allocation sizes anything by them
     coeffs = np.asarray(coeffs)
     flat = np.zeros(dim ** (2 * p * r), dtype=coeffs.dtype)
     for pairing, coeff in zip(pairings, coeffs, strict=True):

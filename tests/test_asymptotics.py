@@ -26,7 +26,7 @@ from orthochan.asymptotics import (
     project_to_body,
     von_neumann_entropy,
 )
-from orthochan.channels import validate_density_matrix
+from orthochan.channels import _checked_state
 from orthochan.errors import BudgetError, InvalidStateError, OrthochanError, ValidationError
 from orthochan.moments import g_from_state
 from orthochan.pairings import PartialPairing, enumerate_partial_pairings
@@ -264,7 +264,7 @@ class TestEntropy:
         # the spectrum of the validation is the one the entropy uses: bitwise
         # the value of validating, then diagonalising again
         def two_pass(rho):
-            validate_density_matrix(rho)
+            _checked_state(rho, len(rho))
             eigs = np.clip(np.linalg.eigvalsh(np.asarray(rho).astype(complex)), 0.0, None)
             positive = eigs[eigs > 0]
             return float(-np.sum(positive * np.log(positive)))

@@ -1,5 +1,6 @@
 import functools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,9 @@ import pytest
 
 from orthochan import channels
 from orthochan.channels import (
+    ChannelSpec,
     RngStream,
+    _checked_state,
     _haar_columns,
     _stream_generators,
     _stream_keys,
@@ -22,19 +25,27 @@ from orthochan.channels import (
     mc_trace_moment,
     output_state,
     sample_haar_orthogonal,
-    validate_density_matrix,
-    validate_state_vector,
     worker_count,
 )
-from orthochan.asymptotics import basis_product_state, convergence_experiment, mean_output_asymptotic, op_T
-from orthochan.errors import InvalidStateError, ValidationError
-from orthochan.moments import exact_trace_moment
+from orthochan.asymptotics import (
+    basis_product_state,
+    bell_state_vector,
+    convergence_experiment,
+    maximal_block,
+    mean_output_asymptotic,
+    op_T,
+    von_neumann_entropy,
+)
+from orthochan.errors import BudgetError, InvalidStateError, ValidationError
+from orthochan.moments import exact_trace_moment, f_beta, wiring_matrix
 from orthochan.pairings import (
     PartialPairing,
     copy_orbits,
     delta_gamma,
     enumerate_pairings,
     enumerate_partial_pairings,
+    wiring_offsets,
+    wiring_sum,
 )
 from orthochan.weingarten import integrate_monomial
 
@@ -176,6 +187,42 @@ INTEGER_ARGUMENTS = {
     "mean-output-asymptotic-r": (
         lambda: mean_output_asymptotic(np.eye(3) / 3, 1.5, 2, 0.5), "r must be an integer"
     ),
+    # f_beta and the wiring builders once met these with ZeroDivisionError,
+    # numpy's ValueError or TypeError
+    "f-beta-p0": (lambda: f_beta(delta_gamma(1, 2)[0], np.eye(4) / 4, 0), "p must be >= 1, got 0"),
+    "f-beta-p-float": (lambda: f_beta(delta_gamma(1, 2)[0], np.eye(4) / 4, 1.0), "p must be an integer"),
+    "wiring-matrix-dim0": (lambda: wiring_matrix(delta_gamma(1, 2)[0], 1, 2, 0), "dim must be >= 1, got 0"),
+    "wiring-matrix-dim-float": (lambda: wiring_matrix(delta_gamma(1, 2)[0], 1, 2, 2.5), "dim must be an integer"),
+    "wiring-matrix-p0": (lambda: wiring_matrix(delta_gamma(1, 2)[0], 0, 2, 2), "p must be >= 1, got 0"),
+    "wiring-matrix-r-float": (lambda: wiring_matrix(delta_gamma(1, 2)[0], 1, 2.0, 2), "r must be an integer"),
+    "wiring-sum-r0": (lambda: wiring_sum([], [], 1, 0, 2), "r must be >= 1, got 0"),
+    "wiring-offsets-dim0": (lambda: wiring_offsets(delta_gamma(1, 2)[0], 1, 2, 0), "dim must be >= 1, got 0"),
+}
+
+# a shape, size or grid that does not fit, refused before any work on it
+SHAPE_REFUSALS = {
+    # the lift budget is checked before the state is read: None would raise ValidationError
+    "lift-budget": (lambda: mc_trace_moment(2, 4, 2, 64, 0.5, None, 10, 0), BudgetError, "above budget 16777216"),
+    "isometry-shape": (
+        lambda: ChannelSpec(2, 2, 0.5, 2, np.zeros((3, 2))),
+        ValidationError,
+        "isometry has shape (3, 2), expected (4, 2)",
+    ),
+    "channel-input-shape": (
+        lambda: apply_channel(make_channel(2, 2, 0.5, RngStream(0)), np.eye(3)),
+        ValidationError,
+        "input has shape (3, 3), expected (2, 2)",
+    ),
+    "entropy-not-square": (
+        lambda: von_neumann_entropy(np.full((2, 3), 1 / 3)), InvalidStateError, "must be square, got shape (2, 3)"
+    ),
+    "bell-vector-odd-r": (lambda: bell_state_vector(maximal_block(3), 2), ValidationError, "needs a perfect pairing"),
+    "experiment-empty-grid": (
+        lambda: convergence_experiment("bell", 2, 2, 0.5, (), 2, 0), ValidationError, "need a nonempty n grid"
+    ),
+    "f-beta-size": (
+        lambda: f_beta(delta_gamma(1, 3)[0], np.eye(8) / 8, 2), ValidationError, "size 6 is not a multiple of 2p = 4"
+    ),
 }
 
 
@@ -213,6 +260,11 @@ class TestChannelConstruction:
                 input_dim(2, 3, t)
             with pytest.raises(ValidationError, match="must be finite"):
                 exact_trace_moment(2, 1, 2, 3, t, np.eye(3) / 3)
+
+    @pytest.mark.parametrize("call, error, message", SHAPE_REFUSALS.values(), ids=SHAPE_REFUSALS.keys())
+    def test_shape_refusals(self, call, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            call()
 
     @pytest.mark.parametrize("call, message", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
     def test_integer_arguments_raise_validation_error(self, call, message):
@@ -449,21 +501,22 @@ class TestMonteCarlo:
 
 class TestValidation:
     def test_density_matrix_ok(self):
-        validate_density_matrix(np.eye(4) / 4)
+        _checked_state(np.eye(4) / 4, 4)
 
     def test_density_matrix_bad_trace(self):
         with pytest.raises(InvalidStateError):
-            validate_density_matrix(np.eye(4))
+            _checked_state(np.eye(4), 4)
 
     def test_density_matrix_not_hermitian(self):
         m = np.eye(3) / 3
         m[0, 1] = 0.5
         with pytest.raises(InvalidStateError):
-            validate_density_matrix(m)
+            _checked_state(m, 3)
 
     def test_density_matrix_negative_eigenvalue(self):
+        # positivity is checked by the spectrum a caller computes, not by _checked_state
         with pytest.raises(InvalidStateError):
-            validate_density_matrix(np.diag([1.5, -0.5]))
+            von_neumann_entropy(np.diag([1.5, -0.5]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):
@@ -471,9 +524,9 @@ class TestValidation:
         rho = np.eye(2) / 2
         rho[1, 1] = bad
         with pytest.raises(InvalidStateError, match="non-finite"):
-            validate_density_matrix(rho)
+            _checked_state(rho, 2)
         with pytest.raises(InvalidStateError, match="non-finite"):
-            validate_state_vector(np.array([1.0, bad]))
+            _checked_state(np.array([1.0, bad]), 2)
         a = np.eye(3)
         a[0, 2] = bad
         with pytest.raises(ValidationError, match="finite real"):

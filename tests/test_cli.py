@@ -67,6 +67,9 @@ class TestMatrixJson:
 
         with pytest.raises(ValidationError):
             matrix_from_json([1, 2, 3])
+        # entries numpy cannot read as floats
+        with pytest.raises(ValidationError, match="nested lists of"):
+            matrix_from_json([["a", "b"]])
 
 
 class TestSubcommands:
@@ -307,6 +310,7 @@ MALFORMED = [
     ("experiment-r0", [*_EXPERIMENT, "--r", "0", "--n", "8"]),
     ("wg-nan", ["wg", "--m", "2", "--n", "nan"]),
     ("wg-inf", ["wg", "--m", "2", "--n", "inf"]),
+    ("moment-dense-dim", ["moment", *_DIMS, "--r", "1", "--max-dense-dim", "999999999"]),
 ]
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from orthochan.pairings import (
     Pairing,
     PartialPairing,
     Permutation,
+    box_index,
     bumps,
     combine_copies,
     connected_components,
@@ -32,6 +34,7 @@ from orthochan.pairings import (
     type_lengths,
 )
 from orthochan.pairings import _component_sizes
+from orthochan.weingarten import wg_asymptotic
 
 
 def graph_components_oracle(alpha, beta):
@@ -95,6 +98,31 @@ class TestEnumeration:
         text = json.dumps(p.pair_list())
         assert text == "[[0, 2], [1, 3]]"
         assert Pairing.from_pairs(json.loads(text), 4) == p
+
+
+# arguments whose sizes or entries do not fit together
+SIZE_REFUSALS = {
+    "not-a-permutation": (lambda: Permutation((0, 0, 1)), "not a permutation of 0..2: (0, 0, 1)"),
+    "compose-sizes": (lambda: Permutation((0, 1)).compose(Permutation((0, 1, 2))), "size mismatch: 2 vs 3"),
+    "partial-pair-range": (lambda: PartialPairing(2, ((0, 2),)), "pair entries outside 0..1: ((0, 2),)"),
+    "box-label-range": (lambda: box_index(2, 0, 0, 2, 1), "box label (2, 0, 0) out of range for p=2, r=1"),
+    "partial-to-pairing-cells": (
+        lambda: pairing_from_partial(PartialPairing(2, ((0, 1),)), 1, 3), "block on 2 cells, expected pr = 3"
+    ),
+    "combine-copy-points": (
+        lambda: combine_copies([PartialPairing(2, ((0, 1),)), PartialPairing(3, ())], 2),
+        "copy block on 3 points, expected 2",
+    ),
+    "wg-asymptotic-sizes": (
+        lambda: wg_asymptotic(enumerate_pairings(1)[0], enumerate_pairings(2)[0], 5), "size mismatch: 2 vs 4"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", SIZE_REFUSALS.values(), ids=SIZE_REFUSALS.keys())
+def test_size_refusals_raise_validation_error(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
 
 
 class TestPermutationBasics:

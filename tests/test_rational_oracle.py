@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from orthochan.asymptotics import basis_product_state, bell_state_vector, maximal_block
+from orthochan.channels import mc_trace_moment
 from orthochan.moments import exact_trace_moment, f_beta
 from orthochan.pairings import (
     SIDE_L,
@@ -199,6 +200,15 @@ def test_m6_basis_product_moments(p, r, n):
     assert exact_basis_moment(p, r, 2, n) == exact
     value = exact_trace_moment(p, r, 2, n, 0.5, basis_product_state(n, r), cap=12)
     assert relative_error(value, exact) <= rtol
+
+
+@pytest.mark.parametrize("p,r,n", M6_CASES, ids=[f"p{p}_r{r}_n{n}" for p, r, n in M6_CASES])
+def test_m6_monte_carlo_matches_rationals(p, r, n):
+    # the Monte Carlo engine against the same rationals, within three standard
+    # errors; seed and sample count were fixed before the first run
+    exact, _ = M6_CASES[(p, r, n)]
+    estimate, stderr = mc_trace_moment(p, r, 2, n, 0.5, basis_product_state(n, r), 40_000, 12)
+    assert abs(estimate - float(exact)) <= 3 * stderr
 
 
 def bell_wiring(p: int, r: int) -> Pairing:
