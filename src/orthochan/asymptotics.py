@@ -21,6 +21,7 @@ import numpy as np
 from .channels import (
     OUTPUT_TENSOR_BUDGET,
     RngStream,
+    _check_t,
     _checked_spectrum,
     _checked_state,
     input_dim,
@@ -38,11 +39,6 @@ KKT_TOL = 1e-12  # relative slack of the projection's optimality certificate
 def maximally_entangled(dim: int) -> np.ndarray:
     """The rank-one pair projector Omega Omega^* on dim^2, of trace dim: op_T of one pair."""
     return op_T(PartialPairing(2, ((0, 1),)), checked_index(dim, "dim", 1))
-
-
-def _check_t(t: float) -> None:
-    if not 0.0 <= t <= 1.0:  # NaN fails both comparisons
-        raise ValidationError(f"t must lie in [0, 1], got {t}")
 
 
 def isotropic_eta(k: int, t: float) -> np.ndarray:
@@ -163,8 +159,8 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     Eigenvalues below the clip window mean the input is not a state and raise.
     """
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidStateError(f"density matrix must be square, got shape {rho.shape}")
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or not rho.size:
+        raise InvalidStateError(f"density matrix must be square and nonempty, got shape {rho.shape}")
     eigs, _ = _checked_spectrum(_checked_state(rho, rho.shape[0]))
     eigs = np.clip(eigs, 0.0, None)
     positive = eigs[eigs > 0]
@@ -178,6 +174,8 @@ def isotropic_entropy(k: int, t: float) -> float:
     k^2 - 1: the pair projector carries eigenvalue k, so the t-part of the
     mixture contributes its full weight to the top eigenvalue.
     """
+    k = checked_index(k, "k", 2)
+    _check_t(t)
 
     def h(x: float) -> float:
         return 0.0 if x <= 0 else -x * math.log(x)
@@ -190,6 +188,8 @@ def entropy_extremal(block: PartialPairing, k: int, t: float) -> float:
 
     |B| isotropic factors plus r - 2|B| maximally mixed singles.
     """
+    k = checked_index(k, "k", 2)
+    _check_t(t)
     r = block.n_points
     return block.n_pairs * isotropic_entropy(k, t) + (r - 2 * block.n_pairs) * math.log(k)
 

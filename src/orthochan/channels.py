@@ -22,7 +22,9 @@ from .errors import BudgetError, InvalidStateError, ValidationError, checked_ind
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
+NORM_TOL = 1e-10
 NEGATIVE_EIGENVALUE_TOL = 1e-10
+EIGENWEIGHT_CUTOFF = 1e-12  # eigenvectors of a density matrix kept as input components
 # max entries of one lifted block ((kn)^r per factor column) and of the convex
 # body's vertex stack (V vertices of k^(2r) entries)
 OUTPUT_TENSOR_BUDGET = 2**24
@@ -98,7 +100,7 @@ def _checked_state(state: np.ndarray, dim: int) -> np.ndarray:
         if not np.all(np.isfinite(state)):
             raise InvalidStateError("state vector has non-finite entries")
         norm = np.linalg.norm(state)
-        if abs(norm - 1.0) > 1e-10:
+        if abs(norm - 1.0) > NORM_TOL:
             raise InvalidStateError(f"state vector has norm {norm}, expected 1")
         return state
     if not np.all(np.isfinite(state)):
@@ -118,8 +120,13 @@ def _checked_spectrum(rho: np.ndarray, vectors: bool = False):
     return eigs, vecs
 
 
+def _check_t(t: float) -> None:
+    if not 0.0 <= t <= 1.0:  # NaN fails both comparisons
+        raise ValidationError(f"t must lie in [0, 1], got {t}")
+
+
 def input_dim(k: int, n: int, t: float) -> int:
-    """Channel input dimension d = floor(t*k*n); raise unless k and n are integers >= 1 and 1 <= d <= kn."""
+    """Channel input dimension d = floor(t*k*n); raise unless k and n are integers >= 1, 1 <= d <= kn and t <= 1."""
     k, n = checked_index(k, "k", 1), checked_index(n, "n", 1)
     if not math.isfinite(t * k * n):  # floor would raise ValueError or OverflowError
         raise ValidationError(f"t*k*n must be finite, got t={t}, k={k}, n={n}")
@@ -132,6 +139,7 @@ def input_dim(k: int, n: int, t: float) -> int:
         raise ValidationError(
             f"floor(t*k*n) = {d} exceeds kn = {k * n} at t={t}, k={k}, n={n}; need t <= 1"
         )
+    _check_t(t)  # floor(t*k*n) <= kn also admits t up to (kn + 1) / kn
     return d
 
 
@@ -249,14 +257,15 @@ def _state_components(state: np.ndarray, dim: int) -> np.ndarray:
     """A dim x C factor F of the input with F F^H = state, real when it can be.
 
     A vector is its own single column; a density matrix gives its eigenvectors
-    of weight above 1e-12, each times the square root of its weight.
+    of weight above EIGENWEIGHT_CUTOFF, each times the square root of its weight.
     """
     state = _checked_state(state, dim)
     if state.ndim == 1:
         factor = state[:, None]
     else:
         eigs, vecs = _checked_spectrum(state, vectors=True)
-        factor = vecs[:, eigs > 1e-12] * np.sqrt(eigs[eigs > 1e-12])
+        keep = eigs > EIGENWEIGHT_CUTOFF
+        factor = vecs[:, keep] * np.sqrt(eigs[keep])
     return factor if np.any(factor.imag) else factor.real
 
 
@@ -402,8 +411,8 @@ def mc_mean_output(
 def mc_conjugation_mean(a: np.ndarray, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise mean and standard error of U A U^T over Haar orthogonal draws."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or np.any(np.imag(a)) or not np.isfinite(a).all():
-        raise ValidationError(f"A must be a square matrix of finite real entries, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size or np.any(np.imag(a)) or not np.isfinite(a).all():
+        raise ValidationError(f"A must be a nonempty square matrix of finite real entries, got shape {a.shape}")
     a = a.real.astype(float)
     dim = a.shape[0]
 

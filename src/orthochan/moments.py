@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import _checked_state, input_dim
+from .channels import _check_t, _checked_state, input_dim
 from .errors import BudgetError, EnumerationLimitError, ValidationError, checked_index
 from .pairings import (
     PAIR_LISTING_HALF_SIZE_CAP,
@@ -43,6 +43,7 @@ EXACT_PAIRING_CAP = 8        # default max 2pr for the double pairing sum
 EXACT_PAIRING_HARD_CAP = 2 * PAIRING_HALF_SIZE_CAP  # absolute max 2pr (12); see the CLI help for its cost
 CONTRACTION_BUDGET = 2**24   # max d^(pr) free-index space in f_beta
 TERM_CHUNK = 2**15           # report terms built per batch of index arrays
+G_WEIGHT_SLACK = 1e-9        # round-off allowed outside [0, 1] in a block weight g_B
 
 
 class MomentTerm(NamedTuple):
@@ -256,14 +257,16 @@ def asymptotic_trace_moment(
     g maps partial pairings of the p*r cell grid to values in [0, 1];
     missing blocks count as zero.
     """
+    _, gamma = delta_gamma(p, r)  # checks p and r
+    k = checked_index(k, "k", 1)
+    _check_t(t)
     for block, value in g.items():
         if block.n_points != p * r:
             raise ValidationError(
                 f"g key on {block.n_points} cells, expected pr = {p * r}"
             )
-        if not -1e-9 <= value <= 1 + 1e-9:
+        if not -G_WEIGHT_SLACK <= value <= 1 + G_WEIGHT_SLACK:
             raise ValidationError(f"g value {value} for {block.pairs} outside [0, 1]")
-    _, gamma = delta_gamma(p, r)
     total = 0.0
     for sub, block in dominant_pairs(p, r, inward_only=(p <= 2)):
         weight = g.get(block, 0.0)

@@ -7,9 +7,11 @@ triples (copy i, channel x, side L/R) and flattened as
 
     index = ((i * r) + x) * 2 + side,      side: L = 0, R = 1.
 
-The coset type of a pair of pairings (the half-sizes of the components of
-their two-matching graph, a partition of m) is all that Gram and Weingarten
-entries depend on; coset_types tabulates it for every pair at once.
+Two pairings of the same points form a two-matching graph whose components
+are alternating cycles.  coset_type walks them once; its half-lengths, a
+partition of m, are the coset type of the pair, and the component count and
+the Moebius coefficient are read from it.  The type is all that Gram and
+Weingarten entries depend on; coset_types tabulates it for every pair at once.
 
 Partial pairings (sets of disjoint pairs, possibly leaving singletons) index
 the dominant terms of the large-dimension expansion and the asymptotic
@@ -206,29 +208,31 @@ def length(sigma: Permutation) -> int:
     return sigma.size - sigma.cycle_count()
 
 
-def _component_sizes(alpha: Pairing, beta: Pairing) -> list[int]:
-    """Sizes of the connected components of the two-matching graph, by union-find."""
+def coset_type(alpha: Pairing, beta: Pairing) -> tuple[int, ...]:
+    """Half-lengths of the alternating cycles of the two-matching graph, non-increasing.
+
+    Both pairings are fixed-point-free involutions, so every component of the
+    graph is a cycle whose edges alternate between alpha and beta.  One walk
+    from each unvisited point follows alpha and then beta, marking two points
+    per step, until it closes; its step count is the cycle's half-length.
+    This partition of m is the coset type of the pair: two pairs of pairings
+    are related by a relabelling of the points exactly when their types agree.
+    """
     if alpha.size != beta.size:
         raise ValidationError(f"size mismatch: {alpha.size} vs {beta.size}")
-    n = alpha.size
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in (alpha.images[i], beta.images[i]):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    sizes: dict[int, int] = {}
-    for i in range(n):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    return list(sizes.values())
+    a, b = alpha.images, beta.images
+    seen = [False] * alpha.size
+    halves = []
+    for start in range(alpha.size):
+        if seen[start]:
+            continue
+        half, j = 0, start
+        while not seen[j]:
+            seen[j] = seen[a[j]] = True
+            j = b[a[j]]
+            half += 1
+        halves.append(half)
+    return tuple(sorted(halves, reverse=True))
 
 
 def connected_components(alpha: Pairing, beta: Pairing) -> int:
@@ -237,7 +241,17 @@ def connected_components(alpha: Pairing, beta: Pairing) -> int:
     Each component consists of two product cycles of equal length, so this
     always equals half the cycle count of the product permutation.
     """
-    return len(_component_sizes(alpha, beta))
+    return len(coset_type(alpha, beta))
+
+
+def mobius(alpha: Pairing, beta: Pairing) -> int:
+    """Signed Catalan product over components of the two-matching graph.
+
+    A component of 2c vertices (its two product cycles have common length c)
+    contributes (-1)^(c-1) * Catalan(c-1).  This per-component form satisfies
+    mobius(a, a) == 1 and is the leading coefficient of the exact tables.
+    """
+    return math.prod((-1) ** (c - 1) * catalan(c - 1) for c in coset_type(alpha, beta))
 
 
 def partitions(m: int) -> tuple[tuple[int, ...], ...]:
@@ -257,15 +271,6 @@ def _partitions_below(rest: int, largest: int):
     for part in range(min(rest, largest), 0, -1):
         for tail in _partitions_below(rest - part, part):
             yield (part,) + tail
-
-
-def coset_type(alpha: Pairing, beta: Pairing) -> tuple[int, ...]:
-    """Half-sizes of the components of the two-matching graph, non-increasing.
-
-    This partition of m is the coset type of the pair: two pairs of pairings
-    are related by a relabelling of the points exactly when their types agree.
-    """
-    return tuple(sorted((s // 2 for s in _component_sizes(alpha, beta)), reverse=True))
 
 
 def type_lengths(m: int) -> np.ndarray:
@@ -304,7 +309,7 @@ def _coset_types(m: int) -> np.ndarray:
     # Relabelling both pairings by a transposition s keeps their type, so
     # type(s a s, b) = type(a, s b s): the row of s a s is the row of a
     # permuted by b -> s b s.  Rows are filled outwards from the identity
-    # pairing (row 0, by union-find) along such conjugations.
+    # pairing (row 0, by coset_type's walk) along such conjugations.
     pairs = enumerate_pairings(m)
     count, size = len(pairs), 2 * m
     ids = {lam: i for i, lam in enumerate(partitions(m))}
@@ -375,20 +380,6 @@ def _copy_orbits(p: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return orbit, reps
 
 
-def mobius(alpha: Pairing, beta: Pairing) -> int:
-    """Signed Catalan product over components of the two-matching graph.
-
-    A component of 2c vertices (its two product cycles have common length c)
-    contributes (-1)^(c-1) * Catalan(c-1).  This per-component form satisfies
-    mobius(a, a) == 1 and is the leading coefficient of the exact tables.
-    """
-    out = 1
-    for s in _component_sizes(alpha, beta):
-        c = s // 2
-        out *= (-1) ** (c - 1) * catalan(c - 1)
-    return out
-
-
 def box_index(i: int, x: int, side: int, p: int, r: int) -> int:
     """Flatten the wire-endpoint triple (copy i, channel x, side) to an integer."""
     if not (0 <= i < p and 0 <= x < r and side in (SIDE_L, SIDE_R)):
@@ -454,8 +445,10 @@ def wiring_sum(pairings, coeffs, p: int, r: int, dim: int) -> np.ndarray:
     """
     p, r, dim = _wiring_shape(p, r, dim)  # before the allocation sizes anything by them
     coeffs = np.asarray(coeffs)
+    if coeffs.shape != (len(pairings),):
+        raise ValidationError(f"need one coefficient per pairing, got shape {coeffs.shape} for {len(pairings)}")
     flat = np.zeros(dim ** (2 * p * r), dtype=coeffs.dtype)
-    for pairing, coeff in zip(pairings, coeffs, strict=True):
+    for pairing, coeff in zip(pairings, coeffs):
         flat[wiring_offsets(pairing, p, r, dim)] += coeff
     return flat.reshape(dim ** (p * r), -1)
 
@@ -496,7 +489,7 @@ def min_transverse_distance(beta: Pairing, p: int, r: int) -> tuple[int, list[Pa
     best = None
     minimizers: list[Pairing] = []
     for tau in transverse_pairings(p, r):
-        dist = length(tau.compose(beta))
+        dist = 2 * (q - connected_components(tau, beta))  # |tau beta|: 2q less the product's 2cc cycles
         if best is None or dist < best:
             best = dist
             minimizers = [tau]

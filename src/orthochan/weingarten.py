@@ -23,10 +23,9 @@ import numpy as np
 from .errors import ValidationError, checked_index
 from .pairings import (
     Pairing,
-    connected_components,  # noqa: F401  looked up here by perfbench/spans.py
+    connected_components,
     coset_types,
     enumerate_pairings,
-    length,
     mobius,
     type_lengths,
 )
@@ -117,13 +116,9 @@ def wg_exact(m: int, n: float) -> WeingartenTable:
 
 
 def wg_asymptotic(alpha: Pairing, beta: Pairing, n: float) -> float:
-    """Leading-order value n^(-m - |ab|/2) * mobius(a, b)."""
+    """Leading-order value n^(cc(a, b) - 2m) * mobius(a, b), i.e. n^(-m - |ab|/2) * mobius(a, b)."""
     _check_dimension(n)
-    if alpha.size != beta.size:
-        raise ValidationError(f"size mismatch: {alpha.size} vs {beta.size}")
-    m = alpha.size // 2
-    dist = length(alpha.compose(beta))
-    return float(n) ** (-m - dist / 2) * mobius(alpha, beta)
+    return float(n) ** (connected_components(alpha, beta) - alpha.size) * mobius(alpha, beta)
 
 
 def integrate_monomial(index_rows, n: float) -> float:

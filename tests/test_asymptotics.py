@@ -28,7 +28,7 @@ from orthochan.asymptotics import (
 )
 from orthochan.channels import _checked_state
 from orthochan.errors import BudgetError, InvalidStateError, OrthochanError, ValidationError
-from orthochan.moments import g_from_state
+from orthochan.moments import asymptotic_trace_moment, g_from_state
 from orthochan.pairings import PartialPairing, enumerate_partial_pairings
 
 
@@ -62,7 +62,13 @@ class TestIsotropicState:
 
     def test_k_below_two_rejected(self):
         # the one-pair state and every extremal state share op_S_tilde's check
-        for call in (lambda: isotropic_eta(1, 0.5), lambda: op_S_tilde(PartialPairing(3, ((0, 2),)), 1, 0.5)):
+        for call in (
+            lambda: isotropic_eta(1, 0.5),
+            lambda: op_S_tilde(PartialPairing(3, ((0, 2),)), 1, 0.5),
+            # the closed-form entropies once divided by zero or took k = 1
+            lambda: isotropic_entropy(0, 0.5),
+            lambda: entropy_extremal(ONE_PAIR, 1, 0.5),
+        ):
             with pytest.raises(ValidationError, match="k must be >= 2"):
                 call()
 
@@ -75,6 +81,18 @@ class TestIsotropicState:
                 op_R_tilde(PartialPairing(2, ((0, 1),)), 2, t)
             with pytest.raises(ValidationError, match=r"t must lie in \[0, 1\]"):
                 mean_output_asymptotic(np.eye(4) / 4, 2, 2, t)
+        # the closed forms take the same rule; each once returned a number outside it
+        for t in (1.05, 1.5, 5.0, -0.1, float("nan"), float("inf")):
+            for call in (
+                lambda: isotropic_entropy(2, t),
+                lambda: entropy_extremal(ONE_PAIR, 2, t),
+                lambda: asymptotic_trace_moment(1, 2, 2, t, {}),
+            ):
+                with pytest.raises(ValidationError, match=r"t must lie in \[0, 1\]"):
+                    call()
+        # t just above 1 keeps floor(t*k*n) <= kn, so only the t rule refuses it
+        with pytest.raises(ValidationError, match=r"t must lie in \[0, 1\], got 1.05"):
+            g_from_state(np.eye(8)[0], 1, 2, 4, 1.05)
 
 
 ONE_PAIR = PartialPairing(2, ((0, 1),))
@@ -91,6 +109,7 @@ BELOW_LEAST = {
     "maximal-block-r": lambda: maximal_block(-1),
     "g-from-state-r": lambda: g_from_state(np.eye(1), 0, 2, 3, 0.5),
     "mean-output-asymptotic-r": lambda: mean_output_asymptotic(np.eye(3) / 3, 0, 2, 0.5),
+    "asymptotic-moment-k": lambda: asymptotic_trace_moment(1, 2, 0, 0.5, {}),
 }
 
 

@@ -214,7 +214,18 @@ SHAPE_REFUSALS = {
         "input has shape (3, 3), expected (2, 2)",
     ),
     "entropy-not-square": (
-        lambda: von_neumann_entropy(np.full((2, 3), 1 / 3)), InvalidStateError, "must be square, got shape (2, 3)"
+        lambda: von_neumann_entropy(np.full((2, 3), 1 / 3)),
+        InvalidStateError,
+        "must be square and nonempty, got shape (2, 3)",
+    ),
+    # these two once raised numpy's ValueError and a ZeroDivisionError
+    "entropy-empty": (
+        lambda: von_neumann_entropy(np.zeros((0, 0))), InvalidStateError, "must be square and nonempty, got shape (0, 0)"
+    ),
+    "conjugation-empty": (
+        lambda: mc_conjugation_mean(np.zeros((0, 0)), 10, 0),
+        ValidationError,
+        "A must be a nonempty square matrix of finite real entries, got shape (0, 0)",
     ),
     "bell-vector-odd-r": (lambda: bell_state_vector(maximal_block(3), 2), ValidationError, "needs a perfect pairing"),
     "experiment-empty-grid": (
@@ -254,6 +265,14 @@ class TestChannelConstruction:
             input_dim(2, 4, 1.5)
         with pytest.raises(ValidationError, match="exceeds kn = 8"):
             exact_trace_moment(2, 1, 2, 4, 1.5, np.eye(12)[0])
+        # floor(1.05 * 8) = 8 = kn, so only the t rule stops t just above 1
+        for call in (
+            lambda: input_dim(2, 4, 1.05),
+            lambda: make_channel(2, 4, 1.05, RngStream(0)),
+            lambda: exact_trace_moment(2, 1, 2, 4, 1.05, np.eye(8)[0]),
+        ):
+            with pytest.raises(ValidationError, match=r"t must lie in \[0, 1\], got 1.05"):
+                call()
         # math.floor raises ValueError at NaN and OverflowError at infinity
         for t in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValidationError, match="must be finite"):

@@ -32,28 +32,34 @@ from orthochan.pairings import (
     partitions,
     transverse_pairings,
     type_lengths,
+    wiring_sum,
 )
-from orthochan.pairings import _component_sizes
 from orthochan.weingarten import wg_asymptotic
 
 
 def graph_components_oracle(alpha, beta):
-    """Independent BFS over the two-matching graph, no union-find."""
+    """Half-sizes of the two-matching graph's components, non-increasing, by an independent graph search.
+
+    It treats the graph as a general one: no use is made of its components
+    being alternating cycles.
+    """
     n = alpha.size
     seen = [False] * n
-    count = 0
+    halves = []
     for start in range(n):
         if seen[start]:
             continue
-        count += 1
+        size = 0
         stack = [start]
         while stack:
             v = stack.pop()
             if seen[v]:
                 continue
             seen[v] = True
+            size += 1
             stack.extend((alpha.images[v], beta.images[v]))
-    return count
+        halves.append(size // 2)
+    return tuple(sorted(halves, reverse=True))
 
 
 class TestEnumeration:
@@ -116,6 +122,18 @@ SIZE_REFUSALS = {
     "wg-asymptotic-sizes": (
         lambda: wg_asymptotic(enumerate_pairings(1)[0], enumerate_pairings(2)[0], 5), "size mismatch: 2 vs 4"
     ),
+    # the cycle walk and the two statistics read from it
+    "coset-type-sizes": (
+        lambda: coset_type(enumerate_pairings(2)[0], enumerate_pairings(3)[0]), "size mismatch: 4 vs 6"
+    ),
+    "components-sizes": (
+        lambda: connected_components(enumerate_pairings(3)[0], enumerate_pairings(1)[0]), "size mismatch: 6 vs 2"
+    ),
+    "mobius-sizes": (lambda: mobius(enumerate_pairings(1)[0], enumerate_pairings(2)[0]), "size mismatch: 2 vs 4"),
+    "wiring-sum-coefficients": (
+        lambda: wiring_sum(enumerate_pairings(1), [1.0, 2.0], 1, 1, 2),
+        "need one coefficient per pairing, got shape (2,) for 1",
+    ),
 }
 
 
@@ -156,12 +174,12 @@ class TestConnectedComponents:
     def test_crossing_pair(self):
         a = Pairing.from_pairs([(0, 1), (2, 3)])
         b = Pairing.from_pairs([(0, 2), (1, 3)])
-        assert connected_components(a, b) == graph_components_oracle(a, b) == 1
+        assert connected_components(a, b) == len(graph_components_oracle(a, b)) == 1
 
     def test_six_point_example(self):
         a = Pairing.from_pairs([(0, 1), (2, 3), (4, 5)])
         b = Pairing.from_pairs([(0, 1), (2, 4), (3, 5)])
-        assert connected_components(a, b) == graph_components_oracle(a, b) == 2
+        assert connected_components(a, b) == len(graph_components_oracle(a, b)) == 2
 
     def test_size_mismatch(self):
         with pytest.raises(ValidationError):
@@ -175,7 +193,7 @@ class TestConnectedComponents:
                 via_graph = connected_components(a, b)
                 via_cycles = a.compose(b).cycle_count() // 2
                 via_length = m - length(a.compose(b)) // 2
-                assert via_graph == graph_components_oracle(a, b) == via_cycles == via_length
+                assert via_graph == len(graph_components_oracle(a, b)) == via_cycles == via_length
 
 
 class TestCosetTypes:
@@ -189,12 +207,11 @@ class TestCosetTypes:
     def _check_pair(types, pairings, i, j):
         m = pairings[0].size // 2
         a, b = pairings[i], pairings[j]
-        halves = sorted((s // 2 for s in _component_sizes(a, b)), reverse=True)
-        assert partitions(m)[types[i, j]] == coset_type(a, b) == tuple(halves)
+        assert partitions(m)[types[i, j]] == coset_type(a, b) == graph_components_oracle(a, b)
         assert type_lengths(m)[types[i, j]] == connected_components(a, b)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_every_pair_matches_union_find(self, m):
+    def test_every_pair_matches_graph_search(self, m):
         types = coset_types(m)
         pairings = enumerate_pairings(m)
         assert types.shape == (len(pairings),) * 2 and types.dtype == np.uint8
@@ -202,7 +219,7 @@ class TestCosetTypes:
             for j in range(len(pairings)):
                 self._check_pair(types, pairings, i, j)
 
-    def test_sampled_pairs_match_union_find_m5(self):
+    def test_sampled_pairs_match_graph_search_m5(self):
         types = coset_types(5)
         pairings = enumerate_pairings(5)
         rng = np.random.default_rng(0)

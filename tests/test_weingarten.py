@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orthochan.errors import EnumerationLimitError, ValidationError
-from orthochan.pairings import coset_types, enumerate_pairings, Pairing, partitions, Permutation
+from orthochan.pairings import coset_types, enumerate_pairings, length, mobius, Pairing, partitions, Permutation
 from orthochan.weingarten import (
     GRAM_EIGENVALUE_CUTOFF,
     gram_matrix,
@@ -173,6 +173,15 @@ class TestAsymptotic:
     def test_m2_crossing(self):
         a, b = enumerate_pairings(2)[0], enumerate_pairings(2)[1]
         assert wg_asymptotic(a, b, 10) == pytest.approx(-1e-3)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_exponent_from_the_product_permutation_bit_for_bit(self, m):
+        # cc(a, b) - 2m from the cycle walk against -m - |ab|/2 from the product's cycles
+        pairings = enumerate_pairings(m)
+        for n in (3, 7.5, 1000):
+            for a in pairings:
+                for b in pairings:
+                    assert wg_asymptotic(a, b, n) == float(n) ** (-m - length(a.compose(b)) / 2) * mobius(a, b)
 
     def test_ratio_near_one_large_n(self):
         n = 1000
