@@ -67,6 +67,11 @@ def _infer_local_dim(total: int, copies: int) -> int:
     raise ValidationError(f"state dimension {total} is not a perfect {copies}-th power")
 
 
+def _check_budget(d: int, p: int, r: int, budget: int) -> None:
+    if d ** (p * r) > budget:
+        raise BudgetError(f"f_beta contraction needs d^(pr) = {d ** (p * r)} terms, above budget {budget}")
+
+
 def f_beta(beta: Pairing, state: np.ndarray, p: int, budget: int = CONTRACTION_BUDGET) -> complex:
     """Contraction of p input-state copies against the delta pattern of beta.
 
@@ -82,8 +87,7 @@ def f_beta(beta: Pairing, state: np.ndarray, p: int, budget: int = CONTRACTION_B
     state = np.asarray(state)
     total = state.shape[0]
     d = _infer_local_dim(total, r)
-    if d ** (p * r) > budget:
-        raise BudgetError(f"f_beta contraction needs d^(pr) = {d ** (p * r)} terms, above budget {budget}")
+    _check_budget(d, p, r, budget)
     # endpoint (copy i, cell x, side) takes the label of its pair; per copy, [ket legs], [bra legs]
     labels = np.empty(2 * p * r, dtype=int)
     labels[np.array(beta.pairs)] = np.arange(len(beta.pairs))[:, None]
@@ -116,7 +120,9 @@ def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, bu
         raise EnumerationLimitError(
             f"exact engine needs 2pr = {2 * m} diagram endpoints, above cap {effective_cap}"
         )
-    _checked_state(state, input_dim(k, n, t) ** r)  # the sums contract the state as given
+    d = input_dim(k, n, t)
+    _checked_state(state, d**r)  # the sums contract the state as given
+    _check_budget(d, p, r, budget)  # before any table is built
     table = wg_exact(m, k * n)
     pair_list = enumerate_pairings(m)
     counts, types = type_lengths(m), coset_types(m)

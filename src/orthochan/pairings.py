@@ -98,8 +98,11 @@ class Pairing(Permutation):
         if size is None:
             size = 2 * len(pairs)
         images = list(range(size))
-        for a, b in pairs:
-            images[a], images[b] = b, a
+        try:
+            for a, b in pairs:
+                images[a], images[b] = b, a
+        except IndexError:
+            raise ValidationError(f"pair entries outside 0..{size - 1}: {tuple(pairs)}") from None
         return cls(tuple(images))
 
     @property

@@ -1,12 +1,14 @@
 """Acceptance checks binding the library to its quantitative contract.
 
-Each criterion is a function returning a CriterionResult with a deterministic
-detail string (no timestamps, fixed formatting), so a report built twice from
-the same seed is byte-identical.
+Each criterion is one function of the seed returning ``(passed, detail)``,
+registered with its name by ``_criterion``; its number is its definition
+order.  The detail string is deterministic (no timestamps, fixed formatting),
+so a report built twice from the same seed is byte-identical.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -15,11 +17,11 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
-    basis_product_state,
-    bell_state_vector,
     convergence_experiment,
     entropy_extremal,
+    experiment_input,
     isotropic_entropy,
+    maximal_block,
     op_Q_tilde,
     op_R_tilde,
     op_S_tilde,
@@ -28,7 +30,6 @@ from .asymptotics import (
 from .channels import THREADS_ENV_VAR, RngStream, input_dim, mc_conjugation_mean, mc_trace_moment
 from .moments import exact_trace_moment, term_report
 from .pairings import (
-    PartialPairing,
     bumps,
     connected_components,
     enumerate_pairings,
@@ -46,11 +47,32 @@ class CriterionResult:
     detail: str
 
 
+CRITERIA = []
+
+
+def _criterion(name: str):
+    """Register a ``(seed) -> (passed, detail)`` check as the next numbered criterion."""
+
+    def register(check):
+        index = len(CRITERIA) + 1
+
+        @functools.wraps(check)
+        def run(seed: int) -> CriterionResult:
+            passed, detail = check(seed)
+            return CriterionResult(index, name, passed, detail)
+
+        CRITERIA.append(run)
+        return run
+
+    return register
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def criterion_1_components(seed: int) -> CriterionResult:
+@_criterion("pairing-graph components equal half the product cycle count")
+def criterion_1_components(seed: int) -> tuple[bool, str]:
     """Component count of the two-matching graph equals half the product cycles."""
     checked = 0
     mismatches = 0
@@ -63,12 +85,7 @@ def criterion_1_components(seed: int) -> CriterionResult:
                 via_cycles = a.compose(b).cycle_count() // 2
                 if via_graph != via_cycles:
                     mismatches += 1
-    return CriterionResult(
-        1,
-        "pairing-graph components equal half the product cycle count",
-        mismatches == 0,
-        f"checked {checked} pairs up to 2m=8, mismatches {mismatches}",
-    )
+    return mismatches == 0, f"checked {checked} pairs up to 2m=8, mismatches {mismatches}"
 
 
 def _minimizer_structure_ok(beta, tau) -> bool:
@@ -82,7 +99,8 @@ def _minimizer_structure_ok(beta, tau) -> bool:
     )
 
 
-def criterion_2_bumps(seed: int) -> CriterionResult:
+@_criterion("transverse minimum equals twice the bump count with the matched-bump minimizers")
+def criterion_2_bumps(seed: int) -> tuple[bool, str]:
     """Brute-forced transverse minimum equals twice the bump count, minimizers included."""
     checked = 0
     bad = 0
@@ -95,15 +113,11 @@ def criterion_2_bumps(seed: int) -> CriterionResult:
             expected_count = math.factorial(flats) * 2**flats
             if minimum != 2 * flats or not structural or len(minimizers) != expected_count:
                 bad += 1
-    return CriterionResult(
-        2,
-        "transverse minimum equals twice the bump count with the matched-bump minimizers",
-        bad == 0,
-        f"checked {checked} pairings up to q=4, failures {bad}",
-    )
+    return bad == 0, f"checked {checked} pairings up to q=4, failures {bad}"
 
 
-def criterion_3_exactness(seed: int) -> CriterionResult:
+@_criterion("exact trace moments match Monte Carlo within 3 standard errors")
+def criterion_3_exactness(seed: int) -> tuple[bool, str]:
     """Exact Weingarten sums agree with Monte Carlo at 1e5 samples."""
     samples = 100_000
     runs = []
@@ -112,30 +126,23 @@ def criterion_3_exactness(seed: int) -> CriterionResult:
         ((2, 2, 2, 4, 0.5), "r2"),
     ):
         d = input_dim(k, n, t)
-        inputs = {
-            "bell": (np.eye(d) / d if r == 1 else bell_state_vector(PartialPairing(2, ((0, 1),)), d)),
-            "product": basis_product_state(d, r),
-        }
-        for rule, state in inputs.items():
+        for rule in ("bell", "product"):
+            state = experiment_input(rule, r, d)
             exact = exact_trace_moment(p, r, k, n, t, state)
             est, se = mc_trace_moment(p, r, k, n, t, state, samples, seed)
             runs.append((tag, rule, exact, est, se, abs(exact - est) / se))
-    p1 = exact_trace_moment(1, 2, 2, 4, 0.5, bell_state_vector(PartialPairing(2, ((0, 1),)), 4))
+    p1 = exact_trace_moment(1, 2, 2, 4, 0.5, experiment_input("bell", 2, 4))
     p1_ok = abs(p1 - 1.0) <= 1e-10
     ok = p1_ok and all(z <= 3.0 for *_, z in runs)
     detail = "; ".join(
         f"{tag}/{rule}: exact {_fmt(exact)} mc {_fmt(est)}+-{_fmt(se)} z {_fmt(z)}"
         for tag, rule, exact, est, se, z in runs
     )
-    return CriterionResult(
-        3,
-        "exact trace moments match Monte Carlo within 3 standard errors",
-        ok,
-        f"p=1 exact {p1!r}; {detail}",
-    )
+    return ok, f"p=1 exact {p1!r}; {detail}"
 
 
-def criterion_4_wg_asymptotics(seed: int) -> CriterionResult:
+@_criterion("Weingarten asymptotics within 2% at n=1000 and decaying like 1/n")
+def criterion_4_wg_asymptotics(seed: int) -> tuple[bool, str]:
     """Exact/asymptotic Weingarten ratio near one with O(1/n) decay."""
     n1, n2 = 1000, 2000
     worst_dev = 0.0
@@ -156,15 +163,11 @@ def criterion_4_wg_asymptotics(seed: int) -> CriterionResult:
                     worst_ratio = max(worst_ratio, dev2 / dev1)
                     ok = ok and dev2 <= 0.6 * dev1
                 ok = ok and dev1 <= 0.02
-    return CriterionResult(
-        4,
-        "Weingarten asymptotics within 2% at n=1000 and decaying like 1/n",
-        ok,
-        f"max deviation {_fmt(worst_dev)} (cap 0.02), max decay ratio {_fmt(worst_ratio)} (cap 0.6)",
-    )
+    return ok, f"max deviation {_fmt(worst_dev)} (cap 0.02), max decay ratio {_fmt(worst_ratio)} (cap 0.6)"
 
 
-def criterion_5_showcase(seed: int) -> CriterionResult:
+@_criterion("rotation average of a fixed matrix equals Tr(A)/n times the identity")
+def criterion_5_showcase(seed: int) -> tuple[bool, str]:
     """Monte Carlo mean of U A U^T equals Tr(A)/n * I entrywise."""
     n = 10
     a = RngStream(seed, 900_000).generator().standard_normal((n, n))
@@ -172,15 +175,11 @@ def criterion_5_showcase(seed: int) -> CriterionResult:
     target = np.trace(a) / n * np.eye(n)
     z = np.abs(mean - target) / stderr
     worst = float(z.max())
-    return CriterionResult(
-        5,
-        "rotation average of a fixed matrix equals Tr(A)/n times the identity",
-        worst <= 3.0,
-        f"max entrywise z {_fmt(worst)} over {n}x{n} at 1e5 samples",
-    )
+    return worst <= 3.0, f"max entrywise z {_fmt(worst)} over {n}x{n} at 1e5 samples"
 
 
-def criterion_6_mobius_algebra(seed: int) -> CriterionResult:
+@_criterion("Moebius inversion round trips, traces, and the identity resolution at d=8")
+def criterion_6_mobius_algebra(seed: int) -> tuple[bool, str]:
     """Partial-pairing Moebius inversion identities hold to 1e-12."""
     worst = 0.0
     for r in range(1, 5):
@@ -204,15 +203,11 @@ def criterion_6_mobius_algebra(seed: int) -> CriterionResult:
         for block in enumerate_partial_pairings(r):
             total += op_Q_tilde(block, d)
         worst = max(worst, float(np.max(np.abs(total - np.eye(d**r)))))
-    return CriterionResult(
-        6,
-        "Moebius inversion round trips, traces, and the identity resolution at d=8",
-        worst <= 1e-12,
-        f"max deviation {worst:.3e} over r<=4, k=2,3, t=0.3,0.7",
-    )
+    return worst <= 1e-12, f"max deviation {worst:.3e} over r<=4, k=2,3, t=0.3,0.7"
 
 
-def criterion_7_extremal_entropy(seed: int) -> CriterionResult:
+@_criterion("extremal-state entropies match the closed form and pin 1.0735 nats")
+def criterion_7_extremal_entropy(seed: int) -> tuple[bool, str]:
     """Closed-form entropies of the extremal states match eigen-entropies."""
     worst = 0.0
     for r in range(1, 5):
@@ -222,30 +217,22 @@ def criterion_7_extremal_entropy(seed: int) -> CriterionResult:
                     eig = von_neumann_entropy(op_S_tilde(block, k, t))
                     closed = entropy_extremal(block, k, t)
                     worst = max(worst, abs(eig - closed))
-    maximal = entropy_extremal(PartialPairing(2, ((0, 1),)), 2, 0.5)
-    pinned_ok = abs(maximal - 1.0735) <= 1e-3
-    return CriterionResult(
-        7,
-        "extremal-state entropies match the closed form and pin 1.0735 nats",
-        worst <= 1e-10 and pinned_ok,
-        f"max |eigen - closed| {worst:.3e}; maximal-pair value {_fmt(maximal)} nats",
-    )
+    maximal = entropy_extremal(maximal_block(2), 2, 0.5)
+    ok = worst <= 1e-10 and abs(maximal - 1.0735) <= 1e-3
+    return ok, f"max |eigen - closed| {worst:.3e}; maximal-pair value {_fmt(maximal)} nats"
 
 
-def criterion_8_body_convergence(seed: int) -> CriterionResult:
+@_criterion("output distance to the convex body shrinks with n on Bell inputs")
+def criterion_8_body_convergence(seed: int) -> tuple[bool, str]:
     """Median distance to the body strictly decreases along n = 32, 64, 128."""
     result = convergence_experiment("bell", 2, 2, 0.5, (32, 64, 128), 100, seed)
     medians = [row["dist_median"] for row in result.summary]
     ok = medians[0] > medians[1] > medians[2]
-    return CriterionResult(
-        8,
-        "output distance to the convex body shrinks with n on Bell inputs",
-        ok,
-        "medians " + ", ".join(_fmt(m) for m in medians),
-    )
+    return ok, "medians " + ", ".join(_fmt(m) for m in medians)
 
 
-def criterion_9_entropy_ordering(seed: int) -> CriterionResult:
+@_criterion("Bell inputs give lower output entropy than product inputs at n=128")
+def criterion_9_entropy_ordering(seed: int) -> tuple[bool, str]:
     """At n=128 Bell inputs beat product inputs in mean entropy, near the target."""
     samples = 100
     bell = convergence_experiment("bell", 2, 2, 0.5, (128,), samples, seed)
@@ -257,12 +244,9 @@ def criterion_9_entropy_ordering(seed: int) -> CriterionResult:
     target = isotropic_entropy(2, 0.5)
     near = abs(float(h_bell.mean()) - target) <= 0.1
     ok = gap > 3.0 * pooled and near
-    return CriterionResult(
-        9,
-        "Bell inputs give lower output entropy than product inputs at n=128",
-        ok,
+    return ok, (
         f"gap {_fmt(gap)} vs 3*stderr {_fmt(3 * pooled)}; mean Bell entropy "
-        f"{_fmt(float(h_bell.mean()))} vs target {_fmt(target)}",
+        f"{_fmt(float(h_bell.mean()))} vs target {_fmt(target)}"
     )
 
 
@@ -274,7 +258,8 @@ def _q_spectrum_distance(r: int, d: int) -> float:
     return worst
 
 
-def criterion_10_q_spectrum(seed: int) -> CriterionResult:
+@_criterion("spectral distance of the Q family to {0, 1}: zero at r=2, shrinking at r=3")
+def criterion_10_q_spectrum(seed: int) -> tuple[bool, str]:
     """Spectra of the identity-resolving family sit on or approach {0, 1}.
 
     At r=2 the family is exactly projective, so the distance is zero at every
@@ -284,12 +269,9 @@ def criterion_10_q_spectrum(seed: int) -> CriterionResult:
     dists_r2 = [_q_spectrum_distance(2, d) for d in (8, 16, 32)]
     dists_r3 = [_q_spectrum_distance(3, d) for d in (4, 8, 12)]
     ok = max(dists_r2) <= 1e-12 and dists_r3[0] > dists_r3[1] > dists_r3[2]
-    return CriterionResult(
-        10,
-        "spectral distance of the Q family to {0, 1}: zero at r=2, shrinking at r=3",
-        ok,
+    return ok, (
         "r=2 (d=8,16,32): " + ", ".join(f"{x:.2e}" for x in dists_r2)
-        + "; r=3 (d=4,8,12): " + ", ".join(_fmt(x) for x in dists_r3),
+        + "; r=3 (d=4,8,12): " + ", ".join(_fmt(x) for x in dists_r3)
     )
 
 
@@ -306,7 +288,8 @@ def _with_threads(value: str):
             os.environ[THREADS_ENV_VAR] = old
 
 
-def criterion_11_determinism(seed: int) -> CriterionResult:
+@_criterion("repeated runs and thread-count changes leave every number bitwise intact")
+def criterion_11_determinism(seed: int) -> tuple[bool, str]:
     """Same seed gives bitwise-equal numbers; thread count changes nothing."""
     rho = np.eye(3) / 3
     with _with_threads("1"):
@@ -321,27 +304,7 @@ def criterion_11_determinism(seed: int) -> CriterionResult:
     terms2 = term_report(2, 1, 2, 3, 0.5, rho)
     repeat_ok = repr(a1) == repr(a2) and terms1 == terms2
     threads_ok = repr(a1) == repr(a3) and repr(e1.rows) == repr(e3.rows)
-    return CriterionResult(
-        11,
-        "repeated runs and thread-count changes leave every number bitwise intact",
-        repeat_ok and threads_ok,
-        f"repeat bitwise equal {repeat_ok}, thread-count invariant {threads_ok}",
-    )
-
-
-CRITERIA = (
-    criterion_1_components,
-    criterion_2_bumps,
-    criterion_3_exactness,
-    criterion_4_wg_asymptotics,
-    criterion_5_showcase,
-    criterion_6_mobius_algebra,
-    criterion_7_extremal_entropy,
-    criterion_8_body_convergence,
-    criterion_9_entropy_ordering,
-    criterion_10_q_spectrum,
-    criterion_11_determinism,
-)
+    return repeat_ok and threads_ok, f"repeat bitwise equal {repeat_ok}, thread-count invariant {threads_ok}"
 
 
 def run_all(seed: int = 0) -> list[CriterionResult]:

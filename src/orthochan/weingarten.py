@@ -128,7 +128,10 @@ def integrate_monomial(index_rows, n: float) -> float:
     degrees integrate to zero; even degrees are the double pairing sum of
     row/column delta constraints weighted by the exact Weingarten table.
     """
+    _check_dimension(n)  # also for odd and empty products, which need no table
     rows = [tuple(rc) for rc in index_rows]
+    if any(len(rc) != 2 for rc in rows):
+        raise ValidationError(f"each factor needs one (row, column) index pair, got {rows}")
     if len(rows) % 2 == 1:
         return 0.0
     if not rows:

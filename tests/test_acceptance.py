@@ -15,4 +15,6 @@ def test_criterion(criterion):
     result = criterion(SEED)
     status = "PASS" if result.passed else "FAIL"
     print(f"criterion {result.index:02d} {status} {result.name}: {result.detail}")
+    assert result.index == CRITERIA.index(criterion) + 1
+    assert criterion.__name__.startswith(f"criterion_{result.index}_")
     assert result.passed, f"criterion {result.index}: {result.name} [{result.detail}]"

@@ -330,6 +330,20 @@ class TestExitCodes:
                           "--n", "3", "--t", "0.5", "--input", "mixed")
         assert code == 3
 
+    def test_contraction_budget_refused_before_any_table(self, capsys, monkeypatch):
+        import orthochan.moments as moments
+
+        def no_table(*args):
+            raise AssertionError("wg_exact ran before the budget check")
+
+        monkeypatch.setattr(moments, "wg_exact", no_table)
+        code = main(["moment", "--p", "3", "--r", "2", "--k", "2", "--n", "40", "--t", "0.5",
+                     "--input", "product", "--max-pairing-size", "12"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: f_beta contraction needs d^(pr) = 4096000000 terms, above budget 16777216\n"
+        )
+
     def test_hard_cap_on_flags(self, capsys):
         code, _ = run_cli(capsys, "moment", "--p", "2", "--r", "3", "--k", "2",
                           "--n", "3", "--t", "0.5", "--max-pairing-size", "99")

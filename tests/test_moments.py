@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 
@@ -11,7 +12,15 @@ from orthochan.asymptotics import (
     isotropic_eta,
     mean_output_asymptotic,
 )
-from orthochan.channels import RngStream, input_dim, make_channel, mc_mean_output, mc_trace_moment, output_state
+from orthochan.channels import (
+    RngStream,
+    input_dim,
+    make_channel,
+    mc_mean_output,
+    mc_trace_moment,
+    output_state,
+    sample_haar_orthogonal,
+)
 from orthochan.errors import BudgetError, EnumerationLimitError, InvalidStateError, ValidationError
 from orthochan.moments import (
     CONTRACTION_BUDGET,
@@ -148,6 +157,16 @@ class TestFBeta:
         rho = np.eye(16) / 16
         with pytest.raises(BudgetError):
             f_beta(beta, rho, 1, budget=10)
+
+    @pytest.mark.parametrize("engine", [exact_trace_moment, term_report])
+    def test_budget_refused_before_any_table(self, engine, monkeypatch):
+        # d^(pr) follows from the arguments: refuse before the table, types and orbits are built
+        def no_table(*args):
+            raise AssertionError("wg_exact ran before the budget check")
+
+        monkeypatch.setattr(moments, "wg_exact", no_table)
+        with pytest.raises(BudgetError, match=r"^f_beta contraction needs d\^\(pr\) = 81 terms, above budget 80$"):
+            engine(2, 2, 2, 3, 0.5, np.eye(9) / 9, budget=80)
 
 
 def einsum_wiring(pairing, p, r, dim):
@@ -584,3 +603,54 @@ class TestGFromState:
         bell = bell_state_vector(PartialPairing(2, ((0, 1),)), d)
         m = mean_output_asymptotic(bell, 2, k, t)
         assert np.max(np.abs(m - isotropic_eta(k, t))) < 1e-12
+
+
+def complex_haar_unitary(dim, seed):
+    """Haar unitary: QR of a complex Gaussian with the phases of R's diagonal divided out."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestOrthogonalVersusUnitary:
+    """The engines see O^(tensor r) rho O^(tensor r)^T as rho, but not a unitary rotation.
+
+    The input is a generic complex density matrix: the Bell state is itself
+    O x O-invariant, so it would make the invariance vacuous.
+    """
+
+    K, N, T = 2, 4, 0.5  # d = 4
+    STATE_SEED, ROTATION_SEED = 1703, 8979
+    MC_SAMPLES, MC_SEED = 20_000, 3
+
+    def states(self, r):
+        d = input_dim(self.K, self.N, self.T)
+        rho = random_density(d**r, self.STATE_SEED + r)
+        o = sample_haar_orthogonal(d, RngStream(self.ROTATION_SEED))
+        u = complex_haar_unitary(d, self.ROTATION_SEED)
+        o_r, u_r = (functools.reduce(np.kron, [g] * r) for g in (o, u))
+        return rho, o_r @ rho @ o_r.T, u_r @ rho @ u_r.conj().T
+
+    @pytest.mark.parametrize("p, r", [(2, 2), (3, 1), (4, 1)])
+    def test_exact_moment_sees_orthogonal_but_not_unitary_rotations(self, p, r):
+        rho, rotated, unitary = (exact_trace_moment(p, r, self.K, self.N, self.T, s) for s in self.states(r))
+        assert abs(rotated - rho) <= 1e-13
+        assert abs(unitary - rho) > 1e-8
+
+    def test_mean_outputs_and_block_weights_are_orthogonally_invariant(self):
+        rho, rotated, _ = self.states(2)
+        for engine in (
+            lambda s: exact_mean_output(2, self.K, self.N, self.T, s),
+            lambda s: mean_output_asymptotic(s, 2, self.K, self.T),
+        ):
+            assert np.max(np.abs(engine(rotated) - engine(rho))) <= 1e-13
+        g, g_rotated = g_from_state(rho, 2, self.K, self.N, self.T), g_from_state(rotated, 2, self.K, self.N, self.T)
+        assert g.keys() == g_rotated.keys()
+        assert max(abs(g_rotated[block] - g[block]) for block in g) <= 1e-13
+
+    def test_monte_carlo_gives_one_law_for_rho_and_its_rotation(self):
+        rho, rotated, _ = self.states(2)
+        exact = exact_trace_moment(2, 2, self.K, self.N, self.T, rho)
+        for state in (rho, rotated):
+            est, se = mc_trace_moment(2, 2, self.K, self.N, self.T, state, self.MC_SAMPLES, self.MC_SEED)
+            assert abs(est - exact) / se <= 3.0

@@ -154,8 +154,9 @@ def test_dimension_must_be_finite_and_positive(n):
         wg_exact(1, n)
     with pytest.raises(ValidationError, match="finite and positive"):
         wg_asymptotic(pair, pair, n)
-    with pytest.raises(ValidationError, match="finite and positive"):
-        integrate_monomial([(0, 0), (0, 0)], n)
+    for index_rows in ([(0, 0), (0, 0)], [(0, 0)], []):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            integrate_monomial(index_rows, n)
 
 
 @pytest.mark.parametrize("m", [2.9, 2.0, "2"])
@@ -228,6 +229,11 @@ class TestIntegrateMonomial:
         # rows force the unique within-variable pairing; columns free
         diag, off = m2_closed_form(n)
         assert integrate_monomial([(1, 1), (1, 1), (2, 1), (2, 1)], n) == pytest.approx(diag + 2 * off)
+
+    @pytest.mark.parametrize("index_rows", [[(0,), (0,)], [(0, 0, 5), (1, 1, 7)]], ids=["short", "long"])
+    def test_factor_index_must_be_a_row_column_pair(self, index_rows):
+        with pytest.raises(ValidationError, match="one \\(row, column\\) index pair"):
+            integrate_monomial(index_rows, 3)
 
     def test_empty_product(self):
         assert integrate_monomial([], 5) == 1.0
