@@ -13,7 +13,7 @@ is what makes Monte Carlo cross-validation meaningful.
 from __future__ import annotations
 
 import gc
-from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -25,8 +25,8 @@ from .pairings import (
     PAIRING_HALF_SIZE_CAP,
     Pairing,
     PartialPairing,
+    _symmetry_orbits,
     connected_components,
-    copy_orbits,
     coset_types,
     delta_gamma,
     dominant_pairs,
@@ -121,20 +121,47 @@ def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, bu
             f"exact engine needs 2pr = {2 * m} diagram endpoints, above cap {effective_cap}"
         )
     d = input_dim(k, n, t)
-    _checked_state(state, d**r)  # the sums contract the state as given
+    _checked_state(state, d**r)
     _check_budget(d, p, r, budget)  # before any table is built
     table = wg_exact(m, k * n)
     pair_list = enumerate_pairings(m)
     counts, types = type_lengths(m), coset_types(m)
     n_exp, k_exp = (counts[types[pair_list.index(wiring)]] for wiring in delta_gamma(p, r))
-    f_vals = _f_values(pair_list, state, p, r, budget)
-    return pair_list, n_exp, k_exp, f_vals, table
+    # A density matrix is contracted by its Hermitian part, which makes the side
+    # swap conjugate f exactly; it is the matrix itself when that is exactly
+    # Hermitian, and the state check lets it be so only within a tolerance.
+    state = np.asarray(state)
+    if state.ndim == 2:
+        state = (state + state.conj().T) / 2
+    orbits = _state_orbits(state, p, r)
+    f_vals = _f_values(pair_list, state, p, budget, orbits)
+    return pair_list, n_exp, k_exp, f_vals, table, orbits
 
 
-def _f_values(pair_list, state: np.ndarray, p: int, r: int, budget: int) -> np.ndarray:
-    """f_beta of every pairing, contracted once per orbit of the copy permutations."""
-    orbit, reps = copy_orbits(p, r)
-    return np.array([f_beta(pair_list[i], state, p, budget) for i in reps])[orbit]
+def _state_orbits(state: np.ndarray, p: int, r: int):
+    """Orbits of the pairings under relabellings that keep f_beta of p copies of the state up to conjugation.
+
+    Relabelling the copies keeps f, and swapping the L and R sides of every
+    endpoint conjugates it (the state is Hermitian).  Swapping channels x and
+    x + 1 in every copy keeps f when it leaves the state's tensor unchanged,
+    tested exactly for each adjacent pair.  Returns pairings._symmetry_orbits.
+    """
+    d = _infer_local_dim(state.shape[0], r)
+    tensor = state.reshape((d,) * (r * state.ndim))
+    fixed = []
+    for x in range(r - 1):
+        axes = np.arange(tensor.ndim).reshape(state.ndim, r)  # ket legs, then bra legs for a matrix
+        axes[:, [x, x + 1]] = axes[:, [x + 1, x]]
+        if np.array_equal(tensor.transpose(axes.ravel()), tensor):
+            fixed.append(x)
+    return _symmetry_orbits(p, r, tuple(fixed), True)
+
+
+def _f_values(pair_list, state: np.ndarray, p: int, budget: int, orbits) -> np.ndarray:
+    """f_beta of every pairing, contracted once per orbit and conjugated on the orbit's flipped members."""
+    orbit, reps, flipped = orbits
+    f_vals = np.array([f_beta(pair_list[i], state, p, budget) for i in reps])[orbit]
+    return np.conjugate(f_vals, out=f_vals, where=flipped)
 
 
 def exact_trace_moment(
@@ -148,10 +175,10 @@ def exact_trace_moment(
     budget: int = CONTRACTION_BUDGET,
 ) -> float:
     """E Tr Z^p as the exact double pairing sum at finite n."""
-    _, n_exp, k_exp, f_vals, table = _engine_arrays(p, r, k, n, t, state, cap, budget)
-    # Wg f is constant on copy orbits: sum f per coset type on one row per orbit,
-    # weight each orbit by its total n^n_exp k^k_exp, then dot with Wg per type.
-    orbit, reps = copy_orbits(p, r)
+    _, n_exp, k_exp, f_vals, table, (orbit, reps, _) = _engine_arrays(p, r, k, n, t, state, cap, budget)
+    # Wg and Re f are invariant under the relabellings that make the orbits: sum
+    # Re f per coset type on one row per orbit, weight each orbit by its total
+    # n^n_exp k^k_exp, then dot with Wg per type.
     types, kinds, f_real = coset_types(p * r), len(table.coefficients), np.ascontiguousarray(f_vals.real)
     per_rep = np.array([np.bincount(types[rep], f_real, kinds) for rep in reps])
     per_type = np.bincount(orbit, float(n) ** n_exp * float(k) ** k_exp) @ per_rep
@@ -164,7 +191,7 @@ def exact_mean_output(r: int, k: int, n: int, t: float, state: np.ndarray) -> np
     The scalar k-loop factor of the trace sum is replaced by the k-space
     wiring pattern of each alpha, yielding a Hermitian trace-one k^r matrix.
     """
-    pair_list, n_exp, _, f_vals, table = _engine_arrays(
+    pair_list, n_exp, _, f_vals, table, _ = _engine_arrays(
         1, r, k, n, t, state, EXACT_PAIRING_CAP, CONTRACTION_BUDGET
     )
     coeffs = float(n) ** n_exp * (table.values @ f_vals)
@@ -195,7 +222,7 @@ def _term_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, budg
             f"a term report at 2pr = {2 * m} would list {double_factorial_odd(m) ** 2} terms; "
             f"the cap is 2pr <= {2 * PAIR_LISTING_HALF_SIZE_CAP}"
         )
-    pair_list, n_exp, k_exp, f_vals, table = _engine_arrays(p, r, k, n, t, state, cap, budget)
+    pair_list, n_exp, k_exp, f_vals, table, _ = _engine_arrays(p, r, k, n, t, state, cap, budget)
     scale = float(n) ** n_exp * float(k) ** k_exp
     values = ((scale[:, None] * f_vals[None, :]) * table.values).ravel()
     order = np.argsort(-np.abs(values), kind="stable")
@@ -222,12 +249,17 @@ def term_report(
     above pr = PAIR_LISTING_HALF_SIZE_CAP, before any table or f is built.
     """
     arrays = _term_arrays(p, r, k, n, t, state, cap, budget)
-    # Terms share the Python objects of their row's exponents, their column's
-    # f and their coset type's Wg; only the values are new per term.
-    pairs = arrays.pairings
-    n_list, k_list, f_list = arrays.n_exp.tolist(), arrays.k_exp.tolist(), arrays.f_beta.tolist()
-    wg_list = arrays.wg.tolist()
-    make = partial(tuple.__new__, MomentTerm)
+    # Each pairing, exponent, f and Wg is one Python object in an object array,
+    # gathered by index per chunk: terms share the objects of their row, their
+    # column and their coset type, and only the values are new per term.
+    pairs, n_obj, k_obj, f_obj, wg_obj = (
+        np.fromiter(column, dtype=object, count=len(column))
+        for column in (arrays.pairings, *(a.tolist() for a in (arrays.n_exp, arrays.k_exp, arrays.f_beta, arrays.wg)))
+    )
+    columns = (
+        (pairs, arrays.rows), (pairs, arrays.cols), (n_obj, arrays.rows), (k_obj, arrays.rows),
+        (f_obj, arrays.cols), (wg_obj, arrays.types),
+    )
     terms = []
     # The terms are acyclic, so the cyclic collector has nothing to free in
     # them; left on, it would rescan the growing list many times over.
@@ -236,16 +268,8 @@ def term_report(
     try:
         for start in range(0, len(arrays.values), TERM_CHUNK):
             chunk = slice(start, start + TERM_CHUNK)
-            rows, cols = arrays.rows[chunk].tolist(), arrays.cols[chunk].tolist()
-            terms.extend(map(make, zip(
-                map(pairs.__getitem__, rows),
-                map(pairs.__getitem__, cols),
-                map(n_list.__getitem__, rows),
-                map(k_list.__getitem__, rows),
-                map(f_list.__getitem__, cols),
-                map(wg_list.__getitem__, arrays.types[chunk].tolist()),
-                arrays.values[chunk].tolist(),
-            )))
+            fields = [objects[index[chunk]].tolist() for objects, index in columns]
+            terms.extend(map(tuple.__new__, repeat(MomentTerm), zip(*fields, arrays.values[chunk].tolist())))
     finally:
         if enabled:
             gc.enable()

@@ -97,6 +97,8 @@ class Pairing(Permutation):
         pairs = [tuple(p) for p in pairs]
         if size is None:
             size = 2 * len(pairs)
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValidationError(f"pairs need two entries each: {tuple(pairs)}")
         images = list(range(size))
         try:
             for a, b in pairs:
@@ -354,33 +356,52 @@ def copy_orbits(p: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """
     p, r = checked_index(p, "p", 1), checked_index(r, "r", 1)
     _check_pairing_count(p * r)
-    return _copy_orbits(p, r)
+    return _symmetry_orbits(p, r, (), False)[:2]
 
 
 @lru_cache(maxsize=None)
-def _copy_orbits(p: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    # The swaps of neighbouring copies generate S_p, so an orbit is a connected
-    # component of the graph joining each pairing to its conjugates by the
-    # swaps; every pairing takes the least index of its component.
-    legs = np.arange(2 * r)  # the endpoints of one copy, relative to its first
-    swaps = []
-    for c in range(p - 1):
-        s = np.arange(2 * p * r)
-        s[2 * r * c + legs], s[2 * r * (c + 1) + legs] = 2 * r * (c + 1) + legs, 2 * r * c + legs
-        swaps.append(s)
+def _symmetry_orbits(
+    p: int, r: int, channels: tuple[int, ...], sides: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the diagram pairings under endpoint relabellings: (orbit, reps, flipped).
+
+    The group is generated by the swaps of neighbouring copies (which generate
+    S_p), the swap of channels x and x + 1 in every copy for each x in
+    channels, and, with sides, the swap of the L and R sides of every
+    endpoint.  orbit and reps are as in copy_orbits.  The side swap commutes
+    with the others, so a pairing is reached from its representative either
+    without it or only through an odd number of side swaps; flipped marks the
+    latter.  All three are read-only.
+    """
+    grid = np.arange(2 * p * r).reshape(p, r, 2)  # endpoint index by (copy, channel, side)
+
+    def swap(axis: int, first: int) -> np.ndarray:
+        order = np.arange(grid.shape[axis])
+        order[[first, first + 1]] = first + 1, first
+        return np.take(grid, order, axis).ravel()
+
+    swaps = [swap(0, c) for c in range(p - 1)] + [swap(1, x) for x in channels] + [swap(2, 0)] * sides
+    flips = [0] * (len(swaps) - sides) + [1] * sides
     conjugations = _conjugation_maps(p * r, swaps)
-    least = np.arange(len(enumerate_pairings(p * r)))
+    # An orbit is a connected component of the graph joining each pairing to
+    # its conjugates.  Each pairing carries 2 * least + parity and takes the
+    # least code over its neighbours, the parity flipping across a side swap:
+    # it ends at its component's least index, with parity 0 when an even path
+    # reaches it from there.
+    code = 2 * np.arange(len(enumerate_pairings(p * r)))
     while True:
-        step = least
-        for conj in conjugations:
-            step = np.minimum(step, step[conj])
-        if np.array_equal(step, least):
+        step = code
+        for conj, flip in zip(conjugations, flips):
+            step = np.minimum(step, step[conj] ^ flip)
+        if np.array_equal(step, code):
             break
-        least = step
+        code = step
+    least, parity = np.divmod(code, 2)
     reps, orbit = np.unique(least, return_inverse=True)
-    orbit.setflags(write=False)
-    reps.setflags(write=False)
-    return orbit, reps
+    flipped = parity.astype(bool)
+    for array in (orbit, reps, flipped):
+        array.setflags(write=False)
+    return orbit, reps, flipped
 
 
 def box_index(i: int, x: int, side: int, p: int, r: int) -> int:

@@ -9,6 +9,7 @@ from orthochan import moments
 from orthochan.asymptotics import (
     basis_product_state,
     bell_state_vector,
+    experiment_input,
     isotropic_eta,
     mean_output_asymptotic,
 )
@@ -25,7 +26,10 @@ from orthochan.errors import BudgetError, EnumerationLimitError, InvalidStateErr
 from orthochan.moments import (
     CONTRACTION_BUDGET,
     MomentTerm,
+    _engine_arrays,
     _f_values,
+    _state_orbits,
+    _term_arrays,
     asymptotic_trace_moment,
     exact_mean_output,
     exact_trace_moment,
@@ -35,7 +39,9 @@ from orthochan.moments import (
     wiring_matrix,
 )
 from orthochan.pairings import (
+    Pairing,
     PartialPairing,
+    _symmetry_orbits,
     bumps,
     combine_copies,
     connected_components,
@@ -137,21 +143,6 @@ class TestFBeta:
             inward = sum(1 for c1, c2 in block.pairs if c1 // r == c2 // r)
             assert abs(f_beta(beta, state, p)) <= d**inward + 1e-9
 
-    @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
-    @pytest.mark.parametrize("kind", ["density", "vector"])
-    def test_orbit_batched_values_match_per_pairing(self, p, r, kind):
-        d = 2
-        if kind == "density":
-            state = random_density(d**r, seed=p + 10 * r)
-        else:
-            rng = np.random.default_rng(p + 10 * r)
-            state = rng.standard_normal(d**r) + 1j * rng.standard_normal(d**r)
-            state /= np.linalg.norm(state)
-        pairings = enumerate_pairings(p * r)
-        per_pairing = np.array([f_beta(beta, state, p) for beta in pairings])
-        batched = _f_values(pairings, state, p, r, CONTRACTION_BUDGET)
-        assert np.max(np.abs(batched - per_pairing)) <= 1e-14 * np.max(np.abs(per_pairing))
-
     def test_budget(self):
         beta = enumerate_pairings(2)[0]
         rho = np.eye(16) / 16
@@ -167,6 +158,102 @@ class TestFBeta:
         monkeypatch.setattr(moments, "wg_exact", no_table)
         with pytest.raises(BudgetError, match=r"^f_beta contraction needs d\^\(pr\) = 81 terms, above budget 80$"):
             engine(2, 2, 2, 3, 0.5, np.eye(9) / 9, budget=80)
+
+
+def complex_state(kind, dim, seed):
+    """A seeded complex density matrix, or a seeded complex unit vector."""
+    if kind == "density":
+        return random_density(dim, seed)
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return psi / np.linalg.norm(psi)
+
+
+def per_pairing_f(state, p, r):
+    return np.array([f_beta(beta, state, p) for beta in enumerate_pairings(p * r)])
+
+
+def per_pairing_moment(p, r, k, n, t, state):
+    """The exact moment as the dense double sum over every (alpha, beta), one f_beta per pairing."""
+    delta, gamma = delta_gamma(p, r)
+    weights = np.array([
+        float(n) ** connected_components(delta, alpha) * float(k) ** connected_components(gamma, alpha)
+        for alpha in enumerate_pairings(p * r)
+    ])
+    return float(weights @ wg_exact(p * r, k * n).values @ per_pairing_f(state, p, r).real)
+
+
+class TestSymmetryOrbits:
+    """f_beta is contracted once per orbit of the copy, side and state-fixed channel swaps."""
+
+    @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (1, 3), (2, 3), (1, 5), (5, 1), (3, 2)])
+    @pytest.mark.parametrize("kind", ["density", "vector"])
+    def test_orbit_values_match_per_pairing(self, p, r, kind):
+        state = complex_state(kind, 2**r, seed=p + 10 * r)
+        batched = _f_values(enumerate_pairings(p * r), state, p, CONTRACTION_BUDGET, _state_orbits(state, p, r))
+        assert np.max(np.abs(batched - per_pairing_f(state, p, r))) <= 1e-15
+
+    @pytest.mark.parametrize("p,r", [(2, 2), (1, 3), (1, 5), (5, 1), (3, 1), (2, 3)])
+    @pytest.mark.parametrize("rule,d", [("mixed", 2), ("mixed", 4), ("product", 3), ("bell", 4)])
+    def test_orbit_values_equal_per_pairing_on_experiment_inputs(self, p, r, rule, d):
+        # Entries 1/d^r, 0, 1 and 1/2 keep every product and sum exact, so equality tests
+        # which value each pairing takes.  Elsewhere the contraction order of another orbit
+        # member may round differently: Bell at d = 2, (p, r) = (2, 2) differs by one ulp
+        # already under the copy swaps alone.
+        state = np.eye(d**r) / d**r if rule == "mixed" else experiment_input(rule, r, d)
+        batched = _f_values(enumerate_pairings(p * r), state, p, CONTRACTION_BUDGET, _state_orbits(state, p, r))
+        assert np.array_equal(batched, per_pairing_f(state, p, r))
+
+    @pytest.mark.parametrize("rule, merged", [("mixed", True), ("product", True), ("bell", True), ("e0e1", False)])
+    def test_channel_swaps_merge_only_what_fixes_the_state(self, rule, merged):
+        p, r, k, n, t = 2, 2, 2, 3, 0.5
+        if rule == "e0e1":
+            state = np.kron(np.eye(3)[0], np.eye(3)[1])
+        else:
+            state = np.eye(9) / 9 if rule == "mixed" else experiment_input(rule, r, 3)
+        orbit, reps, _ = _state_orbits(state, p, r)
+        assert orbit is _symmetry_orbits(p, r, (0,) if merged else (), True)[0]
+        assert len(reps) == (35 if merged else 45)
+        exact = exact_trace_moment(p, r, k, n, t, state)
+        assert exact == pytest.approx(per_pairing_moment(p, r, k, n, t, state), rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("kind", ["density", "vector"])
+    def test_complex_moment_matches_per_pairing_sum(self, kind):
+        state = complex_state(kind, 9, seed=21)
+        exact = exact_trace_moment(2, 2, 2, 3, 0.5, state)
+        assert exact == pytest.approx(per_pairing_moment(2, 2, 2, 3, 0.5, state), rel=1e-13)
+
+    def test_mean_output_matches_per_pairing_f(self):
+        # r = 3: the side swap conjugates f on 4 of the 15 pairings of this complex vector
+        r, k, n, t = 3, 2, 3, 0.5
+        state = complex_state("vector", 27, seed=5)
+        assert _state_orbits(state, 1, r)[2].any()
+        pair_list = enumerate_pairings(r)
+        delta, _ = delta_gamma(1, r)
+        n_exp = np.array([connected_components(delta, alpha) for alpha in pair_list])
+        coeffs = float(n) ** n_exp * (wg_exact(r, k * n).values @ per_pairing_f(state, 1, r))
+        reference = wiring_sum(pair_list, coeffs, 1, r, k).T
+        assert np.max(np.abs(exact_mean_output(r, k, n, t, state) - reference)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["density", "vector"])
+    def test_term_report_f_is_the_direct_contraction(self, kind):
+        p, r = 2, 2
+        state = complex_state(kind, 9, seed=13)
+        assert _state_orbits(state, p, r)[2].any()
+        terms = term_report(p, r, 2, 3, 0.5, state)
+        direct = {beta: f_beta(beta, state, p) for beta in enumerate_pairings(p * r)}
+        assert max(abs(term.f_beta - direct[term.beta]) for term in terms) <= 1e-15
+
+    def test_a_density_matrix_is_contracted_by_its_hermitian_part(self):
+        # Hermitian only within the state check's tolerance: the engine reads (rho + rho^H) / 2
+        rho = complex_state("density", 9, seed=3)
+        skew = 1e-11j * np.triu(np.ones((9, 9)), 1)
+        tilted = rho + skew + skew.T
+        part = (tilted + tilted.conj().T) / 2
+        assert np.max(np.abs(tilted - part)) > 0
+        assert exact_trace_moment(2, 2, 2, 3, 0.5, tilted) == exact_trace_moment(2, 2, 2, 3, 0.5, part)
+        f_vals = _engine_arrays(2, 2, 2, 3, 0.5, tilted, 8, CONTRACTION_BUDGET)[3]
+        assert np.max(np.abs(f_vals - per_pairing_f(part, 2, 2))) <= 1e-15
 
 
 def einsum_wiring(pairing, p, r, dim):
@@ -428,6 +515,23 @@ class TestTermReport:
         assert (term.f_beta, term.wg, term.value) == tuple(term)[4:]
         with pytest.raises(AttributeError):
             term.value = 0.0
+
+    def test_terms_box_the_array_form(self):
+        # each field is its _term_arrays entry, as a Python object shared by its row, column or type
+        args = (2, 2, 2, 3, 0.5, complex_state("vector", 9, seed=13), 8, CONTRACTION_BUDGET)
+        arrays = _term_arrays(*args)
+        terms = term_report(*args[:6])
+        assert len(terms) == len(arrays.values)
+        f_objects = {}
+        for term, i, j, kind, value in zip(
+            terms, arrays.rows.tolist(), arrays.cols.tolist(), arrays.types.tolist(), arrays.values.tolist()
+        ):
+            assert term.alpha is arrays.pairings[i] and term.beta is arrays.pairings[j]
+            assert (term.n_exp, term.k_exp) == (arrays.n_exp[i], arrays.k_exp[i])
+            assert (term.f_beta, term.wg, term.value) == (arrays.f_beta[j], arrays.wg[kind], value)
+            assert list(map(type, term)) == [Pairing, Pairing, int, int, complex, float, complex]
+            assert f_objects.setdefault(j, term.f_beta) is term.f_beta
+        assert len(f_objects) == len(arrays.pairings)
 
     def test_wg_is_the_table_entry(self):
         rng = np.random.default_rng(2)

@@ -11,6 +11,7 @@ from orthochan.pairings import (
     Pairing,
     PartialPairing,
     Permutation,
+    _symmetry_orbits,
     box_index,
     bumps,
     combine_copies,
@@ -112,6 +113,8 @@ SIZE_REFUSALS = {
     "compose-sizes": (lambda: Permutation((0, 1)).compose(Permutation((0, 1, 2))), "size mismatch: 2 vs 3"),
     "partial-pair-range": (lambda: PartialPairing(2, ((0, 2),)), "pair entries outside 0..1: ((0, 2),)"),
     "pairing-pair-range": (lambda: Pairing.from_pairs([(0, 5)], 4), "pair entries outside 0..3: ((0, 5),)"),
+    "pairing-pair-too-long": (lambda: Pairing.from_pairs([(0, 1, 2)], 4), "pairs need two entries each: ((0, 1, 2),)"),
+    "pairing-pair-too-short": (lambda: Pairing.from_pairs([(0,)], 2), "pairs need two entries each: ((0,),)"),
     "box-label-range": (lambda: box_index(2, 0, 0, 2, 1), "box label (2, 0, 0) out of range for p=2, r=1"),
     "partial-to-pairing-cells": (
         lambda: pairing_from_partial(PartialPairing(2, ((0, 1),)), 1, 3), "block on 2 cells, expected pr = 3"
@@ -316,6 +319,74 @@ class TestCopyOrbits:
             copy_orbits(0, 2)
         with pytest.raises(EnumerationLimitError):
             copy_orbits(7, 1)
+
+
+def endpoint_swap(p, r, axis, first):
+    """Images of the endpoint swap of copies (axis 0), channels (axis 1) or sides (axis 2) first and first + 1."""
+    def move(i, x, side):
+        triple = [i, x, side]
+        if triple[axis] in (first, first + 1):
+            triple[axis] = 2 * first + 1 - triple[axis]
+        return (triple[0] * r + triple[1]) * 2 + triple[2]
+
+    return [move(e // (2 * r), (e // 2) % r, e % 2) for e in range(2 * p * r)]
+
+
+def generated_group(generators):
+    """Every product of the generators, as image tuples, by closure from the identity."""
+    identity = tuple(range(len(generators[0])))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for s in generators:
+                h = tuple(s[j] for j in g)
+                if h not in group:
+                    group.add(h)
+                    fresh.append(h)
+        frontier = fresh
+    return group
+
+
+class TestSymmetryOrbits:
+    @pytest.mark.parametrize(
+        "p,r,channels",
+        [(2, 2, (0,)), (2, 2, ()), (1, 3, (0, 1)), (1, 3, (1,)), (3, 1, ()), (1, 4, (0, 2)), (2, 3, (0,))],
+    )
+    def test_orbits_and_flips_match_brute_force(self, p, r, channels):
+        pairings = enumerate_pairings(p * r)
+        index = {b.images: i for i, b in enumerate(pairings)}
+        unsided = [endpoint_swap(p, r, 0, c) for c in range(p - 1)] + [endpoint_swap(p, r, 1, x) for x in channels]
+        unsided = generated_group(unsided or [list(range(2 * p * r))])
+        sides = generated_group([endpoint_swap(p, r, 2, 0)])
+        orbit, reps, flipped = _symmetry_orbits(p, r, channels, True)
+        for rep_id, rep in enumerate(reps.tolist()):
+            even = {index[conjugate(pairings[rep].images, g)] for g in unsided}
+            whole = {index[conjugate(pairings[b].images, s)] for b in even for s in sides}
+            assert rep == min(whole)
+            assert set(np.flatnonzero(orbit == rep_id).tolist()) == whole
+            assert set(np.flatnonzero(flipped).tolist()) & whole == whole - even
+        assert orbit.shape == flipped.shape == (len(pairings),)
+
+    @pytest.mark.parametrize(
+        "p,r,copies,sides,channels",
+        [(3, 2, 1779, 1001, 612), (2, 3, 5363, 2847, 612), (1, 5, 945, 513, 20), (5, 1, 20, 20, 20)],
+    )
+    def test_orbit_counts(self, p, r, copies, sides, channels):
+        # the side swap, then every adjacent channel swap, joined to the copy swaps
+        assert len(copy_orbits(p, r)[1]) == len(_symmetry_orbits(p, r, (), False)[1]) == copies
+        assert len(_symmetry_orbits(p, r, (), True)[1]) == sides
+        assert len(_symmetry_orbits(p, r, tuple(range(r - 1)), True)[1]) == channels
+
+    def test_without_the_side_swap_nothing_is_flipped(self):
+        assert not _symmetry_orbits(2, 2, (0,), False)[2].any()
+
+    def test_cached_and_read_only(self):
+        arrays = _symmetry_orbits(2, 2, (0,), True)
+        assert all(a is b for a, b in zip(arrays, _symmetry_orbits(2, 2, (0,), True)))
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestMobius:
