@@ -100,20 +100,21 @@ def _number_cells(values: np.ndarray) -> list[str]:
 def _term_csv(config: dict, arrays):
     """A term report CSV from moments._term_arrays, as its head and then a chunk of rows at a time.
 
-    Each pairing, exponent pair, f and Wg cell is formatted once; per term
-    only the value is formatted.
+    Each pairing, exponent pair, f, Wg and value cell is formatted once, per
+    pairing, row, coset type or value id; per term the cells are only joined.
     """
     yield _csv_head(config, ["alpha", "beta", "n_exp", "k_exp", "f_beta", "wg", "value"])
     pair_cells = [json.dumps(pairing.pair_list()).replace(",", ";") for pairing in arrays.pairings]
     exp_cells = [f"{n},{k}" for n, k in zip(arrays.n_exp.tolist(), arrays.k_exp.tolist())]
     f_cells, wg_cells = _number_cells(arrays.f_beta), list(map(repr, arrays.wg.tolist()))
-    for start in range(0, len(arrays.values), TERM_CHUNK):
+    value_cells = _number_cells(arrays.value_table)
+    for start in range(0, len(arrays.value_ids), TERM_CHUNK):
         part = slice(start, start + TERM_CHUNK)
         yield "".join([
-            f"{pair_cells[i]},{pair_cells[j]},{exp_cells[i]},{f_cells[j]},{wg_cells[kind]},{value}\n"
-            for i, j, kind, value in zip(
+            f"{pair_cells[i]},{pair_cells[j]},{exp_cells[i]},{f_cells[j]},{wg_cells[kind]},{value_cells[value_id]}\n"
+            for i, j, kind, value_id in zip(
                 arrays.rows[part].tolist(), arrays.cols[part].tolist(), arrays.types[part].tolist(),
-                _number_cells(arrays.values[part]),
+                arrays.value_ids[part].tolist(),
             )
         ])
 
@@ -121,8 +122,6 @@ def _term_csv(config: dict, arrays):
 def _validate_common(args):
     if hasattr(args, "k"):
         checked_index(args.k, "k", 2)
-    if hasattr(args, "t") and not (0.0 < args.t < 1.0):
-        raise ValidationError(f"t must lie in (0, 1), got {args.t}")
     if hasattr(args, "max_pairing_size") and args.max_pairing_size > EXACT_PAIRING_HARD_CAP:
         raise ValidationError(
             f"--max-pairing-size {args.max_pairing_size} above hard bound {EXACT_PAIRING_HARD_CAP}"

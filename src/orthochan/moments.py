@@ -80,7 +80,7 @@ def f_beta(beta: Pairing, state: np.ndarray, p: int, budget: int = CONTRACTION_B
     delegated to einsum.  The modulus is bounded by d^bumps(beta).  Unchecked:
     callers check the state once (channels._checked_state), this runs per orbit.
     """
-    p = checked_index(p, "p", 1)
+    p, budget = checked_index(p, "p", 1), checked_index(budget, "budget", 1)
     if beta.size % (2 * p) != 0:
         raise ValidationError(f"pairing size {beta.size} is not a multiple of 2p = {2 * p}")
     r = beta.size // (2 * p)
@@ -114,6 +114,7 @@ def wiring_matrix(pairing: Pairing, p: int, r: int, dim: int) -> np.ndarray:
 
 def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, budget: int):
     p, r = checked_index(p, "p", 1), checked_index(r, "r", 1)
+    cap, budget = checked_index(cap, "cap", 1), checked_index(budget, "budget", 1)
     m = p * r
     effective_cap = min(cap, EXACT_PAIRING_HARD_CAP)
     if 2 * m > effective_cap:
@@ -200,22 +201,34 @@ def exact_mean_output(r: int, k: int, n: int, t: float, state: np.ndarray) -> np
 
 
 class _TermArrays(NamedTuple):
-    """A term report as arrays: per-pairing, per-row and per-type tables, plus
-    the row, column, coset type and value of each term, largest value first."""
+    """A term report as arrays: per-pairing, per-row, per-type and per-value
+    tables, plus the row, column, coset type and value id of each term,
+    largest value first."""
 
     pairings: tuple[Pairing, ...]
     n_exp: np.ndarray
     k_exp: np.ndarray
     f_beta: np.ndarray
     wg: np.ndarray
+    value_table: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     types: np.ndarray
-    values: np.ndarray
+    value_ids: np.ndarray
+
+
+def _magnitude_ranks(values: np.ndarray) -> np.ndarray:
+    """Rank of each value among the distinct magnitudes, largest first, in the narrowest unsigned dtype.
+
+    A stable sort on the ranks orders like a stable sort on -|value|, and
+    numpy radix-sorts keys of up to 16 bits.
+    """
+    distinct, ranks = np.unique(-np.abs(values), return_inverse=True)
+    return ranks.astype(np.min_scalar_type(len(distinct) - 1))
 
 
 def _term_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, budget: int) -> _TermArrays:
-    """The terms of term_report, sorted, as index and value arrays; no per-term objects."""
+    """The terms of term_report, sorted, as index arrays into small tables; no per-term objects or values."""
     m = checked_index(p, "p", 1) * checked_index(r, "r", 1)
     if m > PAIR_LISTING_HALF_SIZE_CAP:
         raise BudgetError(
@@ -223,14 +236,41 @@ def _term_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, budg
             f"the cap is 2pr <= {2 * PAIR_LISTING_HALF_SIZE_CAP}"
         )
     pair_list, n_exp, k_exp, f_vals, table, _ = _engine_arrays(p, r, k, n, t, state, cap, budget)
-    scale = float(n) ** n_exp * float(k) ** k_exp
-    values = ((scale[:, None] * f_vals[None, :]) * table.values).ravel()
-    order = np.argsort(-np.abs(values), kind="stable")
-    # the narrowest index type keeps the arrays small beside the boxed terms
-    index = np.min_scalar_type(len(pair_list) - 1)
-    rows, cols = (half.astype(index) for half in np.divmod(order, len(pair_list)))
-    types = coset_types(m).ravel()[order]
-    return _TermArrays(pair_list, n_exp, k_exp, f_vals, table.coefficients, rows, cols, types, values[order])
+    count, kinds, types = len(pair_list), len(table.coefficients), coset_types(m)
+    # A term's value depends only on its row's exponents, its column's f and its
+    # coset type.  Each distinct triple gets a value id; f is keyed on its
+    # bytes, so conjugates and signed zeros keep separate ids.
+    classes, row_class = np.unique(np.stack((n_exp, k_exp), axis=1), axis=0, return_inverse=True)
+    _, f_first, col_f = np.unique(f_vals.view("V16"), return_index=True, return_inverse=True)
+    # one intp code per term, (class * f ids + f id) * kinds + type: numpy would
+    # copy a narrower index array to intp on every gather
+    cells = (row_class[:, None] * len(f_first) + col_f).ravel()
+    cells *= kinds
+    cells += types.ravel()
+    seen = np.zeros(len(classes) * len(f_first) * kinds, dtype=bool)
+    seen[cells] = True
+    triples = np.flatnonzero(seen)
+    # each value is computed once, by the dense expression on its operands, so
+    # it is bitwise what every term of its triple would get
+    scale = float(n) ** classes[:, 0] * float(k) ** classes[:, 1]
+    triple_class, rest = np.divmod(triples, len(f_first) * kinds)
+    f_id, kind = np.divmod(rest, kinds)
+    value_table = (scale[triple_class] * f_vals[f_first[f_id]]) * table.coefficients[kind]
+    ranks = _magnitude_ranks(value_table)
+    id_of = np.zeros(len(seen), dtype=np.min_scalar_type(len(triples) - 1))
+    id_of[triples] = np.arange(len(triples))
+    rank_of = np.zeros(len(seen), dtype=ranks.dtype)
+    rank_of[triples] = ranks
+    value_ids, order = id_of[cells], np.argsort(rank_of[cells], kind="stable")
+    del cells
+    # the narrowest index type keeps the arrays small beside the boxed terms;
+    # rows and columns are split off one at a time
+    index = np.min_scalar_type(count - 1)
+    rows, cols = (order // count).astype(index), (order % count).astype(index)
+    return _TermArrays(
+        pair_list, n_exp, k_exp, f_vals, table.coefficients, value_table,
+        rows, cols, types.ravel()[order], value_ids[order],
+    )
 
 
 def term_report(
@@ -249,27 +289,30 @@ def term_report(
     above pr = PAIR_LISTING_HALF_SIZE_CAP, before any table or f is built.
     """
     arrays = _term_arrays(p, r, k, n, t, state, cap, budget)
-    # Each pairing, exponent, f and Wg is one Python object in an object array,
-    # gathered by index per chunk: terms share the objects of their row, their
-    # column and their coset type, and only the values are new per term.
-    pairs, n_obj, k_obj, f_obj, wg_obj = (
+    # Each pairing, exponent, f, Wg and value is one Python object in an object
+    # array, gathered by index per chunk: terms share the objects of their row,
+    # their column, their coset type and their value id, so no field is new per term.
+    tables = (arrays.n_exp, arrays.k_exp, arrays.f_beta, arrays.wg, arrays.value_table)
+    pairs, n_obj, k_obj, f_obj, wg_obj, value_obj = (
         np.fromiter(column, dtype=object, count=len(column))
-        for column in (arrays.pairings, *(a.tolist() for a in (arrays.n_exp, arrays.k_exp, arrays.f_beta, arrays.wg)))
+        for column in (arrays.pairings, *(a.tolist() for a in tables))
     )
     columns = (
         (pairs, arrays.rows), (pairs, arrays.cols), (n_obj, arrays.rows), (k_obj, arrays.rows),
-        (f_obj, arrays.cols), (wg_obj, arrays.types),
+        (f_obj, arrays.cols), (wg_obj, arrays.types), (value_obj, arrays.value_ids),
     )
-    terms = []
+    # The list is allocated whole: grown by extend, its item array would be
+    # copied as it grows, and the process keeps the freed copies.
+    terms = [None] * len(arrays.value_ids)
     # The terms are acyclic, so the cyclic collector has nothing to free in
     # them; left on, it would rescan the growing list many times over.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for start in range(0, len(arrays.values), TERM_CHUNK):
+        for start in range(0, len(arrays.value_ids), TERM_CHUNK):
             chunk = slice(start, start + TERM_CHUNK)
             fields = [objects[index[chunk]].tolist() for objects, index in columns]
-            terms.extend(map(tuple.__new__, repeat(MomentTerm), zip(*fields, arrays.values[chunk].tolist())))
+            terms[chunk] = map(tuple.__new__, repeat(MomentTerm), zip(*fields))
     finally:
         if enabled:
             gc.enable()

@@ -311,6 +311,28 @@ MALFORMED = [
     ("wg-nan", ["wg", "--m", "2", "--n", "nan"]),
     ("wg-inf", ["wg", "--m", "2", "--n", "inf"]),
     ("moment-dense-dim", ["moment", *_DIMS, "--r", "1", "--max-dense-dim", "999999999"]),
+    # the caps are integers >= 1: a negative one once exited 3 with "above cap -4"
+    ("moment-cap-negative", ["moment", *_DIMS, "--r", "1", "--max-pairing-size", "-4"]),
+    ("terms-cap-zero", ["moment", *_DIMS, "--r", "1", "--report", "terms", "--max-pairing-size", "0"]),
+    ("moment-dense-dim-negative", ["moment", *_DIMS, "--r", "1", "--max-dense-dim", "-1"]),
+]
+
+# t is refused by the library's one rule (channels.input_dim and _check_t), with its message
+_T_ARGS = {
+    "moment": ["moment", "--p", "2", "--r", "1", "--k", "2", "--n", "3", "--input", "mixed"],
+    "simulate": ["simulate", "--p", "2", "--r", "1", "--k", "2", "--n", "3", "--samples", "4"],
+    "experiment": ["experiment", "--rule", "bell", "--r", "2", "--k", "2", "--n", "3", "--samples", "2"],
+}
+T_REFUSALS = [
+    (command, t, message)
+    for command in ("moment", "simulate", "experiment")
+    for t, message in (
+        ("1.5", "floor(t*k*n) = 9 exceeds kn = 6 at t=1.5, k=2, n=3; need t <= 1"
+         if command != "experiment" else "t must lie in [0, 1], got 1.5"),
+        ("nan", "t*k*n must be finite, got t=nan, k=2, n=3"
+         if command != "experiment" else "t must lie in [0, 1], got nan"),
+        ("0", "floor(t*k*n) = 0 is degenerate at t=0.0, k=2, n=3; need t*k*n >= 1"),
+    )
 ]
 
 
@@ -324,6 +346,31 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "moment", "--p", "1", "--r", "1", "--k", "2",
                           "--n", "3", "--t", "1.5")
         assert code == 2
+
+    @pytest.mark.parametrize("command, t, message", T_REFUSALS, ids=[f"{c}-t{t}" for c, t, _ in T_REFUSALS])
+    def test_t_refused_by_the_library_rule(self, capsys, command, t, message):
+        code = main([*_T_ARGS[command], "--t", t])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["moment", "simulate", "experiment", "body"])
+    def test_t_one_runs(self, capsys, command):
+        # d = kn: the isometry is a whole orthogonal matrix, which every engine takes
+        argv = _T_ARGS.get(command, ["body", "--r", "2", "--k", "2"])
+        code, out = run_cli(capsys, *argv, "--t", "1")
+        assert code == 0
+        if command == "moment":
+            assert json.loads(out)["results"]["value"] == exact_trace_moment(2, 1, 2, 3, 1.0, np.eye(6) / 6)
+        elif command == "experiment":
+            assert len(out.splitlines()) == 2 + 2  # config, header and one row per sample
+        else:
+            assert json.loads(out)["config"]["t"] == 1.0
+
+    def test_body_at_t_zero_runs(self, capsys):
+        # the convex body's closed forms take t = 0; only a channel needs floor(tkn) >= 1
+        code, out = run_cli(capsys, "body", "--r", "2", "--k", "2", "--t", "0")
+        assert code == 0
+        assert len(json.loads(out)["results"]["vertices"]) == 2
 
     def test_budget_error(self, capsys):
         code, _ = run_cli(capsys, "moment", "--p", "2", "--r", "3", "--k", "2",

@@ -1,6 +1,7 @@
 import functools
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from orthochan.moments import (
     MomentTerm,
     _engine_arrays,
     _f_values,
+    _magnitude_ranks,
     _state_orbits,
     _term_arrays,
     asymptotic_trace_moment,
@@ -45,6 +47,7 @@ from orthochan.pairings import (
     bumps,
     combine_copies,
     connected_components,
+    coset_types,
     delta_gamma,
     dominant_pairs,
     enumerate_pairings,
@@ -158,6 +161,33 @@ class TestFBeta:
         monkeypatch.setattr(moments, "wg_exact", no_table)
         with pytest.raises(BudgetError, match=r"^f_beta contraction needs d\^\(pr\) = 81 terms, above budget 80$"):
             engine(2, 2, 2, 3, 0.5, np.eye(9) / 9, budget=80)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: exact_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, cap=10.5),
+                         "cap must be an integer, got 10.5", id="exact-cap-float"),
+            pytest.param(lambda: exact_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, cap=-4),
+                         "cap must be >= 1, got -4", id="exact-cap-negative"),
+            pytest.param(lambda: exact_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, budget=2.5e7),
+                         "budget must be an integer, got 25000000.0", id="exact-budget-float"),
+            pytest.param(lambda: exact_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, budget=-1),
+                         "budget must be >= 1, got -1", id="exact-budget-negative"),
+            pytest.param(lambda: term_report(2, 1, 2, 3, 0.5, np.eye(3) / 3, cap=0),
+                         "cap must be >= 1, got 0", id="report-cap-zero"),
+            pytest.param(lambda: term_report(2, 1, 2, 3, 0.5, np.eye(3) / 3, budget="9"),
+                         "budget must be an integer, got '9'", id="report-budget-string"),
+            pytest.param(lambda: f_beta(delta_gamma(1, 2)[0], np.eye(4) / 4, 1, budget=16.0),
+                         "budget must be an integer, got 16.0", id="f-beta-budget-float"),
+            pytest.param(lambda: f_beta(delta_gamma(1, 2)[0], np.eye(4) / 4, 1, budget=0),
+                         "budget must be >= 1, got 0", id="f-beta-budget-zero"),
+        ],
+    )
+    def test_cap_and_budget_are_integers_at_least_one(self, call, message):
+        # a float cap or budget once compared as a number, and a negative one
+        # raised BudgetError ("above budget -1") instead of a validation error
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def complex_state(kind, dim, seed):
@@ -452,6 +482,73 @@ def term_report_reference(p, r, k, n, t, state):
     return terms
 
 
+def dense_term_arrays(p, r, k, n, t, state, cap):
+    """The sorted term values, rows, columns and coset types from one N^2 complex array and a float sort."""
+    pair_list, n_exp, k_exp, f_vals, table, _ = _engine_arrays(p, r, k, n, t, state, cap, CONTRACTION_BUDGET)
+    scale = float(n) ** n_exp * float(k) ** k_exp
+    values = ((scale[:, None] * f_vals[None, :]) * table.values).ravel()
+    order = np.argsort(-np.abs(values), kind="stable")
+    rows, cols = np.divmod(order, len(pair_list))
+    return values[order], rows, cols, coset_types(p * r).ravel()[order]
+
+
+def _real_vector(dim, seed):
+    psi = np.random.default_rng(seed).standard_normal(dim)
+    return psi / np.linalg.norm(psi)
+
+
+# (p, r, k, n, t, state) at 2pr <= 8, where every value's repr is cheap to check; the CI workflow
+# compares the 2pr = 10 CSV bytes.  The flipped cases have orbit members whose f is the conjugate
+# of their representative's.
+VALUE_ID_CASES = {
+    "mixed": (4, 1, 2, 4, 0.5, np.eye(4) / 4),
+    "basis-product": (2, 2, 2, 3, 0.5, basis_product_state(3, 2)),
+    "real-vector": (1, 4, 2, 2, 0.5, _real_vector(16, 0)),
+    "bell": (2, 2, 2, 4, 0.5, bell_state_vector(PartialPairing(2, ((0, 1),)), 4)),
+    "complex-vector": (4, 1, 2, 3, 0.5, complex_state("vector", 3, 18)),
+    "complex-density": (2, 2, 2, 3, 0.5, random_density(9, 4)),
+    "flipped-r3": (1, 3, 2, 3, 0.5, complex_state("vector", 27, 5)),
+    "flipped-r4": (1, 4, 2, 2, 0.5, complex_state("vector", 16, 7)),
+    "flipped-r2": (2, 2, 2, 3, 0.5, complex_state("vector", 9, 13)),
+}
+
+
+class TestTermValueIds:
+    """_term_arrays keeps one value per distinct (exponents, f, coset type) and sorts on magnitude ranks."""
+
+    @pytest.mark.parametrize("case", list(VALUE_ID_CASES))
+    def test_reproduces_the_dense_build_bitwise(self, case):
+        p, r, k, n, t, state = args = VALUE_ID_CASES[case]
+        if case.startswith("flipped"):
+            assert _state_orbits(state, p, r)[2].any()
+        arrays = _term_arrays(*args, 2 * p * r, CONTRACTION_BUDGET)
+        values, rows, cols, types = dense_term_arrays(*args, 2 * p * r)
+        if case in ("basis-product", "real-vector"):
+            # a real input: the side swap leaves f real but turns +0.0 imaginary parts into -0.0,
+            # and f keyed on its value instead of its bytes changes the real vector's values
+            signs = np.signbit(arrays.f_beta.imag)
+            assert signs.any() and not signs.all() and not arrays.f_beta.imag.any()
+        assert arrays.value_ids.dtype == np.min_scalar_type(len(arrays.value_table) - 1)
+        assert np.array_equal(np.unique(arrays.value_ids), np.arange(len(arrays.value_table)))
+        assert np.array_equal(arrays.value_table[arrays.value_ids].view(np.uint64), values.view(np.uint64))
+        assert np.array_equal(arrays.rows, rows) and np.array_equal(arrays.cols, cols)
+        assert np.array_equal(arrays.types, types)
+        reprs = list(map(repr, values.tolist()))
+        assert [repr(term.value) for term in term_report(*args, cap=2 * p * r)] == reprs
+
+    @pytest.mark.parametrize("count, dtype", [(200, np.uint8), (60000, np.uint16), (70000, np.uint32)])
+    def test_ranks_take_the_narrowest_dtype_and_order_like_magnitudes(self, count, dtype):
+        # more than 65536 distinct magnitudes need uint32 ranks
+        rng = np.random.default_rng(count)
+        magnitudes = rng.permutation(np.arange(1, count + 1) / count)
+        phases = np.array([1, -1, 1j, -1j])[rng.integers(0, 4, count)]  # keep each magnitude exact
+        # repeat some magnitudes with other phases and signs: equal magnitudes share a rank
+        values = np.concatenate([magnitudes * phases, -magnitudes[:500], 1j * magnitudes[500:1000], [0j, -0j]])
+        ranks = _magnitude_ranks(values)
+        assert ranks.dtype == dtype and int(ranks.max()) == count
+        assert np.array_equal(np.argsort(ranks, kind="stable"), np.argsort(-np.abs(values), kind="stable"))
+
+
 class TestTermReport:
     @pytest.mark.parametrize("case", ["p2_r1_n3_mixed", "p1_r2_n4_bell"])
     def test_matches_nested_loop_reference(self, case):
@@ -517,21 +614,23 @@ class TestTermReport:
             term.value = 0.0
 
     def test_terms_box_the_array_form(self):
-        # each field is its _term_arrays entry, as a Python object shared by its row, column or type
+        # each field is its _term_arrays entry, as a Python object shared by its row, column, type or value id
         args = (2, 2, 2, 3, 0.5, complex_state("vector", 9, seed=13), 8, CONTRACTION_BUDGET)
         arrays = _term_arrays(*args)
         terms = term_report(*args[:6])
-        assert len(terms) == len(arrays.values)
-        f_objects = {}
+        assert len(terms) == len(arrays.value_ids)
+        f_objects, value_objects = {}, {}
         for term, i, j, kind, value in zip(
-            terms, arrays.rows.tolist(), arrays.cols.tolist(), arrays.types.tolist(), arrays.values.tolist()
+            terms, arrays.rows.tolist(), arrays.cols.tolist(), arrays.types.tolist(), arrays.value_ids.tolist()
         ):
             assert term.alpha is arrays.pairings[i] and term.beta is arrays.pairings[j]
             assert (term.n_exp, term.k_exp) == (arrays.n_exp[i], arrays.k_exp[i])
-            assert (term.f_beta, term.wg, term.value) == (arrays.f_beta[j], arrays.wg[kind], value)
+            assert (term.f_beta, term.wg, term.value) == (arrays.f_beta[j], arrays.wg[kind], arrays.value_table[value])
             assert list(map(type, term)) == [Pairing, Pairing, int, int, complex, float, complex]
             assert f_objects.setdefault(j, term.f_beta) is term.f_beta
+            assert value_objects.setdefault(value, term.value) is term.value
         assert len(f_objects) == len(arrays.pairings)
+        assert len(value_objects) == len(arrays.value_table) < len(terms)
 
     def test_wg_is_the_table_entry(self):
         rng = np.random.default_rng(2)
