@@ -12,6 +12,7 @@ import functools
 import math
 import operator
 import os
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ EIGENWEIGHT_CUTOFF = 1e-12  # eigenvectors of a density matrix kept as input com
 # body's vertex stack (V vertices of k^(2r) entries)
 OUTPUT_TENSOR_BUDGET = 2**24
 THREADS_ENV_VAR = "ORTHOCHAN_THREADS"
+STREAM_LIMIT = 2**64  # streams _stream_keys addresses: indices of one or two 32-bit spawn words
 
 # numpy's SeedSequence hash constants, reproduced by _stream_keys
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -156,8 +158,8 @@ def _haar_columns(
     distributed.
     """
     g = np.empty((count, dim, dim))
-    for b, gen in enumerate(gens):
-        gen.standard_normal(out=g[b])
+    for gen, out in zip(gens, g):
+        gen.standard_normal(out=out)
     q, r = np.linalg.qr(g[:, :, :cols])
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1)).copy()
     signs[signs == 0] = 1.0
@@ -183,7 +185,7 @@ def _stream_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     spawn words (one below 2**32, two from there on) and the final
     generate_state depend on the index.
     """
-    if not 0 <= lo <= hi <= 2**64:
+    if not 0 <= lo <= hi <= STREAM_LIMIT:
         raise ValidationError(f"stream indices must lie in [0, 2**64), got [{lo}, {hi})")
     pool = np.random.SeedSequence(seed).pool
     seed_words = max(1, -(-operator.index(seed).bit_length() // 32))
@@ -217,13 +219,18 @@ def _stream_generators(seed: int, lo: int, hi: int) -> Iterator[np.random.Genera
 
     Each state it takes is that of RngStream(seed, i).generator() bit for
     bit: key from _stream_keys, counter 0, buffer empty.  Draw from it before
-    taking the next one.
+    taking the next one.  The state dict holds plain ints, not the uint64
+    arrays of bit_generator.state, which the setter reads back one numpy
+    scalar at a time; it belongs to this call alone, so threads never share it.
     """
     gen = RngStream(seed, lo).generator()
-    state = gen.bit_generator.state  # a fresh stream: counter 0, buffer empty
-    for key in _stream_keys(seed, lo, hi):
+    bits = gen.bit_generator
+    state = bits.state  # a fresh stream: counter 0, buffer empty
+    state["state"] = {name: words.tolist() for name, words in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
+    for key in _stream_keys(seed, lo, hi).tolist():
         state["state"]["key"] = key
-        gen.bit_generator.state = state
+        bits.state = state
         yield gen
 
 
@@ -310,15 +317,24 @@ def output_state(spec: ChannelSpec, r: int, state: np.ndarray) -> np.ndarray:
     return _output_batch(spec.isometry[None], factor, spec.k, spec.n, r, cols)[0].astype(complex)
 
 
-def map_ordered(work: Callable, jobs) -> Iterator:
-    """work(job) for every job, yielded in job order, on worker_count() threads."""
-    jobs = list(jobs)
-    workers = min(worker_count(), len(jobs))
+def map_ordered(work: Callable, jobs: Iterable) -> Iterator:
+    """work(job) for every job, yielded in job order, on worker_count() threads.
+
+    Jobs are taken from the iterable as results are yielded, at most two per
+    worker ahead, so a long stream of jobs is never held whole.
+    """
+    workers = worker_count()
     if workers <= 1:
         yield from map(work, jobs)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(work, jobs)
+        ahead = deque()
+        for job in jobs:
+            ahead.append(pool.submit(work, job))
+            if len(ahead) > 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def _chunk_size(entries_per_sample: int) -> int:
@@ -344,9 +360,12 @@ def _sample_stats(samples: int, seed: int, chunk: int, draw: Callable) -> tuple[
     to an array of count values, scalars or matrices.  Each chunk of samples
     is reduced to (count, mean, M2), M2 the sum of |x - mean|^2, and the
     partials are combined in chunk order, so the result is the same under any
-    thread count and memory does not grow with the sample count.
+    thread count and memory does not grow with the sample count.  More than
+    STREAM_LIMIT samples raise ValidationError: there are no streams for them.
     """
     samples = checked_index(samples, "samples", 2)
+    if samples > STREAM_LIMIT:
+        raise ValidationError(f"samples must be <= 2**64, one stream each, got {samples}")
 
     def partial(bounds):
         lo, hi = bounds
@@ -355,7 +374,7 @@ def _sample_stats(samples: int, seed: int, chunk: int, draw: Callable) -> tuple[
         dev = x - mean
         return hi - lo, mean, (dev.conj() * dev).real.sum(axis=0)
 
-    bounds = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
+    bounds = ((lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk))
     count, mean, m2 = functools.reduce(_chan_combine, map_ordered(partial, bounds))
     return mean, np.sqrt(m2 / (count - 1)) / math.sqrt(count)
 

@@ -264,9 +264,11 @@ def _term_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, budg
     value_ids, order = id_of[cells], np.argsort(rank_of[cells], kind="stable")
     del cells
     # the narrowest index type keeps the arrays small beside the boxed terms;
-    # rows and columns are split off one at a time
+    # divmod casts into them chunk by chunk, so no N^2 intp quotient or
+    # remainder is left on the heap
     index = np.min_scalar_type(count - 1)
-    rows, cols = (order // count).astype(index), (order % count).astype(index)
+    rows, cols = np.empty(len(order), dtype=index), np.empty(len(order), dtype=index)
+    np.divmod(order, count, out=(rows, cols), casting="unsafe")
     return _TermArrays(
         pair_list, n_exp, k_exp, f_vals, table.coefficients, value_table,
         rows, cols, types.ravel()[order], value_ids[order],

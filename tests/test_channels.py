@@ -1,6 +1,8 @@
 import functools
+import itertools
 import os
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -101,10 +103,12 @@ class TestStreamKeys:
             _stream_keys(0, -1, 2)
 
     @pytest.mark.parametrize("seed", [7, 2**200 + 1])
-    def test_reseated_generator_draws_stream_bits(self, seed):
+    # the second range crosses 2**32, where the spawn key gains a second word
+    @pytest.mark.parametrize("lo, hi", [(1000, 1040), (2**32 - 20, 2**32 + 20)])
+    def test_reseated_generator_draws_stream_bits(self, seed, lo, hi):
         # every stream of a chunk, the middle ones included, draws the bits of
         # a generator built for it alone, however much its predecessor drew
-        for i, gen in enumerate(_stream_generators(seed, 1000, 1040), start=1000):
+        for i, gen in enumerate(_stream_generators(seed, lo, hi), start=lo):
             ref = RngStream(seed, i).generator()
             assert np.array_equal(gen.standard_normal((3, 3)), ref.standard_normal((3, 3)))
             # an odd number of 32-bit draws leaves half a word buffered
@@ -118,6 +122,43 @@ class TestStreamKeys:
         for b, i in enumerate(range(512, 520)):
             q, r = np.linalg.qr(RngStream(5, i).generator().standard_normal((6, 6)))
             assert np.array_equal(u[b], q * np.sign(np.diag(r)))
+
+
+def _plain_haar_columns(gens, count, dim, cols):
+    # one fresh generator's dim x dim Gaussian, one dense QR and the sign fix per sample
+    out = []
+    for gen in gens:
+        q, r = np.linalg.qr(gen.standard_normal((dim, dim))[:, :cols])
+        out.append(q * np.sign(np.diag(r)))
+    assert len(out) == count
+    return np.array(out)
+
+
+# 1030 samples at these sizes are one chunk of 1024 and one of 6
+PLAIN_REFERENCE_ESTIMATES = [
+    lambda: mc_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, samples=1030, seed=9),
+    lambda: mc_mean_output(2, 2, 4, 0.5, np.eye(16) / 16, samples=1030, seed=2**32 + 3),
+    lambda: mc_conjugation_mean(np.arange(25.0).reshape(5, 5), samples=1030, seed=4),
+]
+
+
+@pytest.mark.parametrize("estimate", PLAIN_REFERENCE_ESTIMATES)
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_estimators_equal_plain_per_sample_draws(estimate, threads, monkeypatch):
+    monkeypatch.setenv("ORTHOCHAN_THREADS", threads)
+    fast = estimate()
+    chunks = []
+
+    def streams(seed, lo, hi):
+        chunks.append((lo, hi))
+        return [RngStream(seed, i).generator() for i in range(lo, hi)]
+
+    monkeypatch.setattr(channels, "_stream_generators", streams)
+    monkeypatch.setattr(channels, "_haar_columns", _plain_haar_columns)
+    plain = estimate()
+    assert sorted(chunks) == [(0, 1024), (1024, 1030)]
+    for x, y in zip(fast, plain, strict=True):
+        assert np.array_equal(x, y)
 
 
 class TestHaarSampling:
@@ -432,11 +473,16 @@ print(repr([x.tolist() for x in mc_mean_output(2, 2, 4, 0.5, np.eye(16) / 16, sa
 """
 
 
-def _run_with_blas_threads(threads: int) -> str:
+def _library_env(**settings: str) -> dict[str, str]:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    env.update(
+    env.update(settings)
+    return env
+
+
+def _run_with_blas_threads(threads: int) -> str:
+    env = _library_env(
         ORTHOCHAN_THREADS="1", OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads)
     )
     done = subprocess.run(
@@ -451,6 +497,65 @@ def test_results_independent_of_blas_thread_count():
     one = _run_with_blas_threads(1)
     assert one.count("\n") == 3
     assert one == _run_with_blas_threads(2)
+
+
+_UNADDRESSABLE_SCRIPT = """
+import numpy as np
+from orthochan.channels import mc_conjugation_mean, mc_mean_output, mc_trace_moment
+from orthochan.errors import ValidationError
+too_many = 2**64 + 1
+for estimate in (
+    lambda: mc_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, too_many, 7),
+    lambda: mc_mean_output(1, 2, 3, 0.5, np.eye(3) / 3, too_many, 7),
+    lambda: mc_conjugation_mean(np.eye(4), too_many, 7),
+):
+    try:
+        estimate()
+    except ValidationError as exc:
+        print(exc)
+"""
+
+
+def _limit_address_space():
+    # 1 GiB: ample for one refusal, far below a list of 2**54 chunk bounds
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["-c", _UNADDRESSABLE_SCRIPT], 0),
+        (["-m", "orthochan.cli", "simulate", "--p", "2", "--r", "1", "--k", "2", "--n", "3",
+          "--t", "0.5", "--input", "mixed", "--samples", str(2**64 + 1), "--seed", "7"], 2),
+    ],
+)
+def test_sample_counts_beyond_the_streams_are_refused(args, code):
+    # stream indices stop at 2**64; the refusal comes before any chunk is laid out
+    done = subprocess.run(
+        [sys.executable, *args],
+        env=_library_env(ORTHOCHAN_THREADS="2", OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=_limit_address_space, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    refusals = (done.stdout if code == 0 else done.stderr).splitlines()
+    assert len(refusals) == (3 if code == 0 else 1)
+    assert all("samples must be <= 2**64" in line for line in refusals)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_map_ordered_takes_jobs_as_it_goes(threads, monkeypatch):
+    monkeypatch.setenv("ORTHOCHAN_THREADS", threads)
+    taken = []
+
+    def jobs():
+        for job in range(10**6):
+            taken.append(job)
+            yield job
+
+    results = channels.map_ordered(lambda x: x * x, jobs())
+    assert list(itertools.islice(results, 5)) == [0, 1, 4, 9, 16]
+    results.close()
+    assert len(taken) <= 5 + 2 * int(threads)
 
 
 class TestMonteCarlo:
