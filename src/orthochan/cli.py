@@ -35,6 +35,7 @@ from .moments import (
 from .pairings import (
     PAIR_LISTING_HALF_SIZE_CAP,
     PAIRING_ENUMERATION_CAP,
+    _type_representatives,
     coset_types,
     enumerate_pairings,
     enumerate_partial_pairings,
@@ -165,10 +166,9 @@ def cmd_wg(args) -> int:
         raise BudgetError(f"wg --m {args.m} would write (2m-1)!!^2 rows; the cap is m <= {PAIR_LISTING_HALF_SIZE_CAP}")
     table, pairings, types = wg_exact(args.m, args.n), enumerate_pairings(args.m), coset_types(args.m)
     # exact, asymptotic and ratio depend only on the coset type: format them once per type
-    first = types[0].tolist()
     cells = []
-    for kind, exact in enumerate(table.coefficients.tolist()):
-        asym = wg_asymptotic(pairings[0], pairings[first.index(kind)], args.n)
+    for exact, rep in zip(table.coefficients.tolist(), _type_representatives(args.m).tolist()):
+        asym = wg_asymptotic(pairings[0], pairings[rep], args.n)
         cells.append(f"{exact!r},{asym!r},{exact / asym!r}")
     rows = "".join(f"{i},{j},{cells[kind]}\n" for i, row in enumerate(types.tolist()) for j, kind in enumerate(row))
     _write(args.out, [_csv_head(config, ["alpha_index", "beta_index", "exact", "asymptotic", "ratio"]), rows])

@@ -26,6 +26,7 @@ from .pairings import (
     Pairing,
     PartialPairing,
     _symmetry_orbits,
+    _type_sums,
     connected_components,
     coset_types,
     delta_gamma,
@@ -180,8 +181,7 @@ def exact_trace_moment(
     # Wg and Re f are invariant under the relabellings that make the orbits: sum
     # Re f per coset type on one row per orbit, weight each orbit by its total
     # n^n_exp k^k_exp, then dot with Wg per type.
-    types, kinds, f_real = coset_types(p * r), len(table.coefficients), np.ascontiguousarray(f_vals.real)
-    per_rep = np.array([np.bincount(types[rep], f_real, kinds) for rep in reps])
+    per_rep = _type_sums(p * r, reps, f_vals.real)
     per_type = np.bincount(orbit, float(n) ** n_exp * float(k) ** k_exp) @ per_rep
     return float(table.coefficients @ per_type)
 
@@ -195,7 +195,8 @@ def exact_mean_output(r: int, k: int, n: int, t: float, state: np.ndarray) -> np
     pair_list, n_exp, _, f_vals, table, _ = _engine_arrays(
         1, r, k, n, t, state, EXACT_PAIRING_CAP, CONTRACTION_BUDGET
     )
-    coeffs = float(n) ** n_exp * (table.values @ f_vals)
+    re, im = (_type_sums(r, range(len(pair_list)), part) @ table.coefficients for part in (f_vals.real, f_vals.imag))
+    coeffs = float(n) ** n_exp * (re + 1j * im)
     # rows of the mean output are L legs, hence the transpose
     return np.ascontiguousarray(wiring_sum(pair_list, coeffs, 1, r, k).T)
 

@@ -294,6 +294,21 @@ def coset_types(m: int) -> np.ndarray:
     return _coset_types(m)
 
 
+def _type_sums(m: int, rows, weights) -> np.ndarray:
+    """Per-type sums of weights along the listed rows: out[i, lam] sums weights[b] where type(rows[i], b) = lam.
+
+    A class function dotted with out[i] is its weighted sum along row rows[i].
+    """
+    types, kinds = coset_types(m), len(partitions(m))
+    weights = np.ascontiguousarray(weights, dtype=float)
+    return np.array([np.bincount(types[a], weights, kinds) for a in rows]).reshape(-1, kinds)
+
+
+def _type_representatives(m: int) -> np.ndarray:
+    """Index of one pairing b of each coset type lam, the first with type(identity, b) = lam, by type id."""
+    return np.unique(coset_types(m)[0], return_index=True)[1]
+
+
 def _conjugation_maps(m: int, involutions) -> list[np.ndarray]:
     """Index maps b -> s b s over enumerate_pairings(m), one per involution s of the 2m points.
 

@@ -10,7 +10,7 @@ coset type of the pair, a partition of m.  These functions form a commutative
 algebra of dimension p(m) (the Hecke algebra of the Gelfand pair (S_2m, H_m)),
 and the pseudo-inverse is computed there, from p(m) numbers instead of a dense
 (2m-1)!! x (2m-1)!! matrix (Collins-Matsumoto 2009, Zinn-Justin 2010).  A table
-keeps only these p(m) coefficients; the dense matrix is gathered when read.
+keeps only these p(m) coefficients; readers dot them with per-type sums.
 """
 from __future__ import annotations
 
@@ -23,6 +23,8 @@ import numpy as np
 from .errors import ValidationError, checked_index
 from .pairings import (
     Pairing,
+    _type_representatives,
+    _type_sums,
     connected_components,
     coset_types,
     enumerate_pairings,
@@ -49,13 +51,6 @@ class WeingartenTable:
     rank: int
     singular: bool
 
-    @property
-    def values(self) -> np.ndarray:
-        """Dense read-only table over enumerate_pairings(m), gathered anew on each read."""
-        values = self.coefficients[coset_types(self.m)]
-        values.setflags(write=False)
-        return values
-
 
 def gram_matrix(m: int, n: float) -> np.ndarray:
     """Loop-counting Gram matrix with entries n^connected_components(a, b)."""
@@ -63,22 +58,20 @@ def gram_matrix(m: int, n: float) -> np.ndarray:
     return (float(n) ** type_lengths(m))[types]
 
 
-def _class_pseudo_inverse(types: np.ndarray, gram_row: np.ndarray) -> tuple[np.ndarray, int]:
-    """Pseudo-inverse of a class function given by its identity row, per type id.
+def _class_pseudo_inverse(m: int, gram_row: np.ndarray) -> tuple[np.ndarray, int]:
+    """Pseudo-inverse of a class function of half-size m given by its identity row, per type id.
 
     Returns the coefficient of the pseudo-inverse on each coset type and the
     rank of the matrix.  Type ids follow partitions(m); the last one is the
     type of a pairing with itself.
     """
-    first = types[0]
-    kinds = int(first.max()) + 1
-    _, reps = np.unique(first, return_index=True)  # one pairing of each type against the identity
+    reps = _type_representatives(m)
+    first, kinds = coset_types(m)[0], len(reps)
     sizes = np.bincount(first, minlength=kinds)
-    # structure constants E_lam E_mu = sum_nu c[lam, mu, nu] E_nu: c counts the
-    # b with type(e, b) = lam and type(b, reps[nu]) = mu
-    triples = (first.astype(np.intp) * kinds + types[reps]) * kinds + np.arange(kinds)[:, None]
-    c = np.bincount(triples.ravel(), minlength=kinds**3).reshape(kinds, kinds * kinds)
-    mult = (gram_row[reps] @ c).reshape(kinds, kinds).T  # multiplication by G on coefficients
+    # structure constants E_lam E_mu = sum_nu c[lam, nu, mu] E_nu: c counts the
+    # b with type(e, b) = lam and type(reps[nu], b) = mu
+    c = np.array([_type_sums(m, reps, first == lam) for lam in range(kinds)])
+    mult = np.tensordot(gram_row[reps], c, 1)  # multiplication by G on coefficients
     # the trace form weights type lam by its class size; symmetrise with it
     root = np.sqrt(sizes)
     sym = root[:, None] * mult / root[None, :]
@@ -98,10 +91,9 @@ def _class_pseudo_inverse(types: np.ndarray, gram_row: np.ndarray) -> tuple[np.n
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _build_table(m: int, n: float) -> WeingartenTable:
-    types = coset_types(m)
-    coeff, rank = _class_pseudo_inverse(types, gram_matrix(m, n)[0])
+    coeff, rank = _class_pseudo_inverse(m, gram_matrix(m, n)[0])
     coeff.setflags(write=False)
-    return WeingartenTable(m=m, n=n, coefficients=coeff, rank=rank, singular=rank < len(types))
+    return WeingartenTable(m=m, n=n, coefficients=coeff, rank=rank, singular=rank < len(coset_types(m)))
 
 
 def _check_dimension(n: float) -> None:
@@ -126,7 +118,7 @@ def integrate_monomial(index_rows, n: float) -> float:
 
     index_rows lists the (row, column) index of each factor U_{ij}.  Odd
     degrees integrate to zero; even degrees are the double pairing sum of
-    row/column delta constraints weighted by the exact Weingarten table.
+    row/column delta constraints, counted per coset type, against the table.
     """
     _check_dimension(n)  # also for odd and empty products, which need no table
     rows = [tuple(rc) for rc in index_rows]
@@ -138,11 +130,6 @@ def integrate_monomial(index_rows, n: float) -> float:
         return 1.0
     m = len(rows) // 2
     pairs = enumerate_pairings(m)
-    i_ok = np.array(
-        [all(rows[s][0] == rows[t][0] for s, t in a.pairs) for a in pairs], dtype=float
-    )
-    j_ok = np.array(
-        [all(rows[s][1] == rows[t][1] for s, t in b.pairs) for b in pairs], dtype=float
-    )
-    table = wg_exact(m, n)
-    return float(i_ok @ table.values @ j_ok)
+    i_ok = np.flatnonzero([all(rows[s][0] == rows[t][0] for s, t in a.pairs) for a in pairs])
+    j_ok = [all(rows[s][1] == rows[t][1] for s, t in b.pairs) for b in pairs]
+    return float(_type_sums(m, i_ok, j_ok).sum(axis=0) @ wg_exact(m, n).coefficients)

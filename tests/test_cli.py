@@ -99,11 +99,12 @@ class TestSubcommands:
     def test_wg_table_matches_per_pair_reference(self, capsys, m, n):
         # the cells are formatted once per coset type; a per-pair loop must give the same bytes
         from orthochan.pairings import enumerate_pairings
-        from orthochan.weingarten import wg_asymptotic, wg_exact
+        from orthochan.weingarten import wg_asymptotic
+        from test_weingarten import dense_table
 
         code, out = run_cli(capsys, "wg", "--m", str(m), "--n", str(n))
         assert code == 0
-        values, pairings = wg_exact(m, n).values, enumerate_pairings(m)
+        values, pairings = dense_table(m, n), enumerate_pairings(m)
         expected = ["alpha_index,beta_index,exact,asymptotic,ratio"]
         for i, a in enumerate(pairings):
             for j, b in enumerate(pairings):

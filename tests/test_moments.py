@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import math
 import re
 
@@ -57,6 +58,7 @@ from orthochan.pairings import (
     wiring_sum,
 )
 from orthochan.weingarten import wg_exact
+from test_weingarten import dense_table
 
 
 def random_density(dim, seed):
@@ -210,7 +212,7 @@ def per_pairing_moment(p, r, k, n, t, state):
         float(n) ** connected_components(delta, alpha) * float(k) ** connected_components(gamma, alpha)
         for alpha in enumerate_pairings(p * r)
     ])
-    return float(weights @ wg_exact(p * r, k * n).values @ per_pairing_f(state, p, r).real)
+    return float(weights @ dense_table(p * r, k * n) @ per_pairing_f(state, p, r).real)
 
 
 class TestSymmetryOrbits:
@@ -261,7 +263,7 @@ class TestSymmetryOrbits:
         pair_list = enumerate_pairings(r)
         delta, _ = delta_gamma(1, r)
         n_exp = np.array([connected_components(delta, alpha) for alpha in pair_list])
-        coeffs = float(n) ** n_exp * (wg_exact(r, k * n).values @ per_pairing_f(state, 1, r))
+        coeffs = float(n) ** n_exp * (dense_table(r, k * n) @ per_pairing_f(state, 1, r))
         reference = wiring_sum(pair_list, coeffs, 1, r, k).T
         assert np.max(np.abs(exact_mean_output(r, k, n, t, state) - reference)) <= 1e-15
 
@@ -378,6 +380,16 @@ class TestExactTraceMoment:
         est, se = mc_trace_moment(3, 1, 2, 3, 0.5, rho, samples=20000, seed=44)
         assert abs(exact - est) <= 3.5 * se
 
+    def test_matches_mc_at_a_singular_table(self):
+        # kn = 4 < m = 5, so the sum reads the Gram pseudo-inverse; seed, sample
+        # count and bound were fixed before the first run
+        table = wg_exact(5, 4)
+        assert table.singular and table.rank == 903 and len(enumerate_pairings(5)) == 945
+        rho = np.eye(2) / 2
+        exact = exact_trace_moment(5, 1, 2, 2, 0.5, rho, cap=10)
+        est, se = mc_trace_moment(5, 1, 2, 2, 0.5, rho, 200_000, 5)
+        assert abs(exact - est) <= 4 * se
+
     def test_dimension_validated(self):
         with pytest.raises(ValidationError):
             exact_trace_moment(1, 1, 2, 3, 0.5, np.eye(4) / 4)
@@ -468,7 +480,7 @@ def term_report_reference(p, r, k, n, t, state):
     """The report by a nested loop over (alpha, beta) and a stable sort on -|value|."""
     pair_list = enumerate_pairings(p * r)
     delta, gamma = delta_gamma(p, r)
-    values = wg_exact(p * r, k * n).values
+    values = dense_table(p * r, k * n)
     f_vals = [f_beta(b, state, p) for b in pair_list]
     terms = []
     for i, alpha in enumerate(pair_list):
@@ -486,7 +498,7 @@ def dense_term_arrays(p, r, k, n, t, state, cap):
     """The sorted term values, rows, columns and coset types from one N^2 complex array and a float sort."""
     pair_list, n_exp, k_exp, f_vals, table, _ = _engine_arrays(p, r, k, n, t, state, cap, CONTRACTION_BUDGET)
     scale = float(n) ** n_exp * float(k) ** k_exp
-    values = ((scale[:, None] * f_vals[None, :]) * table.values).ravel()
+    values = ((scale[:, None] * f_vals[None, :]) * dense_table(p * r, k * n)).ravel()
     order = np.argsort(-np.abs(values), kind="stable")
     rows, cols = np.divmod(order, len(pair_list))
     return values[order], rows, cols, coset_types(p * r).ravel()[order]
@@ -636,7 +648,7 @@ class TestTermReport:
         rng = np.random.default_rng(2)
         psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         psi /= np.linalg.norm(psi)
-        values = wg_exact(4, 6).values
+        values = dense_table(4, 6)
         index = {pairing: i for i, pairing in enumerate(enumerate_pairings(4))}
         terms = term_report(2, 2, 2, 3, 0.5, psi)
         assert len(terms) == len(index) ** 2
@@ -749,25 +761,37 @@ class TestAsymptoticTraceMoment:
         m = mean_output_asymptotic(bell, r, k, t)
         assert lhs == pytest.approx(float(np.trace(m @ m).real), rel=1e-9)
 
-    @pytest.mark.parametrize("rule", ["bell", "product"])
-    def test_exact_approaches_leading_order_at_m4(self, rule):
-        # 2pr = 8; each doubling of n must shrink the gap by criterion 4's decay bound
-        p, r, k, t = 2, 2, 2, 0.5
+    @staticmethod
+    def leading_order_gaps(p, rule, grid, cap):
+        """|exact - leading order| of E Tr Z^p at r = 2, k = 2, t = 1/2 along the n grid."""
+        r, k, t = 2, 2, 0.5
         gaps = []
-        for n in (4, 8, 16, 32):
+        for n in grid:
             d = input_dim(k, n, t)
             if rule == "bell":
                 state = bell_state_vector(PartialPairing(2, ((0, 1),)), d)
             else:
                 state = basis_product_state(d, r)
             g1 = g_from_state(state, r, k, n, t)
-            g2 = {}
-            for b1, v1 in g1.items():
-                for b2, v2 in g1.items():
-                    g2[combine_copies([b1, b2], r)] = v1 * v2
-            exact = exact_trace_moment(p, r, k, n, t, state)
-            gaps.append(abs(exact - asymptotic_trace_moment(p, r, k, t, g2)))
+            g = {
+                combine_copies(blocks, r): math.prod(g1[b] for b in blocks)
+                for blocks in itertools.product(g1, repeat=p)
+            }
+            exact = exact_trace_moment(p, r, k, n, t, state, cap=cap)
+            gaps.append(abs(exact - asymptotic_trace_moment(p, r, k, t, g)))
+        return gaps
+
+    @pytest.mark.parametrize("rule", ["bell", "product"])
+    def test_exact_approaches_leading_order_at_m4(self, rule):
+        # 2pr = 8; each doubling of n must shrink the gap by criterion 4's decay bound
+        gaps = self.leading_order_gaps(2, rule, (4, 8, 16, 32), 8)
         assert all(later <= 0.6 * earlier for earlier, later in zip(gaps, gaps[1:])), gaps
+
+    @pytest.mark.parametrize("rule", ["bell", "product"])
+    def test_exact_approaches_leading_order_at_m6(self, rule):
+        # 2pr = 12, three copies: the same decay bound from n = 4 to 8
+        gaps = self.leading_order_gaps(3, rule, (4, 8), 12)
+        assert gaps[1] <= 0.6 * gaps[0], gaps
 
     def test_invalid_g_rejected(self):
         g = {PartialPairing(2, ()): 1.5}

@@ -1,10 +1,22 @@
+import math
+import tracemalloc
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from orthochan.errors import EnumerationLimitError, ValidationError
-from orthochan.pairings import coset_types, enumerate_pairings, length, mobius, Pairing, partitions, Permutation
+from orthochan.pairings import (
+    coset_types,
+    double_factorial_odd,
+    enumerate_pairings,
+    length,
+    mobius,
+    Pairing,
+    partitions,
+    Permutation,
+)
 from orthochan.weingarten import (
     GRAM_EIGENVALUE_CUTOFF,
     gram_matrix,
@@ -12,6 +24,11 @@ from orthochan.weingarten import (
     wg_asymptotic,
     wg_exact,
 )
+
+
+def dense_table(m, n):
+    """The dense Weingarten table over enumerate_pairings(m), gathered from its per-type coefficients."""
+    return wg_exact(m, n).coefficients[coset_types(m)]
 
 
 def dense_pseudo_inverse(g):
@@ -56,29 +73,27 @@ class TestGramMatrix:
 
 class TestExactTable:
     def test_m1_value(self):
-        table = wg_exact(1, 6)
-        assert table.values[0, 0] == pytest.approx(1 / 6)
+        assert dense_table(1, 6)[0, 0] == pytest.approx(1 / 6)
 
     @pytest.mark.parametrize("n", [3, 5, 8, 12])
     def test_m2_closed_form(self, n):
-        table = wg_exact(2, n)
+        values = dense_table(2, n)
         diag, off = m2_closed_form(n)
         # library form of the same numbers
         assert diag == pytest.approx((n + 1) / (n * (n - 1) * (n + 2)))
         assert off == pytest.approx(-1 / (n * (n - 1) * (n + 2)))
-        assert np.allclose(np.diag(table.values), diag)
-        assert table.values[0, 1] == pytest.approx(off)
+        assert np.allclose(np.diag(values), diag)
+        assert values[0, 1] == pytest.approx(off)
 
     def test_m2_n1_pseudo_inverse(self):
         # gram at n=1 is the all-ones matrix; its pseudo-inverse is J/9
-        table = wg_exact(2, 1)
-        assert np.allclose(table.values, np.ones((3, 3)) / 9, atol=1e-12)
+        assert np.allclose(dense_table(2, 1), np.ones((3, 3)) / 9, atol=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_projector_identity(self, m):
         for n in range(1, 11):
             g = gram_matrix(m, n)
-            w = wg_exact(m, n).values
+            w = dense_table(m, n)
             proj = g @ w
             # projector onto the range of the gram matrix
             assert np.allclose(proj @ proj, proj, atol=1e-6)
@@ -89,16 +104,15 @@ class TestExactTable:
         # sum_b Wg(a, b) n^{cc(b, c)} = delta_{ac} for n >= 2m
         m, n = 3, 7
         g = gram_matrix(m, n)
-        w = wg_exact(m, n).values
+        w = dense_table(m, n)
         assert np.allclose(w @ g, np.eye(len(g)), atol=1e-9)
 
     def test_conjugation_invariance(self):
         # table entries depend only on the relabeling class of the pair
         m = 3
-        table = wg_exact(m, 9)
         pairings = enumerate_pairings(m)
         index = {pairing: i for i, pairing in enumerate(pairings)}
-        values = table.values
+        values = dense_table(m, 9)
         rng = np.random.default_rng(3)
         perm = Permutation(tuple(rng.permutation(2 * m)))
         inv = perm.inverse()
@@ -116,7 +130,7 @@ class TestExactTable:
     def test_class_solve_matches_dense_pseudo_inverse(self, m, n):
         # covers every singular case n < m of these grids
         dense = dense_pseudo_inverse(gram_matrix(m, n))
-        values = wg_exact(m, n).values
+        values = dense_table(m, n)
         assert np.max(np.abs(values - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("m,n,singular", [(5, 4, True), (2, 1, True), (3, 2, True), (4, 6, False)])
@@ -131,9 +145,7 @@ class TestExactTable:
         for n in (1, 2, 3, 4, 5, 6, 1.5, 3.5):
             assert wg_exact(m, n).singular == (n == int(n) and n < m)
 
-    def test_values_are_read_only(self):
-        with pytest.raises(ValueError):
-            wg_exact(2, 5).values[0, 0] = 0.0
+    def test_coefficients_are_read_only(self):
         with pytest.raises(ValueError):
             wg_exact(2, 5).coefficients[0] = 0.0
 
@@ -143,7 +155,7 @@ class TestExactTable:
         table = wg_exact(m, 2 * m + 1)
         assert [f.name for f in fields(table)] == ["m", "n", "coefficients", "rank", "singular"]
         assert table.coefficients.shape == (len(partitions(m)),)
-        assert np.array_equal(table.values, table.coefficients[coset_types(m)])
+        assert not hasattr(table, "values")
 
 
 @pytest.mark.parametrize("n", [0.0, -2.0, float("nan"), float("inf")])
@@ -186,7 +198,7 @@ class TestAsymptotic:
 
     def test_ratio_near_one_large_n(self):
         n = 1000
-        values = wg_exact(2, n).values
+        values = dense_table(2, n)
         pairings = enumerate_pairings(2)
         for i, a in enumerate(pairings):
             for j, b in enumerate(pairings):
@@ -195,7 +207,7 @@ class TestAsymptotic:
 
     def test_deviation_halves_when_n_doubles(self):
         n = 400
-        w1, w2 = wg_exact(3, n).values, wg_exact(3, 2 * n).values
+        w1, w2 = dense_table(3, n), dense_table(3, 2 * n)
         pairings = enumerate_pairings(3)
         for i, a in enumerate(pairings):
             for j, b in enumerate(pairings):
@@ -205,7 +217,46 @@ class TestAsymptotic:
                     assert d2 <= 0.6 * d1
 
 
+# E[U_11^(2m)] against its closed form: relative tolerance by m, fixed before
+# the per-type sum first ran
+POWER_RTOL = {1: 2e-16, 2: 1e-15, 3: 1e-14, 4: 5e-14, 5: 5e-13, 6: 1e-12}
+# fourth-order O(n) moments that restrict both rows and columns, with closed forms
+FOURTH_ORDER = {
+    "U11^2 U12^2": ([(1, 1), (1, 1), (1, 2), (1, 2)], lambda n: Fraction(1, n * (n + 2))),
+    "U11^2 U22^2": ([(1, 1), (1, 1), (2, 2), (2, 2)], lambda n: Fraction(n + 1, (n - 1) * n * (n + 2))),
+    "U11 U12 U21 U22": ([(1, 1), (1, 2), (2, 1), (2, 2)], lambda n: Fraction(-1, (n - 1) * n * (n + 2))),
+}
+
+
 class TestIntegrateMonomial:
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 6) for n in (1, 2, 3, 4, 8)] + [(6, 8)])
+    def test_u11_power_closed_form(self, m, n):
+        # E U_11^(2m) = (2m-1)!! / prod_{j<m} (n + 2j); n < m reads a pseudo-inverse
+        # table, and (6, 8) is the table of the 2pr = 12 oracle at n = 4
+        exact = float(Fraction(double_factorial_odd(m), math.prod(n + 2 * j for j in range(m))))
+        value = integrate_monomial([(1, 1)] * (2 * m), n)
+        assert abs(value - exact) <= POWER_RTOL[m] * exact
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("name", FOURTH_ORDER)
+    def test_fourth_order_closed_forms(self, name, n):
+        index_rows, closed_form = FOURTH_ORDER[name]
+        exact = float(closed_form(n))
+        assert abs(integrate_monomial(index_rows, n) - exact) <= 1e-15 * abs(exact)
+
+    def test_reads_no_dense_table(self):
+        # the allowed pairs are counted per coset type: the peak stays below one
+        # dense 945 x 945 float64 table (7.1 MB) at m = 5
+        rows = [(1, 1)] * 10
+        integrate_monomial(rows, 8)  # builds the table and the coset types
+        tracemalloc.start()
+        try:
+            integrate_monomial(rows, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 945**2 * 8
+
     def test_u11_squared(self):
         assert integrate_monomial([(1, 1), (1, 1)], 9) == pytest.approx(1 / 9)
 
