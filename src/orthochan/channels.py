@@ -30,6 +30,7 @@ EIGENWEIGHT_CUTOFF = 1e-12  # eigenvectors of a density matrix kept as input com
 # body's vertex stack (V vertices of k^(2r) entries)
 OUTPUT_TENSOR_BUDGET = 2**24
 THREADS_ENV_VAR = "ORTHOCHAN_THREADS"
+MAX_THREADS = 256  # largest ORTHOCHAN_THREADS accepted: a pool starts up to one thread per queued job
 STREAM_LIMIT = 2**64  # streams _stream_keys addresses: indices of one or two 32-bit spawn words
 
 # numpy's SeedSequence hash constants, reproduced by _stream_keys
@@ -77,13 +78,13 @@ class ChannelSpec:
 
 
 def worker_count() -> int:
-    """The ORTHOCHAN_THREADS env var, else 1."""
+    """The ORTHOCHAN_THREADS env var, else 1; a value outside [1, MAX_THREADS] raises ValidationError."""
     raw = os.environ.get(THREADS_ENV_VAR, "1")
     try:
         threads = int(raw)
     except ValueError:
         raise ValidationError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    return checked_index(threads, THREADS_ENV_VAR, 1)
+    return checked_index(threads, THREADS_ENV_VAR, 1, MAX_THREADS)
 
 
 def _checked_state(state: np.ndarray, dim: int) -> np.ndarray:

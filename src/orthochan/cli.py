@@ -26,6 +26,7 @@ from .channels import input_dim, mc_trace_moment
 from .errors import BudgetError, OrthochanError, ValidationError, checked_index
 from .moments import (
     CONTRACTION_BUDGET,
+    CONTRACTION_HARD_BUDGET,
     EXACT_PAIRING_CAP,
     EXACT_PAIRING_HARD_CAP,
     TERM_CHUNK,
@@ -42,8 +43,6 @@ from .pairings import (
 )
 from .verify import report_text, run_all
 from .weingarten import wg_asymptotic, wg_exact
-
-HARD_DENSE_CAP = 2**26
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -118,19 +117,6 @@ def _term_csv(config: dict, arrays):
                 arrays.value_ids[part].tolist(),
             )
         ])
-
-
-def _validate_common(args):
-    if hasattr(args, "k"):
-        checked_index(args.k, "k", 2)
-    if hasattr(args, "max_pairing_size") and args.max_pairing_size > EXACT_PAIRING_HARD_CAP:
-        raise ValidationError(
-            f"--max-pairing-size {args.max_pairing_size} above hard bound {EXACT_PAIRING_HARD_CAP}"
-        )
-    if hasattr(args, "max_dense_dim") and args.max_dense_dim > HARD_DENSE_CAP:
-        raise ValidationError(
-            f"--max-dense-dim {args.max_dense_dim} above hard bound {HARD_DENSE_CAP}"
-        )
 
 
 def _load_state(args, d: int, r: int) -> np.ndarray:
@@ -298,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--max-dense-dim", type=int, default=CONTRACTION_BUDGET,
-        help="cap on the d^(pr) contraction space of the input state",
+        help=f"cap on the d^(pr) contraction space of the input state (default {CONTRACTION_BUDGET}, "
+        f"hard bound {CONTRACTION_HARD_BUDGET})",
     )
     sp.set_defaults(func=cmd_moment)
 
@@ -328,7 +315,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
-        _validate_common(args)
+        if hasattr(args, "k"):
+            checked_index(args.k, "k", 2)
         code = args.func(args)
     except OrthochanError as exc:
         print(f"error: {exc}", file=sys.stderr)

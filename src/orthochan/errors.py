@@ -32,12 +32,18 @@ class EnumerationLimitError(BudgetError):
     """A combinatorial enumeration would exceed its configured cap."""
 
 
-def checked_index(value, what: str, least: int = 0) -> int:
-    """value as an int >= least by operator.index; a float, string or other non-integer raises, never truncates."""
+def checked_index(value, what: str, least: int = 0, most: int | None = None) -> int:
+    """value as an int in [least, most] by operator.index, most None for no upper bound.
+
+    A float, string or other non-integer raises, never truncates; a value
+    outside the bounds raises, never clamps.
+    """
     try:
         index = operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
     if index < least:
         raise ValidationError(f"{what} must be >= {least}, got {value}")
+    if most is not None and index > most:
+        raise ValidationError(f"{what} must be <= {most}, got {value}")
     return index

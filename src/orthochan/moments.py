@@ -41,8 +41,9 @@ from .pairings import (
 from .weingarten import wg_exact
 
 EXACT_PAIRING_CAP = 8        # default max 2pr for the double pairing sum
-EXACT_PAIRING_HARD_CAP = 2 * PAIRING_HALF_SIZE_CAP  # absolute max 2pr (12); see the CLI help for its cost
+EXACT_PAIRING_HARD_CAP = 2 * PAIRING_HALF_SIZE_CAP  # largest cap accepted (12); see the CLI help for its cost
 CONTRACTION_BUDGET = 2**24   # max d^(pr) free-index space in f_beta
+CONTRACTION_HARD_BUDGET = 2**26  # largest budget accepted
 TERM_CHUNK = 2**15           # report terms built per batch of index arrays
 G_WEIGHT_SLACK = 1e-9        # round-off allowed outside [0, 1] in a block weight g_B
 
@@ -81,7 +82,7 @@ def f_beta(beta: Pairing, state: np.ndarray, p: int, budget: int = CONTRACTION_B
     delegated to einsum.  The modulus is bounded by d^bumps(beta).  Unchecked:
     callers check the state once (channels._checked_state), this runs per orbit.
     """
-    p, budget = checked_index(p, "p", 1), checked_index(budget, "budget", 1)
+    p, budget = checked_index(p, "p", 1), checked_index(budget, "budget", 1, CONTRACTION_HARD_BUDGET)
     if beta.size % (2 * p) != 0:
         raise ValidationError(f"pairing size {beta.size} is not a multiple of 2p = {2 * p}")
     r = beta.size // (2 * p)
@@ -113,15 +114,18 @@ def wiring_matrix(pairing: Pairing, p: int, r: int, dim: int) -> np.ndarray:
     return wiring_sum([pairing], [1.0], p, r, dim)
 
 
+def _checked_limits(cap, budget) -> tuple[int, int]:
+    """cap and budget as integers in [1, EXACT_PAIRING_HARD_CAP] and [1, CONTRACTION_HARD_BUDGET]; never clamped."""
+    cap = checked_index(cap, "cap", 1, EXACT_PAIRING_HARD_CAP)
+    return cap, checked_index(budget, "budget", 1, CONTRACTION_HARD_BUDGET)
+
+
 def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, budget: int):
     p, r = checked_index(p, "p", 1), checked_index(r, "r", 1)
-    cap, budget = checked_index(cap, "cap", 1), checked_index(budget, "budget", 1)
+    cap, budget = _checked_limits(cap, budget)
     m = p * r
-    effective_cap = min(cap, EXACT_PAIRING_HARD_CAP)
-    if 2 * m > effective_cap:
-        raise EnumerationLimitError(
-            f"exact engine needs 2pr = {2 * m} diagram endpoints, above cap {effective_cap}"
-        )
+    if 2 * m > cap:
+        raise EnumerationLimitError(f"exact engine needs 2pr = {2 * m} diagram endpoints, above cap {cap}")
     d = input_dim(k, n, t)
     _checked_state(state, d**r)
     _check_budget(d, p, r, budget)  # before any table is built
@@ -231,6 +235,7 @@ def _magnitude_ranks(values: np.ndarray) -> np.ndarray:
 def _term_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, budget: int) -> _TermArrays:
     """The terms of term_report, sorted, as index arrays into small tables; no per-term objects or values."""
     m = checked_index(p, "p", 1) * checked_index(r, "r", 1)
+    _checked_limits(cap, budget)  # a refused cap or budget is a ValidationError ahead of the listing cap
     if m > PAIR_LISTING_HALF_SIZE_CAP:
         raise BudgetError(
             f"a term report at 2pr = {2 * m} would list {double_factorial_odd(m) ** 2} terms; "

@@ -75,7 +75,7 @@ def _class_pseudo_inverse(m: int, gram_row: np.ndarray) -> tuple[np.ndarray, int
     # the trace form weights type lam by its class size; symmetrise with it
     root = np.sqrt(sizes)
     sym = root[:, None] * mult / root[None, :]
-    w, v = np.linalg.eigh((sym + sym.T) / 2)
+    w, v = np.linalg.eigh(sym / 2 + sym.T / 2)  # halved first, so that it overflows only where sym does
     keep = np.abs(w) > GRAM_EIGENVALUE_CUTOFF * np.max(np.abs(w))
     ident = kinds - 1
 
@@ -83,7 +83,7 @@ def _class_pseudo_inverse(m: int, gram_row: np.ndarray) -> tuple[np.ndarray, int
         # coefficients of f(G): f applied to the spectrum, acting on the unit
         return (v * f) @ v[ident] * root[ident] / root
 
-    coeff = spectral(np.where(keep, 1.0 / np.where(w == 0, 1.0, w), 0.0))
+    coeff = spectral(np.divide(1.0, w, out=np.zeros_like(w), where=keep))  # a dropped 1/w may overflow
     # the kept spectral projector has trace rank, i.e. rank / count on the diagonal
     rank = int(round(len(first) * spectral(keep.astype(float))[ident]))
     return coeff, rank
@@ -91,7 +91,17 @@ def _class_pseudo_inverse(m: int, gram_row: np.ndarray) -> tuple[np.ndarray, int
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _build_table(m: int, n: float) -> WeingartenTable:
-    coeff, rank = _class_pseudo_inverse(m, gram_matrix(m, n)[0])
+    # Gram entries n^l overflow at large n, and the inverse spectrum at tiny n.
+    # At the smallest subnormal n the halved Gram matrix underflows to 0, which
+    # no n > 0 gives, so rank 0 is refused too.  Underflow elsewhere only rounds
+    # coefficients far below the largest to 0.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            coeff, rank = _class_pseudo_inverse(m, gram_matrix(m, n)[0])
+    except FloatingPointError:
+        rank = 0
+    if rank == 0:
+        raise ValidationError(f"the Weingarten table at m = {m}, n = {n!r} leaves the float64 range")
     coeff.setflags(write=False)
     return WeingartenTable(m=m, n=n, coefficients=coeff, rank=rank, singular=rank < len(coset_types(m)))
 
@@ -108,9 +118,19 @@ def wg_exact(m: int, n: float) -> WeingartenTable:
 
 
 def wg_asymptotic(alpha: Pairing, beta: Pairing, n: float) -> float:
-    """Leading-order value n^(cc(a, b) - 2m) * mobius(a, b), i.e. n^(-m - |ab|/2) * mobius(a, b)."""
+    """Leading-order value n^(cc(a, b) - 2m) * mobius(a, b), i.e. n^(-m - |ab|/2) * mobius(a, b).
+
+    mobius is never 0, so a value that overflows or underflows to 0 is not
+    representable and raises ValidationError.
+    """
     _check_dimension(n)
-    return float(n) ** (connected_components(alpha, beta) - alpha.size) * mobius(alpha, beta)
+    try:
+        value = float(n) ** (connected_components(alpha, beta) - alpha.size) * mobius(alpha, beta)
+    except OverflowError:  # the power raises; the product overflows to inf instead
+        value = math.inf
+    if value == 0 or math.isinf(value):
+        raise ValidationError(f"the leading-order Weingarten value at n = {n!r} leaves the float64 range")
+    return value
 
 
 def integrate_monomial(index_rows, n: float) -> float:

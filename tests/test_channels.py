@@ -13,6 +13,7 @@ import pytest
 
 from orthochan import channels
 from orthochan.channels import (
+    MAX_THREADS,
     ChannelSpec,
     RngStream,
     _checked_state,
@@ -672,3 +673,21 @@ class TestValidation:
         monkeypatch.setenv("ORTHOCHAN_THREADS", "zero")
         with pytest.raises(ValidationError):
             worker_count()
+
+    def test_worker_count_has_a_fixed_upper_bound(self, monkeypatch):
+        monkeypatch.setenv("ORTHOCHAN_THREADS", str(MAX_THREADS))
+        assert worker_count() == MAX_THREADS == 256
+        monkeypatch.setenv("ORTHOCHAN_THREADS", "257")
+        with pytest.raises(ValidationError, match=r"^ORTHOCHAN_THREADS must be <= 256, got 257$"):
+            worker_count()
+
+    def test_too_many_threads_refused_before_any_pool(self, monkeypatch):
+        # a pool starts a thread per queued job while none is idle, and up to
+        # 2 * workers + 1 jobs are queued: refuse before a pool exists
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was made")
+
+        monkeypatch.setattr(channels, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setenv("ORTHOCHAN_THREADS", "1000000")
+        with pytest.raises(ValidationError, match="ORTHOCHAN_THREADS must be <= 256"):
+            mc_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, 10, 0)

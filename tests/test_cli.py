@@ -316,6 +316,10 @@ MALFORMED = [
     ("moment-cap-negative", ["moment", *_DIMS, "--r", "1", "--max-pairing-size", "-4"]),
     ("terms-cap-zero", ["moment", *_DIMS, "--r", "1", "--report", "terms", "--max-pairing-size", "0"]),
     ("moment-dense-dim-negative", ["moment", *_DIMS, "--r", "1", "--max-dense-dim", "-1"]),
+    # tables and leading-order values that leave float64 once ended in a traceback
+    ("wg-huge-n", ["wg", "--m", "3", "--n", "1e308"]),
+    ("wg-tiny-n", ["wg", "--m", "3", "--n", "1e-320"]),
+    ("wg-leading-order-underflow", ["wg", "--m", "2", "--n", "1e120"]),
 ]
 
 # t is refused by the library's one rule (channels.input_dim and _check_t), with its message
@@ -396,6 +400,28 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "moment", "--p", "2", "--r", "3", "--k", "2",
                           "--n", "3", "--t", "0.5", "--max-pairing-size", "99")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-pairing-size", "99"], "cap must be <= 12, got 99"),
+            (["--report", "terms", "--max-pairing-size", "99"], "cap must be <= 12, got 99"),
+            (["--max-dense-dim", "999999999"], "budget must be <= 67108864, got 999999999"),
+        ],
+        ids=["value", "terms", "dense-dim"],
+    )
+    def test_hard_bounds_are_the_library_refusals(self, capsys, flags, message):
+        # at 2pr = 12: the terms report exits 2 on the flag, not 3 on its listing cap
+        code = main(["moment", "--p", "2", "--r", "3", "--k", "2", "--n", "3", "--t", "0.5", "--input", "mixed",
+                     *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_thread_count_above_its_bound(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORTHOCHAN_THREADS", "1000000")
+        code = main(["simulate", *_DIMS, "--r", "1", "--input", "mixed", "--samples", "10", "--seed", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: ORTHOCHAN_THREADS must be <= 256, got 1000000\n"
 
     def test_missing_input_file(self, capsys):
         code, _ = run_cli(capsys, "moment", "--p", "1", "--r", "1", "--k", "2",

@@ -27,6 +27,8 @@ from orthochan.channels import (
 from orthochan.errors import BudgetError, EnumerationLimitError, InvalidStateError, ValidationError
 from orthochan.moments import (
     CONTRACTION_BUDGET,
+    CONTRACTION_HARD_BUDGET,
+    EXACT_PAIRING_HARD_CAP,
     MomentTerm,
     _engine_arrays,
     _f_values,
@@ -190,6 +192,41 @@ class TestFBeta:
         # raised BudgetError ("above budget -1") instead of a validation error
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: exact_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, cap=13),
+                         "cap must be <= 12, got 13", id="exact-cap-13"),
+            pytest.param(lambda: term_report(2, 1, 2, 3, 0.5, np.eye(3) / 3, cap=99),
+                         "cap must be <= 12, got 99", id="report-cap-99"),
+            # at 2pr = 12 the cap is refused ahead of the term listing cap (BudgetError)
+            pytest.param(lambda: term_report(3, 2, 2, 3, 0.5, np.eye(9) / 9, cap=99),
+                         "cap must be <= 12, got 99", id="report-2pr-12-cap-99"),
+            pytest.param(lambda: exact_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, budget=2**26 + 1),
+                         "budget must be <= 67108864, got 67108865", id="exact-budget"),
+            pytest.param(lambda: term_report(2, 1, 2, 3, 0.5, np.eye(3) / 3, budget=2**26 + 1),
+                         "budget must be <= 67108864, got 67108865", id="report-budget"),
+            pytest.param(lambda: f_beta(delta_gamma(1, 2)[0], np.eye(4) / 4, 1, budget=2**26 + 1),
+                         "budget must be <= 67108864, got 67108865", id="f-beta-budget"),
+        ],
+    )
+    def test_cap_and_budget_above_their_hard_bounds_raise(self, call, message, monkeypatch):
+        # a cap above 12 was once clamped to 12, and any budget was taken
+        def no_table(*args):
+            raise AssertionError("wg_exact ran before the bound check")
+
+        monkeypatch.setattr(moments, "wg_exact", no_table)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_cap_and_budget_at_their_hard_bounds_run(self):
+        rho, beta = np.eye(3) / 3, delta_gamma(2, 1)[0]
+        bounds = {"cap": EXACT_PAIRING_HARD_CAP, "budget": CONTRACTION_HARD_BUDGET}
+        assert (EXACT_PAIRING_HARD_CAP, CONTRACTION_HARD_BUDGET) == (12, 2**26)
+        assert exact_trace_moment(2, 1, 2, 3, 0.5, rho, **bounds) == exact_trace_moment(2, 1, 2, 3, 0.5, rho)
+        assert term_report(2, 1, 2, 3, 0.5, rho, **bounds) == term_report(2, 1, 2, 3, 0.5, rho)
+        assert f_beta(beta, rho, 2, budget=CONTRACTION_HARD_BUDGET) == f_beta(beta, rho, 2)
 
 
 def complex_state(kind, dim, seed):

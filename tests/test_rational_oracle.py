@@ -100,8 +100,8 @@ def group_inverse(c, g) -> list[Fraction]:
 
 
 @lru_cache(maxsize=None)
-def exact_weingarten(m: int, n: int) -> tuple[tuple[Fraction, ...], int]:
-    """Wg at integer n per coset type (indexed by partitions(m)), and the Gram rank."""
+def exact_weingarten(m: int, n: float) -> tuple[tuple[Fraction, ...], int]:
+    """Wg at n per coset type (indexed by partitions(m)), and the Gram rank; n is an integer or an exact float."""
     c = structure_constants(m)
     gram = [Fraction(n) ** len(lam) for lam in partitions(m)]
     wg = group_inverse(c, gram)
@@ -151,6 +151,23 @@ def test_table_coefficients_match_rationals(m):
         assert (table.rank, table.singular) == (rank, False)
         worst = max([worst] + [relative_error(v, e) for v, e in zip(table.coefficients.tolist(), exact)])
     assert worst <= COEFFICIENT_RTOL[m]
+
+
+# n far below and above 1, up to where the table leaves float64
+EXTREME_N = [(1, 1e308), (1, 1e-300), (2, 1e150), (2, 1e-300), (3, 1e100), (3, 1e-200), (4, 1e75), (4, 1e-100),
+             (5, 1e60), (5, 1e-60)]
+
+
+@pytest.mark.parametrize("m, n", EXTREME_N, ids=[f"m{m}-n{n:g}" for m, n in EXTREME_N])
+def test_tables_at_extreme_n_match_rationals(m, n):
+    # relative to the largest coefficient: at large n the others fall below its
+    # rounding.  At m = 1, n = 1e308 the table once read 0.0.
+    exact, rank = exact_weingarten(m, n)
+    table = wg_exact(m, n)
+    assert (table.rank, table.singular) == (rank, False)
+    scale = max(abs(e) for e in exact)
+    errors = [abs(Fraction(v) - e) / scale for v, e in zip(table.coefficients.tolist(), exact)]
+    assert float(max(errors)) <= COEFFICIENT_RTOL[m]
 
 
 # singular n < m: worst coefficient error relative to the largest coefficient, per m

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
@@ -169,6 +170,37 @@ def test_dimension_must_be_finite_and_positive(n):
     for index_rows in ([(0, 0), (0, 0)], [(0, 0)], []):
         with pytest.raises(ValidationError, match="finite and positive"):
             integrate_monomial(index_rows, n)
+
+
+# Gram entries n^l overflow at large n, and the inverse (about 1/n) at tiny n;
+# each of these once raised LinAlgError or ValueError, or read NaN.  At the
+# smallest subnormal n the halved Gram matrix underflows to 0, which read 0.0.
+@pytest.mark.parametrize(
+    "m, n", [(3, 1e110), (5, 1e70), (2, 1e160), (3, 1e308), (3, 1e-320), (1, 1e-309), (1, 5e-324)]
+)
+def test_a_table_outside_float64_raises(m, n):
+    message = f"the Weingarten table at m = {m}, n = {n!r} leaves the float64 range"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        wg_exact(m, n)
+
+
+def test_a_monomial_whose_table_overflows_raises():
+    with pytest.raises(ValidationError, match="leaves the float64 range"):
+        integrate_monomial([(0, 0)] * 6, 1e120)
+
+
+def test_largest_n_at_m1():
+    # (sym + sym.T) / 2 once overflowed here, and the table read 0.0 at rank 0
+    table = wg_exact(1, 1e308)
+    assert (table.coefficients.tolist(), table.rank, table.singular) == ([1e-308], 1, False)
+
+
+@pytest.mark.parametrize("n", [1e-200, 1e200])
+def test_a_leading_order_value_outside_float64_raises(n):
+    # n^-3 * mobius: 1e600 once raised OverflowError, 1e-600 read 0.0
+    a, b = enumerate_pairings(2)[:2]
+    with pytest.raises(ValidationError, match="leaves the float64 range"):
+        wg_asymptotic(a, b, n)
 
 
 @pytest.mark.parametrize("m", [2.9, 2.0, "2"])
