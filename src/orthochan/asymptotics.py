@@ -21,6 +21,7 @@ import numpy as np
 from .channels import (
     OUTPUT_TENSOR_BUDGET,
     RngStream,
+    _block_columns,
     _check_t,
     _checked_spectrum,
     _checked_state,
@@ -29,7 +30,7 @@ from .channels import (
     map_ordered,
     output_state,
 )
-from .errors import BudgetError, InvalidStateError, OrthochanError, ValidationError, checked_index
+from .errors import InvalidStateError, OrthochanError, ValidationError, checked_index, checked_size
 from .moments import _infer_local_dim, f_beta
 from .pairings import PartialPairing, enumerate_partial_pairings, pairing_from_partial, wiring_sum
 
@@ -115,6 +116,7 @@ def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.nd
     state = np.asarray(state)
     d = _infer_local_dim(state.shape[0], r)
     _checked_state(state, d**r)
+    checked_size(k ** (2 * r), OUTPUT_TENSOR_BUDGET, "asymptotic mean output needs k^(2r)")
     out = np.zeros((k**r, k**r), dtype=complex)
     for block in enumerate_partial_pairings(r):
         beta = pairing_from_partial(block, 1, r)
@@ -139,6 +141,7 @@ def bell_state_vector(block: PartialPairing, d: int) -> np.ndarray:
     if not block.is_maximal() or block.singles:
         raise ValidationError("a pure pair-product input needs a perfect pairing of the copies")
     r = block.n_points
+    checked_size(d**r, OUTPUT_TENSOR_BUDGET, "pair-product input needs d^r")
     args = []
     for a, b in block.pairs:
         args.extend((np.eye(d) / math.sqrt(d), [a, b]))
@@ -148,7 +151,8 @@ def bell_state_vector(block: PartialPairing, d: int) -> np.ndarray:
 
 def basis_product_state(d: int, r: int) -> np.ndarray:
     """The product input e_0^(tensor r) as a unit vector on d^r."""
-    psi = np.zeros(checked_index(d, "d", 1) ** checked_index(r, "r", 1))
+    d, r = checked_index(d, "d", 1), checked_index(r, "r", 1)
+    psi = np.zeros(checked_size(d**r, OUTPUT_TENSOR_BUDGET, "product input needs d^r"))
     psi[0] = 1.0
     return psi
 
@@ -215,11 +219,9 @@ def convex_body(r: int, k: int, t: float) -> ConvexBody:
     """Build the body for given (r, k, t); vertex order is the canonical block order."""
     r = checked_index(r, "r", 1)
     blocks = tuple(enumerate_partial_pairings(r))
-    if len(blocks) * k ** (2 * r) > OUTPUT_TENSOR_BUDGET:
-        raise BudgetError(
-            f"convex body needs {len(blocks)} vertices of k^(2r) = {k ** (2 * r)} entries, "
-            f"{len(blocks) * k ** (2 * r)} in all, above budget {OUTPUT_TENSOR_BUDGET}"
-        )
+    checked_size(
+        len(blocks) * k ** (2 * r), OUTPUT_TENSOR_BUDGET, f"convex body needs {len(blocks)} vertices x k^(2r)"
+    )
     vertices = np.stack([op_S_tilde(b, k, t) for b in blocks]).astype(complex)
     vertices.setflags(write=False)
     return ConvexBody(r=r, k=k, t=t, blocks=blocks, vertices=vertices)
@@ -318,6 +320,11 @@ def convergence_experiment(
     if not n_grid:
         raise ValidationError("need a nonempty n grid")
     body = convex_body(r, k, t)
+    power = 2 * r if input_rule == "bell" and r % 2 else r  # an odd-r Bell input is a d^r x d^r matrix
+    for n in n_grid:  # size every draw, lift and input state before any is built
+        checked_size((k * n) ** 2, OUTPUT_TENSOR_BUDGET, "a Haar draw needs dim^2")
+        _block_columns(k, n, r)
+        checked_size(input_dim(k, n, t) ** power, OUTPUT_TENSOR_BUDGET, f"the input state needs d^{power}")
     states = [experiment_input(input_rule, r, input_dim(k, n, t)) for n in n_grid]
 
     def draw(job):

@@ -19,16 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, InvalidStateError, ValidationError, checked_index
+from .errors import OUTPUT_TENSOR_BUDGET, InvalidStateError, ValidationError, checked_index, checked_size
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-10
 NEGATIVE_EIGENVALUE_TOL = 1e-10
 EIGENWEIGHT_CUTOFF = 1e-12  # eigenvectors of a density matrix kept as input components
-# max entries of one lifted block ((kn)^r per factor column) and of the convex
-# body's vertex stack (V vertices of k^(2r) entries)
-OUTPUT_TENSOR_BUDGET = 2**24
 THREADS_ENV_VAR = "ORTHOCHAN_THREADS"
 MAX_THREADS = 256  # largest ORTHOCHAN_THREADS accepted: a pool starts up to one thread per queued job
 STREAM_LIMIT = 2**64  # streams _stream_keys addresses: indices of one or two 32-bit spawn words
@@ -158,6 +155,7 @@ def _haar_columns(
     of Q by the signs of R's diagonal is required; plain QR output is not Haar
     distributed.
     """
+    checked_size(dim * dim, OUTPUT_TENSOR_BUDGET, "a Haar draw needs dim^2")
     g = np.empty((count, dim, dim))
     for gen, out in zip(gens, g):
         gen.standard_normal(out=out)
@@ -279,11 +277,7 @@ def _state_components(state: np.ndarray, dim: int) -> np.ndarray:
 
 def _block_columns(k: int, n: int, r: int) -> int:
     """Factor columns lifted at once, so (kn)^r x columns stays within OUTPUT_TENSOR_BUDGET."""
-    if (k * n) ** r > OUTPUT_TENSOR_BUDGET:
-        raise BudgetError(
-            f"lifted state tensor needs (kn)^r = {(k * n) ** r} entries, above budget {OUTPUT_TENSOR_BUDGET}"
-        )
-    return OUTPUT_TENSOR_BUDGET // (k * n) ** r
+    return OUTPUT_TENSOR_BUDGET // checked_size((k * n) ** r, OUTPUT_TENSOR_BUDGET, "lifted state tensor needs (kn)^r")
 
 
 def _output_batch(v: np.ndarray, factor: np.ndarray, k: int, n: int, r: int, cols: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from .asymptotics import (
     von_neumann_entropy,
 )
 from .channels import input_dim, mc_trace_moment
-from .errors import BudgetError, OrthochanError, ValidationError, checked_index
+from .errors import OUTPUT_TENSOR_BUDGET, BudgetError, OrthochanError, ValidationError, checked_index, checked_size
 from .moments import (
     CONTRACTION_BUDGET,
     CONTRACTION_HARD_BUDGET,
@@ -130,6 +130,7 @@ def _load_state(args, d: int, r: int) -> np.ndarray:
             raise ValidationError(f"cannot read input file: {exc}")
         return matrix_from_json(data)
     if args.input == "mixed":
+        checked_size(d ** (2 * r), OUTPUT_TENSOR_BUDGET, "the mixed input needs d^(2r)")
         return np.eye(d**r) / d**r
     return experiment_input(args.input, r, d)
 

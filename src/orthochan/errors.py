@@ -5,6 +5,9 @@ exceeded enumeration/memory budgets, 4 for verification failures.
 """
 import operator
 
+# max entries of a dense array sized by caller arguments, checked by checked_size before it is allocated
+OUTPUT_TENSOR_BUDGET = 2**24
+
 
 class OrthochanError(Exception):
     """Base class for all orthochan errors."""
@@ -47,3 +50,10 @@ def checked_index(value, what: str, least: int = 0, most: int | None = None) -> 
     if most is not None and index > most:
         raise ValidationError(f"{what} must be <= {most}, got {value}")
     return index
+
+
+def checked_size(entries: int, budget: int, what: str) -> int:
+    """entries if at most budget, else BudgetError naming what, e.g. "lifted state tensor needs (kn)^r"."""
+    if entries > budget:
+        raise BudgetError(f"{what} = {entries} entries, above budget {budget}")
+    return entries

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import _check_t, _checked_state, input_dim
-from .errors import BudgetError, EnumerationLimitError, ValidationError, checked_index
+from .errors import BudgetError, EnumerationLimitError, ValidationError, checked_index, checked_size
 from .pairings import (
     PAIR_LISTING_HALF_SIZE_CAP,
     PAIRING_HALF_SIZE_CAP,
@@ -69,11 +69,6 @@ def _infer_local_dim(total: int, copies: int) -> int:
     raise ValidationError(f"state dimension {total} is not a perfect {copies}-th power")
 
 
-def _check_budget(d: int, p: int, r: int, budget: int) -> None:
-    if d ** (p * r) > budget:
-        raise BudgetError(f"f_beta contraction needs d^(pr) = {d ** (p * r)} terms, above budget {budget}")
-
-
 def f_beta(beta: Pairing, state: np.ndarray, p: int, budget: int = CONTRACTION_BUDGET) -> complex:
     """Contraction of p input-state copies against the delta pattern of beta.
 
@@ -89,7 +84,7 @@ def f_beta(beta: Pairing, state: np.ndarray, p: int, budget: int = CONTRACTION_B
     state = np.asarray(state)
     total = state.shape[0]
     d = _infer_local_dim(total, r)
-    _check_budget(d, p, r, budget)
+    checked_size(d ** (p * r), budget, "f_beta contraction needs d^(pr)")
     # endpoint (copy i, cell x, side) takes the label of its pair; per copy, [ket legs], [bra legs]
     labels = np.empty(2 * p * r, dtype=int)
     labels[np.array(beta.pairs)] = np.arange(len(beta.pairs))[:, None]
@@ -128,7 +123,7 @@ def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, bu
         raise EnumerationLimitError(f"exact engine needs 2pr = {2 * m} diagram endpoints, above cap {cap}")
     d = input_dim(k, n, t)
     _checked_state(state, d**r)
-    _check_budget(d, p, r, budget)  # before any table is built
+    checked_size(d ** (p * r), budget, "f_beta contraction needs d^(pr)")  # before any table is built
     table = wg_exact(m, k * n)
     pair_list = enumerate_pairings(m)
     counts, types = type_lengths(m), coset_types(m)

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EnumerationLimitError, ValidationError, checked_index
+from .errors import OUTPUT_TENSOR_BUDGET, EnumerationLimitError, ValidationError, checked_index, checked_size
 
 PAIRING_HALF_SIZE_CAP = 6        # largest m whose pairings of 2m points are enumerated
 PAIR_LISTING_HALF_SIZE_CAP = 5   # largest m whose (2m-1)!!^2 pairs of pairings are listed: 893025, 1.08e8 at m = 6
@@ -483,10 +483,11 @@ def wiring_sum(pairings, coeffs, p: int, r: int, dim: int) -> np.ndarray:
     pairing's wiring_offsets, in order, so no dense matrix is formed per term.
     """
     p, r, dim = _wiring_shape(p, r, dim)  # before the allocation sizes anything by them
+    size = checked_size(dim ** (2 * p * r), OUTPUT_TENSOR_BUDGET, "wiring pattern needs dim^(2pr)")
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (len(pairings),):
         raise ValidationError(f"need one coefficient per pairing, got shape {coeffs.shape} for {len(pairings)}")
-    flat = np.zeros(dim ** (2 * p * r), dtype=coeffs.dtype)
+    flat = np.zeros(size, dtype=coeffs.dtype)
     for pairing, coeff in zip(pairings, coeffs):
         flat[wiring_offsets(pairing, p, r, dim)] += coeff
     return flat.reshape(dim ** (p * r), -1)

@@ -94,16 +94,18 @@ def _build_table(m: int, n: float) -> WeingartenTable:
     # Gram entries n^l overflow at large n, and the inverse spectrum at tiny n.
     # At the smallest subnormal n the halved Gram matrix underflows to 0, which
     # no n > 0 gives, so rank 0 is refused too.  Underflow elsewhere only rounds
-    # coefficients far below the largest to 0.
+    # coefficients far below the largest to 0.  Only integer n < m make the Gram
+    # matrix singular; a lower rank elsewhere is an eigenvalue lost under the cutoff.
     try:
         with np.errstate(over="raise", invalid="raise"):
             coeff, rank = _class_pseudo_inverse(m, gram_matrix(m, n)[0])
     except FloatingPointError:
         rank = 0
-    if rank == 0:
+    singular = rank < len(coset_types(m))
+    if rank == 0 or singular and not (n < m and n.is_integer()):
         raise ValidationError(f"the Weingarten table at m = {m}, n = {n!r} leaves the float64 range")
     coeff.setflags(write=False)
-    return WeingartenTable(m=m, n=n, coefficients=coeff, rank=rank, singular=rank < len(coset_types(m)))
+    return WeingartenTable(m=m, n=n, coefficients=coeff, rank=rank, singular=singular)
 
 
 def _check_dimension(n: float) -> None:

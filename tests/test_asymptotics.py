@@ -478,11 +478,14 @@ class TestConvergenceExperiment:
         with pytest.raises(ValidationError, match="r must be >= 1"):
             call()
 
-    def test_thread_invariance(self, monkeypatch):
+    # at odd r the Bell input is mixed: its multi-column factor is lifted in
+    # column blocks, where r = 2 lifts one pure vector
+    @pytest.mark.parametrize("r, n_grid", [(1, (4, 6)), (2, (8, 16)), (3, (4, 6))])
+    def test_thread_invariance(self, monkeypatch, r, n_grid):
         monkeypatch.setenv("ORTHOCHAN_THREADS", "1")
-        res1 = convergence_experiment("bell", 2, 2, 0.5, (8, 16), samples=6, seed=4)
+        res1 = convergence_experiment("bell", r, 2, 0.5, n_grid, samples=6, seed=4)
         monkeypatch.setenv("ORTHOCHAN_THREADS", "3")
-        res2 = convergence_experiment("bell", 2, 2, 0.5, (8, 16), samples=6, seed=4)
+        res2 = convergence_experiment("bell", r, 2, 0.5, n_grid, samples=6, seed=4)
         assert res1.rows == res2.rows
         assert res1.summary == res2.summary
 

@@ -39,7 +39,7 @@ from orthochan.asymptotics import (
     op_T,
     von_neumann_entropy,
 )
-from orthochan.errors import BudgetError, InvalidStateError, ValidationError
+from orthochan.errors import BudgetError, InvalidStateError, ValidationError, checked_size
 from orthochan.moments import exact_trace_moment, f_beta, wiring_matrix
 from orthochan.pairings import (
     PartialPairing,
@@ -541,6 +541,94 @@ def test_sample_counts_beyond_the_streams_are_refused(args, code):
     refusals = (done.stdout if code == 0 else done.stderr).splitlines()
     assert len(refusals) == (3 if code == 0 else 1)
     assert all("samples must be <= 2**64" in line for line in refusals)
+
+
+_DENSE_REFUSAL_SCRIPT = """
+import sys
+import numpy as np
+from orthochan import asymptotics
+from orthochan.asymptotics import (
+    basis_product_state, bell_input, bell_state_vector, convergence_experiment, maximal_block,
+    mean_output_asymptotic, op_Q_tilde,
+)
+from orthochan.channels import RngStream, make_channel
+from orthochan.errors import BudgetError
+from orthochan.pairings import PartialPairing
+
+def drawn(*args):
+    raise AssertionError("a channel was drawn before every grid point was sized")
+
+asymptotics.make_channel = drawn
+try:
+    eval(sys.argv[1])
+except BudgetError as exc:
+    print(exc)
+"""
+
+# oversized dense requests, each refused before numpy is asked for the array;
+# without the size rule they raised ValueError or MemoryError, or asked for
+# tens of GiB (bell_input: a lazily zeroed 30.5 GiB pattern)
+DENSE_REFUSALS = {
+    "pattern": ("op_Q_tilde(PartialPairing(4, ()), 1000)", f"wiring pattern needs dim^(2pr) = {1000**8}"),
+    "bell-matrix": ("bell_input(maximal_block(3), 40)", f"wiring pattern needs dim^(2pr) = {40**6}"),
+    "bell-vector": ("bell_state_vector(maximal_block(4), 100)", f"pair-product input needs d^r = {100**4}"),
+    "product-vector": ("basis_product_state(10**5, 3)", f"product input needs d^r = {10**15}"),
+    "mean-output": (
+        "mean_output_asymptotic(np.ones(1), 2, 5000, 0.5)", f"asymptotic mean output needs k^(2r) = {5000**4}"
+    ),
+    "haar-draw": ("make_channel(2, 10**5, 0.5, RngStream(0))", f"a Haar draw needs dim^2 = {(2 * 10**5) ** 2}"),
+    # kn = 4098 at the second grid point: sized before the first draw
+    "experiment-grid": (
+        'convergence_experiment("bell", 2, 2, 0.5, (8, 2049), 2, 0)', f"a Haar draw needs dim^2 = {4098**2}"
+    ),
+}
+
+# the CLI runs that once ended in numpy's allocation traceback (exit 1), or in
+# allocating 30.5 GiB and 298 GiB where the address space allowed it
+CLI_DENSE_REFUSALS = {
+    "moment-mixed": (
+        "moment --p 1 --r 3 --k 2 --n 100 --t 0.5 --input mixed", f"the mixed input needs d^(2r) = {10**12}"
+    ),
+    "experiment-bell": (
+        "experiment --rule bell --r 3 --k 2 --t 0.5 --n 40 --samples 2", f"the input state needs d^6 = {40**6}"
+    ),
+    "simulate-draw": (
+        "simulate --p 1 --r 1 --k 2 --n 100000 --t 0.5 --input product --samples 2",
+        f"a Haar draw needs dim^2 = {(2 * 10**5) ** 2}",
+    ),
+    "experiment-draw": (
+        "experiment --rule product --r 1 --k 2 --t 0.5 --n 100000 --samples 2",
+        f"a Haar draw needs dim^2 = {(2 * 10**5) ** 2}",
+    ),
+}
+
+
+def _run_limited(args: list[str]) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args],
+        env=_library_env(ORTHOCHAN_THREADS="2", OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=_limit_address_space, capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("call, message", DENSE_REFUSALS.values(), ids=DENSE_REFUSALS.keys())
+def test_oversized_dense_arrays_raise_budget_error(call, message):
+    done = _run_limited(["-c", _DENSE_REFUSAL_SCRIPT, call])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{message} entries, above budget 16777216\n"
+
+
+@pytest.mark.parametrize("command, message", CLI_DENSE_REFUSALS.values(), ids=CLI_DENSE_REFUSALS.keys())
+def test_oversized_dense_arrays_exit_3(command, message):
+    done = _run_limited(["-m", "orthochan.cli", *command.split()])
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == f"error: {message} entries, above budget 16777216\n"
+
+
+def test_size_at_its_budget_is_accepted():
+    assert checked_size(2**24, 2**24, "x") == 2**24
+    with pytest.raises(BudgetError, match=r"^x = 16777217 entries, above budget 16777216$"):
+        checked_size(2**24 + 1, 2**24, "x")
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

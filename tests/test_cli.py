@@ -393,7 +393,7 @@ class TestExitCodes:
                      "--input", "product", "--max-pairing-size", "12"])
         assert code == 3
         assert capsys.readouterr().err == (
-            "error: f_beta contraction needs d^(pr) = 4096000000 terms, above budget 16777216\n"
+            "error: f_beta contraction needs d^(pr) = 4096000000 entries, above budget 16777216\n"
         )
 
     def test_hard_cap_on_flags(self, capsys):

@@ -163,7 +163,7 @@ class TestFBeta:
             raise AssertionError("wg_exact ran before the budget check")
 
         monkeypatch.setattr(moments, "wg_exact", no_table)
-        with pytest.raises(BudgetError, match=r"^f_beta contraction needs d\^\(pr\) = 81 terms, above budget 80$"):
+        with pytest.raises(BudgetError, match=r"^f_beta contraction needs d\^\(pr\) = 81 entries, above budget 80$"):
             engine(2, 2, 2, 3, 0.5, np.eye(9) / 9, budget=80)
 
     @pytest.mark.parametrize(

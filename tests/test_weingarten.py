@@ -176,12 +176,20 @@ def test_dimension_must_be_finite_and_positive(n):
 # each of these once raised LinAlgError or ValueError, or read NaN.  At the
 # smallest subnormal n the halved Gram matrix underflows to 0, which read 0.0.
 @pytest.mark.parametrize(
-    "m, n", [(3, 1e110), (5, 1e70), (2, 1e160), (3, 1e308), (3, 1e-320), (1, 1e-309), (1, 5e-324)]
+    "m, n", [(3, 1e110), (5, 1e70), (2, 1e160), (3, 1e308), (3, 1e-320), (1, 1e-309), (1, 5e-324), (6, 1e-10)]
 )
 def test_a_table_outside_float64_raises(m, n):
+    # (6, 1e-10) once returned rank 9933 and singular=True: the O(n^2)
+    # eigenvalue of type (2, 2, 2) falls under the relative cutoff, although
+    # the Gram matrix is singular only at integer n < m
     message = f"the Weingarten table at m = {m}, n = {n!r} leaves the float64 range"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         wg_exact(m, n)
+
+
+def test_small_n_at_m6_keeps_full_rank():
+    table = wg_exact(6, 1e-6)
+    assert (table.rank, table.singular) == (10395, False)
 
 
 def test_a_monomial_whose_table_overflows_raises():
