@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .moments import (
     CONTRACTION_HARD_BUDGET,
     EXACT_PAIRING_CAP,
     EXACT_PAIRING_HARD_CAP,
-    TERM_CHUNK,
+    _gathered,
     _term_arrays,
     exact_trace_moment,
 )
@@ -108,15 +109,10 @@ def _term_csv(config: dict, arrays):
     exp_cells = [f"{n},{k}" for n, k in zip(arrays.n_exp.tolist(), arrays.k_exp.tolist())]
     f_cells, wg_cells = _number_cells(arrays.f_beta), list(map(repr, arrays.wg.tolist()))
     value_cells = _number_cells(arrays.value_table)
-    for start in range(0, len(arrays.value_ids), TERM_CHUNK):
-        part = slice(start, start + TERM_CHUNK)
-        yield "".join([
-            f"{pair_cells[i]},{pair_cells[j]},{exp_cells[i]},{f_cells[j]},{wg_cells[kind]},{value_cells[value_id]}\n"
-            for i, j, kind, value_id in zip(
-                arrays.rows[part].tolist(), arrays.cols[part].tolist(), arrays.types[part].tolist(),
-                arrays.value_ids[part].tolist(),
-            )
-        ])
+    columns = ((pair_cells, arrays.rows), (pair_cells, arrays.cols), (exp_cells, arrays.rows),
+               (f_cells, arrays.cols), (wg_cells, arrays.types), (value_cells, arrays.value_ids))
+    for fields in _gathered(columns):
+        yield "\n".join(map(",".join, zip(*fields))) + "\n"
 
 
 def _load_state(args, d: int, r: int) -> np.ndarray:
@@ -157,8 +153,11 @@ def cmd_wg(args) -> int:
     for exact, rep in zip(table.coefficients.tolist(), _type_representatives(args.m).tolist()):
         asym = wg_asymptotic(pairings[0], pairings[rep], args.n)
         cells.append(f"{exact!r},{asym!r},{exact / asym!r}")
-    rows = "".join(f"{i},{j},{cells[kind]}\n" for i, row in enumerate(types.tolist()) for j, kind in enumerate(row))
-    _write(args.out, [_csv_head(config, ["alpha_index", "beta_index", "exact", "asymptotic", "ratio"]), rows])
+    labels = list(map(str, range(len(pairings))))
+    index = np.arange(len(pairings), dtype=np.min_scalar_type(len(pairings) - 1))
+    columns = ((labels, np.repeat(index, len(index))), (labels, np.tile(index, len(index))), (cells, types.ravel()))
+    rows = ("\n".join(map(",".join, zip(*fields))) + "\n" for fields in _gathered(columns))
+    _write(args.out, chain([_csv_head(config, ["alpha_index", "beta_index", "exact", "asymptotic", "ratio"])], rows))
     return 0
 
 

@@ -38,10 +38,12 @@ class EnumerationLimitError(BudgetError):
 def checked_index(value, what: str, least: int = 0, most: int | None = None) -> int:
     """value as an int in [least, most] by operator.index, most None for no upper bound.
 
-    A float, string or other non-integer raises, never truncates; a value
+    A bool, float, string or other non-integer raises, never truncates; a value
     outside the bounds raises, never clamps.
     """
     try:
+        if isinstance(value, bool):  # operator.index(True) is 1
+            raise TypeError
         index = operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None

@@ -44,7 +44,7 @@ EXACT_PAIRING_CAP = 8        # default max 2pr for the double pairing sum
 EXACT_PAIRING_HARD_CAP = 2 * PAIRING_HALF_SIZE_CAP  # largest cap accepted (12); see the CLI help for its cost
 CONTRACTION_BUDGET = 2**24   # max d^(pr) free-index space in f_beta
 CONTRACTION_HARD_BUDGET = 2**26  # largest budget accepted
-TERM_CHUNK = 2**15           # report terms built per batch of index arrays
+TERM_CHUNK = 2**15           # rows gathered per batch for a term report or a listing CSV
 G_WEIGHT_SLACK = 1e-9        # round-off allowed outside [0, 1] in a block weight g_B
 
 
@@ -276,6 +276,14 @@ def _term_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, budg
     )
 
 
+def _gathered(columns):
+    """The rows of (cells, index) columns, TERM_CHUNK at a time, as a list per column; row i is cells[index[i]],
+    one Python object per cell, held once in an object array and shared by its rows."""
+    columns = [(np.fromiter(cells, dtype=object, count=len(cells)), index) for cells, index in columns]
+    for start in range(0, len(columns[0][1]), TERM_CHUNK):
+        yield [cells[index[start:start + TERM_CHUNK]].tolist() for cells, index in columns]
+
+
 def term_report(
     p: int,
     r: int,
@@ -292,17 +300,10 @@ def term_report(
     above pr = PAIR_LISTING_HALF_SIZE_CAP, before any table or f is built.
     """
     arrays = _term_arrays(p, r, k, n, t, state, cap, budget)
-    # Each pairing, exponent, f, Wg and value is one Python object in an object
-    # array, gathered by index per chunk: terms share the objects of their row,
-    # their column, their coset type and their value id, so no field is new per term.
-    tables = (arrays.n_exp, arrays.k_exp, arrays.f_beta, arrays.wg, arrays.value_table)
-    pairs, n_obj, k_obj, f_obj, wg_obj, value_obj = (
-        np.fromiter(column, dtype=object, count=len(column))
-        for column in (arrays.pairings, *(a.tolist() for a in tables))
-    )
     columns = (
-        (pairs, arrays.rows), (pairs, arrays.cols), (n_obj, arrays.rows), (k_obj, arrays.rows),
-        (f_obj, arrays.cols), (wg_obj, arrays.types), (value_obj, arrays.value_ids),
+        (arrays.pairings, arrays.rows), (arrays.pairings, arrays.cols), (arrays.n_exp.tolist(), arrays.rows),
+        (arrays.k_exp.tolist(), arrays.rows), (arrays.f_beta.tolist(), arrays.cols),
+        (arrays.wg.tolist(), arrays.types), (arrays.value_table.tolist(), arrays.value_ids),
     )
     # The list is allocated whole: grown by extend, its item array would be
     # copied as it grows, and the process keeps the freed copies.
@@ -312,10 +313,8 @@ def term_report(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for start in range(0, len(arrays.value_ids), TERM_CHUNK):
-            chunk = slice(start, start + TERM_CHUNK)
-            fields = [objects[index[chunk]].tolist() for objects, index in columns]
-            terms[chunk] = map(tuple.__new__, repeat(MomentTerm), zip(*fields))
+        for start, fields in zip(range(0, len(terms), TERM_CHUNK), _gathered(columns)):
+            terms[start:start + TERM_CHUNK] = map(tuple.__new__, repeat(MomentTerm), zip(*fields))
     finally:
         if enabled:
             gc.enable()

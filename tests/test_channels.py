@@ -50,7 +50,7 @@ from orthochan.pairings import (
     wiring_offsets,
     wiring_sum,
 )
-from orthochan.weingarten import integrate_monomial
+from orthochan.weingarten import integrate_monomial, wg_exact
 
 
 class TestRngStream:
@@ -210,6 +210,10 @@ INTEGER_ARGUMENTS = {
     "input-dim-k": (lambda: input_dim(2.0, 3, 0.5), "k must be an integer"),
     "stream-seed": (lambda: RngStream(1.5), "seed must be an integer"),
     "stream-index": (lambda: RngStream(0, 2.5), "stream must be an integer"),
+    # operator.index(True) is 1: a bool once passed as the integer 1 or 0
+    "wg-m-true": (lambda: wg_exact(True, 3), "^m must be an integer, got True$"),
+    "stream-seed-true": (lambda: RngStream(True), "^seed must be an integer, got True$"),
+    "stream-index-false": (lambda: RngStream(0, False), "^stream must be an integer, got False$"),
     # entry points that once met a non-integer or a value below its least
     # with a TypeError, an IndexError or another argument's message
     "mc-p": (lambda: mc_trace_moment(2.5, 1, 2, 3, 0.5, np.eye(3) / 3, 10, 0), "p must be an integer"),

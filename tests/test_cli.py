@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,9 @@ import pytest
 from orthochan import __version__
 from orthochan.cli import main, matrix_from_json, matrix_to_json
 from orthochan.moments import EXACT_PAIRING_CAP, exact_trace_moment, term_report
+from orthochan.pairings import enumerate_pairings
+from orthochan.weingarten import wg_asymptotic
+from test_weingarten import dense_table
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +45,23 @@ def reference_terms_csv(p, r, k, n, t, input_name, state, cap=EXACT_PAIRING_CAP)
             _reference_number_cell(term.value),
         )
         lines.append(",".join(str(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_wg_csv(m, n) -> str:
+    """`wg` output rendered pair by pair from the dense table: the byte reference.
+
+    The CLI formats each coset type's cells once and gathers them per row;
+    this formats every cell of every pair.  The CI workflow renders m = 5
+    with it and compares the bytes.
+    """
+    config = {"m": m, "n": n, "version": __version__}
+    lines = ["# config " + json.dumps(config, sort_keys=True), "alpha_index,beta_index,exact,asymptotic,ratio"]
+    values, pairings = dense_table(m, n), enumerate_pairings(m)
+    for i, a in enumerate(pairings):
+        for j, b in enumerate(pairings):
+            exact, asym = float(values[i, j]), wg_asymptotic(a, b, n)
+            lines.append(f"{i},{j},{exact!r},{asym!r},{exact / asym!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -95,22 +119,33 @@ class TestSubcommands:
         first = lines[2].split(",")
         assert float(first[2]) == pytest.approx(11 / (10 * 9 * 12))
 
-    @pytest.mark.parametrize("m, n", [(1, 5.0), (2, 10.0), (3, 2.5), (3, 10.0)])
+    @pytest.mark.parametrize("m, n", [(1, 5.0), (2, 10.0), (3, 2.5), (3, 10.0), (4, 10.0)])
     def test_wg_table_matches_per_pair_reference(self, capsys, m, n):
         # the cells are formatted once per coset type; a per-pair loop must give the same bytes
-        from orthochan.pairings import enumerate_pairings
-        from orthochan.weingarten import wg_asymptotic
-        from test_weingarten import dense_table
+        assert run_cli(capsys, "wg", "--m", str(m), "--n", str(n)) == (0, reference_wg_csv(m, n))
 
-        code, out = run_cli(capsys, "wg", "--m", str(m), "--n", str(n))
-        assert code == 0
-        values, pairings = dense_table(m, n), enumerate_pairings(m)
-        expected = ["alpha_index,beta_index,exact,asymptotic,ratio"]
-        for i, a in enumerate(pairings):
-            for j, b in enumerate(pairings):
-                exact, asym = float(values[i, j]), wg_asymptotic(a, b, n)
-                expected.append(f"{i},{j},{exact!r},{asym!r},{exact / asym!r}")
-        assert out.splitlines()[1:] == expected
+    def test_wg_at_the_listing_cap_streams_in_bounded_memory(self, tmp_path):
+        # 893025 rows (56 MB) written a chunk at a time, never as one string.  The
+        # peak is the child's own VmHWM, read after main returns: Linux carries
+        # ru_maxrss across fork and exec, so even the child's RUSAGE_SELF would
+        # keep the test session's peak, and RUSAGE_CHILDREN every earlier child's.
+        script = (
+            "import sys; from orthochan.cli import main; code = main(sys.argv[1:]); "
+            "print(code, *[line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')])"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / "wg.csv"
+        done = subprocess.run(
+            [sys.executable, "-c", script, "wg", "--m", "5", "--n", "10", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        code, peak_kib = map(int, done.stdout.split())
+        with open(out) as fh:
+            assert (code, sum(1 for _ in fh)) == (0, 893027)
+        assert peak_kib * 1024 < 100e6, f"peak {peak_kib / 1024:.1f} MiB"
 
     def test_wg_refuses_m6_before_building_a_table(self, capsys, monkeypatch):
         import orthochan.cli as cli
