@@ -93,6 +93,12 @@ def op_S_tilde(block: PartialPairing, k: int, t: float) -> np.ndarray:
     return _pattern_sum(terms, r, k)
 
 
+def _q_terms(block: PartialPairing, d: int) -> list[tuple[PartialPairing, float]]:
+    """The (block, coeff) terms of op_Q_tilde: +-d^-|S| over the blocks S containing the given one."""
+    supers = [s for s in enumerate_partial_pairings(block.n_points) if s.contains(block)]
+    return [(sup, (-1) ** (sup.n_pairs - block.n_pairs) * (1.0 / d**sup.n_pairs)) for sup in supers]
+
+
 def op_Q_tilde(block: PartialPairing, d: int) -> np.ndarray:
     """Alternating sum of op_T_tilde over blocks containing the given one.
 
@@ -100,9 +106,7 @@ def op_Q_tilde(block: PartialPairing, d: int) -> np.ndarray:
     local dimension grows.
     """
     d = checked_index(d, "d", 1)
-    supers = [s for s in enumerate_partial_pairings(block.n_points) if s.contains(block)]
-    terms = [(sup, (-1) ** (sup.n_pairs - block.n_pairs) * (1.0 / d**sup.n_pairs)) for sup in supers]
-    return _pattern_sum(terms, block.n_points, d)
+    return _pattern_sum(_q_terms(block, d), block.n_points, d)
 
 
 def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.ndarray:
@@ -279,17 +283,22 @@ def maximal_block(r: int) -> PartialPairing:
     return PartialPairing(r, tuple((2 * j, 2 * j + 1) for j in range(r // 2)))
 
 
+_INPUT_RULES = ("bell", "product")
+
+
+def _checked_rule(rule: str) -> str:
+    if rule not in _INPUT_RULES:
+        raise ValidationError(f"unknown input rule {rule!r}; use {' or '.join(_INPUT_RULES)}")
+    return rule
+
+
 def experiment_input(rule: str, r: int, d: int) -> np.ndarray:
     """Input state for a convergence run: Bell-product or basis product."""
     r = checked_index(r, "r", 1)
-    if rule == "bell":
-        block = maximal_block(r)
-        if r % 2 == 0:
-            return bell_state_vector(block, d)
-        return bell_input(block, d)
-    if rule == "product":
+    if _checked_rule(rule) == "product":
         return basis_product_state(d, r)
-    raise ValidationError(f"unknown input rule {rule!r}; use bell or product")
+    block = maximal_block(r)
+    return bell_input(block, d) if r % 2 else bell_state_vector(block, d)
 
 
 @dataclass(frozen=True)
@@ -315,6 +324,7 @@ def convergence_experiment(
     Draw s of grid point index g uses random stream (seed, g*samples + s), so
     the result table is reproducible and thread-count independent.
     """
+    _checked_rule(input_rule)  # before the body and the grid are sized by it
     n_grid = tuple(checked_index(n, "n", 1) for n in n_grid)
     samples = checked_index(samples, "samples", 1)
     if not n_grid:

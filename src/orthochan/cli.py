@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
+    _INPUT_RULES,
     convergence_experiment,
     convex_body,
     entropy_extremal,
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "experiment", parents=[channel, samples, seed, out], help="convergence experiment over an n grid"
     )
-    sp.add_argument("--rule", choices=["bell", "product"], required=True)
+    sp.add_argument("--rule", choices=_INPUT_RULES, required=True)
     sp.add_argument("--n", type=_int_grid, required=True, help="comma-separated grid, e.g. 32,64,128")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.set_defaults(func=cmd_experiment)

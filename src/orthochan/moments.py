@@ -25,6 +25,7 @@ from .pairings import (
     PAIRING_HALF_SIZE_CAP,
     Pairing,
     PartialPairing,
+    _neighbour_swap,
     _symmetry_orbits,
     _type_sums,
     connected_components,
@@ -145,17 +146,14 @@ def _state_orbits(state: np.ndarray, p: int, r: int):
     Relabelling the copies keeps f, and swapping the L and R sides of every
     endpoint conjugates it (the state is Hermitian).  Swapping channels x and
     x + 1 in every copy keeps f when it leaves the state's tensor unchanged,
-    tested exactly for each adjacent pair.  Returns pairings._symmetry_orbits.
+    tested exactly for each adjacent pair.  Returns pairings._symmetry_orbits of
+    the channel swaps that pass.
     """
     d = _infer_local_dim(state.shape[0], r)
     tensor = state.reshape((d,) * (r * state.ndim))
-    fixed = []
-    for x in range(r - 1):
-        axes = np.arange(tensor.ndim).reshape(state.ndim, r)  # ket legs, then bra legs for a matrix
-        axes[:, [x, x + 1]] = axes[:, [x + 1, x]]
-        if np.array_equal(tensor.transpose(axes.ravel()), tensor):
-            fixed.append(x)
-    return _symmetry_orbits(p, r, tuple(fixed), True)
+    axes = np.arange(tensor.ndim).reshape(state.ndim, r)  # ket legs, then bra legs for a matrix
+    fixed = (x for x in range(r - 1) if np.array_equal(tensor.transpose(_neighbour_swap(axes, 1, x)), tensor))
+    return _symmetry_orbits(p, r, tuple(fixed))
 
 
 def _f_values(pair_list, state: np.ndarray, p: int, budget: int, orbits) -> np.ndarray:

@@ -324,21 +324,24 @@ def _conjugation_maps(m: int, involutions) -> list[np.ndarray]:
     return [order[np.searchsorted(sorted_codes, s[images[:, s]] @ place)] for s in involutions]
 
 
+def _neighbour_swap(grid: np.ndarray, axis: int, first: int) -> np.ndarray:
+    """The involution of grid's flat entries that swaps positions first and first + 1 along axis, as images."""
+    order = np.arange(grid.shape[axis])
+    order[[first, first + 1]] = first + 1, first
+    return np.take(grid, order, axis).ravel()
+
+
 @lru_cache(maxsize=None)  # one entry per m <= 6 under the enumeration cap
 def _coset_types(m: int) -> np.ndarray:
     # Relabelling both pairings by a transposition s keeps their type, so
     # type(s a s, b) = type(a, s b s): the row of s a s is the row of a
     # permuted by b -> s b s.  Rows are filled outwards from the identity
-    # pairing (row 0, by coset_type's walk) along such conjugations.
+    # pairing (row 0, by coset_type's walk) along the conjugations by the
+    # neighbour transpositions, which generate every relabelling.
     pairs = enumerate_pairings(m)
-    count, size = len(pairs), 2 * m
+    count, points = len(pairs), np.arange(2 * m)
     ids = {lam: i for i, lam in enumerate(partitions(m))}
-    transpositions = []
-    for i, j in itertools.combinations(range(size), 2):
-        s = np.arange(size)
-        s[[i, j]] = j, i
-        transpositions.append(s)
-    conjugations = _conjugation_maps(m, transpositions)
+    conjugations = _conjugation_maps(m, [_neighbour_swap(points, 0, i) for i in range(2 * m - 1)])
     out = np.empty((count, count), dtype=np.uint8)
     out[0] = [ids[coset_type(pairs[0], b)] for b in pairs]
     seen = np.zeros(count, dtype=bool)
@@ -358,46 +361,25 @@ def _coset_types(m: int) -> np.ndarray:
     return out
 
 
-def copy_orbits(p: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits of the diagram pairings of p copies of r cells under relabelling the copies.
-
-    A permutation sigma of the copies moves endpoint (i, x, side) to
-    (sigma(i), x, side) and a pairing beta to sigma beta sigma^-1; f_beta of p
-    copies of one state is constant on these orbits.  Returns (orbit, reps):
-    the orbit id of every pairing of enumerate_pairings(p * r), and the index
-    of the first pairing of each orbit, in increasing order, so that
-    reps[orbit] lies in the orbit of each pairing.  Both are read-only and
-    cached per (p, r).
-    """
-    p, r = checked_index(p, "p", 1), checked_index(r, "r", 1)
-    _check_pairing_count(p * r)
-    return _symmetry_orbits(p, r, (), False)[:2]
-
-
 @lru_cache(maxsize=None)
-def _symmetry_orbits(
-    p: int, r: int, channels: tuple[int, ...], sides: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orbits of the diagram pairings under endpoint relabellings: (orbit, reps, flipped).
+def _symmetry_orbits(p: int, r: int, channels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the diagram pairings of p copies of r cells under endpoint relabellings: (orbit, reps, flipped).
 
-    The group is generated by the swaps of neighbouring copies (which generate
+    A relabelling s of the endpoints moves a pairing beta to s beta s.  The
+    group is generated by the swaps of neighbouring copies (which generate
     S_p), the swap of channels x and x + 1 in every copy for each x in
-    channels, and, with sides, the swap of the L and R sides of every
-    endpoint.  orbit and reps are as in copy_orbits.  The side swap commutes
+    channels, and the swap of the L and R sides of every endpoint.  orbit is
+    the orbit id of every pairing of enumerate_pairings(p * r), and reps the
+    index of the first pairing of each orbit, in increasing order, so that
+    reps[orbit] lies in the orbit of each pairing.  The side swap commutes
     with the others, so a pairing is reached from its representative either
     without it or only through an odd number of side swaps; flipped marks the
     latter.  All three are read-only.
     """
     grid = np.arange(2 * p * r).reshape(p, r, 2)  # endpoint index by (copy, channel, side)
-
-    def swap(axis: int, first: int) -> np.ndarray:
-        order = np.arange(grid.shape[axis])
-        order[[first, first + 1]] = first + 1, first
-        return np.take(grid, order, axis).ravel()
-
-    swaps = [swap(0, c) for c in range(p - 1)] + [swap(1, x) for x in channels] + [swap(2, 0)] * sides
-    flips = [0] * (len(swaps) - sides) + [1] * sides
-    conjugations = _conjugation_maps(p * r, swaps)
+    swaps = [_neighbour_swap(grid, 0, c) for c in range(p - 1)] + [_neighbour_swap(grid, 1, x) for x in channels]
+    conjugations = _conjugation_maps(p * r, swaps + [_neighbour_swap(grid, 2, 0)])
+    flips = [0] * len(swaps) + [1]
     # An orbit is a connected component of the graph joining each pairing to
     # its conjugates.  Each pairing carries 2 * least + parity and takes the
     # least code over its neighbours, the parity flipping across a side swap:

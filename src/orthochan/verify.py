@@ -17,6 +17,8 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
+    _pattern_sum,
+    _q_terms,
     convergence_experiment,
     entropy_extremal,
     experiment_input,
@@ -199,9 +201,8 @@ def criterion_6_mobius_algebra(seed: int) -> tuple[bool, str]:
                     worst = max(worst, abs(float(np.trace(op_R_tilde(block, k, t)).real) - trace_target))
     d = 8
     for r in range(1, 5):
-        total = np.zeros((d**r, d**r))
-        for block in enumerate_partial_pairings(r):
-            total += op_Q_tilde(block, d)
+        # every block's op_Q_tilde terms in one pattern sum: no d^2r array per block
+        total = _pattern_sum([term for block in enumerate_partial_pairings(r) for term in _q_terms(block, d)], r, d)
         total.ravel()[:: d**r + 1] -= 1.0  # minus the identity, and its |entries|, in place: no d^2r temporaries
         worst = max(worst, float(np.abs(total, out=total).max()))
     return worst <= 1e-12, f"max deviation {worst:.3e} over r<=4, k=2,3, t=0.3,0.7"

@@ -537,6 +537,12 @@ class TestConvergenceExperiment:
         with pytest.raises(ValidationError):
             experiment_input("nope", 2, 3)
 
+    @pytest.mark.parametrize("r", [8, 2])
+    def test_unknown_rule_refused_before_the_body_is_sized(self, r):
+        # at r = 8 the body alone would be refused by the output budget
+        with pytest.raises(ValidationError, match=r"^unknown input rule 'bogus'; use bell or product$"):
+            convergence_experiment("bogus", r, 3, 0.5, (8,), 2, 0)
+
     def test_odd_r_runs(self):
         res = convergence_experiment("bell", 1, 2, 0.5, (8,), samples=4, seed=8)
         assert len(res.rows) == 4

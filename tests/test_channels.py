@@ -43,7 +43,6 @@ from orthochan.errors import BudgetError, InvalidStateError, ValidationError, ch
 from orthochan.moments import exact_trace_moment, f_beta, wiring_matrix
 from orthochan.pairings import (
     PartialPairing,
-    copy_orbits,
     delta_gamma,
     enumerate_pairings,
     enumerate_partial_pairings,
@@ -228,7 +227,6 @@ INTEGER_ARGUMENTS = {
     "pairings-m": (lambda: enumerate_pairings(2.5), "m must be an integer"),
     "partial-pairings-r": (lambda: enumerate_partial_pairings(2.5), "r must be an integer"),
     "delta-gamma-p": (lambda: delta_gamma(1.5, 2), "p must be an integer"),
-    "copy-orbits-r": (lambda: copy_orbits(2, 1.5), "r must be an integer"),
     "op-T-k": (lambda: op_T(PartialPairing(2, ((0, 1),)), 2.5), "k must be an integer"),
     "mean-output-asymptotic-r": (
         lambda: mean_output_asymptotic(np.eye(3) / 3, 1.5, 2, 0.5), "r must be an integer"

@@ -281,7 +281,7 @@ class TestSymmetryOrbits:
         else:
             state = np.eye(9) / 9 if rule == "mixed" else experiment_input(rule, r, 3)
         orbit, reps, _ = _state_orbits(state, p, r)
-        assert orbit is _symmetry_orbits(p, r, (0,) if merged else (), True)[0]
+        assert orbit is _symmetry_orbits(p, r, (0,) if merged else ())[0]
         assert len(reps) == (35 if merged else 45)
         exact = exact_trace_moment(p, r, k, n, t, state)
         assert exact == pytest.approx(per_pairing_moment(p, r, k, n, t, state), rel=1e-14, abs=1e-15)

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import re
@@ -16,7 +15,6 @@ from orthochan.pairings import (
     bumps,
     combine_copies,
     connected_components,
-    copy_orbits,
     coset_type,
     coset_types,
     delta_gamma,
@@ -223,9 +221,10 @@ class TestCosetTypes:
             for j in range(len(pairings)):
                 self._check_pair(types, pairings, i, j)
 
-    def test_sampled_pairs_match_graph_search_m5(self):
-        types = coset_types(5)
-        pairings = enumerate_pairings(5)
+    @pytest.mark.parametrize("m", [5, 6])  # m = 6: the neighbour-transposition fill takes the most levels
+    def test_sampled_pairs_match_graph_search(self, m):
+        types = coset_types(m)
+        pairings = enumerate_pairings(m)
         rng = np.random.default_rng(0)
         for i, j in rng.integers(0, len(pairings), size=(5000, 2)).tolist():
             self._check_pair(types, pairings, i, j)
@@ -256,69 +255,12 @@ class TestCosetTypes:
             coset_types(0)
 
 
-def copy_permutation(sigma, r):
-    """The endpoint permutation moving copy i to copy sigma[i], as an image list."""
-    return [((sigma[e // (2 * r)] * r) + (e // 2) % r) * 2 + e % 2 for e in range(2 * len(sigma) * r)]
-
-
 def conjugate(images, s):
     """Images of s b s^-1 for the pairing b with the given images."""
     out = [0] * len(images)
     for e, b in enumerate(images):
         out[s[e]] = s[b]
     return tuple(out)
-
-
-class TestCopyOrbits:
-    @pytest.mark.parametrize("p,r", [(1, 3), (2, 1), (3, 1), (2, 2), (4, 1), (5, 1), (3, 2)])
-    def test_orbits_match_brute_force(self, p, r):
-        # every copy permutation applied to every pairing
-        pairings = enumerate_pairings(p * r)
-        index = {b.images: i for i, b in enumerate(pairings)}
-        perms = [copy_permutation(sigma, r) for sigma in itertools.permutations(range(p))]
-        brute = {frozenset(index[conjugate(b.images, s)] for s in perms) for b in pairings}
-        orbit, reps = copy_orbits(p, r)
-        assert orbit.shape == (len(pairings),) and len(reps) == len(brute)
-        found = {frozenset(np.flatnonzero(orbit == o).tolist()) for o in range(len(reps))}
-        assert found == brute
-        assert reps.tolist() == sorted(min(members) for members in brute)
-        assert np.array_equal(orbit[reps], np.arange(len(reps)))
-        for members in brute:
-            assert math.factorial(p) % len(members) == 0
-
-    @pytest.mark.parametrize(
-        "p,r,count", [(1, 3, 15), (2, 1, 3), (5, 1, 20), (2, 2, 65), (3, 2, 1779), (6, 1, 44)]
-    )
-    def test_orbit_counts_by_burnside(self, p, r, count):
-        # orbit count = average number of pairings a copy permutation fixes;
-        # the fixed count depends only on the cycle type of the permutation
-        images = [b.images for b in enumerate_pairings(p * r)]
-        fixed = {}
-        total = 0
-        for sigma in itertools.permutations(range(p)):
-            cycle_type = tuple(sorted(len(c) for c in Permutation(sigma).cycles()))
-            if cycle_type not in fixed:
-                s = copy_permutation(sigma, r)
-                fixed[cycle_type] = sum(conjugate(b, s) == b for b in images)
-            total += fixed[cycle_type]
-        assert total % math.factorial(p) == 0
-        assert total // math.factorial(p) == count == len(copy_orbits(p, r)[1])
-        sizes = np.bincount(copy_orbits(p, r)[0])
-        assert sizes.sum() == len(images) and np.all(math.factorial(p) % sizes == 0)
-
-    def test_cached_and_read_only(self):
-        orbit, reps = copy_orbits(3, 1)
-        assert copy_orbits(3, 1)[0] is orbit
-        with pytest.raises(ValueError):
-            orbit[0] = 1
-        with pytest.raises(ValueError):
-            reps[0] = 1
-
-    def test_limits(self):
-        with pytest.raises(ValidationError):
-            copy_orbits(0, 2)
-        with pytest.raises(EnumerationLimitError):
-            copy_orbits(7, 1)
 
 
 def endpoint_swap(p, r, axis, first):
@@ -359,7 +301,7 @@ class TestSymmetryOrbits:
         unsided = [endpoint_swap(p, r, 0, c) for c in range(p - 1)] + [endpoint_swap(p, r, 1, x) for x in channels]
         unsided = generated_group(unsided or [list(range(2 * p * r))])
         sides = generated_group([endpoint_swap(p, r, 2, 0)])
-        orbit, reps, flipped = _symmetry_orbits(p, r, channels, True)
+        orbit, reps, flipped = _symmetry_orbits(p, r, channels)
         for rep_id, rep in enumerate(reps.tolist()):
             even = {index[conjugate(pairings[rep].images, g)] for g in unsided}
             whole = {index[conjugate(pairings[b].images, s)] for b in even for s in sides}
@@ -369,21 +311,16 @@ class TestSymmetryOrbits:
         assert orbit.shape == flipped.shape == (len(pairings),)
 
     @pytest.mark.parametrize(
-        "p,r,copies,sides,channels",
-        [(3, 2, 1779, 1001, 612), (2, 3, 5363, 2847, 612), (1, 5, 945, 513, 20), (5, 1, 20, 20, 20)],
+        "p,r,sides,channels", [(3, 2, 1001, 612), (2, 3, 2847, 612), (1, 5, 513, 20), (5, 1, 20, 20)]
     )
-    def test_orbit_counts(self, p, r, copies, sides, channels):
-        # the side swap, then every adjacent channel swap, joined to the copy swaps
-        assert len(copy_orbits(p, r)[1]) == len(_symmetry_orbits(p, r, (), False)[1]) == copies
-        assert len(_symmetry_orbits(p, r, (), True)[1]) == sides
-        assert len(_symmetry_orbits(p, r, tuple(range(r - 1)), True)[1]) == channels
-
-    def test_without_the_side_swap_nothing_is_flipped(self):
-        assert not _symmetry_orbits(2, 2, (0,), False)[2].any()
+    def test_orbit_counts(self, p, r, sides, channels):
+        # the copy and side swaps, then every adjacent channel swap as well
+        assert len(_symmetry_orbits(p, r, ())[1]) == sides
+        assert len(_symmetry_orbits(p, r, tuple(range(r - 1)))[1]) == channels
 
     def test_cached_and_read_only(self):
-        arrays = _symmetry_orbits(2, 2, (0,), True)
-        assert all(a is b for a, b in zip(arrays, _symmetry_orbits(2, 2, (0,), True)))
+        arrays = _symmetry_orbits(2, 2, (0,))
+        assert all(a is b for a, b in zip(arrays, _symmetry_orbits(2, 2, (0,))))
         for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 0
