@@ -293,7 +293,10 @@ def generated_group(generators):
 class TestSymmetryOrbits:
     @pytest.mark.parametrize(
         "p,r,channels",
-        [(2, 2, (0,)), (2, 2, ()), (1, 3, (0, 1)), (1, 3, (1,)), (3, 1, ()), (1, 4, (0, 2)), (2, 3, (0,))],
+        [
+            (2, 2, (0,)), (2, 2, ()), (1, 3, (0, 1)), (1, 3, (1,)), (3, 1, ()), (1, 4, (0, 2)), (2, 3, (0,)),
+            (1, 3, ()), (2, 1, ()), (4, 1, ()), (5, 1, ()), (3, 2, ()),
+        ],
     )
     def test_orbits_and_flips_match_brute_force(self, p, r, channels):
         pairings = enumerate_pairings(p * r)
@@ -317,6 +320,41 @@ class TestSymmetryOrbits:
         # the copy and side swaps, then every adjacent channel swap as well
         assert len(_symmetry_orbits(p, r, ())[1]) == sides
         assert len(_symmetry_orbits(p, r, tuple(range(r - 1)))[1]) == channels
+
+    @pytest.mark.parametrize(
+        "p,r,channels,count",
+        [(1, 3, (), 11), (2, 1, (), 3), (5, 1, (), 20), (2, 2, (), 45), (3, 2, (), 1001), (6, 1, (), 43),
+         (2, 3, (0, 1), 612)],
+    )
+    def test_orbit_counts_by_burnside(self, p, r, channels, count):
+        # orbit count = average number of pairings a relabelling fixes; the
+        # fixed count depends only on the relabelling's cycle type
+        swaps = [endpoint_swap(p, r, 0, c) for c in range(p - 1)] + [endpoint_swap(p, r, 1, x) for x in channels]
+        group = generated_group(swaps + [endpoint_swap(p, r, 2, 0)])
+        images = [b.images for b in enumerate_pairings(p * r)]
+        fixed = {}
+        total = 0
+        for s in group:
+            cycle_type = tuple(sorted(len(c) for c in Permutation(s).cycles()))
+            if cycle_type not in fixed:
+                fixed[cycle_type] = sum(conjugate(b, s) == b for b in images)
+            total += fixed[cycle_type]
+        assert total % len(group) == 0
+        orbit, reps, _ = _symmetry_orbits(p, r, channels)
+        assert total // len(group) == count == len(reps)
+        sizes = np.bincount(orbit)
+        assert sizes.sum() == len(images) and np.all(len(group) % sizes == 0)
+
+    @pytest.mark.parametrize("p,r,channels", [(2, 2, (0,)), (3, 2, ()), (1, 4, (0, 1, 2)), (6, 1, ())])
+    def test_representatives_are_not_flipped(self, p, r, channels):
+        # each orbit is reached from its representative without a side swap
+        orbit, reps, flipped = _symmetry_orbits(p, r, channels)
+        assert np.array_equal(orbit[reps], np.arange(len(reps)))
+        assert not flipped[reps].any()
+
+    def test_limits(self):
+        with pytest.raises(EnumerationLimitError):
+            _symmetry_orbits(7, 1, ())
 
     def test_cached_and_read_only(self):
         arrays = _symmetry_orbits(2, 2, (0,))
