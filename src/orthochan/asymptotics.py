@@ -162,7 +162,7 @@ def basis_product_state(d: int, r: int) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Spectral entropy -sum(lam log lam) in nats, clipping eigenvalues in [-1e-10, 0] to 0.
+    """Spectral entropy -sum(lam log lam) in nats, clipping eigenvalues in [-NEGATIVE_EIGENVALUE_TOL, 0] to 0.
 
     Eigenvalues below the clip window mean the input is not a state and raise.
     """
@@ -316,6 +316,16 @@ class ExperimentResult:
     summary: tuple[dict, ...]
 
 
+def _column_summary(prefix: str, column: np.ndarray) -> dict[str, float]:
+    """Mean, median and 0.10 and 0.90 quantiles of one draw-table column, keyed prefix_mean and so on."""
+    return {
+        f"{prefix}_mean": float(column.mean()),
+        f"{prefix}_median": float(np.median(column)),
+        f"{prefix}_q10": float(np.quantile(column, 0.10)),
+        f"{prefix}_q90": float(np.quantile(column, 0.90)),
+    }
+
+
 def convergence_experiment(
     input_rule: str, r: int, k: int, t: float, n_grid, samples: int, seed: int
 ) -> ExperimentResult:
@@ -346,28 +356,16 @@ def convergence_experiment(
 
     jobs = [(gi, s) for gi in range(len(n_grid)) for s in range(samples)]
     table = np.array(list(map_ordered(draw, jobs))).reshape(len(n_grid), samples, 4)
-    dists, ents, converged, iterations = np.moveaxis(table, -1, 0)
-    rows = tuple(
-        (n, s, float(dists[gi, s]), float(ents[gi, s]))
-        for gi, n in enumerate(n_grid)
-        for s in range(samples)
-    )
-    summary = []
-    for gi, n in enumerate(n_grid):
-        drow, erow = dists[gi], ents[gi]
+    rows, summary = [], []
+    for n, (dists, ents, converged, iterations) in zip(n_grid, table.transpose(0, 2, 1)):
+        rows.extend((n, s, dist, ent) for s, (dist, ent) in enumerate(zip(dists.tolist(), ents.tolist())))
         summary.append(
             {
                 "n": n,
-                "dist_mean": float(drow.mean()),
-                "dist_median": float(np.median(drow)),
-                "dist_q10": float(np.quantile(drow, 0.10)),
-                "dist_q90": float(np.quantile(drow, 0.90)),
-                "entropy_mean": float(erow.mean()),
-                "entropy_median": float(np.median(erow)),
-                "entropy_q10": float(np.quantile(erow, 0.10)),
-                "entropy_q90": float(np.quantile(erow, 0.90)),
-                "unconverged": int(samples - converged[gi].sum()),
-                "max_iterations": int(iterations[gi].max()),
+                **_column_summary("dist", dists),
+                **_column_summary("entropy", ents),
+                "unconverged": int(samples - converged.sum()),
+                "max_iterations": int(iterations.max()),
             }
         )
     return ExperimentResult(
@@ -378,6 +376,6 @@ def convergence_experiment(
         n_grid=n_grid,
         samples=samples,
         seed=seed,
-        rows=rows,
+        rows=tuple(rows),
         summary=tuple(summary),
     )

@@ -160,9 +160,8 @@ def _haar_columns(
     for gen, out in zip(gens, g):
         gen.standard_normal(out=out)
     q, r = np.linalg.qr(g[:, :, :cols])
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1)).copy()
-    signs[signs == 0] = 1.0
-    return q * signs[:, None, :]
+    q *= np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[:, None, :]  # a zero diagonal keeps +1
+    return q
 
 
 def _seed_hash(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
@@ -280,36 +279,40 @@ def _block_columns(k: int, n: int, r: int) -> int:
     return OUTPUT_TENSOR_BUDGET // checked_size((k * n) ** r, OUTPUT_TENSOR_BUDGET, "lifted state tensor needs (kn)^r")
 
 
-def _output_batch(v: np.ndarray, factor: np.ndarray, k: int, n: int, r: int, cols: int) -> np.ndarray:
-    """Outputs of the r-th channel power on F F^H for a batch of isometries, (B, k^r, k^r).
+def _lift(r: int, k: int, n: int, d: int, state: np.ndarray) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+    """Chunk size and lift(v) -> outputs (B, k^r, k^r) of the r-th channel power for isometries v (B, kn, d).
 
-    v has shape (B, kn, d) and F (d^r, C).  V is applied to one leg of F at a
-    time and the lifted leg moved to the back, so V^(tensor r) is never formed.
-    F's column axis rides along as one more ancilla leg: with L of shape
-    (B, k^r, C n^r), output legs by ancilla legs, Z = L L^H traces out the
-    ancilla and sums the components.  F is lifted cols columns at a time; real
-    factors stay in float64.
+    The input is factored once into F (d^r, C) with F F^H = state.  V is
+    applied to one leg of F at a time and the lifted leg moved to the back, so
+    V^(tensor r) is never formed.  F's column axis rides along as one more
+    ancilla leg: with L of shape (B, k^r, C n^r), output legs by ancilla legs,
+    Z = L L^H traces out the ancilla and sums the components.  F is lifted
+    _block_columns columns at a time; real factors stay in float64.
     """
-    batch, _, d = v.shape
+    r = checked_index(r, "r", 1)
+    cols = _block_columns(k, n, r)
+    factor = _state_components(state, d**r)
+    cols = min(cols, factor.shape[1])
     # after r lifts the legs are (C, k_1, n_1, ..., k_r, n_r); put the k legs first
     order = [0] + [2 + 2 * x for x in range(r)] + [1] + [3 + 2 * x for x in range(r)]
 
-    def lift(lo):
-        lifted = factor[:, lo : lo + cols].reshape(1, d, -1)  # a batch axis of 1 broadcasts against v
-        for _ in range(r):
-            lifted = (v @ lifted.reshape(lifted.shape[0], d, -1)).swapaxes(1, 2)
-        ell = lifted.reshape((batch, -1) + (k, n) * r).transpose(order).reshape(batch, k**r, -1)
-        return ell @ ell.conj().swapaxes(1, 2)
+    def lift(v):
+        def block(lo):
+            lifted = factor[:, lo : lo + cols].reshape(1, d, -1)  # a batch axis of 1 broadcasts against v
+            for _ in range(r):
+                lifted = (v @ lifted.reshape(lifted.shape[0], d, -1)).swapaxes(1, 2)
+            ell = lifted.reshape((len(v), -1) + (k, n) * r).transpose(order).reshape(len(v), k**r, -1)
+            return ell @ ell.conj().swapaxes(1, 2)
 
-    return functools.reduce(operator.add, map(lift, range(0, factor.shape[1], cols)))
+        return functools.reduce(operator.add, map(block, range(0, factor.shape[1], cols)))
+
+    return _chunk_size(max((k * n) ** r * cols, (k * n) ** 2)), lift
 
 
 def output_state(spec: ChannelSpec, r: int, state: np.ndarray) -> np.ndarray:
     """Output of the r-th tensor power on a pure vector or a density matrix."""
-    r = checked_index(r, "r", 1)
-    cols = _block_columns(spec.k, spec.n, r)
-    factor = _state_components(state, spec.d**r)
-    return _output_batch(spec.isometry[None], factor, spec.k, spec.n, r, cols)[0].astype(complex)
+    _, lift = _lift(r, spec.k, spec.n, spec.d, state)
+    return lift(spec.isometry[None])[0].astype(complex)
 
 
 def map_ordered(work: Callable, jobs: Iterable) -> Iterator:
@@ -383,15 +386,9 @@ def _trace_power_batch(z: np.ndarray, p: int) -> np.ndarray:
 
 def _output_draw(r: int, k: int, n: int, t: float, state: np.ndarray):
     """Chunk size and draw(gens, count) -> outputs (count, k^r, k^r) of r-th channel powers."""
-    r, d = checked_index(r, "r", 1), input_dim(k, n, t)
-    cols = _block_columns(k, n, r)
-    factor = _state_components(state, d**r)
-    cols = min(cols, factor.shape[1])
-
-    def draw(gens, count):
-        return _output_batch(_haar_columns(gens, count, k * n, d), factor, k, n, r, cols)
-
-    return _chunk_size(max((k * n) ** r * cols, (k * n) ** 2)), draw
+    r, d = checked_index(r, "r", 1), input_dim(k, n, t)  # r is refused before k, n and t
+    chunk, lift = _lift(r, k, n, d, state)
+    return chunk, lambda gens, count: lift(_haar_columns(gens, count, k * n, d))
 
 
 def mc_trace_moment(

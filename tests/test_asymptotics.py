@@ -489,21 +489,48 @@ class TestConvergenceExperiment:
         assert res1.rows == res2.rows
         assert res1.summary == res2.summary
 
-    def test_summary_reports_projection_convergence(self, monkeypatch):
+    @pytest.fixture
+    def projections(self, monkeypatch):
+        """The experiment's body projections, recorded in draw order."""
         calls = []
 
         def recording(z, body):
-            proj = project_to_body(z, body)
-            calls.append(proj)
-            return proj
+            calls.append(project_to_body(z, body))
+            return calls[-1]
 
         monkeypatch.setattr(asymptotics, "project_to_body", recording)
         monkeypatch.setenv("ORTHOCHAN_THREADS", "1")  # draws run, and are recorded, in order
+        return calls
+
+    def test_summary_reports_projection_convergence(self, projections):
         res = convergence_experiment("bell", 3, 2, 0.5, (4, 6), samples=4, seed=3)
         for gi, row in enumerate(res.summary):
-            draws = calls[4 * gi : 4 * gi + 4]
+            draws = projections[4 * gi : 4 * gi + 4]
             assert row["unconverged"] == 0 and all(proj.converged for proj in draws)
             assert row["max_iterations"] == max(proj.iterations for proj in draws) >= 2
+
+    @pytest.mark.parametrize("rule", ["bell", "product"])
+    @pytest.mark.parametrize("r, n_grid", [(2, (4, 8)), (3, (4, 6))])
+    def test_summary_matches_rows(self, projections, rule, r, n_grid):
+        samples = 10
+        res = convergence_experiment(rule, r, 2, 0.5, n_grid, samples, seed=9)
+        assert [row[:2] for row in res.rows] == [(n, s) for n in n_grid for s in range(samples)]
+        for gi, (n, entry) in enumerate(zip(n_grid, res.summary, strict=True)):
+            draws = projections[samples * gi : samples * (gi + 1)]
+            rows = res.rows[samples * gi : samples * (gi + 1)]
+            assert [row[2] for row in rows] == [proj.distance for proj in draws]
+            expected = {"n": n}
+            for prefix, column in (("dist", 2), ("entropy", 3)):
+                values = np.array([row[column] for row in rows])
+                expected[f"{prefix}_mean"] = values.mean()
+                expected[f"{prefix}_median"] = np.median(values)
+                expected[f"{prefix}_q10"] = np.quantile(values, 0.10)
+                expected[f"{prefix}_q90"] = np.quantile(values, 0.90)
+            expected["unconverged"] = sum(not proj.converged for proj in draws)
+            expected["max_iterations"] = max(proj.iterations for proj in draws)
+            assert list(entry) == list(expected)
+            for key, value in expected.items():  # bit for bit, a signed zero included
+                assert np.float64(entry[key]).tobytes() == np.float64(value).tobytes(), key
 
     def test_even_power_bell_inputs_minimise_entropy_at_r4(self):
         # the paper's even-power claim at r = 4: Bell-product inputs reach the

@@ -18,6 +18,7 @@ from orthochan.channels import (
     RngStream,
     _checked_state,
     _haar_columns,
+    _output_draw,
     _stream_generators,
     _stream_keys,
     apply_channel,
@@ -463,6 +464,19 @@ class TestOutputAgainstDenseReference:
         monkeypatch.setattr(channels, "OUTPUT_TENSOR_BUDGET", columns * (k * n) ** r)
         out = output_state(spec, r, rho)
         assert np.max(np.abs(out - _dense_output(spec.isometry, k, n, r, rho))) < 1e-13
+
+    @pytest.mark.parametrize("r, columns", [(1, None), (2, None), (3, None), (2, 2)])
+    def test_output_state_is_the_samplers_draw(self, monkeypatch, r, columns):
+        # output_state on stream i's channel and the Monte Carlo draw of stream i
+        # share one prepared lift, so they agree bit for bit, in column blocks too
+        k, n, t, seed = 2, 3, 0.5, 23
+        if columns:
+            monkeypatch.setattr(channels, "OUTPUT_TENSOR_BUDGET", columns * (k * n) ** r)
+        for i, (label, state) in enumerate(self._inputs(input_dim(k, n, t), r).items()):
+            single = output_state(make_channel(k, n, t, RngStream(seed, i)), r, state)
+            _, draw = _output_draw(r, k, n, t, state)
+            sampled = draw(_stream_generators(seed, i, i + 1), 1)[0].astype(complex)
+            assert single.tobytes() == sampled.tobytes(), label
 
 
 _BLAS_THREADS_SCRIPT = """
