@@ -13,6 +13,7 @@ sub-blocks A of B, and Q~_B sums over the blocks containing B.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ from .channels import (
 from .errors import InvalidStateError, OrthochanError, ValidationError, checked_index, checked_size
 from .moments import _infer_local_dim, f_beta
 from .pairings import PartialPairing, enumerate_partial_pairings, pairing_from_partial, wiring_sum
+from .pairings import _check_partial_count, _pair_sets
 
 KKT_TOL = 1e-12  # relative slack of the projection's optimality certificate
 
@@ -95,7 +97,8 @@ def op_S_tilde(block: PartialPairing, k: int, t: float) -> np.ndarray:
 
 def _q_terms(block: PartialPairing, d: int) -> list[tuple[PartialPairing, float]]:
     """The (block, coeff) terms of op_Q_tilde: +-d^-|S| over the blocks S containing the given one."""
-    supers = [s for s in enumerate_partial_pairings(block.n_points) if s.contains(block)]
+    pairs = list(itertools.combinations(block.singles, 2))
+    supers = _pair_sets(_check_partial_count(block.n_points), pairs, block.pairs)
     return [(sup, (-1) ** (sup.n_pairs - block.n_pairs) * (1.0 / d**sup.n_pairs)) for sup in supers]
 
 
@@ -144,7 +147,7 @@ def bell_state_vector(block: PartialPairing, d: int) -> np.ndarray:
     d = checked_index(d, "d", 1)
     if not block.is_maximal() or block.singles:
         raise ValidationError("a pure pair-product input needs a perfect pairing of the copies")
-    r = block.n_points
+    r = checked_index(block.n_points, "r", 1)
     checked_size(d**r, OUTPUT_TENSOR_BUDGET, "pair-product input needs d^r")
     args = []
     for a, b in block.pairs:

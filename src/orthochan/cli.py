@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     moment = argparse.ArgumentParser(add_help=False, parents=[channel])  # a trace moment at one n
     moment.add_argument("--p", type=int, required=True)
     moment.add_argument("--n", type=int, required=True)
-    moment.add_argument("--input", choices=["bell", "product", "mixed", "file"], default="bell")
+    moment.add_argument("--input", choices=[*_INPUT_RULES, "mixed", "file"], default="bell")
     moment.add_argument("--input-file", default=None)
 
     sp = sub.add_parser("pairings", parents=[out], help="enumerate pairings or partial pairings")

@@ -35,8 +35,8 @@ class EnumerationLimitError(BudgetError):
     """A combinatorial enumeration would exceed its configured cap."""
 
 
-def checked_index(value, what: str, least: int = 0, most: int | None = None) -> int:
-    """value as an int in [least, most] by operator.index, most None for no upper bound.
+def checked_index(value, what: str, least: int | None = 0, most: int | None = None) -> int:
+    """value as an int in [least, most] by operator.index, a bound None for no bound on that side.
 
     A bool, float, string or other non-integer raises, never truncates; a value
     outside the bounds raises, never clamps.
@@ -47,7 +47,7 @@ def checked_index(value, what: str, least: int = 0, most: int | None = None) -> 
         index = operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
-    if index < least:
+    if least is not None and index < least:
         raise ValidationError(f"{what} must be >= {least}, got {value}")
     if most is not None and index > most:
         raise ValidationError(f"{what} must be <= {most}, got {value}")

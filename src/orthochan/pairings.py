@@ -125,7 +125,11 @@ class PartialPairing:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        norm = tuple(sorted(tuple(sorted(p)) for p in self.pairs))
+        object.__setattr__(self, "n_points", checked_index(self.n_points, "n_points"))
+        pairs = tuple(tuple(checked_index(i, "pair entry", None) for i in pair) for pair in self.pairs)
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValidationError(f"pairs need two entries each: {pairs}")
+        norm = tuple(sorted(tuple(sorted(pair)) for pair in pairs))
         object.__setattr__(self, "pairs", norm)
         support = [i for p in norm for i in p]
         if len(set(support)) != len(support):
@@ -150,11 +154,7 @@ class PartialPairing:
 
     def sub_blocks(self) -> list["PartialPairing"]:
         """Every partial pairing contained in this one, by pair count, then in combinations order."""
-        sizes = range(self.n_pairs + 1)
-        return [PartialPairing(self.n_points, sub) for j in sizes for sub in itertools.combinations(self.pairs, j)]
-
-    def sort_key(self):
-        return (self.n_pairs, self.pairs)
+        return _pair_sets(self.n_points, self.pairs)
 
 
 def double_factorial_odd(m: int) -> int:
@@ -187,8 +187,8 @@ def enumerate_pairings(m: int) -> tuple[Pairing, ...]:
     return _enumerate_pairings(m)
 
 
-# The recursive enumerations (_matchings, _partitions_below, _partial_matchings)
-# are module-level generators: a nested recursive closure refers to itself, and
+# The recursive enumerations (_matchings and _partitions_below) are
+# module-level generators: a nested recursive closure refers to itself, and
 # each call would leave that reference cycle to the cyclic collector.
 def _matchings(points):
     """Perfect matchings of the points as pair tuples, the first point's partner ascending."""
@@ -520,30 +520,25 @@ def min_transverse_distance(beta: Pairing, p: int, r: int) -> tuple[int, list[Pa
     return best, minimizers
 
 
+def _check_partial_count(points: int) -> int:
+    if points > PARTIAL_PAIRING_CAP:
+        raise EnumerationLimitError(f"partial pairing enumeration capped at r <= {PARTIAL_PAIRING_CAP}, got {points}")
+    return points
+
+
+def _pair_sets(n_points: int, pairs, base=()) -> list[PartialPairing]:
+    """The blocks base + S on n_points points, S each set of disjoint pairs drawn from the sorted sequence pairs.
+
+    S comes by size, then in the combinations order of pairs.  Every list of partial pairings is one such call.
+    """
+    sets = (s for j in range(n_points // 2 + 1) for s in itertools.combinations(pairs, j))
+    return [PartialPairing(n_points, base + s) for s in sets if len({i for pair in s for i in pair}) == 2 * len(s)]
+
+
 def enumerate_partial_pairings(r: int) -> list[PartialPairing]:
-    """All partial pairings of {0, ..., r-1}, sorted by (pair count, pair list)."""
-    if checked_index(r, "r") > PARTIAL_PAIRING_CAP:
-        raise EnumerationLimitError(
-            f"partial pairing enumeration capped at r <= {PARTIAL_PAIRING_CAP}, got {r}"
-        )
-
-    out = [PartialPairing(r, p) for p in _partial_matchings(tuple(range(r)))]
-    out.sort(key=PartialPairing.sort_key)
-    return out
-
-
-def _partial_matchings(points):
-    """Sets of disjoint pairs of the points, as pair tuples."""
-    if not points:
-        yield ()
-        return
-    a = points[0]
-    rest = points[1:]
-    for sub in _partial_matchings(rest):  # a stays single
-        yield sub
-    for idx, b in enumerate(rest):
-        for sub in _partial_matchings(rest[:idx] + rest[idx + 1:]):
-            yield ((a, b),) + sub
+    """All partial pairings of {0, ..., r-1}, by pair count, then by pair list."""
+    r = _check_partial_count(checked_index(r, "r"))
+    return _pair_sets(r, list(itertools.combinations(range(r), 2)))
 
 
 def partial_pairing_count(r: int) -> int:
@@ -579,9 +574,9 @@ def dominant_pairs(p: int, r: int, inward_only: bool = False) -> list[tuple[Part
     With inward_only, B is restricted to pairs of cells sharing the copy index
     (the blocks surviving in the second-moment leading order).
     """
-    blocks = enumerate_partial_pairings(p * r)
-    if inward_only:
-        blocks = [b for b in blocks if all(c1 // r == c2 // r for c1, c2 in b.pairs)]
+    p, r = checked_index(p, "p", 1), checked_index(r, "r", 1)
+    pairs = itertools.combinations(range(_check_partial_count(p * r)), 2)
+    blocks = _pair_sets(p * r, [(c1, c2) for c1, c2 in pairs if not inward_only or c1 // r == c2 // r])
     return [(sub, block) for block in blocks for sub in block.sub_blocks()]
 
 

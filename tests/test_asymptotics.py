@@ -6,6 +6,7 @@ import pytest
 
 from orthochan import asymptotics
 from orthochan.asymptotics import (
+    _q_terms,
     basis_product_state,
     bell_input,
     bell_state_vector,
@@ -27,7 +28,7 @@ from orthochan.asymptotics import (
     von_neumann_entropy,
 )
 from orthochan.channels import _checked_state
-from orthochan.errors import BudgetError, InvalidStateError, OrthochanError, ValidationError
+from orthochan.errors import BudgetError, EnumerationLimitError, InvalidStateError, OrthochanError, ValidationError
 from orthochan.moments import asymptotic_trace_moment, g_from_state
 from orthochan.pairings import PartialPairing, enumerate_partial_pairings
 
@@ -171,6 +172,16 @@ class TestOperatorFamily:
                 worst = max(worst, float(np.max(np.minimum(np.abs(eigs), np.abs(eigs - 1)))))
             dists.append(worst)
         assert dists[0] > dists[1] > dists[2]
+
+    @pytest.mark.parametrize("r", range(9))
+    def test_q_terms_list_the_blocks_containing_the_given_one(self, r):
+        blocks = enumerate_partial_pairings(r)
+        for block in blocks:
+            assert [sup for sup, _ in _q_terms(block, 3)] == [s for s in blocks if s.contains(block)]
+
+    def test_q_terms_refuse_above_the_partial_pairing_cap(self):
+        with pytest.raises(EnumerationLimitError, match=r"^partial pairing enumeration capped at r <= 8, got 9$"):
+            op_Q_tilde(PartialPairing(9, ()), 1)
 
     def test_t_tilde_normalization(self):
         block = PartialPairing(2, ((0, 1),))

@@ -45,6 +45,7 @@ from orthochan.moments import exact_trace_moment, f_beta, wiring_matrix
 from orthochan.pairings import (
     PartialPairing,
     delta_gamma,
+    dominant_pairs,
     enumerate_pairings,
     enumerate_partial_pairings,
     wiring_offsets,
@@ -242,6 +243,16 @@ INTEGER_ARGUMENTS = {
     "wiring-matrix-r-float": (lambda: wiring_matrix(delta_gamma(1, 2)[0], 1, 2.0, 2), "r must be an integer"),
     "wiring-sum-r0": (lambda: wiring_sum([], [], 1, 0, 2), "r must be >= 1, got 0"),
     "wiring-offsets-dim0": (lambda: wiring_offsets(delta_gamma(1, 2)[0], 1, 2, 0), "dim must be >= 1, got 0"),
+    # partial pairings and their listings once passed these through, to a TypeError,
+    # to numpy's einsum or to another argument's message
+    "partial-n-points-float": (lambda: PartialPairing(2.5, ()), "^n_points must be an integer, got 2.5$"),
+    "partial-n-points-true": (lambda: PartialPairing(True, ()), "^n_points must be an integer, got True$"),
+    "partial-n-points-negative": (lambda: PartialPairing(-1, ()), "^n_points must be >= 0, got -1$"),
+    "partial-pair-entry-float": (lambda: PartialPairing(3, ((0, 1.0),)), "^pair entry must be an integer, got 1.0$"),
+    "dominant-pairs-p0": (lambda: dominant_pairs(0, 1), "^p must be >= 1, got 0$"),
+    "dominant-pairs-p-negative": (lambda: dominant_pairs(-1, 1), "^p must be >= 1, got -1$"),
+    "dominant-pairs-r0": (lambda: dominant_pairs(1, 0), "^r must be >= 1, got 0$"),
+    "bell-vector-no-points": (lambda: bell_state_vector(PartialPairing(0, ()), 2), "^r must be >= 1, got 0$"),
 }
 
 # a shape, size or grid that does not fit, refused before any work on it

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -110,6 +111,13 @@ SIZE_REFUSALS = {
     "not-a-permutation": (lambda: Permutation((0, 0, 1)), "not a permutation of 0..2: (0, 0, 1)"),
     "compose-sizes": (lambda: Permutation((0, 1)).compose(Permutation((0, 1, 2))), "size mismatch: 2 vs 3"),
     "partial-pair-range": (lambda: PartialPairing(2, ((0, 2),)), "pair entries outside 0..1: ((0, 2),)"),
+    "partial-pair-negative": (lambda: PartialPairing(2, ((-1, 0),)), "pair entries outside 0..1: ((-1, 0),)"),
+    "partial-pairs-overlap": (
+        lambda: PartialPairing(4, ((0, 1), (1, 2))), "pairs are not disjoint: ((0, 1), (1, 2))"
+    ),
+    # a block of a 3-point or a 1-point "pair" once gave entropies and operators for no block at all
+    "partial-pair-too-long": (lambda: PartialPairing(3, ((0, 1, 2),)), "pairs need two entries each: ((0, 1, 2),)"),
+    "partial-pair-too-short": (lambda: PartialPairing(2, ((0,),)), "pairs need two entries each: ((0,),)"),
     "pairing-pair-range": (lambda: Pairing.from_pairs([(0, 5)], 4), "pair entries outside 0..3: ((0, 5),)"),
     "pairing-pair-too-long": (lambda: Pairing.from_pairs([(0, 1, 2)], 4), "pairs need two entries each: ((0, 1, 2),)"),
     "pairing-pair-too-short": (lambda: Pairing.from_pairs([(0,)], 2), "pairs need two entries each: ((0,),)"),
@@ -141,7 +149,7 @@ SIZE_REFUSALS = {
 
 @pytest.mark.parametrize("call, message", SIZE_REFUSALS.values(), ids=SIZE_REFUSALS.keys())
 def test_size_refusals_raise_validation_error(call, message):
-    with pytest.raises(ValidationError, match=re.escape(message)):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()
 
 
@@ -486,9 +494,27 @@ class TestPartialPairings:
         with pytest.raises(EnumerationLimitError, match="8"):
             enumerate_partial_pairings(9)
 
-    def test_disjointness_validated(self):
-        with pytest.raises(ValidationError):
-            PartialPairing(4, ((0, 1), (1, 2)))
+    def test_fields_are_normalised_to_sorted_ints(self):
+        block = PartialPairing(np.int64(4), [[np.int64(3), 1]])
+        assert block == PartialPairing(4, ((1, 3),))
+        assert type(block.n_points) is int and all(type(i) is int for i in block.pairs[0])
+
+    @pytest.mark.parametrize("r", range(9))
+    def test_listing_is_the_sorted_brute_force_involutions(self, r):
+        # an involution of the r points is read off a permutation as its 2-cycles
+        involutions = {
+            tuple((i, j) for i, j in enumerate(perm) if i < j)
+            for perm in itertools.permutations(range(r))
+            if all(perm[j] == i for i, j in enumerate(perm))
+        }
+        expected = sorted(involutions, key=lambda pairs: (len(pairs), pairs))
+        assert [block.pairs for block in enumerate_partial_pairings(r)] == expected
+
+    @pytest.mark.parametrize("r", range(9))
+    def test_sub_blocks_by_size_then_in_combinations_order(self, r):
+        for block in enumerate_partial_pairings(r):
+            expected = [sub for j in range(block.n_pairs + 1) for sub in itertools.combinations(block.pairs, j)]
+            assert [sub.pairs for sub in block.sub_blocks()] == expected
 
 
 class TestDominantPairs:
@@ -499,6 +525,18 @@ class TestDominantPairs:
 
     def test_p1_inward_is_everything(self):
         assert dominant_pairs(1, 3) == dominant_pairs(1, 3, inward_only=True)
+
+    @pytest.mark.parametrize("p, r", [(p, r) for p in range(1, 9) for r in range(1, 8 // p + 1)])
+    def test_blocks_are_the_listing_or_its_same_copy_blocks(self, p, r):
+        blocks = enumerate_partial_pairings(p * r)
+        inward = [b for b in blocks if all(c1 // r == c2 // r for c1, c2 in b.pairs)]
+        for kept, inward_only in ((blocks, False), (inward, True)):
+            assert dominant_pairs(p, r, inward_only) == [(sub, b) for b in kept for sub in b.sub_blocks()]
+
+    @pytest.mark.parametrize("inward_only", [False, True])
+    def test_cap(self, inward_only):
+        with pytest.raises(EnumerationLimitError, match=r"^partial pairing enumeration capped at r <= 8, got 9$"):
+            dominant_pairs(3, 3, inward_only)
 
     def test_p2_r1_inward_only_empty(self):
         pairs = dominant_pairs(2, 1, inward_only=True)
