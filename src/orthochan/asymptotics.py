@@ -49,10 +49,11 @@ def isotropic_eta(k: int, t: float) -> np.ndarray:
     return op_S_tilde(PartialPairing(2, ((0, 1),)), k, t)
 
 
-def _pattern_sum(terms, r: int, dim: int) -> np.ndarray:
-    """Sum of coeff * op_T(block, dim) over the (block, coeff) terms, blocks on r points."""
+def _pattern_sum(terms, dim: int) -> np.ndarray:
+    """Sum of coeff * op_T(block, dim) over the (block, coeff) terms, whose blocks share one point count r >= 1."""
     blocks, coeffs = zip(*terms)
-    return wiring_sum([pairing_from_partial(block, 1, r) for block in blocks], coeffs, 1, r, dim)
+    checked_index(blocks[0].n_points, "r", 1)
+    return wiring_sum([pairing_from_partial(block) for block in blocks], coeffs, dim)
 
 
 def op_T(block: PartialPairing, k: int) -> np.ndarray:
@@ -61,7 +62,7 @@ def op_T(block: PartialPairing, k: int) -> np.ndarray:
     This is the 0/1 wiring pattern of the block's diagram pairing (bumps on
     both sides of each pair, a horizontal wire through each single).
     """
-    return _pattern_sum([(block, 1.0)], block.n_points, checked_index(k, "k", 1))
+    return _pattern_sum([(block, 1.0)], checked_index(k, "k", 1))
 
 
 def op_T_tilde(block: PartialPairing, d: int) -> np.ndarray:
@@ -80,7 +81,7 @@ def op_R_tilde(block: PartialPairing, k: int, t: float) -> np.ndarray:
     _check_t(t)
     r, b = block.n_points, block.n_pairs
     terms = [(a, t**b * (-1) ** (b - a.n_pairs) / k ** (r - a.n_pairs)) for a in block.sub_blocks()]
-    return _pattern_sum(terms, r, k)
+    return _pattern_sum(terms, k)
 
 
 def op_S_tilde(block: PartialPairing, k: int, t: float) -> np.ndarray:
@@ -92,7 +93,7 @@ def op_S_tilde(block: PartialPairing, k: int, t: float) -> np.ndarray:
     _check_t(t)
     r, b = block.n_points, block.n_pairs
     terms = [(a, t**a.n_pairs * (1.0 - t) ** (b - a.n_pairs) / k ** (r - a.n_pairs)) for a in block.sub_blocks()]
-    return _pattern_sum(terms, r, k)
+    return _pattern_sum(terms, k)
 
 
 def _q_terms(block: PartialPairing, d: int) -> list[tuple[PartialPairing, float]]:
@@ -109,7 +110,7 @@ def op_Q_tilde(block: PartialPairing, d: int) -> np.ndarray:
     local dimension grows.
     """
     d = checked_index(d, "d", 1)
-    return _pattern_sum(_q_terms(block, d), block.n_points, d)
+    return _pattern_sum(_q_terms(block, d), d)
 
 
 def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.ndarray:
@@ -126,7 +127,7 @@ def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.nd
     checked_size(k ** (2 * r), OUTPUT_TENSOR_BUDGET, "asymptotic mean output needs k^(2r)")
     out = np.zeros((k**r, k**r), dtype=complex)
     for block in enumerate_partial_pairings(r):
-        beta = pairing_from_partial(block, 1, r)
+        beta = pairing_from_partial(block)
         coeff = f_beta(beta, state, 1).real / d**block.n_pairs
         out += coeff * op_R_tilde(block, k, t)
     return out
@@ -139,7 +140,7 @@ def bell_input(block: PartialPairing, d: int) -> np.ndarray:
         raise ValidationError(
             f"block with {block.n_pairs} pairs on {block.n_points} points is not maximal"
         )
-    return _pattern_sum([(block, (1.0 / d) ** (block.n_points - block.n_pairs))], block.n_points, d)
+    return _pattern_sum([(block, (1.0 / d) ** (block.n_points - block.n_pairs))], d)
 
 
 def bell_state_vector(block: PartialPairing, d: int) -> np.ndarray:

@@ -99,15 +99,15 @@ def f_beta(beta: Pairing, state: np.ndarray, p: int, budget: int = CONTRACTION_B
     return complex(np.einsum(*args, []))
 
 
-def wiring_matrix(pairing: Pairing, p: int, r: int, dim: int) -> np.ndarray:
-    """Dense delta-pattern matrix of a diagram pairing on (C^dim)^(pr).
+def wiring_matrix(pairing: Pairing, dim: int) -> np.ndarray:
+    """Dense delta-pattern matrix of a diagram pairing of 2q endpoints on (C^dim)^q.
 
     Rows are indexed by the R-side legs in (copy, channel) order, columns by
     the L-side legs; entry 1 where every pair's two leg indices agree.  This
     is the dense counterpart of f_beta, kept for oracle use; its operator norm
     is dim^bumps.
     """
-    return wiring_sum([pairing], [1.0], p, r, dim)
+    return wiring_sum([pairing], [1.0], dim)
 
 
 def _checked_limits(cap, budget) -> tuple[int, int]:
@@ -195,7 +195,7 @@ def exact_mean_output(r: int, k: int, n: int, t: float, state: np.ndarray) -> np
     re, im = (_type_sums(r, range(len(pair_list)), part) @ table.coefficients for part in (f_vals.real, f_vals.imag))
     coeffs = float(n) ** n_exp * (re + 1j * im)
     # rows of the mean output are L legs, hence the transpose
-    return np.ascontiguousarray(wiring_sum(pair_list, coeffs, 1, r, k).T)
+    return np.ascontiguousarray(wiring_sum(pair_list, coeffs, k).T)
 
 
 class _TermArrays(NamedTuple):
@@ -345,7 +345,7 @@ def asymptotic_trace_moment(
         weight = g.get(block, 0.0)
         if weight == 0.0:
             continue
-        alpha = pairing_from_partial(sub, p, r)
+        alpha = pairing_from_partial(sub)
         cc = connected_components(gamma, alpha)
         total += (
             float(k) ** (cc + sub.n_pairs - p * r)
@@ -362,7 +362,7 @@ def g_from_state(state: np.ndarray, r: int, k: int, n: int, t: float) -> dict[Pa
     _checked_state(state, input_dim(k, n, t) ** r)
     out = {}
     for block in enumerate_partial_pairings(r):
-        beta = pairing_from_partial(block, 1, r)
+        beta = pairing_from_partial(block)
         value = f_beta(beta, state, 1, CONTRACTION_BUDGET).real / (t * n * k) ** block.n_pairs
         out[block] = value
     return out

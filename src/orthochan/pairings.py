@@ -88,23 +88,30 @@ class Pairing(Permutation):
 
     def __post_init__(self):
         super().__post_init__()
-        for i, j in enumerate(self.images):
-            if j == i or self.images[j] != i:
-                raise ValidationError(f"not a fixed-point-free involution: {self.images}")
+        try:  # each image is used as an index, so a non-integer raises TypeError here at no extra cost
+            for i, j in enumerate(self.images):
+                if j == i or self.images[j] != i:
+                    raise ValidationError(f"not a fixed-point-free involution: {self.images}")
+        except TypeError:
+            raise ValidationError(f"pairing images must be integers: {self.images}") from None
 
     @classmethod
     def from_pairs(cls, pairs, size: int | None = None) -> "Pairing":
-        pairs = [tuple(p) for p in pairs]
-        if size is None:
-            size = 2 * len(pairs)
+        try:
+            pairs = [tuple(p) for p in pairs]
+        except TypeError:
+            raise ValidationError(f"pairs need two entries each: {pairs}") from None
+        size = 2 * len(pairs) if size is None else checked_index(size, "size")
         if any(len(pair) != 2 for pair in pairs):
             raise ValidationError(f"pairs need two entries each: {tuple(pairs)}")
         images = list(range(size))
-        try:
+        try:  # the entries are checked by indexing with them, as in __post_init__
             for a, b in pairs:
                 images[a], images[b] = b, a
         except IndexError:
             raise ValidationError(f"pair entries outside 0..{size - 1}: {tuple(pairs)}") from None
+        except TypeError:
+            raise ValidationError(f"pair entries must be integers: {tuple(pairs)}") from None
         return cls(tuple(images))
 
     @property
@@ -126,7 +133,10 @@ class PartialPairing:
 
     def __post_init__(self):
         object.__setattr__(self, "n_points", checked_index(self.n_points, "n_points"))
-        pairs = tuple(tuple(checked_index(i, "pair entry", None) for i in pair) for pair in self.pairs)
+        try:
+            pairs = tuple(tuple(checked_index(i, "pair entry", None) for i in pair) for pair in self.pairs)
+        except TypeError:  # a pair that is not a sequence, as in a flat (0, 1)
+            raise ValidationError(f"pairs need two entries each: {self.pairs}") from None
         if any(len(pair) != 2 for pair in pairs):
             raise ValidationError(f"pairs need two entries each: {pairs}")
         norm = tuple(sorted(tuple(sorted(pair)) for pair in pairs))
@@ -205,7 +215,7 @@ def _matchings(points):
 
 @lru_cache(maxsize=None)  # one entry per m <= 6 under the enumeration cap
 def _enumerate_pairings(m: int) -> tuple[Pairing, ...]:
-    return tuple(Pairing.from_pairs(p, 2 * m) for p in _matchings(tuple(range(2 * m))))
+    return tuple(Pairing.from_pairs(p) for p in _matchings(tuple(range(2 * m))))
 
 
 def length(sigma: Permutation) -> int:
@@ -403,6 +413,7 @@ def _symmetry_orbits(p: int, r: int, channels: tuple[int, ...]) -> tuple[np.ndar
 
 def box_index(i: int, x: int, side: int, p: int, r: int) -> int:
     """Flatten the wire-endpoint triple (copy i, channel x, side) to an integer."""
+    i, x, side, p, r = (checked_index(v, what, None) for v, what in zip((i, x, side, p, r), "i x side p r".split()))
     if not (0 <= i < p and 0 <= x < r and side in (SIDE_L, SIDE_R)):
         raise ValidationError(f"box label ({i}, {x}, {side}) out of range for p={p}, r={r}")
     return ((i * r) + x) * 2 + side
@@ -422,32 +433,19 @@ def delta_gamma(p: int, r: int) -> tuple[Pairing, Pairing]:
         for x in range(r):
             dpairs.append((box_index(i, x, SIDE_L, p, r), box_index(i, x, SIDE_R, p, r)))
             gpairs.append((box_index(i, x, SIDE_L, p, r), box_index((i - 1) % p, x, SIDE_R, p, r)))
-    size = 2 * p * r
-    return Pairing.from_pairs(dpairs, size), Pairing.from_pairs(gpairs, size)
+    return Pairing.from_pairs(dpairs), Pairing.from_pairs(gpairs)
 
 
-def _check_diagram_size(pairing: Pairing, p: int, r: int):
-    if pairing.size != 2 * p * r:
-        raise ValidationError(f"pairing acts on {pairing.size} points, expected 2pr = {2 * p * r}")
-
-
-def _wiring_shape(p: int, r: int, dim: int) -> tuple[int, int, int]:
-    """p, r and dim of a wiring pattern, each an integer >= 1."""
-    return checked_index(p, "p", 1), checked_index(r, "r", 1), checked_index(dim, "dim", 1)
-
-
-def wiring_offsets(pairing: Pairing, p: int, r: int, dim: int) -> np.ndarray:
-    """Flat positions of the ones in the dim^(pr) x dim^(pr) delta pattern of a diagram pairing.
+def wiring_offsets(pairing: Pairing, dim: int) -> np.ndarray:
+    """Flat positions of the ones in the dim^q x dim^q delta pattern of a diagram pairing of 2q endpoints.
 
     Rows are indexed by the R legs and columns by the L legs, each in cell
     order with cell 0 most significant; an entry is one where every pair's two
     legs carry the same index.  Each pair is thus one base-dim variable whose
     weight is the sum of its two legs' place values in the flattened matrix.
-    The dim^(pr) offsets are distinct, so one scatter fills the pattern.
+    The dim^q offsets are distinct, so one scatter fills the pattern.
     """
-    p, r, dim = _wiring_shape(p, r, dim)
-    _check_diagram_size(pairing, p, r)
-    q = p * r
+    dim, q = checked_index(dim, "dim", 1), pairing.size // 2
     place = np.empty(2 * q, dtype=np.int64)
     place[SIDE_L::2] = dim ** np.arange(q - 1, -1, -1)  # column digit of cell c
     place[SIDE_R::2] = place[SIDE_L::2] * dim**q        # row digit of cell c
@@ -458,59 +456,56 @@ def wiring_offsets(pairing: Pairing, p: int, r: int, dim: int) -> np.ndarray:
     return offsets
 
 
-def wiring_sum(pairings, coeffs, p: int, r: int, dim: int) -> np.ndarray:
-    """sum_i coeffs[i] times the delta pattern of pairings[i], a dim^(pr) x dim^(pr) matrix.
+def wiring_sum(pairings, coeffs, dim: int) -> np.ndarray:
+    """sum_i coeffs[i] times the delta pattern of pairings[i], a dim^q x dim^q matrix for 2q endpoints each.
 
     Starts from zeros of coeffs' dtype and adds each coefficient at its
     pairing's wiring_offsets, in order, so no dense matrix is formed per term.
+    The pairings are the only source of q, so they must be one or more, of one size.
     """
-    p, r, dim = _wiring_shape(p, r, dim)  # before the allocation sizes anything by them
-    size = checked_size(dim ** (2 * p * r), OUTPUT_TENSOR_BUDGET, "wiring pattern needs dim^(2pr)")
+    dim = checked_index(dim, "dim", 1)  # before the allocation sizes anything by it
+    sizes = sorted({pairing.size for pairing in pairings})
+    if len(sizes) != 1:
+        raise ValidationError(f"wiring sum needs pairings of one size, got sizes {sizes}")
+    q = sizes[0] // 2
+    size = checked_size(dim ** (2 * q), OUTPUT_TENSOR_BUDGET, "wiring pattern needs dim^(2pr)")
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (len(pairings),):
         raise ValidationError(f"need one coefficient per pairing, got shape {coeffs.shape} for {len(pairings)}")
     flat = np.zeros(size, dtype=coeffs.dtype)
     for pairing, coeff in zip(pairings, coeffs):
-        flat[wiring_offsets(pairing, p, r, dim)] += coeff
-    return flat.reshape(dim ** (p * r), -1)
+        flat[wiring_offsets(pairing, dim)] += coeff
+    return flat.reshape(dim**q, -1)
 
 
-def bumps(beta: Pairing, p: int, r: int) -> int:
+def bumps(beta: Pairing) -> int:
     """Number of pairs of beta joining two R-side endpoints."""
-    _check_diagram_size(beta, p, r)
     return sum(1 for a, b in beta.pairs if a % 2 == SIDE_R and b % 2 == SIDE_R)
 
 
-def is_transverse(tau: Pairing, p: int, r: int) -> bool:
+def is_transverse(tau: Pairing) -> bool:
     """True iff every pair of tau joins an L endpoint to an R endpoint."""
-    _check_diagram_size(tau, p, r)
     return all((a % 2) != (b % 2) for a, b in tau.pairs)
 
 
-def transverse_pairings(p: int, r: int) -> list[Pairing]:
-    """All q! transverse pairings of the 2q = 2pr endpoints, in a fixed order."""
-    q = p * r
-    left = [2 * c for c in range(q)]
-    right = [2 * c + 1 for c in range(q)]
-    out = []
-    for perm in itertools.permutations(range(q)):
-        out.append(Pairing.from_pairs([(left[i], right[perm[i]]) for i in range(q)], 2 * q))
-    return out
+def transverse_pairings(q: int) -> list[Pairing]:
+    """All q! transverse pairings of 2q endpoints, in a fixed order: L of cell c to R of cell perm[c]."""
+    perms = itertools.permutations(range(q))
+    return [Pairing.from_pairs([(2 * c, 2 * perm[c] + 1) for c in range(q)]) for perm in perms]
 
 
-def min_transverse_distance(beta: Pairing, p: int, r: int) -> tuple[int, list[Pairing]]:
+def min_transverse_distance(beta: Pairing) -> tuple[int, list[Pairing]]:
     """Brute-force minimum of |tau * beta| over transverse tau, with all minimizers.
 
     The minimum equals twice the bump count of beta; the minimizers keep every
     transverse pair of beta and match R-side bumps to L-side bumps.
     """
-    q = p * r
+    q = beta.size // 2
     if q > TRANSVERSE_BRUTE_CAP:
         raise EnumerationLimitError(f"transverse brute force needs q = pr <= {TRANSVERSE_BRUTE_CAP}, got {q}")
-    _check_diagram_size(beta, p, r)
     best = None
     minimizers: list[Pairing] = []
-    for tau in transverse_pairings(p, r):
+    for tau in transverse_pairings(q):
         dist = 2 * (q - connected_components(tau, beta))  # |tau beta|: 2q less the product's 2cc cycles
         if best is None or dist < best:
             best = dist
@@ -549,22 +544,15 @@ def partial_pairing_count(r: int) -> int:
     )
 
 
-def pairing_from_partial(block: PartialPairing, p: int, r: int) -> Pairing:
-    """The diagram pairing made of symmetric bumps on a cell block plus horizontal wires.
+def pairing_from_partial(block: PartialPairing) -> Pairing:
+    """The diagram pairing of 2 * block.n_points endpoints: symmetric bumps on a cell block plus horizontal wires.
 
     Cells are flattened copy-major (cell = i * r + x).  Each cell pair (c, c')
     of the block contributes the L-L pair and the R-R pair of the two cells;
     every unpaired cell contributes its horizontal L-R wire.
     """
-    if block.n_points != p * r:
-        raise ValidationError(f"block on {block.n_points} cells, expected pr = {p * r}")
-    pairs = []
-    for c1, c2 in block.pairs:
-        pairs.append((2 * c1 + SIDE_L, 2 * c2 + SIDE_L))
-        pairs.append((2 * c1 + SIDE_R, 2 * c2 + SIDE_R))
-    for c in block.singles:
-        pairs.append((2 * c + SIDE_L, 2 * c + SIDE_R))
-    return Pairing.from_pairs(pairs, 2 * p * r)
+    pairs = [(2 * c1 + side, 2 * c2 + side) for c1, c2 in block.pairs for side in (SIDE_L, SIDE_R)]
+    return Pairing.from_pairs(pairs + [(2 * c + SIDE_L, 2 * c + SIDE_R) for c in block.singles])
 
 
 def dominant_pairs(p: int, r: int, inward_only: bool = False) -> list[tuple[PartialPairing, PartialPairing]]:

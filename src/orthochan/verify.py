@@ -110,8 +110,8 @@ def criterion_2_bumps(seed: int) -> tuple[bool, str]:
     for q in range(1, 5):
         for beta in enumerate_pairings(q):
             checked += 1
-            minimum, minimizers = min_transverse_distance(beta, 1, q)
-            flats = bumps(beta, 1, q)
+            minimum, minimizers = min_transverse_distance(beta)
+            flats = bumps(beta)
             structural = all(_minimizer_structure_ok(beta, tau) for tau in minimizers)
             expected_count = math.factorial(flats) * 2**flats
             if minimum != 2 * flats or not structural or len(minimizers) != expected_count:
@@ -202,7 +202,7 @@ def criterion_6_mobius_algebra(seed: int) -> tuple[bool, str]:
     d = 8
     for r in range(1, 5):
         # every block's op_Q_tilde terms in one pattern sum: no d^2r array per block
-        total = _pattern_sum([term for block in enumerate_partial_pairings(r) for term in _q_terms(block, d)], r, d)
+        total = _pattern_sum([term for block in enumerate_partial_pairings(r) for term in _q_terms(block, d)], d)
         total.ravel()[:: d**r + 1] -= 1.0  # minus the identity, and its |entries|, in place: no d^2r temporaries
         worst = max(worst, float(np.abs(total, out=total).max()))
     return worst <= 1e-12, f"max deviation {worst:.3e} over r<=4, k=2,3, t=0.3,0.7"

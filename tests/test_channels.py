@@ -33,6 +33,7 @@ from orthochan.channels import (
 )
 from orthochan.asymptotics import (
     basis_product_state,
+    bell_input,
     bell_state_vector,
     convergence_experiment,
     maximal_block,
@@ -49,7 +50,6 @@ from orthochan.pairings import (
     enumerate_pairings,
     enumerate_partial_pairings,
     wiring_offsets,
-    wiring_sum,
 )
 from orthochan.weingarten import integrate_monomial, wg_exact
 
@@ -237,12 +237,9 @@ INTEGER_ARGUMENTS = {
     # numpy's ValueError or TypeError
     "f-beta-p0": (lambda: f_beta(delta_gamma(1, 2)[0], np.eye(4) / 4, 0), "p must be >= 1, got 0"),
     "f-beta-p-float": (lambda: f_beta(delta_gamma(1, 2)[0], np.eye(4) / 4, 1.0), "p must be an integer"),
-    "wiring-matrix-dim0": (lambda: wiring_matrix(delta_gamma(1, 2)[0], 1, 2, 0), "dim must be >= 1, got 0"),
-    "wiring-matrix-dim-float": (lambda: wiring_matrix(delta_gamma(1, 2)[0], 1, 2, 2.5), "dim must be an integer"),
-    "wiring-matrix-p0": (lambda: wiring_matrix(delta_gamma(1, 2)[0], 0, 2, 2), "p must be >= 1, got 0"),
-    "wiring-matrix-r-float": (lambda: wiring_matrix(delta_gamma(1, 2)[0], 1, 2.0, 2), "r must be an integer"),
-    "wiring-sum-r0": (lambda: wiring_sum([], [], 1, 0, 2), "r must be >= 1, got 0"),
-    "wiring-offsets-dim0": (lambda: wiring_offsets(delta_gamma(1, 2)[0], 1, 2, 0), "dim must be >= 1, got 0"),
+    "wiring-matrix-dim0": (lambda: wiring_matrix(delta_gamma(1, 2)[0], 0), "dim must be >= 1, got 0"),
+    "wiring-matrix-dim-float": (lambda: wiring_matrix(delta_gamma(1, 2)[0], 2.5), "dim must be an integer"),
+    "wiring-offsets-dim0": (lambda: wiring_offsets(delta_gamma(1, 2)[0], 0), "dim must be >= 1, got 0"),
     # partial pairings and their listings once passed these through, to a TypeError,
     # to numpy's einsum or to another argument's message
     "partial-n-points-float": (lambda: PartialPairing(2.5, ()), "^n_points must be an integer, got 2.5$"),
@@ -253,6 +250,7 @@ INTEGER_ARGUMENTS = {
     "dominant-pairs-p-negative": (lambda: dominant_pairs(-1, 1), "^p must be >= 1, got -1$"),
     "dominant-pairs-r0": (lambda: dominant_pairs(1, 0), "^r must be >= 1, got 0$"),
     "bell-vector-no-points": (lambda: bell_state_vector(PartialPairing(0, ()), 2), "^r must be >= 1, got 0$"),
+    "bell-input-no-points": (lambda: bell_input(PartialPairing(0, ()), 2), "^r must be >= 1, got 0$"),
 }
 
 # a shape, size or grid that does not fit, refused before any work on it

@@ -44,9 +44,12 @@ from orthochan.moments import (
     wiring_matrix,
 )
 from orthochan.pairings import (
+    SIDE_L,
+    SIDE_R,
     Pairing,
     PartialPairing,
     _symmetry_orbits,
+    box_index,
     bumps,
     combine_copies,
     connected_components,
@@ -100,7 +103,7 @@ class TestFBeta:
     def test_bell_saturates_bump_bound(self):
         for d in (2, 3):
             bell = bell_state_vector(PartialPairing(2, ((0, 1),)), d)
-            beta = pairing_from_partial(PartialPairing(2, ((0, 1),)), 1, 2)
+            beta = pairing_from_partial(PartialPairing(2, ((0, 1),)))
             assert f_beta(beta, bell, 1) == pytest.approx(d)
 
     @pytest.mark.parametrize(
@@ -137,7 +140,7 @@ class TestFBeta:
         for seed in range(3):
             rho = random_density(d**r, seed)
             for beta in enumerate_pairings(p * r):
-                bound = d ** bumps(beta, p, r)
+                bound = d ** bumps(beta)
                 assert abs(f_beta(beta, rho, p)) <= bound + 1e-9
 
     def test_non_trespassing_bound_p2(self):
@@ -146,7 +149,7 @@ class TestFBeta:
         rho = random_density(d**r, 7)
         state = np.kron(rho, rho)
         for _, block in dominant_pairs(p, r):
-            beta = pairing_from_partial(block, p, r)
+            beta = pairing_from_partial(block)
             inward = sum(1 for c1, c2 in block.pairs if c1 // r == c2 // r)
             assert abs(f_beta(beta, state, p)) <= d**inward + 1e-9
 
@@ -301,7 +304,7 @@ class TestSymmetryOrbits:
         delta, _ = delta_gamma(1, r)
         n_exp = np.array([connected_components(delta, alpha) for alpha in pair_list])
         coeffs = float(n) ** n_exp * (dense_table(r, k * n) @ per_pairing_f(state, 1, r))
-        reference = wiring_sum(pair_list, coeffs, 1, r, k).T
+        reference = wiring_sum(pair_list, coeffs, k).T
         assert np.max(np.abs(exact_mean_output(r, k, n, t, state) - reference)) <= 1e-15
 
     @pytest.mark.parametrize("kind", ["density", "vector"])
@@ -326,7 +329,11 @@ class TestSymmetryOrbits:
 
 
 def einsum_wiring(pairing, p, r, dim):
-    """Reference delta pattern: one identity factor per pair, contracted by einsum."""
+    """Reference delta pattern: one identity factor per pair, contracted by einsum.
+
+    Its legs are laid out by (copy, channel) with box_index, so it also checks that
+    the library's cell order is the copy-major order of p copies of r channels.
+    """
     eye = np.eye(dim)
     args = []
     leg_var = {}
@@ -334,31 +341,30 @@ def einsum_wiring(pairing, p, r, dim):
         args.extend((eye, [2 * var, 2 * var + 1]))
         leg_var[s] = 2 * var
         leg_var[u] = 2 * var + 1
-    q = p * r
-    rows = [leg_var[2 * c + 1] for c in range(q)]  # R legs, cell order
-    cols = [leg_var[2 * c] for c in range(q)]      # L legs, cell order
+    rows = [leg_var[box_index(i, x, SIDE_R, p, r)] for i in range(p) for x in range(r)]
+    cols = [leg_var[box_index(i, x, SIDE_L, p, r)] for i in range(p) for x in range(r)]
     args.append(rows + cols)
-    return np.einsum(*args).reshape(dim**q, dim**q)
+    return np.einsum(*args).reshape(dim ** (p * r), -1)
 
 
 class TestWiringMatrix:
     def test_operator_norm_is_d_to_bumps(self):
         p, r, d = 1, 2, 3
         for beta in enumerate_pairings(p * r):
-            w = wiring_matrix(beta, p, r, d)
+            w = wiring_matrix(beta, d)
             norm = np.linalg.norm(w, 2)
-            assert norm == pytest.approx(d ** bumps(beta, p, r))
+            assert norm == pytest.approx(d ** bumps(beta))
 
     def test_horizontal_is_identity(self):
         delta, _ = delta_gamma(1, 2)
-        assert np.array_equal(wiring_matrix(delta, 1, 2, 3), np.eye(9))
+        assert np.array_equal(wiring_matrix(delta, 3), np.eye(9))
 
     @pytest.mark.parametrize("p, m", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 4)])
     def test_scatter_matches_einsum_over_identities(self, p, m):
         for dim in (2, 3):
             for beta in enumerate_pairings(m):
                 reference = einsum_wiring(beta, p, m // p, dim)
-                out = wiring_matrix(beta, p, m // p, dim)
+                out = wiring_matrix(beta, dim)
                 assert out.dtype == reference.dtype
                 assert out.tobytes() == reference.tobytes()
 
@@ -371,7 +377,7 @@ class TestWiringMatrix:
             reference = np.zeros((2**m, 2**m), dtype=coeffs.dtype)
             for beta, c in zip(pairings, coeffs):
                 reference += c * einsum_wiring(beta, p, m // p, 2)
-            out = wiring_sum(pairings, coeffs, p, m // p, 2)
+            out = wiring_sum(pairings, coeffs, 2)
             assert out.dtype == coeffs.dtype
             assert np.array_equal(out, reference)
 
@@ -724,7 +730,7 @@ class TestTermReport:
         bell = bell_state_vector(PartialPairing(2, ((0, 1),)), d)
         terms = term_report(p, r, k, n, t, bell)
         dom = {
-            (pairing_from_partial(a, p, r), pairing_from_partial(b, p, r))
+            (pairing_from_partial(a), pairing_from_partial(b))
             for a, b in dominant_pairs(p, r)
         }
         leading = terms[: len(dom)]
@@ -737,7 +743,7 @@ class TestTermReport:
             d = math.floor(t * k * n)
             terms = term_report(p, r, k, n, t, np.eye(d) / d)
             dom = {
-                (pairing_from_partial(a, p, r), pairing_from_partial(b, p, r))
+                (pairing_from_partial(a), pairing_from_partial(b))
                 for a, b in dominant_pairs(p, r)
             }
             lead = max(abs(term.value) for term in terms if (term.alpha, term.beta) in dom)
@@ -754,7 +760,7 @@ class TestExponentBounds:
         delta, _ = delta_gamma(p, r)
         pairings = enumerate_pairings(p * r)
         dom = {
-            (pairing_from_partial(a, p, r), pairing_from_partial(b, p, r))
+            (pairing_from_partial(a), pairing_from_partial(b))
             for a, b in dominant_pairs(p, r)
         }
         saturating = set()
@@ -762,7 +768,7 @@ class TestExponentBounds:
             for b in pairings:
                 expo = (
                     connected_components(delta, a)
-                    + bumps(b, p, r)
+                    + bumps(b)
                     - p * r
                     - length(a.compose(b)) // 2
                 )

@@ -121,10 +121,18 @@ SIZE_REFUSALS = {
     "pairing-pair-range": (lambda: Pairing.from_pairs([(0, 5)], 4), "pair entries outside 0..3: ((0, 5),)"),
     "pairing-pair-too-long": (lambda: Pairing.from_pairs([(0, 1, 2)], 4), "pairs need two entries each: ((0, 1, 2),)"),
     "pairing-pair-too-short": (lambda: Pairing.from_pairs([(0,)], 2), "pairs need two entries each: ((0,),)"),
-    "box-label-range": (lambda: box_index(2, 0, 0, 2, 1), "box label (2, 0, 0) out of range for p=2, r=1"),
-    "partial-to-pairing-cells": (
-        lambda: pairing_from_partial(PartialPairing(2, ((0, 1),)), 1, 3), "block on 2 cells, expected pr = 3"
+    # malformed entries once reached Python's indexing or iteration and raised a bare TypeError
+    "partial-pairs-flat": (lambda: PartialPairing(2, (0, 1)), "pairs need two entries each: (0, 1)"),
+    "pairing-pairs-flat": (lambda: Pairing.from_pairs([0, 1], 2), "pairs need two entries each: [0, 1]"),
+    "pairing-pair-entry-float": (
+        lambda: Pairing.from_pairs([(0, 1.0)], 2), "pair entries must be integers: ((0, 1.0),)"
     ),
+    "pairing-size-float": (lambda: Pairing.from_pairs([(0, 1)], 2.5), "size must be an integer, got 2.5"),
+    "pairing-images-float": (lambda: Pairing((1, 0.0)), "pairing images must be integers: (1, 0.0)"),
+    "box-label-range": (lambda: box_index(2, 0, 0, 2, 1), "box label (2, 0, 0) out of range for p=2, r=1"),
+    # box_index once computed with a float label: 2.0 and 1.0 here
+    "box-copy-float": (lambda: box_index(0.5, 0, 0, 1, 2), "i must be an integer, got 0.5"),
+    "box-side-float": (lambda: box_index(0, 0, 1.0, 1, 2), "side must be an integer, got 1.0"),
     "combine-copy-points": (
         lambda: combine_copies([PartialPairing(2, ((0, 1),)), PartialPairing(3, ())], 2),
         "copy block on 3 points, expected 2",
@@ -141,8 +149,14 @@ SIZE_REFUSALS = {
     ),
     "mobius-sizes": (lambda: mobius(enumerate_pairings(1)[0], enumerate_pairings(2)[0]), "size mismatch: 2 vs 4"),
     "wiring-sum-coefficients": (
-        lambda: wiring_sum(enumerate_pairings(1), [1.0, 2.0], 1, 1, 2),
+        lambda: wiring_sum(enumerate_pairings(1), [1.0, 2.0], 2),
         "need one coefficient per pairing, got shape (2,) for 1",
+    ),
+    # the pairings are wiring_sum's only source of the pattern's size
+    "wiring-sum-empty": (lambda: wiring_sum([], [], 2), "wiring sum needs pairings of one size, got sizes []"),
+    "wiring-sum-sizes": (
+        lambda: wiring_sum([enumerate_pairings(1)[0], enumerate_pairings(2)[0]], [1.0, 1.0], 2),
+        "wiring sum needs pairings of one size, got sizes [2, 4]",
     ),
 }
 
@@ -412,51 +426,47 @@ class TestDiagramWirings:
     def test_wirings_are_transverse(self):
         for p, r in [(1, 2), (2, 2), (2, 3), (3, 1)]:
             delta, gamma = delta_gamma(p, r)
-            assert is_transverse(delta, p, r)
-            assert is_transverse(gamma, p, r)
-            assert bumps(delta, p, r) == bumps(gamma, p, r) == 0
+            assert is_transverse(delta)
+            assert is_transverse(gamma)
+            assert bumps(delta) == bumps(gamma) == 0
 
 
 class TestBumps:
     def test_one_bump_pairing(self):
         beta = Pairing.from_pairs([(0, 2), (1, 3)])  # L-L and R-R on two cells
-        assert bumps(beta, 1, 2) == 1
-        assert not is_transverse(beta, 1, 2)
+        assert bumps(beta) == 1
+        assert not is_transverse(beta)
 
     def test_left_and_right_bump_counts_match(self):
         for beta in enumerate_pairings(3):
             left = sum(1 for a, b in beta.pairs if a % 2 == 0 and b % 2 == 0)
-            assert bumps(beta, 1, 3) == left
-
-    def test_size_check(self):
-        with pytest.raises(ValidationError):
-            bumps(Pairing.from_pairs([(0, 1)]), 1, 2)
+            assert bumps(beta) == left
 
     def test_fig_style_p2_r3_single_bump(self):
         # one symmetric bump across cells (copy 0, channels 0 and 1), rest horizontal
         block = PartialPairing(6, ((0, 1),))
-        beta = pairing_from_partial(block, 2, 3)
-        assert bumps(beta, 2, 3) == 1
+        beta = pairing_from_partial(block)
+        assert bumps(beta) == 1
 
 
 class TestMinTransverseDistance:
     def test_transverse_input(self):
         delta, _ = delta_gamma(1, 3)
-        minimum, minimizers = min_transverse_distance(delta, 1, 3)
+        minimum, minimizers = min_transverse_distance(delta)
         assert minimum == 0
         assert minimizers == [delta]
 
     def test_single_bump_two_minimizers(self):
         beta = Pairing.from_pairs([(0, 2), (1, 3)])
-        minimum, minimizers = min_transverse_distance(beta, 1, 2)
+        minimum, minimizers = min_transverse_distance(beta)
         assert minimum == 2
         assert len(minimizers) == 2
-        assert set(minimizers) == set(transverse_pairings(1, 2))
+        assert set(minimizers) == set(transverse_pairings(2))
 
     def test_exhaustive_q3_minimum_equals_twice_bumps(self):
         for beta in enumerate_pairings(3):
-            minimum, minimizers = min_transverse_distance(beta, 1, 3)
-            flats = bumps(beta, 1, 3)
+            minimum, minimizers = min_transverse_distance(beta)
+            flats = bumps(beta)
             assert minimum == 2 * flats
             # every minimizer keeps the transverse pairs of beta
             for tau in minimizers:
@@ -466,9 +476,9 @@ class TestMinTransverseDistance:
             assert len(minimizers) == math.factorial(flats) * 2**flats
 
     def test_cap(self):
-        beta = pairing_from_partial(PartialPairing(6, ()), 1, 6)
-        with pytest.raises(EnumerationLimitError):
-            min_transverse_distance(beta, 1, 6)
+        beta = pairing_from_partial(PartialPairing(6, ()))
+        with pytest.raises(EnumerationLimitError, match=r"^transverse brute force needs q = pr <= 5, got 6$"):
+            min_transverse_distance(beta)
 
 
 class TestPartialPairings:
@@ -547,8 +557,8 @@ class TestDominantPairs:
         for p, r in [(1, 2), (2, 2), (1, 4)]:
             delta, _ = delta_gamma(p, r)
             for sub, block in dominant_pairs(p, r):
-                alpha = pairing_from_partial(sub, p, r)
-                beta = pairing_from_partial(block, p, r)
+                alpha = pairing_from_partial(sub)
+                beta = pairing_from_partial(block)
                 total = length(delta.compose(beta))
                 assert total == length(delta.compose(alpha)) + length(alpha.compose(beta))
 
