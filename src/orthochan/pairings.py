@@ -37,15 +37,46 @@ SIDE_L = 0
 SIDE_R = 1
 
 
+def _int_entries(values, what: str) -> tuple[int, ...]:
+    """The sequence values as a tuple of Python ints, each read by checked_index with what naming one entry.
+
+    This is the one entry rule of permutations, pairings and partial pairings: a
+    bool, float, string or other non-integer entry, or a values that is not a
+    sequence, raises ValidationError before any entry is used as an index.
+    """
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValidationError(f"not a sequence of integers: {values!r}") from None
+    return tuple(checked_index(value, what, None) for value in values)
+
+
+def _int_pairs(pairs, n_points: int | None) -> tuple[tuple[int, int], ...]:
+    """pairs in their given order as (int, int) tuples by _int_entries, in 0..n_points-1 (None: twice their count)."""
+    try:
+        pairs = tuple(map(tuple, pairs))
+    except TypeError:  # pairs, or a pair in it, is not a sequence, as in a flat (0, 1)
+        raise ValidationError(f"pairs need two entries each: {pairs}") from None
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValidationError(f"pairs need two entries each: {pairs}")
+    pairs = tuple(_int_entries(pair, "pair entry") for pair in pairs)
+    n_points = 2 * len(pairs) if n_points is None else n_points
+    if any(not 0 <= i < n_points for pair in pairs for i in pair):
+        raise ValidationError(f"pair entries outside 0..{n_points - 1}: {pairs}")
+    return pairs
+
+
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation of {0, ..., N-1} stored as its image array."""
+    """A permutation of {0, ..., N-1} stored as its image tuple of Python ints."""
 
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValidationError(f"not a permutation of 0..{len(self.images) - 1}: {self.images}")
+        images = _int_entries(self.images, "permutation image")
+        object.__setattr__(self, "images", images)
+        if sorted(images) != list(range(len(images))):
+            raise ValidationError(f"not a permutation of 0..{len(images) - 1}: {images}")
 
     @property
     def size(self) -> int:
@@ -53,15 +84,14 @@ class Permutation:
 
     def compose(self, other: "Permutation") -> "Permutation":
         """Return self∘other, i.e. apply other first."""
+        if not isinstance(other, Permutation):
+            raise ValidationError(f"compose needs a Permutation, got {other!r}")
         if other.size != self.size:
             raise ValidationError(f"size mismatch: {self.size} vs {other.size}")
         return Permutation(tuple(self.images[j] for j in other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation(tuple(sorted(range(self.size), key=self.images.__getitem__)))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * self.size
@@ -88,30 +118,17 @@ class Pairing(Permutation):
 
     def __post_init__(self):
         super().__post_init__()
-        try:  # each image is used as an index, so a non-integer raises TypeError here at no extra cost
-            for i, j in enumerate(self.images):
-                if j == i or self.images[j] != i:
-                    raise ValidationError(f"not a fixed-point-free involution: {self.images}")
-        except TypeError:
-            raise ValidationError(f"pairing images must be integers: {self.images}") from None
+        images = self.images
+        if any(j == i or images[j] != i for i, j in enumerate(images)):
+            raise ValidationError(f"not a fixed-point-free involution: {images}")
 
     @classmethod
     def from_pairs(cls, pairs, size: int | None = None) -> "Pairing":
-        try:
-            pairs = [tuple(p) for p in pairs]
-        except TypeError:
-            raise ValidationError(f"pairs need two entries each: {pairs}") from None
-        size = 2 * len(pairs) if size is None else checked_index(size, "size")
-        if any(len(pair) != 2 for pair in pairs):
-            raise ValidationError(f"pairs need two entries each: {tuple(pairs)}")
-        images = list(range(size))
-        try:  # the entries are checked by indexing with them, as in __post_init__
-            for a, b in pairs:
-                images[a], images[b] = b, a
-        except IndexError:
-            raise ValidationError(f"pair entries outside 0..{size - 1}: {tuple(pairs)}") from None
-        except TypeError:
-            raise ValidationError(f"pair entries must be integers: {tuple(pairs)}") from None
+        """The pairing of size points, by default twice the pair count, that swaps the two entries of each pair."""
+        pairs = _int_pairs(pairs, None if size is None else checked_index(size, "size"))
+        images = list(range(2 * len(pairs) if size is None else size))
+        for a, b in pairs:
+            images[a], images[b] = b, a
         return cls(tuple(images))
 
     @property
@@ -133,19 +150,11 @@ class PartialPairing:
 
     def __post_init__(self):
         object.__setattr__(self, "n_points", checked_index(self.n_points, "n_points"))
-        try:
-            pairs = tuple(tuple(checked_index(i, "pair entry", None) for i in pair) for pair in self.pairs)
-        except TypeError:  # a pair that is not a sequence, as in a flat (0, 1)
-            raise ValidationError(f"pairs need two entries each: {self.pairs}") from None
-        if any(len(pair) != 2 for pair in pairs):
-            raise ValidationError(f"pairs need two entries each: {pairs}")
-        norm = tuple(sorted(tuple(sorted(pair)) for pair in pairs))
+        norm = tuple(sorted(tuple(sorted(pair)) for pair in _int_pairs(self.pairs, self.n_points)))
         object.__setattr__(self, "pairs", norm)
         support = [i for p in norm for i in p]
         if len(set(support)) != len(support):
             raise ValidationError(f"pairs are not disjoint: {norm}")
-        if support and (min(support) < 0 or max(support) >= self.n_points):
-            raise ValidationError(f"pair entries outside 0..{self.n_points - 1}: {norm}")
 
     @property
     def singles(self) -> tuple[int, ...]:
@@ -200,22 +209,24 @@ def enumerate_pairings(m: int) -> tuple[Pairing, ...]:
 # The recursive enumerations (_matchings and _partitions_below) are
 # module-level generators: a nested recursive closure refers to itself, and
 # each call would leave that reference cycle to the cyclic collector.
-def _matchings(points):
-    """Perfect matchings of the points as pair tuples, the first point's partner ascending."""
+def _matchings(points, images):
+    """Every perfect matching of the points as an image tuple, the first point's partner ascending.
+
+    Each matching is written into the list images, whose other entries are kept.
+    """
     if not points:
-        yield ()
+        yield tuple(images)
         return
     a = points[0]
     for idx in range(1, len(points)):
         b = points[idx]
-        rest = points[1:idx] + points[idx + 1:]
-        for sub in _matchings(rest):
-            yield ((a, b),) + sub
+        images[a], images[b] = b, a
+        yield from _matchings(points[1:idx] + points[idx + 1:], images)
 
 
 @lru_cache(maxsize=None)  # one entry per m <= 6 under the enumeration cap
 def _enumerate_pairings(m: int) -> tuple[Pairing, ...]:
-    return tuple(Pairing.from_pairs(p) for p in _matchings(tuple(range(2 * m))))
+    return tuple(Pairing(images) for images in _matchings(tuple(range(2 * m)), [0] * (2 * m)))
 
 
 def length(sigma: Permutation) -> int:
@@ -503,16 +514,10 @@ def min_transverse_distance(beta: Pairing) -> tuple[int, list[Pairing]]:
     q = beta.size // 2
     if q > TRANSVERSE_BRUTE_CAP:
         raise EnumerationLimitError(f"transverse brute force needs q = pr <= {TRANSVERSE_BRUTE_CAP}, got {q}")
-    best = None
-    minimizers: list[Pairing] = []
-    for tau in transverse_pairings(q):
-        dist = 2 * (q - connected_components(tau, beta))  # |tau beta|: 2q less the product's 2cc cycles
-        if best is None or dist < best:
-            best = dist
-            minimizers = [tau]
-        elif dist == best:
-            minimizers.append(tau)
-    return best, minimizers
+    # |tau beta|: 2q less the product's 2cc cycles
+    dists = {tau: 2 * (q - connected_components(tau, beta)) for tau in transverse_pairings(q)}
+    best = min(dists.values())
+    return best, [tau for tau, dist in dists.items() if dist == best]
 
 
 def _check_partial_count(points: int) -> int:

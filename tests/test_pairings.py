@@ -124,11 +124,20 @@ SIZE_REFUSALS = {
     # malformed entries once reached Python's indexing or iteration and raised a bare TypeError
     "partial-pairs-flat": (lambda: PartialPairing(2, (0, 1)), "pairs need two entries each: (0, 1)"),
     "pairing-pairs-flat": (lambda: Pairing.from_pairs([0, 1], 2), "pairs need two entries each: [0, 1]"),
-    "pairing-pair-entry-float": (
-        lambda: Pairing.from_pairs([(0, 1.0)], 2), "pair entries must be integers: ((0, 1.0),)"
-    ),
+    "pairing-pair-entry-float": (lambda: Pairing.from_pairs([(0, 1.0)], 2), "pair entry must be an integer, got 1.0"),
     "pairing-size-float": (lambda: Pairing.from_pairs([(0, 1)], 2.5), "size must be an integer, got 2.5"),
-    "pairing-images-float": (lambda: Pairing((1, 0.0)), "pairing images must be integers: (1, 0.0)"),
+    "pairing-images-float": (lambda: Pairing((1, 0.0)), "permutation image must be an integer, got 0.0"),
+    # entries that once slipped past the check made by indexing with them: a bool indexes a tuple, -1 reads
+    # from the end, and a bare permutation was never indexed with its images at all
+    "pairing-images-bool": (lambda: Pairing((True, False)), "permutation image must be an integer, got True"),
+    "pairing-pair-entry-bool": (lambda: Pairing.from_pairs([(0, True)], 2), "pair entry must be an integer, got True"),
+    "pairing-pair-negative": (lambda: Pairing.from_pairs([(0, -1)], 2), "pair entries outside 0..1: ((0, -1),)"),
+    "permutation-images-float": (lambda: Permutation((1, 0.0)), "permutation image must be an integer, got 0.0"),
+    "permutation-images-string": (lambda: Permutation(("a", 0)), "permutation image must be an integer, got 'a'"),
+    "permutation-not-a-sequence": (lambda: Permutation(5), "not a sequence of integers: 5"),
+    "compose-not-a-permutation": (
+        lambda: Permutation((0, 1)).compose((0, 1)), "compose needs a Permutation, got (0, 1)"
+    ),
     "box-label-range": (lambda: box_index(2, 0, 0, 2, 1), "box label (2, 0, 0) out of range for p=2, r=1"),
     # box_index once computed with a float label: 2.0 and 1.0 here
     "box-copy-float": (lambda: box_index(0.5, 0, 0, 1, 2), "i must be an integer, got 0.5"),
@@ -180,6 +189,16 @@ class TestPermutationBasics:
     def test_pairing_rejects_fixed_points(self):
         with pytest.raises(ValidationError):
             Pairing((0, 2, 1, 3))
+
+    @pytest.mark.parametrize(
+        "images", [[1, 0], (np.int64(1), np.int64(0)), np.array([1, 0])], ids=["list", "int64", "array"]
+    )
+    def test_images_are_stored_as_python_ints(self, images):
+        # a list image once stayed a list, so the pairing could not be hashed and differed from the tuple one
+        pairing = Pairing(images)
+        assert pairing == Pairing((1, 0))
+        assert hash(pairing) == hash(Pairing((1, 0)))
+        assert type(pairing.images) is tuple and [type(i) for i in pairing.images] == [int, int]
 
     def test_triangle_inequality_random_triples(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 """The public surface stays honest: __all__ resolves, no module imports a name it never uses,
-and no private function or class is left with no reader.
+no private function or class is left with no reader, and pyproject.toml names the package's
+version and a console-script entry that runs.
 
 The repo runs no linter, so these checks stand in for pyflakes' F401 and
 F822 and for a dead-code pass.  An import kept on purpose is marked
@@ -8,6 +9,7 @@ benchmark tracer: the (module, name) must be one of ``BOUNDARIES`` in
 ``perfbench/spans.py``.
 """
 import ast
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,22 @@ SOURCES = sorted(Path(orthochan.__file__).parent.glob("*.py"))
 
 def test_all_names_resolve():
     assert [name for name in orthochan.__all__ if not hasattr(orthochan, name)] == []
+
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_pyproject_version_and_console_script(capsys):
+    # the version is a copied constant that every report embeds, and no other test runs the script entry
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    assert project["version"] == orthochan.__version__
+    module, _, name = project["scripts"]["orthochan"].partition(":")
+    main = getattr(importlib.import_module(module), name)
+    with pytest.raises(SystemExit) as stop:
+        main(["--version"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == f"orthochan {orthochan.__version__}\n"
 
 
 def unused_imports(path: Path) -> list[str]:
