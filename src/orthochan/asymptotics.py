@@ -23,7 +23,6 @@ from .channels import (
     OUTPUT_TENSOR_BUDGET,
     RngStream,
     _block_columns,
-    _check_t,
     _checked_spectrum,
     _checked_state,
     input_dim,
@@ -31,7 +30,7 @@ from .channels import (
     map_ordered,
     output_state,
 )
-from .errors import InvalidStateError, OrthochanError, ValidationError, checked_index, checked_size
+from .errors import InvalidStateError, OrthochanError, ValidationError, checked_index, checked_real, checked_size
 from .moments import _infer_local_dim, f_beta
 from .pairings import PartialPairing, enumerate_partial_pairings, pairing_from_partial, wiring_sum
 from .pairings import _check_partial_count, _pair_sets
@@ -77,8 +76,7 @@ def op_R_tilde(block: PartialPairing, k: int, t: float) -> np.ndarray:
     Expanded, t^|B| sum over A in B of (-1)^(|B|-|A|) k^(|A|-r) T_A.
     Traceless except at the empty block, where the trace is one.
     """
-    k = checked_index(k, "k", 1)
-    _check_t(t)
+    k, t = checked_index(k, "k", 1), checked_real(t, "t", 0, 1)
     r, b = block.n_points, block.n_pairs
     terms = [(a, t**b * (-1) ** (b - a.n_pairs) / k ** (r - a.n_pairs)) for a in block.sub_blocks()]
     return _pattern_sum(terms, k)
@@ -89,8 +87,7 @@ def op_S_tilde(block: PartialPairing, k: int, t: float) -> np.ndarray:
 
     Expanded, sum over A in B of t^|A| (1-t)^(|B|-|A|) k^(|A|-r) T_A.
     """
-    k = checked_index(k, "k", 2)
-    _check_t(t)
+    k, t = checked_index(k, "k", 2), checked_real(t, "t", 0, 1)
     r, b = block.n_points, block.n_pairs
     terms = [(a, t**a.n_pairs * (1.0 - t) ** (b - a.n_pairs) / k ** (r - a.n_pairs)) for a in block.sub_blocks()]
     return _pattern_sum(terms, k)
@@ -119,8 +116,7 @@ def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.nd
     Equals the alternating expansion over <Q~_A, rho> S~_A by Moebius
     inversion; the two agree to float precision for any input.
     """
-    r, k = checked_index(r, "r", 1), checked_index(k, "k", 1)
-    _check_t(t)
+    r, k, t = checked_index(r, "r", 1), checked_index(k, "k", 1), checked_real(t, "t", 0, 1)
     state = np.asarray(state)
     d = _infer_local_dim(state.shape[0], r)
     _checked_state(state, d**r)
@@ -186,8 +182,7 @@ def isotropic_entropy(k: int, t: float) -> float:
     k^2 - 1: the pair projector carries eigenvalue k, so the t-part of the
     mixture contributes its full weight to the top eigenvalue.
     """
-    k = checked_index(k, "k", 2)
-    _check_t(t)
+    k, t = checked_index(k, "k", 2), checked_real(t, "t", 0, 1)
 
     def h(x: float) -> float:
         return 0.0 if x <= 0 else -x * math.log(x)
@@ -200,8 +195,7 @@ def entropy_extremal(block: PartialPairing, k: int, t: float) -> float:
 
     |B| isotropic factors plus r - 2|B| maximally mixed singles.
     """
-    k = checked_index(k, "k", 2)
-    _check_t(t)
+    k, t = checked_index(k, "k", 2), checked_real(t, "t", 0, 1)
     r = block.n_points
     return block.n_pairs * isotropic_entropy(k, t) + (r - 2 * block.n_pairs) * math.log(k)
 
@@ -225,7 +219,7 @@ class ConvexBody:
 
 def convex_body(r: int, k: int, t: float) -> ConvexBody:
     """Build the body for given (r, k, t); vertex order is the canonical block order."""
-    r = checked_index(r, "r", 1)
+    r, k, t = checked_index(r, "r", 1), checked_index(k, "k", 2), checked_real(t, "t", 0, 1)
     blocks = tuple(enumerate_partial_pairings(r))
     checked_size(
         len(blocks) * k ** (2 * r), OUTPUT_TENSOR_BUDGET, f"convex body needs {len(blocks)} vertices x k^(2r)"
@@ -252,7 +246,10 @@ def project_to_body(x: np.ndarray, body: ConvexBody) -> BodyProjection:
     where that solution leaves the simplex and drops the vertex reached.  Returns
     once w >= 0, sum w = 1 and min g >= w.g - KKT_TOL (1 + |X|^2); raises after V^2 steps.
     """
-    x = np.asarray(x, dtype=complex)
+    try:
+        x = np.asarray(x, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValidationError(f"need a finite {body.vertices.shape[1:]} matrix, got {x!r}") from None
     target = x.reshape(-1).view(float)
     slack = KKT_TOL * (1.0 + target @ target)  # bounds |G| and |b| (every |S_i| <= 1); not finite unless x is
     if x.shape != body.vertices.shape[1:] or not math.isfinite(slack):

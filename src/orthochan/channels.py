@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OUTPUT_TENSOR_BUDGET, InvalidStateError, ValidationError, checked_index, checked_size
+from .errors import OUTPUT_TENSOR_BUDGET, InvalidStateError, ValidationError, checked_index, checked_real, checked_size
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -68,6 +68,7 @@ class ChannelSpec:
     isometry: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "t", checked_real(self.t, "t", 0, 1))
         if self.isometry.shape != (self.k * self.n, self.d):
             raise ValidationError(
                 f"isometry has shape {self.isometry.shape}, expected ({self.k * self.n}, {self.d})"
@@ -120,26 +121,16 @@ def _checked_spectrum(rho: np.ndarray, vectors: bool = False):
     return eigs, vecs
 
 
-def _check_t(t: float) -> None:
-    if not 0.0 <= t <= 1.0:  # NaN fails both comparisons
-        raise ValidationError(f"t must lie in [0, 1], got {t}")
-
-
 def input_dim(k: int, n: int, t: float) -> int:
-    """Channel input dimension d = floor(t*k*n); raise unless k and n are integers >= 1, 1 <= d <= kn and t <= 1."""
+    """Channel input dimension d = floor(t*k*n) for integers k, n >= 1 with kn <= 10^11 and t in [0, 1]; d < 1 raises."""
     k, n = checked_index(k, "k", 1), checked_index(n, "n", 1)
-    if not math.isfinite(t * k * n):  # floor would raise ValueError or OverflowError
-        raise ValidationError(f"t*k*n must be finite, got t={t}, k={k}, n={n}")
+    t = checked_real(t, "t", 0, 1)
+    checked_index(k * n, "kn", 1, 10**11)  # so the round-off lift below stays under 0.1 and d <= kn
     d = math.floor(t * k * n * (1 + 1e-12))  # lifted over round-off: 0.3*3*30 = 26.999999999999996
     if d < 1:
         raise ValidationError(
             f"floor(t*k*n) = {d} is degenerate at t={t}, k={k}, n={n}; need t*k*n >= 1"
         )
-    if d > k * n:
-        raise ValidationError(
-            f"floor(t*k*n) = {d} exceeds kn = {k * n} at t={t}, k={k}, n={n}; need t <= 1"
-        )
-    _check_t(t)  # floor(t*k*n) <= kn also admits t up to (kn + 1) / kn
     return d
 
 

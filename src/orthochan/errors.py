@@ -3,6 +3,8 @@
 Exit codes follow the CLI contract: 2 for validation problems, 3 for
 exceeded enumeration/memory budgets, 4 for verification failures.
 """
+import math
+import numbers
 import operator
 
 # max entries of a dense array sized by caller arguments, checked by checked_size before it is allocated
@@ -52,6 +54,24 @@ def checked_index(value, what: str, least: int | None = 0, most: int | None = No
     if most is not None and index > most:
         raise ValidationError(f"{what} must be <= {most}, got {value}")
     return index
+
+
+def checked_real(value, what: str, least: float, most: float, exclusive: bool = False) -> float:
+    """value as a finite float in [least, most], or in (least, most) if exclusive; never clamped.
+
+    A bool, string, complex, array or other non-real raises, and so does NaN,
+    an infinity or an integer beyond the float range.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # a bool is a numbers.Real
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an integer beyond the float range
+        real = math.inf
+    if not (math.isfinite(real) and (least < real < most if exclusive else least <= real <= most)):
+        left, right = "()" if exclusive else "[]"
+        raise ValidationError(f"{what} must lie in {left}{least}, {most}{right}, got {value}")
+    return real
 
 
 def checked_size(entries: int, budget: int, what: str) -> int:

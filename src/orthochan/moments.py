@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import _check_t, _checked_state, input_dim
-from .errors import BudgetError, EnumerationLimitError, ValidationError, checked_index, checked_size
+from .channels import _checked_state, input_dim
+from .errors import BudgetError, EnumerationLimitError, ValidationError, checked_index, checked_real, checked_size
 from .pairings import (
     PAIR_LISTING_HALF_SIZE_CAP,
     PAIRING_HALF_SIZE_CAP,
@@ -75,14 +75,17 @@ def f_beta(beta: Pairing, state: np.ndarray, p: int, budget: int = CONTRACTION_B
 
     Never materializes the pattern matrix: each pair of beta identifies two
     state legs, leaving one free index per pair, and the d^(pr)-point sum is
-    delegated to einsum.  The modulus is bounded by d^bumps(beta).  Unchecked:
-    callers check the state once (channels._checked_state), this runs per orbit.
+    delegated to einsum.  The modulus is bounded by d^bumps(beta).  Only the
+    state's shape is checked: callers check its entries once
+    (channels._checked_state), and this runs per orbit.
     """
     p, budget = checked_index(p, "p", 1), checked_index(budget, "budget", 1, CONTRACTION_HARD_BUDGET)
     if beta.size % (2 * p) != 0:
         raise ValidationError(f"pairing size {beta.size} is not a multiple of 2p = {2 * p}")
     r = beta.size // (2 * p)
     state = np.asarray(state)
+    if state.ndim not in (1, 2) or state.shape != state.shape[:1] * state.ndim:
+        raise ValidationError(f"state must be a vector or a square matrix, got shape {state.shape}")
     total = state.shape[0]
     d = _infer_local_dim(total, r)
     checked_size(d ** (p * r), budget, "f_beta contraction needs d^(pr)")
@@ -331,18 +334,15 @@ def asymptotic_trace_moment(
     missing blocks count as zero.
     """
     _, gamma = delta_gamma(p, r)  # checks p and r
-    k = checked_index(k, "k", 1)
-    _check_t(t)
+    k, t = checked_index(k, "k", 1), checked_real(t, "t", 0, 1)
+    weights = {}
     for block, value in g.items():
-        if block.n_points != p * r:
-            raise ValidationError(
-                f"g key on {block.n_points} cells, expected pr = {p * r}"
-            )
-        if not -G_WEIGHT_SLACK <= value <= 1 + G_WEIGHT_SLACK:
-            raise ValidationError(f"g value {value} for {block.pairs} outside [0, 1]")
+        if not isinstance(block, PartialPairing) or block.n_points != p * r:
+            raise ValidationError(f"g key {block!r} is not a partial pairing of the pr = {p * r} cells")
+        weights[block] = checked_real(value, f"g weight of {block.pairs}", -G_WEIGHT_SLACK, 1 + G_WEIGHT_SLACK)
     total = 0.0
     for sub, block in dominant_pairs(p, r, inward_only=(p <= 2)):
-        weight = g.get(block, 0.0)
+        weight = weights.get(block, 0.0)
         if weight == 0.0:
             continue
         alpha = pairing_from_partial(sub)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError, checked_index
+from .errors import ValidationError, checked_index, checked_real
 from .pairings import (
     Pairing,
     _type_representatives,
@@ -54,8 +54,8 @@ class WeingartenTable:
 
 def gram_matrix(m: int, n: float) -> np.ndarray:
     """Loop-counting Gram matrix with entries n^connected_components(a, b)."""
-    types = coset_types(m)
-    return (float(n) ** type_lengths(m))[types]
+    n = checked_real(n, "dimension parameter", 0, math.inf, exclusive=True)
+    return (n ** type_lengths(m))[coset_types(m)]
 
 
 def _class_pseudo_inverse(m: int, gram_row: np.ndarray) -> tuple[np.ndarray, int]:
@@ -108,15 +108,10 @@ def _build_table(m: int, n: float) -> WeingartenTable:
     return WeingartenTable(m=m, n=n, coefficients=coeff, rank=rank, singular=singular)
 
 
-def _check_dimension(n: float) -> None:
-    if not 0 < n < math.inf:  # NaN fails both comparisons
-        raise ValidationError(f"dimension parameter must be finite and positive, got {n}")
-
-
 def wg_exact(m: int, n: float) -> WeingartenTable:
     """Exact Weingarten table, cached per (m, n)."""
-    _check_dimension(n)
-    return _build_table(checked_index(m, "m", 1), float(n))
+    n = checked_real(n, "dimension parameter", 0, math.inf, exclusive=True)
+    return _build_table(checked_index(m, "m", 1), n)
 
 
 def wg_asymptotic(alpha: Pairing, beta: Pairing, n: float) -> float:
@@ -125,9 +120,9 @@ def wg_asymptotic(alpha: Pairing, beta: Pairing, n: float) -> float:
     mobius is never 0, so a value that overflows or underflows to 0 is not
     representable and raises ValidationError.
     """
-    _check_dimension(n)
+    n = checked_real(n, "dimension parameter", 0, math.inf, exclusive=True)
     try:
-        value = float(n) ** (connected_components(alpha, beta) - alpha.size) * mobius(alpha, beta)
+        value = n ** (connected_components(alpha, beta) - alpha.size) * mobius(alpha, beta)
     except OverflowError:  # the power raises; the product overflows to inf instead
         value = math.inf
     if value == 0 or math.isinf(value):
@@ -142,7 +137,7 @@ def integrate_monomial(index_rows, n: float) -> float:
     degrees integrate to zero; even degrees are the double pairing sum of
     row/column delta constraints, counted per coset type, against the table.
     """
-    _check_dimension(n)  # also for odd and empty products, which need no table
+    n = checked_real(n, "dimension parameter", 0, math.inf, exclusive=True)  # odd and empty products too
     rows = [tuple(rc) for rc in index_rows]
     if any(len(rc) != 2 for rc in rows):
         raise ValidationError(f"each factor needs one (row, column) index pair, got {rows}")

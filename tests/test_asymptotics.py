@@ -163,16 +163,6 @@ class TestOperatorFamily:
         total = sum(op_Q_tilde(block, d) for block in enumerate_partial_pairings(r))
         assert np.max(np.abs(total - np.eye(d**r))) < 1e-12
 
-    def test_q_spectrum_approaches_projector_set(self):
-        dists = []
-        for d in (4, 8, 12):
-            worst = 0.0
-            for block in enumerate_partial_pairings(3):
-                eigs = np.linalg.eigvalsh(op_Q_tilde(block, d))
-                worst = max(worst, float(np.max(np.minimum(np.abs(eigs), np.abs(eigs - 1)))))
-            dists.append(worst)
-        assert dists[0] > dists[1] > dists[2]
-
     @pytest.mark.parametrize("r", range(9))
     def test_q_terms_list_the_blocks_containing_the_given_one(self, r):
         blocks = enumerate_partial_pairings(r)

@@ -1,11 +1,13 @@
 import functools
 import itertools
+import math
 import os
 import re
 import resource
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +38,19 @@ from orthochan.asymptotics import (
     bell_input,
     bell_state_vector,
     convergence_experiment,
+    convex_body,
+    entropy_extremal,
+    isotropic_entropy,
     maximal_block,
     mean_output_asymptotic,
+    op_R_tilde,
+    op_S_tilde,
     op_T,
+    project_to_body,
     von_neumann_entropy,
 )
 from orthochan.errors import BudgetError, InvalidStateError, ValidationError, checked_size
-from orthochan.moments import exact_trace_moment, f_beta, wiring_matrix
+from orthochan.moments import G_WEIGHT_SLACK, asymptotic_trace_moment, exact_trace_moment, f_beta, wiring_matrix
 from orthochan.pairings import (
     PartialPairing,
     delta_gamma,
@@ -51,7 +59,7 @@ from orthochan.pairings import (
     enumerate_partial_pairings,
     wiring_offsets,
 )
-from orthochan.weingarten import integrate_monomial, wg_exact
+from orthochan.weingarten import gram_matrix, integrate_monomial, wg_asymptotic, wg_exact
 
 
 class TestRngStream:
@@ -251,7 +259,40 @@ INTEGER_ARGUMENTS = {
     "dominant-pairs-r0": (lambda: dominant_pairs(1, 0), "^r must be >= 1, got 0$"),
     "bell-vector-no-points": (lambda: bell_state_vector(PartialPairing(0, ()), 2), "^r must be >= 1, got 0$"),
     "bell-input-no-points": (lambda: bell_input(PartialPairing(0, ()), 2), "^r must be >= 1, got 0$"),
+    # the body was sized by k ** (2 * r) before k was read: a TypeError
+    "body-k-string": (lambda: convex_body(2, "a", 0.5), "^k must be an integer, got 'a'$"),
+    "experiment-k-string": (
+        lambda: convergence_experiment("bell", 2, "a", 0.5, (8,), 2, 0), "^k must be an integer, got 'a'$"
+    ),
 }
+
+# every public real argument, read by errors.checked_real where it enters: a
+# call on the value, the argument's name, its bounds and a value beyond them
+_ONE_PAIR = PartialPairing(2, ((0, 1),))
+_WG_PAIR = enumerate_pairings(1)[0]
+REAL_ARGUMENTS = {
+    "input-dim-t": (lambda t: input_dim(2, 3, t), "t", "[0, 1]", 1.5),
+    "channel-spec-t": (lambda t: ChannelSpec(2, 2, t, 2, np.zeros((4, 2))), "t", "[0, 1]", -0.5),
+    "op-R-tilde-t": (lambda t: op_R_tilde(_ONE_PAIR, 2, t), "t", "[0, 1]", 1.5),
+    "op-S-tilde-t": (lambda t: op_S_tilde(_ONE_PAIR, 2, t), "t", "[0, 1]", 1.5),
+    "mean-output-asymptotic-t": (lambda t: mean_output_asymptotic(np.eye(4) / 4, 2, 2, t), "t", "[0, 1]", 1.5),
+    "isotropic-entropy-t": (lambda t: isotropic_entropy(2, t), "t", "[0, 1]", 1.05),
+    "entropy-extremal-t": (lambda t: entropy_extremal(_ONE_PAIR, 2, t), "t", "[0, 1]", -0.1),
+    "asymptotic-moment-t": (lambda t: asymptotic_trace_moment(1, 2, 2, t, {}), "t", "[0, 1]", 1.5),
+    "g-weight": (
+        lambda w: asymptotic_trace_moment(1, 2, 2, 0.5, {_ONE_PAIR: w}),
+        "g weight of ((0, 1),)",
+        f"[{-G_WEIGHT_SLACK}, {1 + G_WEIGHT_SLACK}]",
+        1.5,
+    ),
+    "wg-exact-n": (lambda n: wg_exact(2, n), "dimension parameter", "(0, inf)", 0.0),
+    "wg-asymptotic-n": (lambda n: wg_asymptotic(_WG_PAIR, _WG_PAIR, n), "dimension parameter", "(0, inf)", -2.0),
+    "integrate-monomial-n": (lambda n: integrate_monomial([(0, 0)], n), "dimension parameter", "(0, inf)", 0.0),
+    "gram-matrix-n": (lambda n: gram_matrix(2, n), "dimension parameter", "(0, inf)", -1.0),
+}
+# a bool once counted as 1 or 0, an array or a string reached a comparison or numpy
+NON_REALS = {"bool": True, "string": "0.5", "complex": 0.5 + 0j, "array": np.array([0.5])}
+NON_FINITE = {"nan": float("nan"), "inf": float("inf")}
 
 # a shape, size or grid that does not fit, refused before any work on it
 SHAPE_REFUSALS = {
@@ -288,6 +329,21 @@ SHAPE_REFUSALS = {
     "f-beta-size": (
         lambda: f_beta(delta_gamma(1, 3)[0], np.eye(8) / 8, 2), ValidationError, "size 6 is not a multiple of 2p = 4"
     ),
+    # these three once raised numpy's ValueError from a reshape or a complex
+    # conversion, and an AttributeError from reading n_points off a string
+    "f-beta-state-ndim": (
+        lambda: f_beta(delta_gamma(1, 1)[0], np.zeros((2, 2, 2)), 1),
+        ValidationError,
+        "state must be a vector or a square matrix, got shape (2, 2, 2)",
+    ),
+    "projection-string": (
+        lambda: project_to_body("x", convex_body(1, 2, 0.5)), ValidationError, "need a finite (2, 2) matrix, got 'x'"
+    ),
+    "g-key-not-a-block": (
+        lambda: asymptotic_trace_moment(1, 2, 2, 0.5, {"x": 0.5}),
+        ValidationError,
+        "g key 'x' is not a partial pairing of the pr = 2 cells",
+    ),
 }
 
 
@@ -314,25 +370,16 @@ class TestChannelConstruction:
         assert input_dim(2, 4, 1.0) == 8
         with pytest.raises(ValidationError, match="is degenerate"):
             input_dim(2, 1, 0.2)
-        # d = 12 > kn = 8: no isometry, so no engine may take the input
-        with pytest.raises(ValidationError, match="exceeds kn = 8"):
-            input_dim(2, 4, 1.5)
-        with pytest.raises(ValidationError, match="exceeds kn = 8"):
-            exact_trace_moment(2, 1, 2, 4, 1.5, np.eye(12)[0])
-        # floor(1.05 * 8) = 8 = kn, so only the t rule stops t just above 1
-        for call in (
-            lambda: input_dim(2, 4, 1.05),
-            lambda: make_channel(2, 4, 1.05, RngStream(0)),
-            lambda: exact_trace_moment(2, 1, 2, 4, 1.05, np.eye(8)[0]),
-        ):
-            with pytest.raises(ValidationError, match=r"t must lie in \[0, 1\], got 1.05"):
-                call()
-        # math.floor raises ValueError at NaN and OverflowError at infinity
-        for t in (float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ValidationError, match="must be finite"):
-                input_dim(2, 3, t)
-            with pytest.raises(ValidationError, match="must be finite"):
-                exact_trace_moment(2, 1, 2, 3, t, np.eye(3) / 3)
+        # t is read before t*k*n is formed: d = 12 > kn = 8 at t = 1.5, and
+        # floor(1.05 * 8) = 8 = kn; math.floor raises at NaN and at infinity
+        for t in (1.5, 1.05, float("nan"), float("inf"), -float("inf")):
+            for call in (
+                lambda: input_dim(2, 4, t),
+                lambda: make_channel(2, 4, t, RngStream(0)),
+                lambda: exact_trace_moment(2, 1, 2, 4, t, np.eye(8)[0]),
+            ):
+                with pytest.raises(ValidationError, match=rf"^t must lie in \[0, 1\], got {t}$"):
+                    call()
 
     @pytest.mark.parametrize("call, error, message", SHAPE_REFUSALS.values(), ids=SHAPE_REFUSALS.keys())
     def test_shape_refusals(self, call, error, message):
@@ -345,11 +392,44 @@ class TestChannelConstruction:
         with pytest.raises(ValidationError, match=message):
             call()
 
+    @pytest.mark.parametrize("kind", [*NON_REALS, *NON_FINITE, "outside"])
+    @pytest.mark.parametrize("call, what, bounds, outside", REAL_ARGUMENTS.values(), ids=REAL_ARGUMENTS.keys())
+    def test_real_arguments_raise_validation_error(self, call, what, bounds, outside, kind):
+        if kind in NON_REALS:
+            value = NON_REALS[kind]
+            message = f"{what} must be a real number, got {value!r}"
+        else:
+            value = NON_FINITE.get(kind, outside)
+            message = f"{what} must lie in {bounds}, got {value}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(value)
+
     @pytest.mark.parametrize("k, n, t, d", [(3, 30, 0.3, 27), (2, 45, 0.7, 63), (3, 60, 0.15, 27)])
     def test_input_dim_survives_round_off(self, k, n, t, d):
         # t*k*n lands just under d in floating point, e.g. 0.3*3*30 = 26.999999999999996
         assert t * k * n < d
         assert input_dim(k, n, t) == d
+
+    def test_input_dim_at_one_third(self):
+        # (1/3)*3 rounds to 1.0, while the float 1/3 times 3 is just under 1
+        assert Fraction(1 / 3) * 3 < 1
+        assert input_dim(3, 1, 1 / 3) == 1
+
+    def test_input_dim_is_the_floor_at_hundredths(self):
+        for k, n, i in itertools.product(range(1, 7), range(1, 201), range(1, 101)):
+            d = math.floor(Fraction(i, 100) * k * n)
+            if d >= 1:
+                assert input_dim(k, n, i / 100) == d, (k, n, i)
+            else:
+                with pytest.raises(ValidationError, match="is degenerate"):
+                    input_dim(k, n, i / 100)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    def test_input_dim_refuses_kn_beyond_its_round_off_range(self, t):
+        # the relative 1e-12 lift once read floor(0.5 * 2e12) as 10**12 + 1
+        with pytest.raises(ValidationError, match=r"^kn must be <= 100000000000, got 2000000000000$"):
+            input_dim(2, 10**12, t)
+        assert input_dim(2, 5 * 10**10, t) == int(t * 10**11)
 
     def test_input_dim_at_half_is_kn_over_two(self):
         assert [input_dim(2, n, 0.5) for n in range(1, 257)] == list(range(1, 257))

@@ -357,7 +357,7 @@ MALFORMED = [
     ("wg-leading-order-underflow", ["wg", "--m", "2", "--n", "1e120"]),
 ]
 
-# t is refused by the library's one rule (channels.input_dim and _check_t), with its message
+# t is refused by the library's one rule (errors.checked_real), with one message on every subcommand
 _T_ARGS = {
     "moment": ["moment", "--p", "2", "--r", "1", "--k", "2", "--n", "3", "--input", "mixed"],
     "simulate": ["simulate", "--p", "2", "--r", "1", "--k", "2", "--n", "3", "--samples", "4"],
@@ -367,13 +367,17 @@ T_REFUSALS = [
     (command, t, message)
     for command in ("moment", "simulate", "experiment")
     for t, message in (
-        ("1.5", "floor(t*k*n) = 9 exceeds kn = 6 at t=1.5, k=2, n=3; need t <= 1"
-         if command != "experiment" else "t must lie in [0, 1], got 1.5"),
-        ("nan", "t*k*n must be finite, got t=nan, k=2, n=3"
-         if command != "experiment" else "t must lie in [0, 1], got nan"),
+        ("1.5", "t must lie in [0, 1], got 1.5"),
+        ("nan", "t must lie in [0, 1], got nan"),
         ("0", "floor(t*k*n) = 0 is degenerate at t=0.0, k=2, n=3; need t*k*n >= 1"),
     )
 ]
+# a kn beyond input_dim's round-off range once ended in an OverflowError traceback
+_HUGE = 10**400
+HUGE_DIMENSIONS = {
+    "moment-k": ["moment", "--p", "1", "--r", "1", "--k", str(_HUGE), "--n", "2", "--t", "0.5"],
+    "simulate-n": ["simulate", "--p", "1", "--r", "1", "--k", "2", "--n", str(_HUGE), "--t", "0.5", "--samples", "4"],
+}
 
 
 class TestExitCodes:
@@ -392,6 +396,12 @@ class TestExitCodes:
         code = main([*_T_ARGS[command], "--t", t])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", HUGE_DIMENSIONS.values(), ids=HUGE_DIMENSIONS.keys())
+    def test_kn_beyond_the_round_off_range_exits_2(self, capsys, argv):
+        code = main(argv)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: kn must be <= 100000000000, got {2 * _HUGE}\n"
 
     @pytest.mark.parametrize("command", ["moment", "simulate", "experiment", "body"])
     def test_t_one_runs(self, capsys, command):
