@@ -22,7 +22,7 @@ import numpy as np
 from .channels import (
     OUTPUT_TENSOR_BUDGET,
     RngStream,
-    _block_columns,
+    _checked_rule,
     _checked_spectrum,
     _checked_state,
     input_dim,
@@ -284,15 +284,6 @@ def maximal_block(r: int) -> PartialPairing:
     return PartialPairing(r, tuple((2 * j, 2 * j + 1) for j in range(r // 2)))
 
 
-_INPUT_RULES = ("bell", "product")
-
-
-def _checked_rule(rule: str) -> str:
-    if rule not in _INPUT_RULES:
-        raise ValidationError(f"unknown input rule {rule!r}; use {' or '.join(_INPUT_RULES)}")
-    return rule
-
-
 def experiment_input(rule: str, r: int, d: int) -> np.ndarray:
     """Input state for a convergence run: Bell-product or basis product."""
     r = checked_index(r, "r", 1)
@@ -332,26 +323,27 @@ def convergence_experiment(
 ) -> ExperimentResult:
     """Distances to the body and output entropies over independent channel draws.
 
-    Draw s of grid point index g uses random stream (seed, g*samples + s), so
-    the result table is reproducible and thread-count independent.
+    Each draw's output is output_state(spec, r, input_rule), the Kronecker
+    product of the rule's pair and single-point outputs: no d^r input, no
+    eigh and no lift through (kn)^r.  Every grid point's Haar draw and d are
+    checked before the first draw.  Draw s of grid point index g uses random
+    stream (seed, g*samples + s), so the result table is reproducible and
+    independent of the worker and BLAS thread counts.
     """
     _checked_rule(input_rule)  # before the body and the grid are sized by it
     n_grid = tuple(checked_index(n, "n", 1) for n in n_grid)
     samples = checked_index(samples, "samples", 1)
     if not n_grid:
         raise ValidationError("need a nonempty n grid")
-    body = convex_body(r, k, t)
-    power = 2 * r if input_rule == "bell" and r % 2 else r  # an odd-r Bell input is a d^r x d^r matrix
-    for n in n_grid:  # size every draw, lift and input state before any is built
+    body = convex_body(r, k, t)  # sizes the k^(2r) outputs too
+    for n in n_grid:  # size every draw and refuse a degenerate d before any is built
         checked_size((k * n) ** 2, OUTPUT_TENSOR_BUDGET, "a Haar draw needs dim^2")
-        _block_columns(k, n, r)
-        checked_size(input_dim(k, n, t) ** power, OUTPUT_TENSOR_BUDGET, f"the input state needs d^{power}")
-    states = [experiment_input(input_rule, r, input_dim(k, n, t)) for n in n_grid]
+        input_dim(k, n, t)
 
     def draw(job):
         gi, s = job
         spec = make_channel(k, n_grid[gi], t, RngStream(seed, gi * samples + s))
-        z = output_state(spec, r, states[gi])
+        z = output_state(spec, r, input_rule)
         proj = project_to_body(z, body)
         return proj.distance, von_neumann_entropy(z), proj.converged, proj.iterations
 

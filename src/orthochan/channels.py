@@ -29,6 +29,7 @@ EIGENWEIGHT_CUTOFF = 1e-12  # eigenvectors of a density matrix kept as input com
 THREADS_ENV_VAR = "ORTHOCHAN_THREADS"
 MAX_THREADS = 256  # largest ORTHOCHAN_THREADS accepted: a pool starts up to one thread per queued job
 STREAM_LIMIT = 2**64  # streams _stream_keys addresses: indices of one or two 32-bit spawn words
+_INPUT_RULES = ("bell", "product")  # inputs named by rule: Bell pairs on maximal_block(r), or e_0 on every copy
 
 # numpy's SeedSequence hash constants, reproduced by _stream_keys
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -265,11 +266,6 @@ def _state_components(state: np.ndarray, dim: int) -> np.ndarray:
     return factor if np.any(factor.imag) else factor.real
 
 
-def _block_columns(k: int, n: int, r: int) -> int:
-    """Factor columns lifted at once, so (kn)^r x columns stays within OUTPUT_TENSOR_BUDGET."""
-    return OUTPUT_TENSOR_BUDGET // checked_size((k * n) ** r, OUTPUT_TENSOR_BUDGET, "lifted state tensor needs (kn)^r")
-
-
 def _lift(r: int, k: int, n: int, d: int, state: np.ndarray) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
     """Chunk size and lift(v) -> outputs (B, k^r, k^r) of the r-th channel power for isometries v (B, kn, d).
 
@@ -277,13 +273,14 @@ def _lift(r: int, k: int, n: int, d: int, state: np.ndarray) -> tuple[int, Calla
     applied to one leg of F at a time and the lifted leg moved to the back, so
     V^(tensor r) is never formed.  F's column axis rides along as one more
     ancilla leg: with L of shape (B, k^r, C n^r), output legs by ancilla legs,
-    Z = L L^H traces out the ancilla and sums the components.  F is lifted
-    _block_columns columns at a time; real factors stay in float64.
+    Z = L L^H traces out the ancilla and sums the components.  F is lifted in
+    blocks of columns, so (kn)^r x columns stays within OUTPUT_TENSOR_BUDGET;
+    real factors stay in float64.
     """
     r = checked_index(r, "r", 1)
-    cols = _block_columns(k, n, r)
+    per_column = checked_size((k * n) ** r, OUTPUT_TENSOR_BUDGET, "lifted state tensor needs (kn)^r")
     factor = _state_components(state, d**r)
-    cols = min(cols, factor.shape[1])
+    cols = min(OUTPUT_TENSOR_BUDGET // per_column, factor.shape[1])
     # after r lifts the legs are (C, k_1, n_1, ..., k_r, n_r); put the k legs first
     order = [0] + [2 + 2 * x for x in range(r)] + [1] + [3 + 2 * x for x in range(r)]
 
@@ -300,8 +297,48 @@ def _lift(r: int, k: int, n: int, d: int, state: np.ndarray) -> tuple[int, Calla
     return _chunk_size(max((k * n) ** r * cols, (k * n) ** 2)), lift
 
 
-def output_state(spec: ChannelSpec, r: int, state: np.ndarray) -> np.ndarray:
-    """Output of the r-th tensor power on a pure vector or a density matrix."""
+def _checked_rule(rule: str) -> str:
+    """rule if it names one of _INPUT_RULES, else ValidationError."""
+    if not isinstance(rule, str) or rule not in _INPUT_RULES:
+        raise ValidationError(f"unknown input rule {rule!r}; use {' or '.join(_INPUT_RULES)}")
+    return rule
+
+
+def _rule_output(spec: ChannelSpec, r: int, rule: str) -> np.ndarray:
+    """Output of the r-th tensor power on a rule input, from its block outputs.
+
+    Phi^(tensor r)(A tensor B) = Phi^(tensor s)(A) tensor Phi^(tensor (r-s))(B),
+    so the output is the Kronecker product of one output per block, in
+    maximal_block order.  The product input gives the r-th power of u u^T,
+    u = V e_0 read as (k, n).  The Bell input puts the pair vector
+    sum_i e_i e_i / sqrt(d) on each pair and I/d on the single at odd r.
+    M = V V^T, read as (k, n, k, n), is sqrt(d) times (V tensor V) applied to
+    the pair vector, so a pair gives L L^T / d, L = M regrouped as (k^2, n^2),
+    and the single gives ptr_n(M) / d.
+    """
+    k, n, d, v = spec.k, spec.n, spec.d, spec.isometry
+    checked_size(k ** (2 * r), OUTPUT_TENSOR_BUDGET, "the output needs k^(2r)")
+    if rule == "product":
+        u = v[:, 0].reshape(k, n)
+        blocks = [u @ u.T] * r
+    else:
+        m = (v @ v.T).reshape(k, n, k, n)
+        ell = m.transpose(0, 2, 1, 3).reshape(k * k, n * n)
+        blocks = [ell @ ell.T / d] * (r // 2) + [np.einsum("imjm->ij", m) / d] * (r % 2)
+    return functools.reduce(np.kron, blocks).astype(complex)
+
+
+def output_state(spec: ChannelSpec, r: int, state: np.ndarray | str) -> np.ndarray:
+    """Output of the r-th tensor power on a pure vector, a density matrix or a rule input.
+
+    A vector or matrix on d^r goes through the lift that the Monte Carlo
+    sampler uses.  A rule name, "bell" or "product", stands for the input
+    asymptotics.experiment_input(rule, r, d) builds; its output is the
+    Kronecker product of k^2 x k^2 pair and k x k single-point outputs, so
+    no d^r input is built or lifted, and only the k^(2r) output is sized.
+    """
+    if isinstance(state, str):
+        return _rule_output(spec, checked_index(r, "r", 1), _checked_rule(state))
     _, lift = _lift(r, spec.k, spec.n, spec.d, state)
     return lift(spec.isometry[None])[0].astype(complex)
 

@@ -17,14 +17,13 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
-    _INPUT_RULES,
     convergence_experiment,
     convex_body,
     entropy_extremal,
     experiment_input,
     von_neumann_entropy,
 )
-from .channels import input_dim, mc_trace_moment
+from .channels import _INPUT_RULES, input_dim, mc_trace_moment
 from .errors import OUTPUT_TENSOR_BUDGET, BudgetError, OrthochanError, ValidationError, checked_index, checked_size
 from .moments import (
     CONTRACTION_BUDGET,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from orthochan import asymptotics
+from orthochan import asymptotics, channels
 from orthochan.asymptotics import (
     _q_terms,
     basis_product_state,
@@ -479,8 +479,8 @@ class TestConvergenceExperiment:
         with pytest.raises(ValidationError, match="r must be >= 1"):
             call()
 
-    # at odd r the Bell input is mixed: its multi-column factor is lifted in
-    # column blocks, where r = 2 lifts one pure vector
+    # at odd r the Bell output adds the single-point block to the pair blocks,
+    # and at r = 1 it is that block alone
     @pytest.mark.parametrize("r, n_grid", [(1, (4, 6)), (2, (8, 16)), (3, (4, 6))])
     def test_thread_invariance(self, monkeypatch, r, n_grid):
         monkeypatch.setenv("ORTHOCHAN_THREADS", "1")
@@ -533,19 +533,38 @@ class TestConvergenceExperiment:
             for key, value in expected.items():  # bit for bit, a signed zero included
                 assert np.float64(entry[key]).tobytes() == np.float64(value).tobytes(), key
 
-    def test_even_power_bell_inputs_minimise_entropy_at_r4(self):
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_even_power_bell_inputs_minimise_entropy_at_r4(self, n):
         # the paper's even-power claim at r = 4: Bell-product inputs reach the
         # two-isotropic-pair entropy, below product inputs (n = 8 is too small
-        # for the order to show, so the check runs at n = 16)
+        # for the order to show; at n = 128 a dense d^4 Bell input was refused)
         samples = 10
-        bell = convergence_experiment("bell", 4, 2, 0.5, (16,), samples, seed=41)
-        prod = convergence_experiment("product", 4, 2, 0.5, (16,), samples, seed=42)
+        bell = convergence_experiment("bell", 4, 2, 0.5, (n,), samples, seed=41)
+        prod = convergence_experiment("product", 4, 2, 0.5, (n,), samples, seed=42)
         h_bell = np.array([row[3] for row in bell.rows])
         h_prod = np.array([row[3] for row in prod.rows])
         pooled = math.sqrt(h_bell.var(ddof=1) / samples + h_prod.var(ddof=1) / samples)
         assert h_prod.mean() - h_bell.mean() > 3.0 * pooled
         assert abs(h_bell.mean() - 2 * isotropic_entropy(2, 0.5)) <= 0.1
         assert bell.summary[0]["unconverged"] == 0 and prod.summary[0]["unconverged"] == 0
+
+    @pytest.mark.parametrize("rule", ["bell", "product"])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_no_dense_input_lift_or_eigh_on_the_path(self, monkeypatch, rule, r):
+        def refused(*args, **kwargs):
+            raise AssertionError("the experiment built a dense input, lifted one or factored one")
+
+        monkeypatch.setattr(channels, "_lift", refused)
+        monkeypatch.setattr(asymptotics, "experiment_input", refused)
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        res = convergence_experiment(rule, r, 2, 0.5, (4, 8), samples=3, seed=2)
+        assert [row[:2] for row in res.rows] == [(n, s) for n in (4, 8) for s in range(3)]
+
+    @pytest.mark.parametrize("r, n", [(3, 32), (5, 64)])
+    def test_sizes_once_refused_for_their_dense_input_run(self, r, n):
+        # a dense odd-r Bell input of d^(2r) entries, above 2^24, refused these grid points
+        res = convergence_experiment("bell", r, 2, 0.5, (n,), samples=2, seed=0)
+        assert len(res.rows) == 2 and all(math.isfinite(row[2]) and math.isfinite(row[3]) for row in res.rows)
 
     def test_distance_decreases_with_n(self):
         res = convergence_experiment("bell", 2, 2, 0.5, (8, 32), samples=20, seed=5)
@@ -570,6 +589,11 @@ class TestConvergenceExperiment:
         # at r = 8 the body alone would be refused by the output budget
         with pytest.raises(ValidationError, match=r"^unknown input rule 'bogus'; use bell or product$"):
             convergence_experiment("bogus", r, 3, 0.5, (8,), 2, 0)
+
+    def test_rule_that_is_not_a_string_refused(self):
+        # an array once reached `in` and raised numpy's ambiguous-truth ValueError
+        with pytest.raises(ValidationError, match=r"^unknown input rule array\("):
+            convergence_experiment(np.array(["bell", "product"]), 2, 2, 0.5, (8,), 2, 0)
 
     def test_odd_r_runs(self):
         res = convergence_experiment("bell", 1, 2, 0.5, (8,), samples=4, seed=8)

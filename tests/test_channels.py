@@ -40,6 +40,7 @@ from orthochan.asymptotics import (
     convergence_experiment,
     convex_body,
     entropy_extremal,
+    experiment_input,
     isotropic_entropy,
     maximal_block,
     mean_output_asymptotic,
@@ -568,6 +569,39 @@ class TestOutputAgainstDenseReference:
             assert single.tobytes() == sampled.tobytes(), label
 
 
+class TestRuleOutputs:
+    """output_state on a rule name: the Kronecker product of the rule's block outputs."""
+
+    @pytest.mark.parametrize("rule", ["bell", "product"])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k, n", [(2, 3), (2, 5), (3, 2), (3, 4)])
+    def test_block_outputs_match_the_dense_input(self, rule, r, k, n):
+        for seed in (0, 31):
+            spec = make_channel(k, n, 0.5, RngStream(seed, r))
+            dense = output_state(spec, r, experiment_input(rule, r, spec.d))
+            blocks = output_state(spec, r, rule)
+            assert blocks.dtype == complex and blocks.shape == dense.shape == (k**r, k**r)
+            assert np.max(np.abs(blocks - dense)) < 1e-14, seed
+
+    @pytest.mark.parametrize("rule", ["bogus", "Bell", ""])
+    def test_unknown_rule_refused(self, rule):
+        spec = make_channel(2, 3, 0.5, RngStream(0))
+        message = f"^unknown input rule {re.escape(repr(rule))}; use bell or product$"
+        with pytest.raises(ValidationError, match=message):
+            output_state(spec, 2, rule)
+
+    def test_r_refused_before_the_rule(self):
+        spec = make_channel(2, 3, 0.5, RngStream(0))
+        with pytest.raises(ValidationError, match="r must be >= 1, got 0"):
+            output_state(spec, 0, "bogus")
+
+    def test_output_sized_before_it_is_built(self):
+        # k^(2r) = 2^26 at r = 13: refused before any block is multiplied out
+        spec = make_channel(2, 2, 0.5, RngStream(0))
+        with pytest.raises(BudgetError, match=f"^the output needs k\\^\\(2r\\) = {2**26} entries"):
+            output_state(spec, 13, "product")
+
+
 _BLAS_THREADS_SCRIPT = """
 import numpy as np
 from orthochan.asymptotics import convergence_experiment
@@ -587,12 +621,12 @@ def _library_env(**settings: str) -> dict[str, str]:
     return env
 
 
-def _run_with_blas_threads(threads: int) -> str:
+def _run_with_blas_threads(threads: int, script: str = _BLAS_THREADS_SCRIPT) -> str:
     env = _library_env(
         ORTHOCHAN_THREADS="1", OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads)
     )
     done = subprocess.run(
-        [sys.executable, "-c", _BLAS_THREADS_SCRIPT],
+        [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -603,6 +637,20 @@ def test_results_independent_of_blas_thread_count():
     one = _run_with_blas_threads(1)
     assert one.count("\n") == 3
     assert one == _run_with_blas_threads(2)
+
+
+_ODD_R_BLAS_SCRIPT = """
+from orthochan.asymptotics import convergence_experiment
+print(repr(convergence_experiment("bell", 3, 2, 0.5, (8,), 20, 0).rows))
+"""
+
+
+def test_odd_r_bell_experiment_independent_of_blas_thread_count():
+    # a dense odd-r Bell input was factored by eigh, whose basis of the
+    # degenerate spectrum at n = 8 moved with the BLAS thread count
+    one = _run_with_blas_threads(1, _ODD_R_BLAS_SCRIPT)
+    assert one.count("\n") == 1
+    assert one == _run_with_blas_threads(2, _ODD_R_BLAS_SCRIPT)
 
 
 _UNADDRESSABLE_SCRIPT = """
@@ -694,9 +742,6 @@ CLI_DENSE_REFUSALS = {
     "moment-mixed": (
         "moment --p 1 --r 3 --k 2 --n 100 --t 0.5 --input mixed", f"the mixed input needs d^(2r) = {10**12}"
     ),
-    "experiment-bell": (
-        "experiment --rule bell --r 3 --k 2 --t 0.5 --n 40 --samples 2", f"the input state needs d^6 = {40**6}"
-    ),
     "simulate-draw": (
         "simulate --p 1 --r 1 --k 2 --n 100000 --t 0.5 --input product --samples 2",
         f"a Haar draw needs dim^2 = {(2 * 10**5) ** 2}",
@@ -728,6 +773,14 @@ def test_oversized_dense_arrays_exit_3(command, message):
     done = _run_limited(["-m", "orthochan.cli", *command.split()])
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == f"error: {message} entries, above budget 16777216\n"
+
+
+def test_odd_r_bell_experiment_runs_without_a_dense_input():
+    # the d^6 = 40^6 input this run once needed was refused; its outputs are built from blocks now
+    command = "experiment --rule bell --r 3 --k 2 --t 0.5 --n 40 --samples 2"
+    done = _run_limited(["-m", "orthochan.cli", *command.split()])
+    assert done.returncode == 0 and "error" not in done.stderr, done.stderr
+    assert [line.split(",")[:2] for line in done.stdout.splitlines()[-2:]] == [["40", "0"], ["40", "1"]]
 
 
 def test_size_at_its_budget_is_accepted():
