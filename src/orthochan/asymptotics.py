@@ -25,6 +25,8 @@ from .channels import (
     _checked_rule,
     _checked_spectrum,
     _checked_state,
+    _haar_columns,
+    _rule_output,
     input_dim,
     make_channel,
     map_ordered,
@@ -118,7 +120,7 @@ def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.nd
     """
     r, k, t = checked_index(r, "r", 1), checked_index(k, "k", 1), checked_real(t, "t", 0, 1)
     state = np.asarray(state)
-    d = _infer_local_dim(state.shape[0], r)
+    d = _infer_local_dim(state, r)
     _checked_state(state, d**r)
     checked_size(k ** (2 * r), OUTPUT_TENSOR_BUDGET, "asymptotic mean output needs k^(2r)")
     out = np.zeros((k**r, k**r), dtype=complex)
@@ -323,12 +325,16 @@ def convergence_experiment(
 ) -> ExperimentResult:
     """Distances to the body and output entropies over independent channel draws.
 
-    Each draw's output is output_state(spec, r, input_rule), the Kronecker
-    product of the rule's pair and single-point outputs: no d^r input, no
-    eigh and no lift through (kn)^r.  Every grid point's Haar draw and d are
-    checked before the first draw.  Draw s of grid point index g uses random
-    stream (seed, g*samples + s), so the result table is reproducible and
-    independent of the worker and BLAS thread counts.
+    Each draw's output is the Kronecker product of the rule's pair and
+    single-point outputs: no d^r input, no eigh and no lift through (kn)^r.
+    A Bell draw is output_state(make_channel(...), r, "bell").  A product
+    draw reads only V e_0, so it orthogonalises only the first Gaussian
+    column, whose Q column is bit for bit that of make_channel, and hands it
+    to the same block routine as output_state(spec, r, "product").  Every
+    grid point's Haar draw and d are checked before the first draw.  Draw s
+    of grid point index g uses random stream (seed, g*samples + s), so the
+    result table is reproducible and independent of the worker and BLAS
+    thread counts.
     """
     _checked_rule(input_rule)  # before the body and the grid are sized by it
     n_grid = tuple(checked_index(n, "n", 1) for n in n_grid)
@@ -342,8 +348,12 @@ def convergence_experiment(
 
     def draw(job):
         gi, s = job
-        spec = make_channel(k, n_grid[gi], t, RngStream(seed, gi * samples + s))
-        z = output_state(spec, r, input_rule)
+        n, rng = n_grid[gi], RngStream(seed, gi * samples + s)
+        if input_rule == "product":
+            v = _haar_columns([rng.generator()], 1, k * n, 1)[0]
+            z = _rule_output(k, n, v, r, input_rule)
+        else:
+            z = output_state(make_channel(k, n, t, rng), r, input_rule)
         proj = project_to_body(z, body)
         return proj.distance, von_neumann_entropy(z), proj.converged, proj.iterations
 

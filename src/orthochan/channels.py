@@ -70,6 +70,7 @@ class ChannelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "t", checked_real(self.t, "t", 0, 1))
+        object.__setattr__(self, "isometry", np.asarray(self.isometry))
         if self.isometry.shape != (self.k * self.n, self.d):
             raise ValidationError(
                 f"isometry has shape {self.isometry.shape}, expected ({self.k * self.n}, {self.d})"
@@ -142,8 +143,9 @@ def _haar_columns(
 
     Each generator draws a full dim x dim Gaussian matrix, so the bits taken
     from a stream do not depend on cols.  Column j of Q depends only on the
-    first j+1 columns of G, so QR of the first cols columns gives the same
-    columns as a full QR, at a fraction of the cost.  Multiplying the columns
+    first j+1 columns of G, so QR of the first cols columns gives the columns
+    of a full QR at a fraction of the cost: bit for bit at cols = 1 (tested
+    against make_channel), to rounding otherwise.  Multiplying the columns
     of Q by the signs of R's diagonal is required; plain QR output is not Haar
     distributed.
     """
@@ -304,24 +306,28 @@ def _checked_rule(rule: str) -> str:
     return rule
 
 
-def _rule_output(spec: ChannelSpec, r: int, rule: str) -> np.ndarray:
+def _rule_output(k: int, n: int, v: np.ndarray, r: int, rule: str) -> np.ndarray:
     """Output of the r-th tensor power on a rule input, from its block outputs.
+
+    v holds the leading isometry columns the rule reads: at least column 0
+    for "product", and all d for "bell", which reads d from v's shape.
 
     Phi^(tensor r)(A tensor B) = Phi^(tensor s)(A) tensor Phi^(tensor (r-s))(B),
     so the output is the Kronecker product of one output per block, in
     maximal_block order.  The product input gives the r-th power of u u^T,
-    u = V e_0 read as (k, n).  The Bell input puts the pair vector
-    sum_i e_i e_i / sqrt(d) on each pair and I/d on the single at odd r.
-    M = V V^T, read as (k, n, k, n), is sqrt(d) times (V tensor V) applied to
-    the pair vector, so a pair gives L L^T / d, L = M regrouped as (k^2, n^2),
-    and the single gives ptr_n(M) / d.
+    u = V e_0 read as (k, n), copied to contiguous memory so that u u^T has
+    the same bits whichever columns came with it.  The Bell input puts the
+    pair vector sum_i e_i e_i / sqrt(d) on each pair and I/d on the single at
+    odd r.  M = V V^T, read as (k, n, k, n), is sqrt(d) times (V tensor V)
+    applied to the pair vector, so a pair gives L L^T / d, L = M regrouped as
+    (k^2, n^2), and the single gives ptr_n(M) / d.
     """
-    k, n, d, v = spec.k, spec.n, spec.d, spec.isometry
     checked_size(k ** (2 * r), OUTPUT_TENSOR_BUDGET, "the output needs k^(2r)")
     if rule == "product":
-        u = v[:, 0].reshape(k, n)
+        u = np.ascontiguousarray(v[:, 0]).reshape(k, n)
         blocks = [u @ u.T] * r
     else:
+        d = v.shape[1]
         m = (v @ v.T).reshape(k, n, k, n)
         ell = m.transpose(0, 2, 1, 3).reshape(k * k, n * n)
         blocks = [ell @ ell.T / d] * (r // 2) + [np.einsum("imjm->ij", m) / d] * (r % 2)
@@ -338,7 +344,8 @@ def output_state(spec: ChannelSpec, r: int, state: np.ndarray | str) -> np.ndarr
     no d^r input is built or lifted, and only the k^(2r) output is sized.
     """
     if isinstance(state, str):
-        return _rule_output(spec, checked_index(r, "r", 1), _checked_rule(state))
+        r, rule = checked_index(r, "r", 1), _checked_rule(state)
+        return _rule_output(spec.k, spec.n, spec.isometry, r, rule)
     _, lift = _lift(r, spec.k, spec.n, spec.d, state)
     return lift(spec.isometry[None])[0].astype(complex)
 

@@ -61,8 +61,11 @@ class MomentTerm(NamedTuple):
     value: complex
 
 
-def _infer_local_dim(total: int, copies: int) -> int:
-    """Integer d with d**copies == total."""
+def _infer_local_dim(state: np.ndarray, copies: int) -> int:
+    """Integer d with state of shape (d**copies,) or (d**copies, d**copies); other shapes raise ValidationError."""
+    if state.ndim not in (1, 2) or state.shape != state.shape[:1] * state.ndim:
+        raise ValidationError(f"state must be a vector or a square matrix, got shape {state.shape}")
+    total = state.shape[0]
     d = round(total ** (1.0 / copies))
     for cand in (d - 1, d, d + 1):
         if cand >= 1 and cand**copies == total:
@@ -84,10 +87,7 @@ def f_beta(beta: Pairing, state: np.ndarray, p: int, budget: int = CONTRACTION_B
         raise ValidationError(f"pairing size {beta.size} is not a multiple of 2p = {2 * p}")
     r = beta.size // (2 * p)
     state = np.asarray(state)
-    if state.ndim not in (1, 2) or state.shape != state.shape[:1] * state.ndim:
-        raise ValidationError(f"state must be a vector or a square matrix, got shape {state.shape}")
-    total = state.shape[0]
-    d = _infer_local_dim(total, r)
+    d = _infer_local_dim(state, r)
     checked_size(d ** (p * r), budget, "f_beta contraction needs d^(pr)")
     # endpoint (copy i, cell x, side) takes the label of its pair; per copy, [ket legs], [bra legs]
     labels = np.empty(2 * p * r, dtype=int)
@@ -152,7 +152,7 @@ def _state_orbits(state: np.ndarray, p: int, r: int):
     tested exactly for each adjacent pair.  Returns pairings._symmetry_orbits of
     the channel swaps that pass.
     """
-    d = _infer_local_dim(state.shape[0], r)
+    d = _infer_local_dim(state, r)
     tensor = state.reshape((d,) * (r * state.ndim))
     axes = np.arange(tensor.ndim).reshape(state.ndim, r)  # ket legs, then bra legs for a matrix
     fixed = (x for x in range(r - 1) if np.array_equal(tensor.transpose(_neighbour_swap(axes, 1, x)), tensor))

@@ -27,7 +27,7 @@ from orthochan.asymptotics import (
     project_to_body,
     von_neumann_entropy,
 )
-from orthochan.channels import _checked_state
+from orthochan.channels import RngStream, _checked_state, make_channel, output_state
 from orthochan.errors import BudgetError, EnumerationLimitError, InvalidStateError, OrthochanError, ValidationError
 from orthochan.moments import asymptotic_trace_moment, g_from_state
 from orthochan.pairings import PartialPairing, enumerate_partial_pairings
@@ -455,6 +455,14 @@ def _points_around(body, rng):
         yield inside.reshape(dim, dim) + scale * h / np.linalg.norm(h)
 
 
+BELL_ROWS = {
+    2: "((4, 0, 0.07143439100487667, 1.024104681058115), (4, 1, 0.19744102300076719, 0.7993078502124714), "
+    "(8, 0, 0.1596663285860844, 1.0522115641398055), (8, 1, 0.14623197787509598, 1.0724702097510905))",
+    3: "((4, 0, 0.06279823083394818, 1.714262918320367), (4, 1, 0.1407871443491286, 1.4918535009176463), "
+    "(6, 0, 0.14837735264954155, 1.62044342781727), (6, 1, 0.10021622770260279, 1.607131504040863))",
+}
+
+
 class TestConvergenceExperiment:
     def test_structure_and_determinism(self):
         res1 = convergence_experiment("bell", 2, 2, 0.5, (8, 16), samples=8, seed=3)
@@ -565,6 +573,42 @@ class TestConvergenceExperiment:
         # a dense odd-r Bell input of d^(2r) entries, above 2^24, refused these grid points
         res = convergence_experiment("bell", r, 2, 0.5, (n,), samples=2, seed=0)
         assert len(res.rows) == 2 and all(math.isfinite(row[2]) and math.isfinite(row[3]) for row in res.rows)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_product_rows_are_output_state_of_the_channel(self, r):
+        # a product draw factors one Gaussian column, not make_channel's d;
+        # every row keeps the bits of the output of the channel drawn whole
+        n_grid, samples, seed = (4, 32, 128), 3, 13
+        res = convergence_experiment("product", r, 2, 0.5, n_grid, samples, seed)
+        body = convex_body(r, 2, 0.5)
+        for gi, n in enumerate(n_grid):
+            for s in range(samples):
+                z = output_state(make_channel(2, n, 0.5, RngStream(seed, gi * samples + s)), r, "product")
+                expected = (n, s, project_to_body(z, body).distance, von_neumann_entropy(z))
+                assert repr(res.rows[gi * samples + s]) == repr(expected)
+
+    def test_product_draws_factor_one_column(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a product draw built a whole channel")
+
+        shapes, qr = [], np.linalg.qr
+
+        def recording(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "make_channel", refused)
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        monkeypatch.setenv("ORTHOCHAN_THREADS", "1")  # draws run, and are recorded, in order
+        for r in (1, 2, 3, 4):
+            convergence_experiment("product", r, 2, 0.5, (4, 8), samples=3, seed=2)
+        assert shapes == ([(1, 8, 1)] * 3 + [(1, 16, 1)] * 3) * 4
+
+    @pytest.mark.parametrize("r, n_grid", [(2, (4, 8)), (3, (4, 6))])
+    def test_bell_rows_keep_their_bits(self, r, n_grid):
+        # recorded with numpy 2.4.6 and its OpenBLAS before product draws
+        # stopped building whole channels; the Bell path did not change
+        assert repr(convergence_experiment("bell", r, 2, 0.5, n_grid, 2, 11).rows) == BELL_ROWS[r]
 
     def test_distance_decreases_with_n(self):
         res = convergence_experiment("bell", 2, 2, 0.5, (8, 32), samples=20, seed=5)

@@ -345,6 +345,23 @@ SHAPE_REFUSALS = {
         ValidationError,
         "g key 'x' is not a partial pairing of the pr = 2 cells",
     ),
+    # these two once raised an IndexError from reading the shape of a 0-d
+    # state, and an AttributeError from reading .shape off a list
+    "mean-output-asymptotic-string": (
+        lambda: mean_output_asymptotic("x", 2, 2, 0.5),
+        ValidationError,
+        "state must be a vector or a square matrix, got shape ()",
+    ),
+    "mean-output-asymptotic-scalar": (
+        lambda: mean_output_asymptotic(np.float64(1.0), 1, 2, 0.5),
+        ValidationError,
+        "state must be a vector or a square matrix, got shape ()",
+    ),
+    "isometry-list-shape": (
+        lambda: ChannelSpec(2, 2, 0.5, 2, [[0.0, 0.0]] * 3),
+        ValidationError,
+        "isometry has shape (3, 2), expected (4, 2)",
+    ),
 }
 
 
@@ -356,6 +373,10 @@ class TestChannelConstruction:
 
     def test_floor(self):
         assert make_channel(2, 3, 0.9, RngStream(0)).d == 5
+
+    def test_isometry_read_as_an_array(self):
+        spec = ChannelSpec(2, 2, 0.5, 2, [[0.0, 0.0]] * 4)
+        assert isinstance(spec.isometry, np.ndarray) and spec.isometry.shape == (4, 2)
 
     def test_isometry_property(self):
         spec = make_channel(3, 5, 0.6, RngStream(1))
@@ -595,6 +616,17 @@ class TestRuleOutputs:
         with pytest.raises(ValidationError, match="r must be >= 1, got 0"):
             output_state(spec, 0, "bogus")
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 8, 32, 128])
+    def test_one_column_draw_is_the_channels_first_column(self, k, n):
+        # the QR of the first Gaussian column alone gives make_channel's
+        # column 0 bit for bit, which the product rule's experiment relies on
+        for seed, stream in [(7, 0), (7, 5), (0, 2**40)]:
+            column = _haar_columns([RngStream(seed, stream).generator()], 1, k * n, 1)[0]
+            spec = make_channel(k, n, 0.5, RngStream(seed, stream))
+            assert column.shape == (k * n, 1)
+            assert column.tobytes() == spec.isometry[:, :1].tobytes(), (seed, stream)
+
     def test_output_sized_before_it_is_built(self):
         # k^(2r) = 2^26 at r = 13: refused before any block is multiplied out
         spec = make_channel(2, 2, 0.5, RngStream(0))
@@ -608,6 +640,8 @@ from orthochan.asymptotics import convergence_experiment
 from orthochan.channels import mc_mean_output, mc_trace_moment
 exp = convergence_experiment("bell", 2, 2, 0.5, (8, 64), samples=3, seed=4)
 print(repr(exp.rows))
+for r in (2, 3):
+    print(repr(convergence_experiment("product", r, 2, 0.5, (8, 128), samples=3, seed=4).rows))
 print(repr(mc_trace_moment(2, 2, 2, 4, 0.5, np.eye(16) / 16, samples=300, seed=5)))
 print(repr([x.tolist() for x in mc_mean_output(2, 2, 4, 0.5, np.eye(16) / 16, samples=2100, seed=6)]))
 """
@@ -635,7 +669,7 @@ def _run_with_blas_threads(threads: int, script: str = _BLAS_THREADS_SCRIPT) -> 
 
 def test_results_independent_of_blas_thread_count():
     one = _run_with_blas_threads(1)
-    assert one.count("\n") == 3
+    assert one.count("\n") == 5
     assert one == _run_with_blas_threads(2)
 
 
