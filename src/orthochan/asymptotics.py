@@ -32,7 +32,8 @@ from .channels import (
     map_ordered,
     output_state,
 )
-from .errors import InvalidStateError, OrthochanError, ValidationError, checked_index, checked_real, checked_size
+from .errors import InvalidStateError, OrthochanError, ValidationError
+from .errors import checked_index, checked_instance, checked_real, checked_size
 from .moments import _infer_local_dim, f_beta
 from .pairings import PartialPairing, enumerate_partial_pairings, pairing_from_partial, wiring_sum
 from .pairings import _check_partial_count, _pair_sets
@@ -63,7 +64,7 @@ def op_T(block: PartialPairing, k: int) -> np.ndarray:
     This is the 0/1 wiring pattern of the block's diagram pairing (bumps on
     both sides of each pair, a horizontal wire through each single).
     """
-    return _pattern_sum([(block, 1.0)], checked_index(k, "k", 1))
+    return _pattern_sum([(checked_instance(block, PartialPairing, "block"), 1.0)], checked_index(k, "k", 1))
 
 
 def op_T_tilde(block: PartialPairing, d: int) -> np.ndarray:
@@ -79,7 +80,7 @@ def op_R_tilde(block: PartialPairing, k: int, t: float) -> np.ndarray:
     Traceless except at the empty block, where the trace is one.
     """
     k, t = checked_index(k, "k", 1), checked_real(t, "t", 0, 1)
-    r, b = block.n_points, block.n_pairs
+    r, b = checked_instance(block, PartialPairing, "block").n_points, block.n_pairs
     terms = [(a, t**b * (-1) ** (b - a.n_pairs) / k ** (r - a.n_pairs)) for a in block.sub_blocks()]
     return _pattern_sum(terms, k)
 
@@ -90,7 +91,7 @@ def op_S_tilde(block: PartialPairing, k: int, t: float) -> np.ndarray:
     Expanded, sum over A in B of t^|A| (1-t)^(|B|-|A|) k^(|A|-r) T_A.
     """
     k, t = checked_index(k, "k", 2), checked_real(t, "t", 0, 1)
-    r, b = block.n_points, block.n_pairs
+    r, b = checked_instance(block, PartialPairing, "block").n_points, block.n_pairs
     terms = [(a, t**a.n_pairs * (1.0 - t) ** (b - a.n_pairs) / k ** (r - a.n_pairs)) for a in block.sub_blocks()]
     return _pattern_sum(terms, k)
 
@@ -109,7 +110,7 @@ def op_Q_tilde(block: PartialPairing, d: int) -> np.ndarray:
     local dimension grows.
     """
     d = checked_index(d, "d", 1)
-    return _pattern_sum(_q_terms(block, d), d)
+    return _pattern_sum(_q_terms(checked_instance(block, PartialPairing, "block"), d), d)
 
 
 def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.ndarray:
@@ -134,7 +135,7 @@ def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.nd
 def bell_input(block: PartialPairing, d: int) -> np.ndarray:
     """Input G_B0: normalized pair projectors over a maximal block, mixed singles."""
     d = checked_index(d, "d", 1)
-    if not block.is_maximal():
+    if not checked_instance(block, PartialPairing, "block").is_maximal():
         raise ValidationError(
             f"block with {block.n_pairs} pairs on {block.n_points} points is not maximal"
         )
@@ -144,7 +145,7 @@ def bell_input(block: PartialPairing, d: int) -> np.ndarray:
 def bell_state_vector(block: PartialPairing, d: int) -> np.ndarray:
     """Pure version of bell_input for even point counts: unit vector on d^r."""
     d = checked_index(d, "d", 1)
-    if not block.is_maximal() or block.singles:
+    if not checked_instance(block, PartialPairing, "block").is_maximal() or block.singles:
         raise ValidationError("a pure pair-product input needs a perfect pairing of the copies")
     r = checked_index(block.n_points, "r", 1)
     checked_size(d**r, OUTPUT_TENSOR_BUDGET, "pair-product input needs d^r")
@@ -198,7 +199,7 @@ def entropy_extremal(block: PartialPairing, k: int, t: float) -> float:
     |B| isotropic factors plus r - 2|B| maximally mixed singles.
     """
     k, t = checked_index(k, "k", 2), checked_real(t, "t", 0, 1)
-    r = block.n_points
+    r = checked_instance(block, PartialPairing, "block").n_points
     return block.n_pairs * isotropic_entropy(k, t) + (r - 2 * block.n_pairs) * math.log(k)
 
 
@@ -248,6 +249,7 @@ def project_to_body(x: np.ndarray, body: ConvexBody) -> BodyProjection:
     where that solution leaves the simplex and drops the vertex reached.  Returns
     once w >= 0, sum w = 1 and min g >= w.g - KKT_TOL (1 + |X|^2); raises after V^2 steps.
     """
+    body = checked_instance(body, ConvexBody, "body")  # before the messages below read body.vertices
     try:
         x = np.asarray(x, dtype=complex)
     except (TypeError, ValueError):
@@ -337,7 +339,10 @@ def convergence_experiment(
     thread counts.
     """
     _checked_rule(input_rule)  # before the body and the grid are sized by it
-    n_grid = tuple(checked_index(n, "n", 1) for n in n_grid)
+    try:
+        n_grid = tuple(checked_index(n, "n", 1) for n in n_grid)
+    except TypeError:  # n_grid is not iterable
+        raise ValidationError(f"n_grid must be a sequence of integers, got {n_grid!r}") from None
     samples = checked_index(samples, "samples", 1)
     if not n_grid:
         raise ValidationError("need a nonempty n grid")

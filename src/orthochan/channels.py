@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OUTPUT_TENSOR_BUDGET, InvalidStateError, ValidationError, checked_index, checked_real, checked_size
+from .errors import OUTPUT_TENSOR_BUDGET, InvalidStateError, ValidationError
+from .errors import checked_index, checked_instance, checked_real, checked_size
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -69,6 +70,8 @@ class ChannelSpec:
     isometry: np.ndarray
 
     def __post_init__(self):
+        for name in ("k", "n", "d"):
+            object.__setattr__(self, name, checked_index(getattr(self, name), name, 1))
         object.__setattr__(self, "t", checked_real(self.t, "t", 0, 1))
         object.__setattr__(self, "isometry", np.asarray(self.isometry))
         if self.isometry.shape != (self.k * self.n, self.d):
@@ -229,7 +232,7 @@ def _stream_generators(seed: int, lo: int, hi: int) -> Iterator[np.random.Genera
 def sample_haar_orthogonal(dim: int, rng: RngStream) -> np.ndarray:
     """Haar-distributed orthogonal matrix: QR of a Gaussian matrix plus sign fix."""
     dim = checked_index(dim, "dimension", 1)
-    return _haar_columns([rng.generator()], 1, dim, dim)[0]
+    return _haar_columns([checked_instance(rng, RngStream, "rng").generator()], 1, dim, dim)[0]
 
 
 def make_channel(k: int, n: int, t: float, rng: RngStream) -> ChannelSpec:
@@ -238,14 +241,14 @@ def make_channel(k: int, n: int, t: float, rng: RngStream) -> ChannelSpec:
     The isometry is the first d columns of sample_haar_orthogonal(k*n, rng).
     """
     d = input_dim(k, n, t)
-    v = _haar_columns([rng.generator()], 1, k * n, d)[0]
+    v = _haar_columns([checked_instance(rng, RngStream, "rng").generator()], 1, k * n, d)[0]
     v.setflags(write=False)
     return ChannelSpec(k=k, n=n, t=t, d=d, isometry=v)
 
 
 def apply_channel(spec: ChannelSpec, x: np.ndarray) -> np.ndarray:
     """Phi(X) = partial trace over the ancilla factor of V X V^T."""
-    x = np.asarray(x)
+    spec, x = checked_instance(spec, ChannelSpec, "spec"), np.asarray(x)
     if x.shape != (spec.d, spec.d):
         raise ValidationError(f"input has shape {x.shape}, expected ({spec.d}, {spec.d})")
     y = spec.isometry @ x @ spec.isometry.T
@@ -343,6 +346,7 @@ def output_state(spec: ChannelSpec, r: int, state: np.ndarray | str) -> np.ndarr
     Kronecker product of k^2 x k^2 pair and k x k single-point outputs, so
     no d^r input is built or lifted, and only the k^(2r) output is sized.
     """
+    checked_instance(spec, ChannelSpec, "spec")
     if isinstance(state, str):
         r, rule = checked_index(r, "r", 1), _checked_rule(state)
         return _rule_output(spec.k, spec.n, spec.isometry, r, rule)

@@ -74,6 +74,13 @@ def checked_real(value, what: str, least: float, most: float, exclusive: bool = 
     return real
 
 
+def checked_instance(value, cls: type, what: str):
+    """value if it is an instance of cls, else ValidationError, as in "beta must be a Pairing, got 'x'"."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
 def checked_size(entries: int, budget: int, what: str) -> int:
     """entries if at most budget, else BudgetError naming what, e.g. "lifted state tensor needs (kn)^r"."""
     if entries > budget:

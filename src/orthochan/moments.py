@@ -13,13 +13,15 @@ is what makes Monte Carlo cross-validation meaningful.
 from __future__ import annotations
 
 import gc
+from collections.abc import Mapping
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .channels import _checked_state, input_dim
-from .errors import BudgetError, EnumerationLimitError, ValidationError, checked_index, checked_real, checked_size
+from .errors import BudgetError, EnumerationLimitError, ValidationError
+from .errors import checked_index, checked_instance, checked_real, checked_size
 from .pairings import (
     PAIR_LISTING_HALF_SIZE_CAP,
     PAIRING_HALF_SIZE_CAP,
@@ -83,9 +85,9 @@ def f_beta(beta: Pairing, state: np.ndarray, p: int, budget: int = CONTRACTION_B
     (channels._checked_state), and this runs per orbit.
     """
     p, budget = checked_index(p, "p", 1), checked_index(budget, "budget", 1, CONTRACTION_HARD_BUDGET)
-    if beta.size % (2 * p) != 0:
+    if checked_instance(beta, Pairing, "beta").size % (2 * p) != 0:
         raise ValidationError(f"pairing size {beta.size} is not a multiple of 2p = {2 * p}")
-    r = beta.size // (2 * p)
+    r = checked_index(beta.size // (2 * p), "r", 1)  # a pairing of no points would take the 0-th root below
     state = np.asarray(state)
     d = _infer_local_dim(state, r)
     checked_size(d ** (p * r), budget, "f_beta contraction needs d^(pr)")
@@ -110,7 +112,7 @@ def wiring_matrix(pairing: Pairing, dim: int) -> np.ndarray:
     is the dense counterpart of f_beta, kept for oracle use; its operator norm
     is dim^bumps.
     """
-    return wiring_sum([pairing], [1.0], dim)
+    return wiring_sum([checked_instance(pairing, Pairing, "pairing")], [1.0], dim)
 
 
 def _checked_limits(cap, budget) -> tuple[int, int]:
@@ -333,10 +335,11 @@ def asymptotic_trace_moment(
     g maps partial pairings of the p*r cell grid to values in [0, 1];
     missing blocks count as zero.
     """
-    _, gamma = delta_gamma(p, r)  # checks p and r
+    p, r = checked_index(p, "p", 1), checked_index(r, "r", 1)  # Python ints, so p <= 2 below is a bool
+    _, gamma = delta_gamma(p, r)
     k, t = checked_index(k, "k", 1), checked_real(t, "t", 0, 1)
     weights = {}
-    for block, value in g.items():
+    for block, value in checked_instance(g, Mapping, "g").items():
         if not isinstance(block, PartialPairing) or block.n_points != p * r:
             raise ValidationError(f"g key {block!r} is not a partial pairing of the pr = {p * r} cells")
         weights[block] = checked_real(value, f"g weight of {block.pairs}", -G_WEIGHT_SLACK, 1 + G_WEIGHT_SLACK)

@@ -26,7 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OUTPUT_TENSOR_BUDGET, EnumerationLimitError, ValidationError, checked_index, checked_size
+from .errors import OUTPUT_TENSOR_BUDGET, EnumerationLimitError, ValidationError
+from .errors import checked_index, checked_instance, checked_size
 
 PAIRING_HALF_SIZE_CAP = 6        # largest m whose pairings of 2m points are enumerated
 PAIR_LISTING_HALF_SIZE_CAP = 5   # largest m whose (2m-1)!!^2 pairs of pairings are listed: 893025, 1.08e8 at m = 6
@@ -84,9 +85,7 @@ class Permutation:
 
     def compose(self, other: "Permutation") -> "Permutation":
         """Return self∘other, i.e. apply other first."""
-        if not isinstance(other, Permutation):
-            raise ValidationError(f"compose needs a Permutation, got {other!r}")
-        if other.size != self.size:
+        if checked_instance(other, Permutation, "other").size != self.size:
             raise ValidationError(f"size mismatch: {self.size} vs {other.size}")
         return Permutation(tuple(self.images[j] for j in other.images))
 
@@ -169,7 +168,7 @@ class PartialPairing:
         return self.n_pairs == self.n_points // 2
 
     def contains(self, other: "PartialPairing") -> bool:
-        return set(other.pairs) <= set(self.pairs)
+        return set(checked_instance(other, PartialPairing, "other").pairs) <= set(self.pairs)
 
     def sub_blocks(self) -> list["PartialPairing"]:
         """Every partial pairing contained in this one, by pair count, then in combinations order."""
@@ -231,7 +230,7 @@ def _enumerate_pairings(m: int) -> tuple[Pairing, ...]:
 
 def length(sigma: Permutation) -> int:
     """Cayley-graph length of sigma: N minus the number of cycles."""
-    return sigma.size - sigma.cycle_count()
+    return checked_instance(sigma, Permutation, "sigma").size - sigma.cycle_count()
 
 
 def coset_type(alpha: Pairing, beta: Pairing) -> tuple[int, ...]:
@@ -244,6 +243,7 @@ def coset_type(alpha: Pairing, beta: Pairing) -> tuple[int, ...]:
     This partition of m is the coset type of the pair: two pairs of pairings
     are related by a relabelling of the points exactly when their types agree.
     """
+    alpha, beta = checked_instance(alpha, Pairing, "alpha"), checked_instance(beta, Pairing, "beta")
     if alpha.size != beta.size:
         raise ValidationError(f"size mismatch: {alpha.size} vs {beta.size}")
     a, b = alpha.images, beta.images
@@ -491,12 +491,12 @@ def wiring_sum(pairings, coeffs, dim: int) -> np.ndarray:
 
 def bumps(beta: Pairing) -> int:
     """Number of pairs of beta joining two R-side endpoints."""
-    return sum(1 for a, b in beta.pairs if a % 2 == SIDE_R and b % 2 == SIDE_R)
+    return sum(1 for a, b in checked_instance(beta, Pairing, "beta").pairs if a % 2 == SIDE_R and b % 2 == SIDE_R)
 
 
 def is_transverse(tau: Pairing) -> bool:
     """True iff every pair of tau joins an L endpoint to an R endpoint."""
-    return all((a % 2) != (b % 2) for a, b in tau.pairs)
+    return all((a % 2) != (b % 2) for a, b in checked_instance(tau, Pairing, "tau").pairs)
 
 
 def transverse_pairings(q: int) -> list[Pairing]:
@@ -511,7 +511,7 @@ def min_transverse_distance(beta: Pairing) -> tuple[int, list[Pairing]]:
     The minimum equals twice the bump count of beta; the minimizers keep every
     transverse pair of beta and match R-side bumps to L-side bumps.
     """
-    q = beta.size // 2
+    q = checked_instance(beta, Pairing, "beta").size // 2
     if q > TRANSVERSE_BRUTE_CAP:
         raise EnumerationLimitError(f"transverse brute force needs q = pr <= {TRANSVERSE_BRUTE_CAP}, got {q}")
     # |tau beta|: 2q less the product's 2cc cycles
@@ -556,6 +556,7 @@ def pairing_from_partial(block: PartialPairing) -> Pairing:
     of the block contributes the L-L pair and the R-R pair of the two cells;
     every unpaired cell contributes its horizontal L-R wire.
     """
+    checked_instance(block, PartialPairing, "block")
     pairs = [(2 * c1 + side, 2 * c2 + side) for c1, c2 in block.pairs for side in (SIDE_L, SIDE_R)]
     return Pairing.from_pairs(pairs + [(2 * c + SIDE_L, 2 * c + SIDE_R) for c in block.singles])
 
@@ -568,6 +569,7 @@ def dominant_pairs(p: int, r: int, inward_only: bool = False) -> list[tuple[Part
     (the blocks surviving in the second-moment leading order).
     """
     p, r = checked_index(p, "p", 1), checked_index(r, "r", 1)
+    inward_only = checked_instance(inward_only, bool, "inward_only")
     pairs = itertools.combinations(range(_check_partial_count(p * r)), 2)
     blocks = _pair_sets(p * r, [(c1, c2) for c1, c2 in pairs if not inward_only or c1 // r == c2 // r])
     return [(sub, block) for block in blocks for sub in block.sub_blocks()]

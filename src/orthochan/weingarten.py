@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ValidationError, checked_index, checked_real
 from .pairings import (
     Pairing,
+    _int_entries,
     _type_representatives,
     _type_sums,
     connected_components,
@@ -55,7 +56,8 @@ class WeingartenTable:
 def gram_matrix(m: int, n: float) -> np.ndarray:
     """Loop-counting Gram matrix with entries n^connected_components(a, b)."""
     n = checked_real(n, "dimension parameter", 0, math.inf, exclusive=True)
-    return (n ** type_lengths(m))[coset_types(m)]
+    types = coset_types(m)  # checks m and the pairing cap before type_lengths lists the partitions of m
+    return (n ** type_lengths(m))[types]
 
 
 def _class_pseudo_inverse(m: int, gram_row: np.ndarray) -> tuple[np.ndarray, int]:
@@ -133,12 +135,15 @@ def wg_asymptotic(alpha: Pairing, beta: Pairing, n: float) -> float:
 def integrate_monomial(index_rows, n: float) -> float:
     """Haar average of a monomial in orthogonal-matrix entries.
 
-    index_rows lists the (row, column) index of each factor U_{ij}.  Odd
+    index_rows lists the integer (row, column) index of each factor U_{ij}.  Odd
     degrees integrate to zero; even degrees are the double pairing sum of
     row/column delta constraints, counted per coset type, against the table.
     """
     n = checked_real(n, "dimension parameter", 0, math.inf, exclusive=True)  # odd and empty products too
-    rows = [tuple(rc) for rc in index_rows]
+    try:
+        rows = [_int_entries(rc, "row or column index") for rc in index_rows]
+    except TypeError:  # index_rows is not iterable
+        raise ValidationError(f"index_rows must be a sequence of (row, column) pairs, got {index_rows!r}") from None
     if any(len(rc) != 2 for rc in rows):
         raise ValidationError(f"each factor needs one (row, column) index pair, got {rows}")
     if len(rows) % 2 == 1:

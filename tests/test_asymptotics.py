@@ -29,7 +29,7 @@ from orthochan.asymptotics import (
 )
 from orthochan.channels import RngStream, _checked_state, make_channel, output_state
 from orthochan.errors import BudgetError, EnumerationLimitError, InvalidStateError, OrthochanError, ValidationError
-from orthochan.moments import asymptotic_trace_moment, g_from_state
+from orthochan.moments import g_from_state
 from orthochan.pairings import PartialPairing, enumerate_partial_pairings
 
 
@@ -61,57 +61,14 @@ class TestIsotropicState:
         eigs = np.sort(np.linalg.eigvalsh(isotropic_eta(2, 0.5)))
         assert np.allclose(eigs, [0.125, 0.125, 0.125, 0.625])
 
-    def test_k_below_two_rejected(self):
-        # the one-pair state and every extremal state share op_S_tilde's check
-        for call in (
-            lambda: isotropic_eta(1, 0.5),
-            lambda: op_S_tilde(PartialPairing(3, ((0, 2),)), 1, 0.5),
-            # the closed-form entropies once divided by zero or took k = 1
-            lambda: isotropic_entropy(0, 0.5),
-            lambda: entropy_extremal(ONE_PAIR, 1, 0.5),
-        ):
-            with pytest.raises(ValidationError, match="k must be >= 2"):
-                call()
-
     def test_t_range_validated(self):
-        # the operator family and the mean-output limit share the state's check
-        for t in (1.5, 3.0, -0.1, float("nan"), float("inf")):
-            with pytest.raises(ValidationError, match=r"t must lie in \[0, 1\]"):
-                isotropic_eta(2, t)
-            with pytest.raises(ValidationError, match=r"t must lie in \[0, 1\]"):
-                op_R_tilde(PartialPairing(2, ((0, 1),)), 2, t)
-            with pytest.raises(ValidationError, match=r"t must lie in \[0, 1\]"):
-                mean_output_asymptotic(np.eye(4) / 4, 2, 2, t)
-        # the closed forms take the same rule; each once returned a number outside it
-        for t in (1.05, 1.5, 5.0, -0.1, float("nan"), float("inf")):
-            for call in (
-                lambda: isotropic_entropy(2, t),
-                lambda: entropy_extremal(ONE_PAIR, 2, t),
-                lambda: asymptotic_trace_moment(1, 2, 2, t, {}),
-            ):
-                with pytest.raises(ValidationError, match=r"t must lie in \[0, 1\]"):
-                    call()
         # t just above 1 keeps floor(t*k*n) <= kn, so only the t rule refuses it
         with pytest.raises(ValidationError, match=r"t must lie in \[0, 1\], got 1.05"):
             g_from_state(np.eye(8)[0], 1, 2, 4, 1.05)
 
 
-ONE_PAIR = PartialPairing(2, ((0, 1),))
-
-# dimensions and r below 1; each once raised ZeroDivisionError or returned nonsense
-BELOW_LEAST = {
-    "op-T-k": lambda: op_T(ONE_PAIR, 0),
-    "op-T-tilde-d": lambda: op_T_tilde(ONE_PAIR, 0),
-    "op-R-tilde-k": lambda: op_R_tilde(ONE_PAIR, 0, 0.5),
-    "op-Q-tilde-d": lambda: op_Q_tilde(PartialPairing(2, ()), 0),
-    "maximally-entangled-dim": lambda: maximally_entangled(0),
-    "bell-input-d": lambda: bell_input(maximal_block(3), 0),
-    "bell-vector-d": lambda: bell_state_vector(maximal_block(2), 0),
-    "maximal-block-r": lambda: maximal_block(-1),
-    "g-from-state-r": lambda: g_from_state(np.eye(1), 0, 2, 3, 0.5),
-    "mean-output-asymptotic-r": lambda: mean_output_asymptotic(np.eye(3) / 3, 0, 2, 0.5),
-    "asymptotic-moment-k": lambda: asymptotic_trace_moment(1, 2, 0, 0.5, {}),
-}
+# a dimension and r below 1 outside __all__; each once raised ZeroDivisionError or returned nonsense
+BELOW_LEAST = {"maximally-entangled-dim": lambda: maximally_entangled(0), "maximal-block-r": lambda: maximal_block(-1)}
 
 
 class TestOperatorFamily:
@@ -476,16 +433,6 @@ class TestConvergenceExperiment:
         # int() would run n = 8 and report n_grid == (8,)
         with pytest.raises(ValidationError, match="n must be an integer"):
             convergence_experiment("bell", 2, 2, 0.5, (n,), 2, 0)
-
-    @pytest.mark.parametrize(
-        "call",
-        [lambda: convex_body(0, 2, 0.5), lambda: convergence_experiment("product", 0, 2, 0.5, (8,), 2, 0)],
-        ids=["body", "experiment"],
-    )
-    def test_r_below_one_rejected(self, call):
-        # one partial pairing of no points would make a 1 x 1 body
-        with pytest.raises(ValidationError, match="r must be >= 1"):
-            call()
 
     # at odd r the Bell output adds the single-point block to the pair blocks,
     # and at r = 1 it is that block alone

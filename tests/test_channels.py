@@ -39,28 +39,16 @@ from orthochan.asymptotics import (
     bell_state_vector,
     convergence_experiment,
     convex_body,
-    entropy_extremal,
     experiment_input,
-    isotropic_entropy,
     maximal_block,
     mean_output_asymptotic,
-    op_R_tilde,
-    op_S_tilde,
-    op_T,
     project_to_body,
     von_neumann_entropy,
 )
 from orthochan.errors import BudgetError, InvalidStateError, ValidationError, checked_size
-from orthochan.moments import G_WEIGHT_SLACK, asymptotic_trace_moment, exact_trace_moment, f_beta, wiring_matrix
-from orthochan.pairings import (
-    PartialPairing,
-    delta_gamma,
-    dominant_pairs,
-    enumerate_pairings,
-    enumerate_partial_pairings,
-    wiring_offsets,
-)
-from orthochan.weingarten import gram_matrix, integrate_monomial, wg_asymptotic, wg_exact
+from orthochan.moments import G_WEIGHT_SLACK, asymptotic_trace_moment, exact_trace_moment, f_beta
+from orthochan.pairings import Pairing, PartialPairing, delta_gamma, dominant_pairs, wiring_offsets
+from orthochan.weingarten import integrate_monomial
 
 
 class TestRngStream:
@@ -209,87 +197,32 @@ class TestHaarSampling:
             assert abs(vals.mean() - target) < 3 * se
 
 
+# integer arguments outside __all__, and integer rules whose messages
+# tests/test_public_api.py's argument sweep does not pin
 INTEGER_ARGUMENTS = {
-    "mc-samples": (lambda: mc_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, 2.5, 0), "samples must be an integer"),
-    "mc-seed": (lambda: mc_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, 10, 1.5), "seed must be an integer"),
-    "experiment-samples": (
-        lambda: convergence_experiment("bell", 2, 2, 0.5, (8,), 2.5, 0), "samples must be an integer"
-    ),
-    "channel-n": (lambda: make_channel(2, 2.5, 0.5, RngStream(0)), "n must be an integer"),
-    "exact-n": (lambda: exact_trace_moment(2, 1, 2, 2.5, 0.5, np.eye(2) / 2), "n must be an integer"),
     "input-dim-k": (lambda: input_dim(2.0, 3, 0.5), "k must be an integer"),
-    "stream-seed": (lambda: RngStream(1.5), "seed must be an integer"),
-    "stream-index": (lambda: RngStream(0, 2.5), "stream must be an integer"),
-    # operator.index(True) is 1: a bool once passed as the integer 1 or 0
-    "wg-m-true": (lambda: wg_exact(True, 3), "^m must be an integer, got True$"),
-    "stream-seed-true": (lambda: RngStream(True), "^seed must be an integer, got True$"),
-    "stream-index-false": (lambda: RngStream(0, False), "^stream must be an integer, got False$"),
-    # entry points that once met a non-integer or a value below its least
-    # with a TypeError, an IndexError or another argument's message
-    "mc-p": (lambda: mc_trace_moment(2.5, 1, 2, 3, 0.5, np.eye(3) / 3, 10, 0), "p must be an integer"),
-    "mean-output-r": (lambda: mc_mean_output(2.0, 2, 3, 0.5, np.eye(9) / 9, 10, 0), "r must be an integer"),
-    "output-state-r": (
-        lambda: output_state(make_channel(2, 3, 0.5, RngStream(0)), 1.5, np.eye(3) / 3), "r must be an integer"
-    ),
-    "channel-n-string": (lambda: make_channel(2, "3", 0.5, RngStream(0)), "n must be an integer"),
-    "haar-dim": (lambda: sample_haar_orthogonal(2.5, RngStream(0)), "dimension must be an integer"),
     "basis-d0": (lambda: basis_product_state(0, 2), "d must be >= 1, got 0"),
-    "exact-r0": (lambda: exact_trace_moment(2, 0, 2, 3, 0.5, np.eye(3) / 3), "r must be >= 1, got 0"),
-    "pairings-m": (lambda: enumerate_pairings(2.5), "m must be an integer"),
-    "partial-pairings-r": (lambda: enumerate_partial_pairings(2.5), "r must be an integer"),
-    "delta-gamma-p": (lambda: delta_gamma(1.5, 2), "p must be an integer"),
-    "op-T-k": (lambda: op_T(PartialPairing(2, ((0, 1),)), 2.5), "k must be an integer"),
-    "mean-output-asymptotic-r": (
-        lambda: mean_output_asymptotic(np.eye(3) / 3, 1.5, 2, 0.5), "r must be an integer"
-    ),
-    # f_beta and the wiring builders once met these with ZeroDivisionError,
-    # numpy's ValueError or TypeError
-    "f-beta-p0": (lambda: f_beta(delta_gamma(1, 2)[0], np.eye(4) / 4, 0), "p must be >= 1, got 0"),
-    "f-beta-p-float": (lambda: f_beta(delta_gamma(1, 2)[0], np.eye(4) / 4, 1.0), "p must be an integer"),
-    "wiring-matrix-dim0": (lambda: wiring_matrix(delta_gamma(1, 2)[0], 0), "dim must be >= 1, got 0"),
-    "wiring-matrix-dim-float": (lambda: wiring_matrix(delta_gamma(1, 2)[0], 2.5), "dim must be an integer"),
     "wiring-offsets-dim0": (lambda: wiring_offsets(delta_gamma(1, 2)[0], 0), "dim must be >= 1, got 0"),
-    # partial pairings and their listings once passed these through, to a TypeError,
-    # to numpy's einsum or to another argument's message
-    "partial-n-points-float": (lambda: PartialPairing(2.5, ()), "^n_points must be an integer, got 2.5$"),
-    "partial-n-points-true": (lambda: PartialPairing(True, ()), "^n_points must be an integer, got True$"),
-    "partial-n-points-negative": (lambda: PartialPairing(-1, ()), "^n_points must be >= 0, got -1$"),
     "partial-pair-entry-float": (lambda: PartialPairing(3, ((0, 1.0),)), "^pair entry must be an integer, got 1.0$"),
-    "dominant-pairs-p0": (lambda: dominant_pairs(0, 1), "^p must be >= 1, got 0$"),
-    "dominant-pairs-p-negative": (lambda: dominant_pairs(-1, 1), "^p must be >= 1, got -1$"),
-    "dominant-pairs-r0": (lambda: dominant_pairs(1, 0), "^r must be >= 1, got 0$"),
+    # r read off a block or a pairing of no points; f_beta's once raised ZeroDivisionError
     "bell-vector-no-points": (lambda: bell_state_vector(PartialPairing(0, ()), 2), "^r must be >= 1, got 0$"),
     "bell-input-no-points": (lambda: bell_input(PartialPairing(0, ()), 2), "^r must be >= 1, got 0$"),
-    # the body was sized by k ** (2 * r) before k was read: a TypeError
-    "body-k-string": (lambda: convex_body(2, "a", 0.5), "^k must be an integer, got 'a'$"),
-    "experiment-k-string": (
-        lambda: convergence_experiment("bell", 2, "a", 0.5, (8,), 2, 0), "^k must be an integer, got 'a'$"
-    ),
+    "f-beta-no-points": (lambda: f_beta(Pairing(()), np.eye(2) / 2, 1), "^r must be >= 1, got 0$"),
+    # a spec once stored a float k or d whose product still matched the isometry's shape
+    "channel-spec-k-float": (lambda: ChannelSpec(2.0, 2, 0.5, 2, np.zeros((4, 2))), "^k must be an integer, got 2.0$"),
+    "channel-spec-d-float": (lambda: ChannelSpec(2, 2, 0.5, 2.0, np.zeros((4, 2))), "^d must be an integer, got 2.0$"),
 }
 
-# every public real argument, read by errors.checked_real where it enters: a
-# call on the value, the argument's name, its bounds and a value beyond them
-_ONE_PAIR = PartialPairing(2, ((0, 1),))
-_WG_PAIR = enumerate_pairings(1)[0]
+# real arguments read by errors.checked_real where the sweep does not reach
+# them: a call on the value, the argument's name, its bounds and a value beyond them
 REAL_ARGUMENTS = {
     "input-dim-t": (lambda t: input_dim(2, 3, t), "t", "[0, 1]", 1.5),
-    "channel-spec-t": (lambda t: ChannelSpec(2, 2, t, 2, np.zeros((4, 2))), "t", "[0, 1]", -0.5),
-    "op-R-tilde-t": (lambda t: op_R_tilde(_ONE_PAIR, 2, t), "t", "[0, 1]", 1.5),
-    "op-S-tilde-t": (lambda t: op_S_tilde(_ONE_PAIR, 2, t), "t", "[0, 1]", 1.5),
-    "mean-output-asymptotic-t": (lambda t: mean_output_asymptotic(np.eye(4) / 4, 2, 2, t), "t", "[0, 1]", 1.5),
-    "isotropic-entropy-t": (lambda t: isotropic_entropy(2, t), "t", "[0, 1]", 1.05),
-    "entropy-extremal-t": (lambda t: entropy_extremal(_ONE_PAIR, 2, t), "t", "[0, 1]", -0.1),
-    "asymptotic-moment-t": (lambda t: asymptotic_trace_moment(1, 2, 2, t, {}), "t", "[0, 1]", 1.5),
     "g-weight": (
-        lambda w: asymptotic_trace_moment(1, 2, 2, 0.5, {_ONE_PAIR: w}),
+        lambda w: asymptotic_trace_moment(1, 2, 2, 0.5, {PartialPairing(2, ((0, 1),)): w}),
         "g weight of ((0, 1),)",
         f"[{-G_WEIGHT_SLACK}, {1 + G_WEIGHT_SLACK}]",
         1.5,
     ),
-    "wg-exact-n": (lambda n: wg_exact(2, n), "dimension parameter", "(0, inf)", 0.0),
-    "wg-asymptotic-n": (lambda n: wg_asymptotic(_WG_PAIR, _WG_PAIR, n), "dimension parameter", "(0, inf)", -2.0),
-    "integrate-monomial-n": (lambda n: integrate_monomial([(0, 0)], n), "dimension parameter", "(0, inf)", 0.0),
-    "gram-matrix-n": (lambda n: gram_matrix(2, n), "dimension parameter", "(0, inf)", -1.0),
 }
 # a bool once counted as 1 or 0, an array or a string reached a comparison or numpy
 NON_REALS = {"bool": True, "string": "0.5", "complex": 0.5 + 0j, "array": np.array([0.5])}
@@ -362,6 +295,21 @@ SHAPE_REFUSALS = {
         ValidationError,
         "isometry has shape (3, 2), expected (4, 2)",
     ),
+    # these three once raised AttributeError or TypeError, and inward_only = 1 was taken as True
+    "g-not-a-mapping": (
+        lambda: asymptotic_trace_moment(1, 2, 2, 0.5, []), ValidationError, "g must be a Mapping, got []"
+    ),
+    "index-rows-none": (
+        lambda: integrate_monomial(None, 3),
+        ValidationError,
+        "index_rows must be a sequence of (row, column) pairs, got None",
+    ),
+    "experiment-grid-none": (
+        lambda: convergence_experiment("bell", 2, 2, 0.5, None, 2, 0),
+        ValidationError,
+        "n_grid must be a sequence of integers, got None",
+    ),
+    "inward-only-int": (lambda: dominant_pairs(1, 2, 1), ValidationError, "inward_only must be a bool, got 1"),
 }
 
 

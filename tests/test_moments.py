@@ -172,33 +172,6 @@ class TestFBeta:
     @pytest.mark.parametrize(
         "call, message",
         [
-            pytest.param(lambda: exact_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, cap=10.5),
-                         "cap must be an integer, got 10.5", id="exact-cap-float"),
-            pytest.param(lambda: exact_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, cap=-4),
-                         "cap must be >= 1, got -4", id="exact-cap-negative"),
-            pytest.param(lambda: exact_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, budget=2.5e7),
-                         "budget must be an integer, got 25000000.0", id="exact-budget-float"),
-            pytest.param(lambda: exact_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, budget=-1),
-                         "budget must be >= 1, got -1", id="exact-budget-negative"),
-            pytest.param(lambda: term_report(2, 1, 2, 3, 0.5, np.eye(3) / 3, cap=0),
-                         "cap must be >= 1, got 0", id="report-cap-zero"),
-            pytest.param(lambda: term_report(2, 1, 2, 3, 0.5, np.eye(3) / 3, budget="9"),
-                         "budget must be an integer, got '9'", id="report-budget-string"),
-            pytest.param(lambda: f_beta(delta_gamma(1, 2)[0], np.eye(4) / 4, 1, budget=16.0),
-                         "budget must be an integer, got 16.0", id="f-beta-budget-float"),
-            pytest.param(lambda: f_beta(delta_gamma(1, 2)[0], np.eye(4) / 4, 1, budget=0),
-                         "budget must be >= 1, got 0", id="f-beta-budget-zero"),
-        ],
-    )
-    def test_cap_and_budget_are_integers_at_least_one(self, call, message):
-        # a float cap or budget once compared as a number, and a negative one
-        # raised BudgetError ("above budget -1") instead of a validation error
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            call()
-
-    @pytest.mark.parametrize(
-        "call, message",
-        [
             pytest.param(lambda: exact_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, cap=13),
                          "cap must be <= 12, got 13", id="exact-cap-13"),
             pytest.param(lambda: term_report(2, 1, 2, 3, 0.5, np.eye(3) / 3, cap=99),
@@ -787,6 +760,8 @@ class TestAsymptoticTraceMoment:
     def test_first_moment_trace_is_one_for_bell_weights(self):
         g = {b: 1.0 for b in enumerate_partial_pairings(2)}
         assert asymptotic_trace_moment(1, 2, 2, 0.5, g) == pytest.approx(1.0)
+        # numpy integers must not make p <= 2 a numpy bool, which dominant_pairs refuses
+        assert asymptotic_trace_moment(np.int64(1), np.int64(2), 2, 0.5, g) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("k,t", [(2, 0.5), (3, 0.3), (2, 0.7)])
     def test_second_moment_equals_trace_m_squared(self, k, t):
@@ -835,11 +810,6 @@ class TestAsymptoticTraceMoment:
         # 2pr = 12, three copies: the same decay bound from n = 4 to 8
         gaps = self.leading_order_gaps(3, rule, (4, 8), 12)
         assert gaps[1] <= 0.6 * gaps[0], gaps
-
-    def test_invalid_g_rejected(self):
-        g = {PartialPairing(2, ()): 1.5}
-        with pytest.raises(ValidationError):
-            asymptotic_trace_moment(1, 2, 2, 0.5, g)
 
     def test_wrong_key_size_rejected(self):
         g = {PartialPairing(3, ()): 1.0}

@@ -135,9 +135,6 @@ SIZE_REFUSALS = {
     "permutation-images-float": (lambda: Permutation((1, 0.0)), "permutation image must be an integer, got 0.0"),
     "permutation-images-string": (lambda: Permutation(("a", 0)), "permutation image must be an integer, got 'a'"),
     "permutation-not-a-sequence": (lambda: Permutation(5), "not a sequence of integers: 5"),
-    "compose-not-a-permutation": (
-        lambda: Permutation((0, 1)).compose((0, 1)), "compose needs a Permutation, got (0, 1)"
-    ),
     "box-label-range": (lambda: box_index(2, 0, 0, 2, 1), "box label (2, 0, 0) out of range for p=2, r=1"),
     # box_index once computed with a float label: 2.0 and 1.0 here
     "box-copy-float": (lambda: box_index(0.5, 0, 0, 1, 2), "i must be an integer, got 0.5"),

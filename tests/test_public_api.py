@@ -1,6 +1,7 @@
 """The public surface stays honest: __all__ resolves, no module imports a name it never uses,
-no private function or class is left with no reader, and pyproject.toml names the package's
-version and a console-script entry that runs.
+no private function or class is left with no reader, pyproject.toml names the package's
+version and a console-script entry that runs, and a malformed argument to any public
+callable raises an OrthochanError, never a builtin exception.
 
 The repo runs no linter, so these checks stand in for pyflakes' F401 and
 F822 and for a dead-code pass.  An import kept on purpose is marked
@@ -10,12 +11,17 @@ benchmark tracer: the (module, name) must be one of ``BOUNDARIES`` in
 """
 import ast
 import importlib
+import math
+import numbers
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import orthochan
+from orthochan import ChannelSpec, ConvexBody, Pairing, PartialPairing, Permutation, RngStream
+from orthochan.errors import OrthochanError, ValidationError
 
 SOURCES = sorted(Path(orthochan.__file__).parent.glob("*.py"))
 
@@ -129,3 +135,143 @@ def test_array_holding_dataclasses_compare_by_identity(build):
     assert x == x
     assert x != rebuilt
     assert hash(x) == hash(x) != hash(rebuilt)
+
+
+# The argument contract: a malformed argument to a public callable raises an OrthochanError, never a
+# builtin exception.  SWEEP holds one valid call per callable in __all__ (exception classes aside) and
+# per public method that takes an object, with the rule that reads each argument: index, real or
+# instance (errors.checked_index, checked_real, checked_instance), or None for an argument with checks
+# of its own.  Each argument in turn takes every MALFORMED value, and where its rule refuses the value
+# the call must raise that rule's ValidationError, message and all.
+MALFORMED = (None, "x", [], (), {}, True, 0.5, -1, math.nan, 1 + 1j, np.zeros((2, 2, 2)), object())
+
+
+def index(what, least=0, most=None):
+    """The message checked_index(value, what, least, most) refuses a MALFORMED value with, None if it takes it."""
+    def refusal(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            return f"{what} must be an integer, got {value!r}"
+        if value < least:
+            return f"{what} must be >= {least}, got {value}"
+        return f"{what} must be <= {most}, got {value}" if most is not None and value > most else None
+    return refusal
+
+
+def real(what, least=0, most=1, exclusive=False):
+    """The message checked_real(value, what, least, most, exclusive) refuses a MALFORMED value with, or None."""
+    def refusal(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            return f"{what} must be a real number, got {value!r}"
+        if not (least < value < most if exclusive else least <= value <= most):  # NaN fails both
+            left, right = "()" if exclusive else "[]"
+            return f"{what} must lie in {left}{least}, {most}{right}, got {value}"
+        return None
+    return refusal
+
+
+def instance(what, cls):
+    """The message checked_instance(value, cls, what) refuses a value with, None if it takes it."""
+    return lambda value: None if isinstance(value, cls) else f"{what} must be a {cls.__name__}, got {value!r}"
+
+
+T, DIM = real("t"), real("dimension parameter", 0, math.inf, exclusive=True)
+P, R, K, K2, N, D = index("p", 1), index("r", 1), index("k", 1), index("k", 2), index("n", 1), index("d", 1)
+CAP, BUDGET, MC_SAMPLES, SEED = index("cap", 1, 12), index("budget", 1, 2**26), index("samples", 2), index("seed")
+BLOCK, BETA, ALPHA = instance("block", PartialPairing), instance("beta", Pairing), instance("alpha", Pairing)
+SPEC, STREAM = instance("spec", ChannelSpec), instance("rng", RngStream)
+_PAIR, _BLOCK, _RHO, _STREAM = Pairing((1, 0)), PartialPairing(2, ((0, 1),)), np.eye(2) / 2, RngStream(0)
+_SPEC = orthochan.make_channel(2, 2, 0.5, _STREAM)
+METHODS = {
+    "Pairing.from_pairs": Pairing.from_pairs,
+    "Permutation.compose": _PAIR.compose,
+    "PartialPairing.contains": _BLOCK.contains,
+}
+# name: (valid arguments, rules of the leading arguments; the rest take None)
+SWEEP = {
+    "ChannelSpec": ((2, 2, 0.5, 2, np.zeros((4, 2))), (K, N, T, D)),
+    "ConvexBody": ((1, 2, 0.5, (), np.zeros((0, 2, 2))), ()),
+    "ExperimentResult": (("bell", 1, 2, 0.5, (2,), 1, 0, (), ()), ()),
+    "MomentTerm": ((_PAIR, _PAIR, 1, 1, 1j, 0.5, 1j), ()),
+    "Pairing": (((1, 0),), ()),
+    "Pairing.from_pairs": ((((0, 1),), 2), (None, lambda size: None if size is None else index("size")(size))),
+    "PartialPairing": ((2, ((0, 1),)), (index("n_points"),)),
+    "PartialPairing.contains": ((_BLOCK,), (instance("other", PartialPairing),)),
+    "Permutation": (((1, 0),), ()),
+    "Permutation.compose": ((_PAIR,), (instance("other", Permutation),)),
+    "RngStream": ((0, 0), (SEED, index("stream"))),
+    "WeingartenTable": ((1, 2.0, np.ones(1), 1, False), ()),
+    "apply_channel": ((_SPEC, _RHO), (SPEC,)),
+    "asymptotic_trace_moment": ((1, 2, 2, 0.5, {}), (P, R, K, T, instance("g", Mapping))),
+    "bell_input": ((_BLOCK, 2), (BLOCK, D)),
+    "bell_state_vector": ((_BLOCK, 2), (BLOCK, D)),
+    "bumps": ((_PAIR,), (BETA,)),
+    "connected_components": ((_PAIR, _PAIR), (ALPHA, BETA)),
+    "convergence_experiment": (("product", 1, 2, 0.5, (2,), 1, 0), (None, R, K2, T, None, index("samples", 1), SEED)),
+    "convex_body": ((1, 2, 0.5), (R, K2, T)),
+    "delta_gamma": ((1, 1), (P, R)),
+    "dominant_pairs": ((1, 2, False), (P, R, instance("inward_only", bool))),
+    "entropy_extremal": ((_BLOCK, 2, 0.5), (BLOCK, K2, T)),
+    "enumerate_pairings": ((1,), (index("m", 1),)),
+    "enumerate_partial_pairings": ((2,), (index("r"),)),
+    "exact_mean_output": ((1, 2, 2, 0.5, _RHO), (R, K, N, T)),
+    "exact_trace_moment": ((1, 1, 2, 2, 0.5, _RHO, 8, 2**24), (P, R, K, N, T, None, CAP, BUDGET)),
+    "f_beta": ((_PAIR, _RHO, 1, 2**24), (BETA, None, P, BUDGET)),
+    "g_from_state": ((_RHO, 1, 2, 2, 0.5), (None, R, K, N, T)),
+    "gram_matrix": ((2, 3.0), (index("m", 1), DIM)),
+    "integrate_monomial": (([(0, 0), (0, 0)], 3.0), (None, DIM)),
+    "is_transverse": ((_PAIR,), (instance("tau", Pairing),)),
+    "isotropic_entropy": ((2, 0.5), (K2, T)),
+    "isotropic_eta": ((2, 0.5), (K2, T)),
+    "length": ((_PAIR,), (instance("sigma", Permutation),)),
+    "make_channel": ((2, 2, 0.5, _STREAM), (K, N, T, STREAM)),
+    "mc_conjugation_mean": ((np.eye(2), 2, 0), (None, MC_SAMPLES, SEED)),
+    "mc_mean_output": ((1, 2, 2, 0.5, _RHO, 2, 0), (R, K, N, T, None, MC_SAMPLES, SEED)),
+    "mc_trace_moment": ((1, 1, 2, 2, 0.5, _RHO, 2, 0), (P, R, K, N, T, None, MC_SAMPLES, SEED)),
+    "mean_output_asymptotic": ((_RHO, 1, 2, 0.5), (None, R, K, T)),
+    "min_transverse_distance": ((_PAIR,), (BETA,)),
+    "mobius": ((_PAIR, _PAIR), (ALPHA, BETA)),
+    "op_Q_tilde": ((_BLOCK, 2), (BLOCK, D)),
+    "op_R_tilde": ((_BLOCK, 2, 0.5), (BLOCK, K, T)),
+    "op_S_tilde": ((_BLOCK, 2, 0.5), (BLOCK, K2, T)),
+    "op_T": ((_BLOCK, 2), (BLOCK, K)),
+    "op_T_tilde": ((_BLOCK, 2), (BLOCK, D)),
+    "output_state": ((_SPEC, 1, _RHO), (SPEC, R)),
+    "pairing_from_partial": ((_BLOCK,), (BLOCK,)),
+    "project_to_body": ((_RHO, orthochan.convex_body(1, 2, 0.5)), (None, instance("body", ConvexBody))),
+    "sample_haar_orthogonal": ((2, _STREAM), (index("dimension", 1), STREAM)),
+    "term_report": ((1, 1, 2, 2, 0.5, _RHO, 8, 2**24), (P, R, K, N, T, None, CAP, BUDGET)),
+    "von_neumann_entropy": ((_RHO,), ()),
+    "wg_asymptotic": ((_PAIR, _PAIR, 3.0), (ALPHA, BETA, DIM)),
+    "wg_exact": ((1, 3.0), (index("m", 1), DIM)),
+    "wiring_matrix": ((_PAIR, 2), (instance("pairing", Pairing), index("dim", 1))),
+}
+
+
+def test_every_public_callable_has_a_sweep_row():
+    # a new public name brings its valid call and the rules of its arguments
+    public = {name: getattr(orthochan, name) for name in orthochan.__all__}
+    errors = {name for name, obj in public.items() if isinstance(obj, type) and issubclass(obj, OrthochanError)}
+    assert [name for name in public if name not in SWEEP and name not in errors] == []
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_malformed_arguments_raise_orthochan_errors(name):
+    args, rules = SWEEP[name]
+    call = METHODS.get(name) or getattr(orthochan, name)
+    call(*args)
+    leaks = []
+    for i, rule in enumerate(rules + (None,) * (len(args) - len(rules))):
+        for value in MALFORMED:
+            try:
+                call(*args[:i], value, *args[i + 1:])
+                outcome = "returned"
+            except ValidationError as error:
+                outcome = str(error)
+            except OrthochanError as error:
+                outcome = f"{type(error).__name__}: {error}"
+            except Exception as error:  # a builtin exception, or a warning raised as one
+                leaks.append((i, value, repr(error)))
+                continue
+            if rule and rule(value) not in (None, outcome):
+                leaks.append((i, value, outcome))
+    assert leaks == []

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from orthochan import weingarten
 from orthochan.errors import EnumerationLimitError, ValidationError
 from orthochan.pairings import (
     coset_types,
@@ -212,11 +213,11 @@ def test_a_leading_order_value_outside_float64_raises(n):
         wg_asymptotic(a, b, n)
 
 
-@pytest.mark.parametrize("m", [2.9, 2.0, "2"])
-def test_half_size_must_be_an_integer(m):
-    # int() would build the m = 2 table for each of these
-    with pytest.raises(ValidationError, match="m must be an integer"):
-        wg_exact(m, 3)
+def test_gram_matrix_checks_the_cap_before_listing_partitions(monkeypatch):
+    # the partitions of m were once listed first: 2.2 s at m = 55 before the cap refused it
+    monkeypatch.setattr(weingarten, "type_lengths", lambda m: pytest.fail("type_lengths ran before the cap check"))
+    with pytest.raises(EnumerationLimitError):
+        gram_matrix(7, 3.0)
 
 
 class TestAsymptotic:
