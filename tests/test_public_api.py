@@ -11,6 +11,7 @@ benchmark tracer: the (module, name) must be one of ``BOUNDARIES`` in
 """
 import ast
 import importlib
+import inspect
 import math
 import numbers
 from collections.abc import Mapping
@@ -254,24 +255,29 @@ def test_every_public_callable_has_a_sweep_row():
     assert [name for name in public if name not in SWEEP and name not in errors] == []
 
 
-@pytest.mark.parametrize("name", SWEEP)
-def test_malformed_arguments_raise_orthochan_errors(name):
+CALLS = {name: METHODS.get(name) or getattr(orthochan, name) for name in SWEEP}
+ARGUMENTS = [(name, i) for name, (args, _) in SWEEP.items() for i in range(len(args))]
+ARGUMENT_IDS = [f"{name}-{list(inspect.signature(CALLS[name]).parameters)[i]}" for name, i in ARGUMENTS]
+
+
+@pytest.mark.parametrize("name, i", ARGUMENTS, ids=ARGUMENT_IDS)  # one case per argument, e.g. make_channel-rng
+def test_malformed_arguments_raise_orthochan_errors(name, i):
     args, rules = SWEEP[name]
-    call = METHODS.get(name) or getattr(orthochan, name)
+    call = CALLS[name]
     call(*args)
+    rule = rules[i] if i < len(rules) else None
     leaks = []
-    for i, rule in enumerate(rules + (None,) * (len(args) - len(rules))):
-        for value in MALFORMED:
-            try:
-                call(*args[:i], value, *args[i + 1:])
-                outcome = "returned"
-            except ValidationError as error:
-                outcome = str(error)
-            except OrthochanError as error:
-                outcome = f"{type(error).__name__}: {error}"
-            except Exception as error:  # a builtin exception, or a warning raised as one
-                leaks.append((i, value, repr(error)))
-                continue
-            if rule and rule(value) not in (None, outcome):
-                leaks.append((i, value, outcome))
+    for value in MALFORMED:
+        try:
+            call(*args[:i], value, *args[i + 1:])
+            outcome = "returned"
+        except ValidationError as error:
+            outcome = str(error)
+        except OrthochanError as error:
+            outcome = f"{type(error).__name__}: {error}"
+        except Exception as error:  # a builtin exception, or a warning raised as one
+            leaks.append((value, repr(error)))
+            continue
+        if rule and rule(value) not in (None, outcome):
+            leaks.append((value, outcome))
     assert leaks == []
