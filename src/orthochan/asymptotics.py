@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import InvalidStateError, OrthochanError, ValidationError
 from .errors import checked_index, checked_instance, checked_real, checked_size
 from .moments import _infer_local_dim, f_beta
 from .pairings import PartialPairing, enumerate_partial_pairings, pairing_from_partial, wiring_sum
-from .pairings import _check_partial_count, _pair_sets
+from .pairings import _check_partial_count, _ordered, _pair_sets
 
 KKT_TOL = 1e-12  # relative slack of the projection's optimality certificate
 
@@ -123,7 +123,7 @@ def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.nd
     state = np.asarray(state)
     d = _infer_local_dim(state, r)
     _checked_state(state, d**r)
-    checked_size(k ** (2 * r), OUTPUT_TENSOR_BUDGET, "asymptotic mean output needs k^(2r)")
+    checked_size(k, 2 * r, OUTPUT_TENSOR_BUDGET, "asymptotic mean output needs k^(2r)")
     out = np.zeros((k**r, k**r), dtype=complex)
     for block in enumerate_partial_pairings(r):
         beta = pairing_from_partial(block)
@@ -148,7 +148,7 @@ def bell_state_vector(block: PartialPairing, d: int) -> np.ndarray:
     if not checked_instance(block, PartialPairing, "block").is_maximal() or block.singles:
         raise ValidationError("a pure pair-product input needs a perfect pairing of the copies")
     r = checked_index(block.n_points, "r", 1)
-    checked_size(d**r, OUTPUT_TENSOR_BUDGET, "pair-product input needs d^r")
+    checked_size(d, r, OUTPUT_TENSOR_BUDGET, "pair-product input needs d^r")
     args = []
     for a, b in block.pairs:
         args.extend((np.eye(d) / math.sqrt(d), [a, b]))
@@ -159,7 +159,7 @@ def bell_state_vector(block: PartialPairing, d: int) -> np.ndarray:
 def basis_product_state(d: int, r: int) -> np.ndarray:
     """The product input e_0^(tensor r) as a unit vector on d^r."""
     d, r = checked_index(d, "d", 1), checked_index(r, "r", 1)
-    psi = np.zeros(checked_size(d**r, OUTPUT_TENSOR_BUDGET, "product input needs d^r"))
+    psi = np.zeros(checked_size(d, r, OUTPUT_TENSOR_BUDGET, "product input needs d^r"))
     psi[0] = 1.0
     return psi
 
@@ -205,31 +205,34 @@ def entropy_extremal(block: PartialPairing, k: int, t: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ConvexBody:
-    """The attractor body: extremal states S_B indexed by partial pairings."""
+    """The attractor body at (r, k, t): the extremal states S_B, one per partial pairing B of the r copies.
+
+    blocks and vertices are built from (r, k, t), vertex i being
+    op_S_tilde(blocks[i], k, t) in the canonical block order; the vertex
+    stack is sized before it is built.
+    """
 
     r: int
     k: int
     t: float
-    blocks: tuple[PartialPairing, ...]
-    vertices: np.ndarray  # (n_vertices, k^r, k^r)
+    blocks: tuple[PartialPairing, ...] = field(init=False)
+    vertices: np.ndarray = field(init=False)  # (n_vertices, k^r, k^r), read-only
+
+    def __post_init__(self):
+        r, k, t = checked_index(self.r, "r", 1), checked_index(self.k, "k", 2), checked_real(self.t, "t", 0, 1)
+        blocks = tuple(enumerate_partial_pairings(r))
+        what = f"convex body needs {len(blocks)} vertices x k^(2r)"
+        checked_size(len(blocks) * k ** (2 * r), 1, OUTPUT_TENSOR_BUDGET, what)  # r <= 8: a cheap power
+        vertices = np.stack([op_S_tilde(b, k, t) for b in blocks]).astype(complex)
+        vertices.setflags(write=False)
+        for name, value in (("r", r), ("k", k), ("t", t), ("blocks", blocks), ("vertices", vertices)):
+            object.__setattr__(self, name, value)
 
     @functools.cached_property
     def _bordered_gram(self) -> tuple[np.ndarray, np.ndarray]:
         """Float rows of the vertices (Re<A, B> is their dot product) and [[G, 1], [1, 0]], G_ij = Re<S_i, S_j>."""
         flat = self.vertices.reshape(len(self.vertices), -1).view(float)
         return flat, np.block([[flat @ flat.T, np.ones((len(flat), 1))], [np.ones((1, len(flat))), 0.0]])
-
-
-def convex_body(r: int, k: int, t: float) -> ConvexBody:
-    """Build the body for given (r, k, t); vertex order is the canonical block order."""
-    r, k, t = checked_index(r, "r", 1), checked_index(k, "k", 2), checked_real(t, "t", 0, 1)
-    blocks = tuple(enumerate_partial_pairings(r))
-    checked_size(
-        len(blocks) * k ** (2 * r), OUTPUT_TENSOR_BUDGET, f"convex body needs {len(blocks)} vertices x k^(2r)"
-    )
-    vertices = np.stack([op_S_tilde(b, k, t) for b in blocks]).astype(complex)
-    vertices.setflags(write=False)
-    return ConvexBody(r=r, k=k, t=t, blocks=blocks, vertices=vertices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,16 +342,15 @@ def convergence_experiment(
     thread counts.
     """
     _checked_rule(input_rule)  # before the body and the grid are sized by it
-    try:
-        n_grid = tuple(checked_index(n, "n", 1) for n in n_grid)
-    except TypeError:  # n_grid is not iterable
-        raise ValidationError(f"n_grid must be a sequence of integers, got {n_grid!r}") from None
+    if not _ordered(n_grid):  # a set would order the rows by its iteration
+        raise ValidationError(f"n_grid must be a sequence of integers, got {n_grid!r}")
+    n_grid = tuple(checked_index(n, "n", 1) for n in n_grid)
     samples = checked_index(samples, "samples", 1)
     if not n_grid:
         raise ValidationError("need a nonempty n grid")
-    body = convex_body(r, k, t)  # sizes the k^(2r) outputs too
+    body = ConvexBody(r, k, t)  # sizes the k^(2r) outputs too
     for n in n_grid:  # size every draw and refuse a degenerate d before any is built
-        checked_size((k * n) ** 2, OUTPUT_TENSOR_BUDGET, "a Haar draw needs dim^2")
+        checked_size(k * n, 2, OUTPUT_TENSOR_BUDGET, "a Haar draw needs dim^2")
         input_dim(k, n, t)
 
     def draw(job):

@@ -61,23 +61,40 @@ class RngStream:
 
 @dataclass(frozen=True, eq=False)
 class ChannelSpec:
-    """One realization of the random channel: dimensions plus its isometry."""
+    """One realization of the random channel: the dimensions k, n and its isometry V, of shape (kn, d).
+
+    V is read as a real, finite, 2-D array of shape (kn, d) with 1 <= d <= kn,
+    and kept as a read-only float64 array, the one given when it is one
+    already.  Its orthonormality (V^T V = I) is not checked: that would cost
+    O(kn d^2) per channel.
+    """
 
     k: int
     n: int
-    t: float
-    d: int
     isometry: np.ndarray
 
     def __post_init__(self):
-        for name in ("k", "n", "d"):
-            object.__setattr__(self, name, checked_index(getattr(self, name), name, 1))
-        object.__setattr__(self, "t", checked_real(self.t, "t", 0, 1))
-        object.__setattr__(self, "isometry", np.asarray(self.isometry))
-        if self.isometry.shape != (self.k * self.n, self.d):
-            raise ValidationError(
-                f"isometry has shape {self.isometry.shape}, expected ({self.k * self.n}, {self.d})"
-            )
+        k, n = checked_index(self.k, "k", 1), checked_index(self.n, "n", 1)
+        try:
+            v = np.asarray(self.isometry)
+        except (TypeError, ValueError):  # a ragged nesting
+            raise ValidationError(f"isometry must be a real 2-D array, got {self.isometry!r}") from None
+        if v.dtype.kind not in "iuf":  # bool, complex, string and object arrays
+            raise ValidationError(f"isometry must be a real 2-D array, got dtype {v.dtype}")
+        if v.ndim != 2 or v.shape[0] != k * n or not 1 <= v.shape[1] <= k * n:
+            raise ValidationError(f"isometry has shape {v.shape}, expected ({k * n}, d) with 1 <= d <= {k * n}")
+        if not np.isfinite(v).all():
+            raise ValidationError("isometry has non-finite entries")
+        if v.dtype != np.float64 or v.flags.writeable:
+            v = v.astype(np.float64)
+            v.setflags(write=False)
+        for name, value in (("k", k), ("n", n), ("isometry", v)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def d(self) -> int:
+        """The input dimension, V's column count."""
+        return self.isometry.shape[1]
 
 
 def worker_count() -> int:
@@ -152,7 +169,7 @@ def _haar_columns(
     of Q by the signs of R's diagonal is required; plain QR output is not Haar
     distributed.
     """
-    checked_size(dim * dim, OUTPUT_TENSOR_BUDGET, "a Haar draw needs dim^2")
+    checked_size(dim, 2, OUTPUT_TENSOR_BUDGET, "a Haar draw needs dim^2")
     g = np.empty((count, dim, dim))
     for gen, out in zip(gens, g):
         gen.standard_normal(out=out)
@@ -243,7 +260,7 @@ def make_channel(k: int, n: int, t: float, rng: RngStream) -> ChannelSpec:
     d = input_dim(k, n, t)
     v = _haar_columns([checked_instance(rng, RngStream, "rng").generator()], 1, k * n, d)[0]
     v.setflags(write=False)
-    return ChannelSpec(k=k, n=n, t=t, d=d, isometry=v)
+    return ChannelSpec(k=k, n=n, isometry=v)
 
 
 def apply_channel(spec: ChannelSpec, x: np.ndarray) -> np.ndarray:
@@ -283,7 +300,7 @@ def _lift(r: int, k: int, n: int, d: int, state: np.ndarray) -> tuple[int, Calla
     real factors stay in float64.
     """
     r = checked_index(r, "r", 1)
-    per_column = checked_size((k * n) ** r, OUTPUT_TENSOR_BUDGET, "lifted state tensor needs (kn)^r")
+    per_column = checked_size(k * n, r, OUTPUT_TENSOR_BUDGET, "lifted state tensor needs (kn)^r")
     factor = _state_components(state, d**r)
     cols = min(OUTPUT_TENSOR_BUDGET // per_column, factor.shape[1])
     # after r lifts the legs are (C, k_1, n_1, ..., k_r, n_r); put the k legs first
@@ -325,7 +342,7 @@ def _rule_output(k: int, n: int, v: np.ndarray, r: int, rule: str) -> np.ndarray
     applied to the pair vector, so a pair gives L L^T / d, L = M regrouped as
     (k^2, n^2), and the single gives ptr_n(M) / d.
     """
-    checked_size(k ** (2 * r), OUTPUT_TENSOR_BUDGET, "the output needs k^(2r)")
+    checked_size(k, 2 * r, OUTPUT_TENSOR_BUDGET, "the output needs k^(2r)")
     if rule == "product":
         u = np.ascontiguousarray(v[:, 0]).reshape(k, n)
         blocks = [u @ u.T] * r

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
+    ConvexBody,
     convergence_experiment,
-    convex_body,
     entropy_extremal,
     experiment_input,
     von_neumann_entropy,
@@ -126,7 +126,7 @@ def _load_state(args, d: int, r: int) -> np.ndarray:
             raise ValidationError(f"cannot read input file: {exc}")
         return matrix_from_json(data)
     if args.input == "mixed":
-        checked_size(d ** (2 * r), OUTPUT_TENSOR_BUDGET, "the mixed input needs d^(2r)")
+        checked_size(d, 2 * r, OUTPUT_TENSOR_BUDGET, "the mixed input needs d^(2r)")
         return np.eye(d**r) / d**r
     return experiment_input(args.input, r, d)
 
@@ -195,7 +195,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_body(args) -> int:
     config = _config(args)
-    body = convex_body(args.r, args.k, args.t)
+    body = ConvexBody(args.r, args.k, args.t)
     vertices = []
     for block, vertex in zip(body.blocks, body.vertices):
         vertices.append(

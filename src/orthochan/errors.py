@@ -9,6 +9,7 @@ import operator
 
 # max entries of a dense array sized by caller arguments, checked by checked_size before it is allocated
 OUTPUT_TENSOR_BUDGET = 2**24
+FULL_COUNT_BITS = 100  # bits above which checked_size refuses a power by a lower bound, without building it
 
 
 class OrthochanError(Exception):
@@ -81,8 +82,19 @@ def checked_instance(value, cls: type, what: str):
     return value
 
 
-def checked_size(entries: int, budget: int, what: str) -> int:
-    """entries if at most budget, else BudgetError naming what, e.g. "lifted state tensor needs (kn)^r"."""
+def checked_size(base: int, exponent: int, budget: int, what: str) -> int:
+    """base ** exponent if at most budget, else BudgetError naming what, e.g. "lifted state tensor needs (kn)^r".
+
+    base^exponent >= 2^least, least = exponent * (bits of base - 1).  A power
+    that may reach 2^FULL_COUNT_BITS is refused unbuilt where 2^least is over
+    the budget already, by a message naming 2^least, capped at
+    2^FULL_COUNT_BITS: neither the work nor the message grows with the
+    exponent.  A smaller power is built, and a refusal prints it in full.
+    """
+    least = exponent * (base.bit_length() - 1)
+    if exponent * base.bit_length() > FULL_COUNT_BITS and least >= budget.bit_length():  # so 2^least > budget
+        raise BudgetError(f"{what} = at least 2^{min(least, FULL_COUNT_BITS)} entries, above budget {budget}")
+    entries = base**exponent
     if entries > budget:
         raise BudgetError(f"{what} = {entries} entries, above budget {budget}")
     return entries

@@ -27,6 +27,7 @@ from .pairings import (
     PAIRING_HALF_SIZE_CAP,
     Pairing,
     PartialPairing,
+    _check_partial_count,
     _neighbour_swap,
     _symmetry_orbits,
     _type_sums,
@@ -90,7 +91,7 @@ def f_beta(beta: Pairing, state: np.ndarray, p: int, budget: int = CONTRACTION_B
     r = checked_index(beta.size // (2 * p), "r", 1)  # a pairing of no points would take the 0-th root below
     state = np.asarray(state)
     d = _infer_local_dim(state, r)
-    checked_size(d ** (p * r), budget, "f_beta contraction needs d^(pr)")
+    checked_size(d, p * r, budget, "f_beta contraction needs d^(pr)")
     # endpoint (copy i, cell x, side) takes the label of its pair; per copy, [ket legs], [bra legs]
     labels = np.empty(2 * p * r, dtype=int)
     labels[np.array(beta.pairs)] = np.arange(len(beta.pairs))[:, None]
@@ -129,7 +130,7 @@ def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, bu
         raise EnumerationLimitError(f"exact engine needs 2pr = {2 * m} diagram endpoints, above cap {cap}")
     d = input_dim(k, n, t)
     _checked_state(state, d**r)
-    checked_size(d ** (p * r), budget, "f_beta contraction needs d^(pr)")  # before any table is built
+    checked_size(d, p * r, budget, "f_beta contraction needs d^(pr)")  # before any table is built
     table = wg_exact(m, k * n)
     pair_list = enumerate_pairings(m)
     counts, types = type_lengths(m), coset_types(m)
@@ -336,6 +337,7 @@ def asymptotic_trace_moment(
     missing blocks count as zero.
     """
     p, r = checked_index(p, "p", 1), checked_index(r, "r", 1)  # Python ints, so p <= 2 below is a bool
+    _check_partial_count(p * r)  # before gamma or any block is built
     _, gamma = delta_gamma(p, r)
     k, t = checked_index(k, "k", 1), checked_real(t, "t", 0, 1)
     weights = {}

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,29 +39,36 @@ SIDE_L = 0
 SIDE_R = 1
 
 
+def _ordered(values) -> bool:
+    """Whether values is an ordered sequence: a list, tuple, range or other Sequence, or a 1-D array.
+
+    A set or a mapping has no order of the caller's, and an iterator is read once.
+    """
+    return isinstance(values, Sequence) or isinstance(values, np.ndarray) and values.ndim == 1
+
+
 def _int_entries(values, what: str) -> tuple[int, ...]:
     """The sequence values as a tuple of Python ints, each read by checked_index with what naming one entry.
 
     This is the one entry rule of permutations, pairings and partial pairings: a
-    bool, float, string or other non-integer entry, or a values that is not a
-    sequence, raises ValidationError before any entry is used as an index.
+    bool, float, string or other non-integer entry, or a values that is not an
+    ordered sequence (_ordered), raises ValidationError before any entry is used as an index.
     """
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise ValidationError(f"not a sequence of integers: {values!r}") from None
+    if not _ordered(values):
+        raise ValidationError(f"not a sequence of integers: {values!r}")
     return tuple(checked_index(value, what, None) for value in values)
 
 
 def _int_pairs(pairs, n_points: int | None) -> tuple[tuple[int, int], ...]:
     """pairs in their given order as (int, int) tuples by _int_entries, in 0..n_points-1 (None: twice their count)."""
     try:
-        pairs = tuple(map(tuple, pairs))
-    except TypeError:  # pairs, or a pair in it, is not a sequence, as in a flat (0, 1)
+        entries = tuple(pairs)
+        lengths = [len(pair) for pair in entries]
+    except TypeError:  # pairs, or a pair in it, is not a collection, as in a flat (0, 1)
         raise ValidationError(f"pairs need two entries each: {pairs}") from None
-    if any(len(pair) != 2 for pair in pairs):
-        raise ValidationError(f"pairs need two entries each: {pairs}")
-    pairs = tuple(_int_entries(pair, "pair entry") for pair in pairs)
+    if any(length != 2 for length in lengths):
+        raise ValidationError(f"pairs need two entries each: {entries}")
+    pairs = tuple(_int_entries(pair, "pair entry") for pair in entries)
     n_points = 2 * len(pairs) if n_points is None else n_points
     if any(not 0 <= i < n_points for pair in pairs for i in pair):
         raise ValidationError(f"pair entries outside 0..{n_points - 1}: {pairs}")
@@ -479,7 +487,7 @@ def wiring_sum(pairings, coeffs, dim: int) -> np.ndarray:
     if len(sizes) != 1:
         raise ValidationError(f"wiring sum needs pairings of one size, got sizes {sizes}")
     q = sizes[0] // 2
-    size = checked_size(dim ** (2 * q), OUTPUT_TENSOR_BUDGET, "wiring pattern needs dim^(2pr)")
+    size = checked_size(dim, 2 * q, OUTPUT_TENSOR_BUDGET, "wiring pattern needs dim^(2pr)")
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (len(pairings),):
         raise ValidationError(f"need one coefficient per pairing, got shape {coeffs.shape} for {len(pairings)}")

@@ -24,10 +24,12 @@ from .errors import ValidationError, checked_index, checked_real
 from .pairings import (
     Pairing,
     _int_entries,
+    _ordered,
     _type_representatives,
     _type_sums,
     connected_components,
     coset_types,
+    double_factorial_odd,
     enumerate_pairings,
     mobius,
     type_lengths,
@@ -50,7 +52,11 @@ class WeingartenTable:
     n: float
     coefficients: np.ndarray
     rank: int
-    singular: bool
+
+    @property
+    def singular(self) -> bool:
+        """Whether the Gram matrix has rank below the (2m-1)!! pairings."""
+        return self.rank < double_factorial_odd(self.m)
 
 
 def gram_matrix(m: int, n: float) -> np.ndarray:
@@ -102,12 +108,12 @@ def _build_table(m: int, n: float) -> WeingartenTable:
         with np.errstate(over="raise", invalid="raise"):
             coeff, rank = _class_pseudo_inverse(m, gram_matrix(m, n)[0])
     except FloatingPointError:
-        rank = 0
-    singular = rank < len(coset_types(m))
-    if rank == 0 or singular and not (n < m and n.is_integer()):
+        coeff, rank = None, 0
+    table = WeingartenTable(m=m, n=n, coefficients=coeff, rank=rank)
+    if rank == 0 or table.singular and not (n < m and n.is_integer()):
         raise ValidationError(f"the Weingarten table at m = {m}, n = {n!r} leaves the float64 range")
     coeff.setflags(write=False)
-    return WeingartenTable(m=m, n=n, coefficients=coeff, rank=rank, singular=singular)
+    return table
 
 
 def wg_exact(m: int, n: float) -> WeingartenTable:
@@ -140,10 +146,9 @@ def integrate_monomial(index_rows, n: float) -> float:
     row/column delta constraints, counted per coset type, against the table.
     """
     n = checked_real(n, "dimension parameter", 0, math.inf, exclusive=True)  # odd and empty products too
-    try:
-        rows = [_int_entries(rc, "row or column index") for rc in index_rows]
-    except TypeError:  # index_rows is not iterable
-        raise ValidationError(f"index_rows must be a sequence of (row, column) pairs, got {index_rows!r}") from None
+    if not _ordered(index_rows):  # a set would merge repeated factors
+        raise ValidationError(f"index_rows must be a sequence of (row, column) pairs, got {index_rows!r}")
+    rows = [_int_entries(rc, "row or column index") for rc in index_rows]
     if any(len(rc) != 2 for rc in rows):
         raise ValidationError(f"each factor needs one (row, column) index pair, got {rows}")
     if len(rows) % 2 == 1:

@@ -1,17 +1,18 @@
 import itertools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from orthochan import asymptotics, channels
 from orthochan.asymptotics import (
+    ConvexBody,
     _q_terms,
     basis_product_state,
     bell_input,
     bell_state_vector,
     convergence_experiment,
-    convex_body,
     entropy_extremal,
     experiment_input,
     isotropic_entropy,
@@ -294,17 +295,17 @@ class TestEntropy:
 
 class TestBodyProjection:
     def test_vertices_at_distance_zero(self):
-        body = convex_body(2, 2, 0.5)
+        body = ConvexBody(2, 2, 0.5)
         for vertex in body.vertices:
             assert project_to_body(vertex, body).distance <= 1e-7
 
     def test_midpoint_at_distance_zero(self):
-        body = convex_body(2, 2, 0.5)
+        body = ConvexBody(2, 2, 0.5)
         mid = 0.5 * body.vertices[0] + 0.5 * body.vertices[1]
         assert project_to_body(mid, body).distance <= 1e-7
 
     def test_orthogonal_perturbation_distance(self):
-        body = convex_body(2, 2, 0.5)
+        body = ConvexBody(2, 2, 0.5)
         anchor = body.vertices[0]  # the maximally mixed vertex
         rng = np.random.default_rng(8)
         g = rng.standard_normal((4, 4))
@@ -322,32 +323,43 @@ class TestBodyProjection:
             assert project_to_body(x, body).distance == pytest.approx(eps * norm, rel=1e-4)
 
     def test_projection_reports_convergence(self):
-        body = convex_body(2, 2, 0.5)
+        body = ConvexBody(2, 2, 0.5)
         proj = project_to_body(body.vertices[1], body)
         assert proj.converged
         assert proj.weights.sum() == pytest.approx(1.0)
 
     def test_vertex_stack_over_budget_raises_before_building(self, monkeypatch):
         # r = 3, k = 2: four vertices of 2^6 entries each
-        assert len(convex_body(3, 2, 0.5).vertices) == 4
+        assert len(ConvexBody(3, 2, 0.5).vertices) == 4
         monkeypatch.setattr(asymptotics, "OUTPUT_TENSOR_BUDGET", 4 * 2**6)
-        convex_body(3, 2, 0.5)
+        ConvexBody(3, 2, 0.5)
         monkeypatch.setattr(asymptotics, "OUTPUT_TENSOR_BUDGET", 4 * 2**6 - 1)
         built = []
         monkeypatch.setattr(asymptotics, "op_S_tilde", lambda *args: built.append(args))
         with pytest.raises(BudgetError, match="4 vertices"):
-            convex_body(3, 2, 0.5)
+            ConvexBody(3, 2, 0.5)
         assert built == []
+
+    def test_body_is_built_from_r_k_t_alone(self):
+        # blocks and vertices are derived, so a body whose fields disagree cannot be made
+        body = ConvexBody(np.int64(2), 3, 1)
+        assert [f.name for f in fields(ConvexBody) if f.init] == ["r", "k", "t"]
+        assert (type(body.r), type(body.k), type(body.t)) == (int, int, float)
+        assert body.blocks == tuple(enumerate_partial_pairings(2)) and not body.vertices.flags.writeable
+        for block, vertex in zip(body.blocks, body.vertices):
+            assert np.array_equal(vertex, op_S_tilde(block, 3, 1.0))
+        with pytest.raises(TypeError):
+            ConvexBody(1, 2, 0.5, (), None)
 
     def test_vertex_count_matches_partial_pairings(self):
         for r in (1, 2, 3, 4):
-            body = convex_body(r, 2, 0.5)
+            body = ConvexBody(r, 2, 0.5)
             assert len(body.blocks) == len(enumerate_partial_pairings(r))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_rejected(self, bad):
         # NaN compares false with every tolerance, so it must not reach the solve
-        body = convex_body(2, 2, 0.5)
+        body = ConvexBody(2, 2, 0.5)
         with pytest.raises(ValidationError, match="finite"):
             project_to_body(np.full((4, 4), bad), body)
         vertex = body.vertices[1].copy()
@@ -359,7 +371,7 @@ class TestBodyProjection:
     def test_matches_brute_force_over_all_supports(self, r, k, t):
         # the projection is the nearest of the affine minimisers, over every
         # support, whose weights are non-negative
-        body = convex_body(r, k, t)
+        body = ConvexBody(r, k, t)
         n_verts, dim = len(body.vertices), k**r
         flat = body.vertices.reshape(n_verts, -1)
         for x in _points_around(body, np.random.default_rng(100 * r + k)):
@@ -378,7 +390,7 @@ class TestBodyProjection:
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_weights_carry_a_kkt_certificate(self, r):
-        body = convex_body(r, 2, 0.5)
+        body = ConvexBody(r, 2, 0.5)
         for x in _points_around(body, np.random.default_rng(r)):
             proj = project_to_body(x, body)
             gram = np.array([[np.vdot(a, b).real for b in body.vertices] for a in body.vertices])
@@ -396,7 +408,7 @@ class TestBodyProjection:
     def test_no_certificate_raises(self, monkeypatch):
         # a negative tolerance can never be met; the step bound turns that into an error
         monkeypatch.setattr(asymptotics, "KKT_TOL", -1.0)
-        body = convex_body(4, 2, 0.5)
+        body = ConvexBody(4, 2, 0.5)
         with pytest.raises(OrthochanError, match="no KKT certificate") as info:
             project_to_body(0.5 * body.vertices[0] + 0.5 * body.vertices[-1], body)
         assert type(info.value) is OrthochanError
@@ -527,7 +539,7 @@ class TestConvergenceExperiment:
         # every row keeps the bits of the output of the channel drawn whole
         n_grid, samples, seed = (4, 32, 128), 3, 13
         res = convergence_experiment("product", r, 2, 0.5, n_grid, samples, seed)
-        body = convex_body(r, 2, 0.5)
+        body = ConvexBody(r, 2, 0.5)
         for gi, n in enumerate(n_grid):
             for s in range(samples):
                 z = output_state(make_channel(2, n, 0.5, RngStream(seed, gi * samples + s)), r, "product")

@@ -34,14 +34,15 @@ from orthochan.channels import (
     worker_count,
 )
 from orthochan.asymptotics import (
+    ConvexBody,
     basis_product_state,
     bell_input,
     bell_state_vector,
     convergence_experiment,
-    convex_body,
     experiment_input,
     maximal_block,
     mean_output_asymptotic,
+    op_T,
     project_to_body,
     von_neumann_entropy,
 )
@@ -208,9 +209,8 @@ INTEGER_ARGUMENTS = {
     "bell-vector-no-points": (lambda: bell_state_vector(PartialPairing(0, ()), 2), "^r must be >= 1, got 0$"),
     "bell-input-no-points": (lambda: bell_input(PartialPairing(0, ()), 2), "^r must be >= 1, got 0$"),
     "f-beta-no-points": (lambda: f_beta(Pairing(()), np.eye(2) / 2, 1), "^r must be >= 1, got 0$"),
-    # a spec once stored a float k or d whose product still matched the isometry's shape
-    "channel-spec-k-float": (lambda: ChannelSpec(2.0, 2, 0.5, 2, np.zeros((4, 2))), "^k must be an integer, got 2.0$"),
-    "channel-spec-d-float": (lambda: ChannelSpec(2, 2, 0.5, 2.0, np.zeros((4, 2))), "^d must be an integer, got 2.0$"),
+    # a spec once stored a float k whose product still matched the isometry's shape
+    "channel-spec-k-float": (lambda: ChannelSpec(2.0, 2, np.zeros((4, 2))), "^k must be an integer, got 2.0$"),
 }
 
 # real arguments read by errors.checked_real where the sweep does not reach
@@ -233,9 +233,9 @@ SHAPE_REFUSALS = {
     # the lift budget is checked before the state is read: None would raise ValidationError
     "lift-budget": (lambda: mc_trace_moment(2, 4, 2, 64, 0.5, None, 10, 0), BudgetError, "above budget 16777216"),
     "isometry-shape": (
-        lambda: ChannelSpec(2, 2, 0.5, 2, np.zeros((3, 2))),
+        lambda: ChannelSpec(2, 2, np.zeros((3, 2))),
         ValidationError,
-        "isometry has shape (3, 2), expected (4, 2)",
+        "isometry has shape (3, 2), expected (4, d) with 1 <= d <= 4",
     ),
     "channel-input-shape": (
         lambda: apply_channel(make_channel(2, 2, 0.5, RngStream(0)), np.eye(3)),
@@ -271,7 +271,7 @@ SHAPE_REFUSALS = {
         "state must be a vector or a square matrix, got shape (2, 2, 2)",
     ),
     "projection-string": (
-        lambda: project_to_body("x", convex_body(1, 2, 0.5)), ValidationError, "need a finite (2, 2) matrix, got 'x'"
+        lambda: project_to_body("x", ConvexBody(1, 2, 0.5)), ValidationError, "need a finite (2, 2) matrix, got 'x'"
     ),
     "g-key-not-a-block": (
         lambda: asymptotic_trace_moment(1, 2, 2, 0.5, {"x": 0.5}),
@@ -291,9 +291,9 @@ SHAPE_REFUSALS = {
         "state must be a vector or a square matrix, got shape ()",
     ),
     "isometry-list-shape": (
-        lambda: ChannelSpec(2, 2, 0.5, 2, [[0.0, 0.0]] * 3),
+        lambda: ChannelSpec(2, 2, [[0.0, 0.0]] * 3),
         ValidationError,
-        "isometry has shape (3, 2), expected (4, 2)",
+        "isometry has shape (3, 2), expected (4, d) with 1 <= d <= 4",
     ),
     # these three once raised AttributeError or TypeError, and inward_only = 1 was taken as True
     "g-not-a-mapping": (
@@ -310,6 +310,55 @@ SHAPE_REFUSALS = {
         "n_grid must be a sequence of integers, got None",
     ),
     "inward-only-int": (lambda: dominant_pairs(1, 2, 1), ValidationError, "inward_only must be a bool, got 1"),
+    # a set grid ordered the rows by its iteration, and a set of factors merged repeated ones
+    "experiment-grid-set": (
+        lambda: convergence_experiment("bell", 2, 2, 0.5, {16, 8}, 2, 0),
+        ValidationError,
+        "n_grid must be a sequence of integers, got {",
+    ),
+    "index-rows-set": (
+        lambda: integrate_monomial({(0, 0), (1, 1)}, 3),
+        ValidationError,
+        "index_rows must be a sequence of (row, column) pairs, got {",
+    ),
+    # an isometry was stored as given: a string or a complex array reached the lift, a NaN gave a NaN output,
+    # and a spec's d could exceed kn
+    "isometry-string": (lambda: ChannelSpec(2, 2, "x"), ValidationError, "isometry must be a real 2-D array, got dtype <U1"),
+    "isometry-complex": (
+        lambda: ChannelSpec(2, 2, np.eye(4, 2) * 1j), ValidationError, "isometry must be a real 2-D array, got dtype complex128"
+    ),
+    "isometry-bool": (
+        lambda: ChannelSpec(2, 2, np.ones((4, 2), bool)), ValidationError, "isometry must be a real 2-D array, got dtype bool"
+    ),
+    "isometry-nan": (
+        lambda: ChannelSpec(2, 2, np.full((4, 2), np.nan)), ValidationError, "isometry has non-finite entries"
+    ),
+    "isometry-wider-than-kn": (
+        lambda: ChannelSpec(2, 2, np.zeros((4, 5))),
+        ValidationError,
+        "isometry has shape (4, 5), expected (4, d) with 1 <= d <= 4",
+    ),
+    "isometry-no-columns": (
+        lambda: ChannelSpec(2, 2, np.zeros((4, 0))),
+        ValidationError,
+        "isometry has shape (4, 0), expected (4, d) with 1 <= d <= 4",
+    ),
+    "isometry-ragged": (
+        lambda: ChannelSpec(1, 2, [[0.0], [0.0, 1.0]]),
+        ValidationError,
+        "isometry must be a real 2-D array, got [[0.0], [0.0, 1.0]]",
+    ),
+}
+
+# powers whose exponent alone puts them over the budget: the refused count once leaked
+# "Exceeds the limit (4300 digits) for integer string conversion" when it was printed
+HUGE_POWERS = {
+    "mc-trace-moment": (lambda r: mc_trace_moment(1, r, 2, 2, 0.5, np.eye(2) / 2, 2, 0), "lifted state tensor needs (kn)^r"),
+    "mc-mean-output": (lambda r: mc_mean_output(r, 2, 2, 0.5, np.eye(2) / 2, 2, 0), "lifted state tensor needs (kn)^r"),
+    "output-state-rule": (
+        lambda r: output_state(make_channel(2, 2, 0.5, RngStream(0)), r, "bell"), "the output needs k^(2r)"
+    ),
+    "op-t": (lambda r: op_T(PartialPairing(r, ()), 2), "wiring pattern needs dim^(2pr)"),
 }
 
 
@@ -323,8 +372,18 @@ class TestChannelConstruction:
         assert make_channel(2, 3, 0.9, RngStream(0)).d == 5
 
     def test_isometry_read_as_an_array(self):
-        spec = ChannelSpec(2, 2, 0.5, 2, [[0.0, 0.0]] * 4)
-        assert isinstance(spec.isometry, np.ndarray) and spec.isometry.shape == (4, 2)
+        spec = ChannelSpec(2, 2, [[0, 0]] * 4)
+        assert isinstance(spec.isometry, np.ndarray) and spec.isometry.shape == (4, 2) and spec.d == 2
+        assert spec.isometry.dtype == np.float64 and not spec.isometry.flags.writeable
+
+    def test_isometry_kept_without_a_copy_when_read_only_float(self):
+        # make_channel's isometry is read-only float64 already; a writable one is copied, so the spec cannot change
+        spec = make_channel(2, 4, 0.5, RngStream(0))
+        assert ChannelSpec(2, 4, spec.isometry).isometry is spec.isometry
+        v = np.eye(4, 2)
+        kept = ChannelSpec(2, 2, v).isometry
+        v[0, 0] = 5.0
+        assert kept is not v and kept[0, 0] == 1.0 and not kept.flags.writeable
 
     def test_isometry_property(self):
         spec = make_channel(3, 5, 0.6, RngStream(1))
@@ -765,10 +824,31 @@ def test_odd_r_bell_experiment_runs_without_a_dense_input():
     assert [line.split(",")[:2] for line in done.stdout.splitlines()[-2:]] == [["40", "0"], ["40", "1"]]
 
 
+@pytest.mark.parametrize("call, what", HUGE_POWERS.values(), ids=HUGE_POWERS.keys())
+def test_huge_powers_are_refused_unbuilt(call, what):
+    with pytest.raises(BudgetError, match=f"^{re.escape(what)} = at least 2\\^100 entries, above budget 16777216$"):
+        call(10**4)
+
+
+def test_size_check_does_not_build_a_power_beyond_the_budget():
+    # 4^(10^8) would take 25 MB to build and far more to print
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=r"^x = at least 2\^100 entries, above budget 16777216$"):
+            checked_size(4, 10**8, 2**24, "x")
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    # below 2^100 the count is built and printed in full, whatever the exponent
+    with pytest.raises(BudgetError, match=f"^x = {3**26} entries, above budget 16777216$"):
+        checked_size(3, 26, 2**24, "x")
+    assert checked_size(1, 10**8, 2**24, "x") == 1
+
+
 def test_size_at_its_budget_is_accepted():
-    assert checked_size(2**24, 2**24, "x") == 2**24
+    assert checked_size(2, 24, 2**24, "x") == 2**24
     with pytest.raises(BudgetError, match=r"^x = 16777217 entries, above budget 16777216$"):
-        checked_size(2**24 + 1, 2**24, "x")
+        checked_size(2**24 + 1, 1, 2**24, "x")
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -816,6 +816,14 @@ class TestAsymptoticTraceMoment:
         with pytest.raises(ValidationError):
             asymptotic_trace_moment(1, 2, 2, 0.5, g)
 
+    def test_cap_read_before_anything_is_built(self, monkeypatch):
+        # pr = 9 is over the partial pairing cap; the diagram pairings cost O(pr) before it was read
+        built = []
+        monkeypatch.setattr(moments, "delta_gamma", lambda *args: built.append(args))
+        with pytest.raises(EnumerationLimitError, match="^partial pairing enumeration capped at r <= 8, got 9$"):
+            asymptotic_trace_moment(9, 1, 2, 0.5, {})
+        assert built == []
+
 
 class TestGFromState:
     def test_bell_weights_are_one_at_exact_d(self):

@@ -135,6 +135,11 @@ SIZE_REFUSALS = {
     "permutation-images-float": (lambda: Permutation((1, 0.0)), "permutation image must be an integer, got 0.0"),
     "permutation-images-string": (lambda: Permutation(("a", 0)), "permutation image must be an integer, got 'a'"),
     "permutation-not-a-sequence": (lambda: Permutation(5), "not a sequence of integers: 5"),
+    # a set or a mapping was read in its own iteration order, its keys for a mapping: {2, 0, 1} was the identity
+    "permutation-set": (lambda: Permutation({2, 0, 1}), "not a sequence of integers: {0, 1, 2}"),
+    "pairing-mapping": (lambda: Pairing({1: 0, 0: 1}), "not a sequence of integers: {1: 0, 0: 1}"),
+    "partial-pair-set": (lambda: PartialPairing(2, ({0, 1},)), "not a sequence of integers: {0, 1}"),
+    "pairing-pair-mapping": (lambda: Pairing.from_pairs([{0: 2, 1: 3}]), "not a sequence of integers: {0: 2, 1: 3}"),
     "box-label-range": (lambda: box_index(2, 0, 0, 2, 1), "box label (2, 0, 0) out of range for p=2, r=1"),
     # box_index once computed with a float label: 2.0 and 1.0 here
     "box-copy-float": (lambda: box_index(0.5, 0, 0, 1, 2), "i must be an integer, got 0.5"),
@@ -171,6 +176,16 @@ SIZE_REFUSALS = {
 def test_size_refusals_raise_validation_error(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_ordered_sequences_are_read_in_their_order():
+    # lists, tuples, ranges and 1-D arrays are read entry by entry, in order
+    assert Permutation(range(3)).images == (0, 1, 2)
+    assert Permutation(np.array([2, 0, 1])).images == (2, 0, 1)
+    assert Pairing.from_pairs([np.array([0, 3]), range(1, 3)]).pairs == ((0, 3), (1, 2))
+    # an iterator is read once, and is refused as a set or a mapping is
+    with pytest.raises(ValidationError, match="^not a sequence of integers: <tuple_iterator object"):
+        Permutation(iter((1, 0)))
 
 
 class TestPermutationBasics:

@@ -124,8 +124,8 @@ def test_no_unread_private_definitions():
 
 ARRAY_HOLDERS = {
     "ChannelSpec": lambda: orthochan.make_channel(2, 4, 0.5, orthochan.RngStream(0)),
-    "ConvexBody": lambda: orthochan.convex_body(2, 2, 0.5),
-    "BodyProjection": lambda: orthochan.project_to_body(np.eye(4) / 4, orthochan.convex_body(2, 2, 0.5)),
+    "ConvexBody": lambda: ConvexBody(2, 2, 0.5),
+    "BodyProjection": lambda: orthochan.project_to_body(np.eye(4) / 4, ConvexBody(2, 2, 0.5)),
 }
 
 
@@ -175,6 +175,18 @@ def instance(what, cls):
     return lambda value: None if isinstance(value, cls) else f"{what} must be a {cls.__name__}, got {value!r}"
 
 
+def isometry(k, n):
+    """The message ChannelSpec(k, n, value) refuses a MALFORMED isometry with, None if it takes it."""
+    def refusal(value):
+        v = np.asarray(value)  # no MALFORMED value is a ragged nesting
+        if v.dtype.kind not in "iuf":
+            return f"isometry must be a real 2-D array, got dtype {v.dtype}"
+        if v.ndim != 2 or v.shape[0] != k * n or not 1 <= v.shape[1] <= k * n:
+            return f"isometry has shape {v.shape}, expected ({k * n}, d) with 1 <= d <= {k * n}"
+        return None if np.isfinite(v).all() else "isometry has non-finite entries"
+    return refusal
+
+
 T, DIM = real("t"), real("dimension parameter", 0, math.inf, exclusive=True)
 P, R, K, K2, N, D = index("p", 1), index("r", 1), index("k", 1), index("k", 2), index("n", 1), index("d", 1)
 CAP, BUDGET, MC_SAMPLES, SEED = index("cap", 1, 12), index("budget", 1, 2**26), index("samples", 2), index("seed")
@@ -189,8 +201,8 @@ METHODS = {
 }
 # name: (valid arguments, rules of the leading arguments; the rest take None)
 SWEEP = {
-    "ChannelSpec": ((2, 2, 0.5, 2, np.zeros((4, 2))), (K, N, T, D)),
-    "ConvexBody": ((1, 2, 0.5, (), np.zeros((0, 2, 2))), ()),
+    "ChannelSpec": ((2, 2, np.zeros((4, 2))), (K, N, isometry(2, 2))),
+    "ConvexBody": ((1, 2, 0.5), (R, K2, T)),
     "ExperimentResult": (("bell", 1, 2, 0.5, (2,), 1, 0, (), ()), ()),
     "MomentTerm": ((_PAIR, _PAIR, 1, 1, 1j, 0.5, 1j), ()),
     "Pairing": (((1, 0),), ()),
@@ -200,7 +212,7 @@ SWEEP = {
     "Permutation": (((1, 0),), ()),
     "Permutation.compose": ((_PAIR,), (instance("other", Permutation),)),
     "RngStream": ((0, 0), (SEED, index("stream"))),
-    "WeingartenTable": ((1, 2.0, np.ones(1), 1, False), ()),
+    "WeingartenTable": ((1, 2.0, np.ones(1), 1), ()),
     "apply_channel": ((_SPEC, _RHO), (SPEC,)),
     "asymptotic_trace_moment": ((1, 2, 2, 0.5, {}), (P, R, K, T, instance("g", Mapping))),
     "bell_input": ((_BLOCK, 2), (BLOCK, D)),
@@ -208,7 +220,6 @@ SWEEP = {
     "bumps": ((_PAIR,), (BETA,)),
     "connected_components": ((_PAIR, _PAIR), (ALPHA, BETA)),
     "convergence_experiment": (("product", 1, 2, 0.5, (2,), 1, 0), (None, R, K2, T, None, index("samples", 1), SEED)),
-    "convex_body": ((1, 2, 0.5), (R, K2, T)),
     "delta_gamma": ((1, 1), (P, R)),
     "dominant_pairs": ((1, 2, False), (P, R, instance("inward_only", bool))),
     "entropy_extremal": ((_BLOCK, 2, 0.5), (BLOCK, K2, T)),
@@ -238,7 +249,7 @@ SWEEP = {
     "op_T_tilde": ((_BLOCK, 2), (BLOCK, D)),
     "output_state": ((_SPEC, 1, _RHO), (SPEC, R)),
     "pairing_from_partial": ((_BLOCK,), (BLOCK,)),
-    "project_to_body": ((_RHO, orthochan.convex_body(1, 2, 0.5)), (None, instance("body", ConvexBody))),
+    "project_to_body": ((_RHO, ConvexBody(1, 2, 0.5)), (None, instance("body", ConvexBody))),
     "sample_haar_orthogonal": ((2, _STREAM), (index("dimension", 1), STREAM)),
     "term_report": ((1, 1, 2, 2, 0.5, _RHO, 8, 2**24), (P, R, K, N, T, None, CAP, BUDGET)),
     "von_neumann_entropy": ((_RHO,), ()),

@@ -21,6 +21,7 @@ from orthochan.pairings import (
 )
 from orthochan.weingarten import (
     GRAM_EIGENVALUE_CUTOFF,
+    WeingartenTable,
     gram_matrix,
     integrate_monomial,
     wg_asymptotic,
@@ -142,6 +143,11 @@ class TestExactTable:
         assert table.singular is singular
         assert table.singular == (table.rank < len(enumerate_pairings(m)))
 
+    def test_singular_is_read_off_the_rank(self):
+        # 15 pairings at m = 3: a table cannot claim full rank and singular at once
+        assert WeingartenTable(3, 2.0, np.ones(3), 14).singular
+        assert not WeingartenTable(3, 5.0, np.ones(3), 15).singular
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_singular_exactly_at_integer_n_below_m(self, m):
         for n in (1, 2, 3, 4, 5, 6, 1.5, 3.5):
@@ -155,7 +161,7 @@ class TestExactTable:
     def test_table_keeps_one_coefficient_per_coset_type(self, m):
         # nothing of the pairing count's size is cached with the table
         table = wg_exact(m, 2 * m + 1)
-        assert [f.name for f in fields(table)] == ["m", "n", "coefficients", "rank", "singular"]
+        assert [f.name for f in fields(table)] == ["m", "n", "coefficients", "rank"]
         assert table.coefficients.shape == (len(partitions(m)),)
         assert not hasattr(table, "values")
 
