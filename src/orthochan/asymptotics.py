@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (
-    OUTPUT_TENSOR_BUDGET,
     RngStream,
     _checked_rule,
     _checked_spectrum,
@@ -33,7 +32,7 @@ from .channels import (
     output_state,
 )
 from .errors import InvalidStateError, OrthochanError, ValidationError
-from .errors import checked_index, checked_instance, checked_real, checked_size
+from .errors import checked_index, checked_instance, checked_real, checked_size, shown
 from .moments import _infer_local_dim, f_beta
 from .pairings import PartialPairing, enumerate_partial_pairings, pairing_from_partial, wiring_sum
 from .pairings import _check_partial_count, _ordered, _pair_sets
@@ -49,6 +48,12 @@ def maximally_entangled(dim: int) -> np.ndarray:
 def isotropic_eta(k: int, t: float) -> np.ndarray:
     """Isotropic state t/k * omega + (1-t)/k^2 * I on k^2: op_S_tilde of one pair."""
     return op_S_tilde(PartialPairing(2, ((0, 1),)), k, t)
+
+
+def _sized(block: PartialPairing, dim: int) -> int:
+    """block.n_points = r once the dim^(2r) pattern is within the budget: before a coefficient is formed from dim."""
+    checked_size(dim, 2 * checked_instance(block, PartialPairing, "block").n_points, "wiring pattern needs dim^(2pr)")
+    return block.n_points
 
 
 def _pattern_sum(terms, dim: int) -> np.ndarray:
@@ -80,7 +85,7 @@ def op_R_tilde(block: PartialPairing, k: int, t: float) -> np.ndarray:
     Traceless except at the empty block, where the trace is one.
     """
     k, t = checked_index(k, "k", 1), checked_real(t, "t", 0, 1)
-    r, b = checked_instance(block, PartialPairing, "block").n_points, block.n_pairs
+    r, b = _sized(block, k), block.n_pairs
     terms = [(a, t**b * (-1) ** (b - a.n_pairs) / k ** (r - a.n_pairs)) for a in block.sub_blocks()]
     return _pattern_sum(terms, k)
 
@@ -91,15 +96,15 @@ def op_S_tilde(block: PartialPairing, k: int, t: float) -> np.ndarray:
     Expanded, sum over A in B of t^|A| (1-t)^(|B|-|A|) k^(|A|-r) T_A.
     """
     k, t = checked_index(k, "k", 2), checked_real(t, "t", 0, 1)
-    r, b = checked_instance(block, PartialPairing, "block").n_points, block.n_pairs
+    r, b = _sized(block, k), block.n_pairs
     terms = [(a, t**a.n_pairs * (1.0 - t) ** (b - a.n_pairs) / k ** (r - a.n_pairs)) for a in block.sub_blocks()]
     return _pattern_sum(terms, k)
 
 
 def _q_terms(block: PartialPairing, d: int) -> list[tuple[PartialPairing, float]]:
     """The (block, coeff) terms of op_Q_tilde: +-d^-|S| over the blocks S containing the given one."""
-    pairs = list(itertools.combinations(block.singles, 2))
-    supers = _pair_sets(_check_partial_count(block.n_points), pairs, block.pairs)
+    r = _check_partial_count(block.n_points)  # before the singles are listed
+    supers = _pair_sets(r, list(itertools.combinations(block.singles, 2)), block.pairs)
     return [(sup, (-1) ** (sup.n_pairs - block.n_pairs) * (1.0 / d**sup.n_pairs)) for sup in supers]
 
 
@@ -110,7 +115,8 @@ def op_Q_tilde(block: PartialPairing, d: int) -> np.ndarray:
     local dimension grows.
     """
     d = checked_index(d, "d", 1)
-    return _pattern_sum(_q_terms(checked_instance(block, PartialPairing, "block"), d), d)
+    _sized(block, d)
+    return _pattern_sum(_q_terms(block, d), d)
 
 
 def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.ndarray:
@@ -123,7 +129,7 @@ def mean_output_asymptotic(state: np.ndarray, r: int, k: int, t: float) -> np.nd
     state = np.asarray(state)
     d = _infer_local_dim(state, r)
     _checked_state(state, d**r)
-    checked_size(k, 2 * r, OUTPUT_TENSOR_BUDGET, "asymptotic mean output needs k^(2r)")
+    checked_size(k, 2 * r, "asymptotic mean output needs k^(2r)")
     out = np.zeros((k**r, k**r), dtype=complex)
     for block in enumerate_partial_pairings(r):
         beta = pairing_from_partial(block)
@@ -136,9 +142,8 @@ def bell_input(block: PartialPairing, d: int) -> np.ndarray:
     """Input G_B0: normalized pair projectors over a maximal block, mixed singles."""
     d = checked_index(d, "d", 1)
     if not checked_instance(block, PartialPairing, "block").is_maximal():
-        raise ValidationError(
-            f"block with {block.n_pairs} pairs on {block.n_points} points is not maximal"
-        )
+        raise ValidationError(f"block with {block.n_pairs} pairs on {shown(block.n_points)} points is not maximal")
+    _sized(block, d)
     return _pattern_sum([(block, (1.0 / d) ** (block.n_points - block.n_pairs))], d)
 
 
@@ -148,7 +153,7 @@ def bell_state_vector(block: PartialPairing, d: int) -> np.ndarray:
     if not checked_instance(block, PartialPairing, "block").is_maximal() or block.singles:
         raise ValidationError("a pure pair-product input needs a perfect pairing of the copies")
     r = checked_index(block.n_points, "r", 1)
-    checked_size(d, r, OUTPUT_TENSOR_BUDGET, "pair-product input needs d^r")
+    checked_size(d, r, "pair-product input needs d^r")
     args = []
     for a, b in block.pairs:
         args.extend((np.eye(d) / math.sqrt(d), [a, b]))
@@ -159,7 +164,7 @@ def bell_state_vector(block: PartialPairing, d: int) -> np.ndarray:
 def basis_product_state(d: int, r: int) -> np.ndarray:
     """The product input e_0^(tensor r) as a unit vector on d^r."""
     d, r = checked_index(d, "d", 1), checked_index(r, "r", 1)
-    psi = np.zeros(checked_size(d, r, OUTPUT_TENSOR_BUDGET, "product input needs d^r"))
+    psi = np.zeros(checked_size(d, r, "product input needs d^r"))
     psi[0] = 1.0
     return psi
 
@@ -186,6 +191,7 @@ def isotropic_entropy(k: int, t: float) -> float:
     mixture contributes its full weight to the top eigenvalue.
     """
     k, t = checked_index(k, "k", 2), checked_real(t, "t", 0, 1)
+    checked_real(k**2, "k^2", 4, math.inf)  # so that the divisions by k^2 below stay in the float range
 
     def h(x: float) -> float:
         return 0.0 if x <= 0 else -x * math.log(x)
@@ -222,7 +228,7 @@ class ConvexBody:
         r, k, t = checked_index(self.r, "r", 1), checked_index(self.k, "k", 2), checked_real(self.t, "t", 0, 1)
         blocks = tuple(enumerate_partial_pairings(r))
         what = f"convex body needs {len(blocks)} vertices x k^(2r)"
-        checked_size(len(blocks) * k ** (2 * r), 1, OUTPUT_TENSOR_BUDGET, what)  # r <= 8: a cheap power
+        checked_size(len(blocks) * k ** (2 * r), 1, what)  # r <= 8: a cheap power
         vertices = np.stack([op_S_tilde(b, k, t) for b in blocks]).astype(complex)
         vertices.setflags(write=False)
         for name, value in (("r", r), ("k", k), ("t", t), ("blocks", blocks), ("vertices", vertices)):
@@ -350,7 +356,7 @@ def convergence_experiment(
         raise ValidationError("need a nonempty n grid")
     body = ConvexBody(r, k, t)  # sizes the k^(2r) outputs too
     for n in n_grid:  # size every draw and refuse a degenerate d before any is built
-        checked_size(k * n, 2, OUTPUT_TENSOR_BUDGET, "a Haar draw needs dim^2")
+        checked_size(k * n, 2, "a Haar draw needs dim^2")
         input_dim(k, n, t)
 
     def draw(job):

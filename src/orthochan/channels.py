@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OUTPUT_TENSOR_BUDGET, InvalidStateError, ValidationError
-from .errors import checked_index, checked_instance, checked_real, checked_size
+from .errors import checked_index, checked_instance, checked_real, checked_size, shown
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -169,7 +169,7 @@ def _haar_columns(
     of Q by the signs of R's diagonal is required; plain QR output is not Haar
     distributed.
     """
-    checked_size(dim, 2, OUTPUT_TENSOR_BUDGET, "a Haar draw needs dim^2")
+    checked_size(dim, 2, "a Haar draw needs dim^2")
     g = np.empty((count, dim, dim))
     for gen, out in zip(gens, g):
         gen.standard_normal(out=out)
@@ -198,7 +198,7 @@ def _stream_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     generate_state depend on the index.
     """
     if not 0 <= lo <= hi <= STREAM_LIMIT:
-        raise ValidationError(f"stream indices must lie in [0, 2**64), got [{lo}, {hi})")
+        raise ValidationError(f"stream indices must lie in [0, 2**64), got [{shown(lo)}, {shown(hi)})")
     pool = np.random.SeedSequence(seed).pool
     seed_words = max(1, -(-operator.index(seed).bit_length() // 32))
     start = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, seed_words - 4), 2**32) % 2**32
@@ -300,7 +300,7 @@ def _lift(r: int, k: int, n: int, d: int, state: np.ndarray) -> tuple[int, Calla
     real factors stay in float64.
     """
     r = checked_index(r, "r", 1)
-    per_column = checked_size(k * n, r, OUTPUT_TENSOR_BUDGET, "lifted state tensor needs (kn)^r")
+    per_column = checked_size(k * n, r, "lifted state tensor needs (kn)^r")
     factor = _state_components(state, d**r)
     cols = min(OUTPUT_TENSOR_BUDGET // per_column, factor.shape[1])
     # after r lifts the legs are (C, k_1, n_1, ..., k_r, n_r); put the k legs first
@@ -342,7 +342,7 @@ def _rule_output(k: int, n: int, v: np.ndarray, r: int, rule: str) -> np.ndarray
     applied to the pair vector, so a pair gives L L^T / d, L = M regrouped as
     (k^2, n^2), and the single gives ptr_n(M) / d.
     """
-    checked_size(k, 2 * r, OUTPUT_TENSOR_BUDGET, "the output needs k^(2r)")
+    checked_size(k, 2 * r, "the output needs k^(2r)")
     if rule == "product":
         u = np.ascontiguousarray(v[:, 0]).reshape(k, n)
         blocks = [u @ u.T] * r
@@ -419,7 +419,7 @@ def _sample_stats(samples: int, seed: int, chunk: int, draw: Callable) -> tuple[
     """
     samples = checked_index(samples, "samples", 2)
     if samples > STREAM_LIMIT:
-        raise ValidationError(f"samples must be <= 2**64, one stream each, got {samples}")
+        raise ValidationError(f"samples must be <= 2**64, one stream each, got {shown(samples)}")
 
     def partial(bounds):
         lo, hi = bounds

@@ -24,10 +24,8 @@ from .asymptotics import (
     von_neumann_entropy,
 )
 from .channels import _INPUT_RULES, input_dim, mc_trace_moment
-from .errors import OUTPUT_TENSOR_BUDGET, BudgetError, OrthochanError, ValidationError, checked_index, checked_size
+from .errors import BudgetError, OrthochanError, ValidationError, checked_index, checked_size
 from .moments import (
-    CONTRACTION_BUDGET,
-    CONTRACTION_HARD_BUDGET,
     EXACT_PAIRING_CAP,
     EXACT_PAIRING_HARD_CAP,
     _gathered,
@@ -74,8 +72,8 @@ def _write(path: str | None, chunks):
 
 
 def _config(args) -> dict:
-    """The config embedded in an output: every parsed flag but the out and input-file paths and the two caps."""
-    ignored = {"out", "input_file", "max_pairing_size", "max_dense_dim", "command", "func"}
+    """The config embedded in an output: every parsed flag but the out and input-file paths and the cap."""
+    ignored = {"out", "input_file", "max_pairing_size", "command", "func"}
     config = {key: value for key, value in vars(args).items() if key not in ignored}
     config["version"] = __version__
     return config
@@ -126,7 +124,7 @@ def _load_state(args, d: int, r: int) -> np.ndarray:
             raise ValidationError(f"cannot read input file: {exc}")
         return matrix_from_json(data)
     if args.input == "mixed":
-        checked_size(d, 2 * r, OUTPUT_TENSOR_BUDGET, "the mixed input needs d^(2r)")
+        checked_size(d, 2 * r, "the mixed input needs d^(2r)")
         return np.eye(d**r) / d**r
     return experiment_input(args.input, r, d)
 
@@ -166,15 +164,10 @@ def cmd_moment(args) -> int:
     d = input_dim(args.k, args.n, args.t)
     state = _load_state(args, d, args.r)
     if args.report == "terms":
-        arrays = _term_arrays(
-            args.p, args.r, args.k, args.n, args.t, state, args.max_pairing_size, args.max_dense_dim
-        )
+        arrays = _term_arrays(args.p, args.r, args.k, args.n, args.t, state, args.max_pairing_size)
         _write(args.out, _term_csv(config, arrays))
         return 0
-    value = exact_trace_moment(
-        args.p, args.r, args.k, args.n, args.t, state,
-        cap=args.max_pairing_size, budget=args.max_dense_dim,
-    )
+    value = exact_trace_moment(args.p, args.r, args.k, args.n, args.t, state, cap=args.max_pairing_size)
     _write(args.out, [_json_output(config, {"value": value})])
     return 0
 
@@ -281,11 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"transient {PAIRING_ENUMERATION_CAP}^2 float64 Gram matrix of "
         f"{PAIRING_ENUMERATION_CAP**2 * 8 / 1e9:.1f} GB; --report terms exits 3 above "
         f"2pr={2 * PAIR_LISTING_HALF_SIZE_CAP}, where it would list {PAIRING_ENUMERATION_CAP**2:.1e} terms)",
-    )
-    sp.add_argument(
-        "--max-dense-dim", type=int, default=CONTRACTION_BUDGET,
-        help=f"cap on the d^(pr) contraction space of the input state (default {CONTRACTION_BUDGET}, "
-        f"hard bound {CONTRACTION_HARD_BUDGET})",
     )
     sp.set_defaults(func=cmd_moment)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import _checked_state, input_dim
 from .errors import BudgetError, EnumerationLimitError, ValidationError
-from .errors import checked_index, checked_instance, checked_real, checked_size
+from .errors import checked_index, checked_instance, checked_real, checked_size, shown
 from .pairings import (
     PAIR_LISTING_HALF_SIZE_CAP,
     PAIRING_HALF_SIZE_CAP,
@@ -29,13 +29,13 @@ from .pairings import (
     PartialPairing,
     _check_partial_count,
     _neighbour_swap,
+    _pairing_count,
     _symmetry_orbits,
     _type_sums,
     connected_components,
     coset_types,
     delta_gamma,
     dominant_pairs,
-    double_factorial_odd,
     enumerate_pairings,
     enumerate_partial_pairings,
     pairing_from_partial,
@@ -46,8 +46,6 @@ from .weingarten import wg_exact
 
 EXACT_PAIRING_CAP = 8        # default max 2pr for the double pairing sum
 EXACT_PAIRING_HARD_CAP = 2 * PAIRING_HALF_SIZE_CAP  # largest cap accepted (12); see the CLI help for its cost
-CONTRACTION_BUDGET = 2**24   # max d^(pr) free-index space in f_beta
-CONTRACTION_HARD_BUDGET = 2**26  # largest budget accepted
 TERM_CHUNK = 2**15           # rows gathered per batch for a term report or a listing CSV
 G_WEIGHT_SLACK = 1e-9        # round-off allowed outside [0, 1] in a block weight g_B
 
@@ -76,7 +74,7 @@ def _infer_local_dim(state: np.ndarray, copies: int) -> int:
     raise ValidationError(f"state dimension {total} is not a perfect {copies}-th power")
 
 
-def f_beta(beta: Pairing, state: np.ndarray, p: int, budget: int = CONTRACTION_BUDGET) -> complex:
+def f_beta(beta: Pairing, state: np.ndarray, p: int) -> complex:
     """Contraction of p input-state copies against the delta pattern of beta.
 
     Never materializes the pattern matrix: each pair of beta identifies two
@@ -85,13 +83,13 @@ def f_beta(beta: Pairing, state: np.ndarray, p: int, budget: int = CONTRACTION_B
     state's shape is checked: callers check its entries once
     (channels._checked_state), and this runs per orbit.
     """
-    p, budget = checked_index(p, "p", 1), checked_index(budget, "budget", 1, CONTRACTION_HARD_BUDGET)
+    p = checked_index(p, "p", 1)
     if checked_instance(beta, Pairing, "beta").size % (2 * p) != 0:
-        raise ValidationError(f"pairing size {beta.size} is not a multiple of 2p = {2 * p}")
+        raise ValidationError(f"pairing size {beta.size} is not a multiple of 2p = {shown(2 * p)}")
     r = checked_index(beta.size // (2 * p), "r", 1)  # a pairing of no points would take the 0-th root below
     state = np.asarray(state)
     d = _infer_local_dim(state, r)
-    checked_size(d, p * r, budget, "f_beta contraction needs d^(pr)")
+    checked_size(d, p * r, "f_beta contraction needs d^(pr)")
     # endpoint (copy i, cell x, side) takes the label of its pair; per copy, [ket legs], [bra legs]
     labels = np.empty(2 * p * r, dtype=int)
     labels[np.array(beta.pairs)] = np.arange(len(beta.pairs))[:, None]
@@ -116,21 +114,15 @@ def wiring_matrix(pairing: Pairing, dim: int) -> np.ndarray:
     return wiring_sum([checked_instance(pairing, Pairing, "pairing")], [1.0], dim)
 
 
-def _checked_limits(cap, budget) -> tuple[int, int]:
-    """cap and budget as integers in [1, EXACT_PAIRING_HARD_CAP] and [1, CONTRACTION_HARD_BUDGET]; never clamped."""
-    cap = checked_index(cap, "cap", 1, EXACT_PAIRING_HARD_CAP)
-    return cap, checked_index(budget, "budget", 1, CONTRACTION_HARD_BUDGET)
-
-
-def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, budget: int):
+def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int):
     p, r = checked_index(p, "p", 1), checked_index(r, "r", 1)
-    cap, budget = _checked_limits(cap, budget)
+    cap = checked_index(cap, "cap", 1, EXACT_PAIRING_HARD_CAP)
     m = p * r
     if 2 * m > cap:
-        raise EnumerationLimitError(f"exact engine needs 2pr = {2 * m} diagram endpoints, above cap {cap}")
+        raise EnumerationLimitError(f"exact engine needs 2pr = {shown(2 * m)} diagram endpoints, above cap {cap}")
     d = input_dim(k, n, t)
     _checked_state(state, d**r)
-    checked_size(d, p * r, budget, "f_beta contraction needs d^(pr)")  # before any table is built
+    checked_size(d, p * r, "f_beta contraction needs d^(pr)")  # before any table is built
     table = wg_exact(m, k * n)
     pair_list = enumerate_pairings(m)
     counts, types = type_lengths(m), coset_types(m)
@@ -142,7 +134,7 @@ def _engine_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, bu
     if state.ndim == 2:
         state = (state + state.conj().T) / 2
     orbits = _state_orbits(state, p, r)
-    f_vals = _f_values(pair_list, state, p, budget, orbits)
+    f_vals = _f_values(pair_list, state, p, orbits)
     return pair_list, n_exp, k_exp, f_vals, table, orbits
 
 
@@ -162,10 +154,10 @@ def _state_orbits(state: np.ndarray, p: int, r: int):
     return _symmetry_orbits(p, r, tuple(fixed))
 
 
-def _f_values(pair_list, state: np.ndarray, p: int, budget: int, orbits) -> np.ndarray:
+def _f_values(pair_list, state: np.ndarray, p: int, orbits) -> np.ndarray:
     """f_beta of every pairing, contracted once per orbit and conjugated on the orbit's flipped members."""
     orbit, reps, flipped = orbits
-    f_vals = np.array([f_beta(pair_list[i], state, p, budget) for i in reps])[orbit]
+    f_vals = np.array([f_beta(pair_list[i], state, p) for i in reps])[orbit]
     return np.conjugate(f_vals, out=f_vals, where=flipped)
 
 
@@ -177,10 +169,9 @@ def exact_trace_moment(
     t: float,
     state: np.ndarray,
     cap: int = EXACT_PAIRING_CAP,
-    budget: int = CONTRACTION_BUDGET,
 ) -> float:
     """E Tr Z^p as the exact double pairing sum at finite n."""
-    _, n_exp, k_exp, f_vals, table, (orbit, reps, _) = _engine_arrays(p, r, k, n, t, state, cap, budget)
+    _, n_exp, k_exp, f_vals, table, (orbit, reps, _) = _engine_arrays(p, r, k, n, t, state, cap)
     # Wg and Re f are invariant under the relabellings that make the orbits: sum
     # Re f per coset type on one row per orbit, weight each orbit by its total
     # n^n_exp k^k_exp, then dot with Wg per type.
@@ -195,9 +186,7 @@ def exact_mean_output(r: int, k: int, n: int, t: float, state: np.ndarray) -> np
     The scalar k-loop factor of the trace sum is replaced by the k-space
     wiring pattern of each alpha, yielding a Hermitian trace-one k^r matrix.
     """
-    pair_list, n_exp, _, f_vals, table, _ = _engine_arrays(
-        1, r, k, n, t, state, EXACT_PAIRING_CAP, CONTRACTION_BUDGET
-    )
+    pair_list, n_exp, _, f_vals, table, _ = _engine_arrays(1, r, k, n, t, state, EXACT_PAIRING_CAP)
     re, im = (_type_sums(r, range(len(pair_list)), part) @ table.coefficients for part in (f_vals.real, f_vals.imag))
     coeffs = float(n) ** n_exp * (re + 1j * im)
     # rows of the mean output are L legs, hence the transpose
@@ -231,16 +220,16 @@ def _magnitude_ranks(values: np.ndarray) -> np.ndarray:
     return ranks.astype(np.min_scalar_type(len(distinct) - 1))
 
 
-def _term_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int, budget: int) -> _TermArrays:
+def _term_arrays(p: int, r: int, k: int, n: int, t: float, state, cap: int) -> _TermArrays:
     """The terms of term_report, sorted, as index arrays into small tables; no per-term objects or values."""
     m = checked_index(p, "p", 1) * checked_index(r, "r", 1)
-    _checked_limits(cap, budget)  # a refused cap or budget is a ValidationError ahead of the listing cap
+    checked_index(cap, "cap", 1, EXACT_PAIRING_HARD_CAP)  # a refused cap is a ValidationError ahead of the listing cap
     if m > PAIR_LISTING_HALF_SIZE_CAP:
         raise BudgetError(
-            f"a term report at 2pr = {2 * m} would list {double_factorial_odd(m) ** 2} terms; "
+            f"a term report at 2pr = {shown(2 * m)} would list {_pairing_count(m, 2)} terms; "
             f"the cap is 2pr <= {2 * PAIR_LISTING_HALF_SIZE_CAP}"
         )
-    pair_list, n_exp, k_exp, f_vals, table, _ = _engine_arrays(p, r, k, n, t, state, cap, budget)
+    pair_list, n_exp, k_exp, f_vals, table, _ = _engine_arrays(p, r, k, n, t, state, cap)
     count, kinds, types = len(pair_list), len(table.coefficients), coset_types(m)
     # A term's value depends only on its row's exponents, its column's f and its
     # coset type.  Each distinct triple gets a value id; f is keyed on its
@@ -296,14 +285,13 @@ def term_report(
     t: float,
     state: np.ndarray,
     cap: int = EXACT_PAIRING_CAP,
-    budget: int = CONTRACTION_BUDGET,
 ) -> list[MomentTerm]:
     """All (alpha, beta) summands of the exact trace moment, largest first.
 
     Ties in magnitude keep row-major (alpha, beta) order.  Raises BudgetError
     above pr = PAIR_LISTING_HALF_SIZE_CAP, before any table or f is built.
     """
-    arrays = _term_arrays(p, r, k, n, t, state, cap, budget)
+    arrays = _term_arrays(p, r, k, n, t, state, cap)
     columns = (
         (arrays.pairings, arrays.rows), (arrays.pairings, arrays.cols), (arrays.n_exp.tolist(), arrays.rows),
         (arrays.k_exp.tolist(), arrays.rows), (arrays.f_beta.tolist(), arrays.cols),
@@ -368,6 +356,6 @@ def g_from_state(state: np.ndarray, r: int, k: int, n: int, t: float) -> dict[Pa
     out = {}
     for block in enumerate_partial_pairings(r):
         beta = pairing_from_partial(block)
-        value = f_beta(beta, state, 1, CONTRACTION_BUDGET).real / (t * n * k) ** block.n_pairs
+        value = f_beta(beta, state, 1).real / (t * n * k) ** block.n_pairs
         out[block] = value
     return out

@@ -27,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OUTPUT_TENSOR_BUDGET, EnumerationLimitError, ValidationError
-from .errors import checked_index, checked_instance, checked_size
+from .errors import FULL_COUNT_BITS, EnumerationLimitError, ValidationError
+from .errors import checked_index, checked_instance, checked_size, shown
 
 PAIRING_HALF_SIZE_CAP = 6        # largest m whose pairings of 2m points are enumerated
 PAIR_LISTING_HALF_SIZE_CAP = 5   # largest m whose (2m-1)!!^2 pairs of pairings are listed: 893025, 1.08e8 at m = 6
@@ -65,13 +65,13 @@ def _int_pairs(pairs, n_points: int | None) -> tuple[tuple[int, int], ...]:
         entries = tuple(pairs)
         lengths = [len(pair) for pair in entries]
     except TypeError:  # pairs, or a pair in it, is not a collection, as in a flat (0, 1)
-        raise ValidationError(f"pairs need two entries each: {pairs}") from None
+        raise ValidationError(f"pairs need two entries each: {shown(pairs)}") from None
     if any(length != 2 for length in lengths):
-        raise ValidationError(f"pairs need two entries each: {entries}")
+        raise ValidationError(f"pairs need two entries each: {shown(entries)}")
     pairs = tuple(_int_entries(pair, "pair entry") for pair in entries)
     n_points = 2 * len(pairs) if n_points is None else n_points
     if any(not 0 <= i < n_points for pair in pairs for i in pair):
-        raise ValidationError(f"pair entries outside 0..{n_points - 1}: {pairs}")
+        raise ValidationError(f"pair entries outside 0..{shown(n_points - 1)}: {shown(pairs)}")
     return pairs
 
 
@@ -85,7 +85,7 @@ class Permutation:
         images = _int_entries(self.images, "permutation image")
         object.__setattr__(self, "images", images)
         if sorted(images) != list(range(len(images))):
-            raise ValidationError(f"not a permutation of 0..{len(images) - 1}: {images}")
+            raise ValidationError(f"not a permutation of 0..{len(images) - 1}: {shown(images)}")
 
     @property
     def size(self) -> int:
@@ -130,10 +130,10 @@ class Pairing(Permutation):
             raise ValidationError(f"not a fixed-point-free involution: {images}")
 
     @classmethod
-    def from_pairs(cls, pairs, size: int | None = None) -> "Pairing":
-        """The pairing of size points, by default twice the pair count, that swaps the two entries of each pair."""
-        pairs = _int_pairs(pairs, None if size is None else checked_index(size, "size"))
-        images = list(range(2 * len(pairs) if size is None else size))
+    def from_pairs(cls, pairs) -> "Pairing":
+        """The pairing of twice as many points as pairs that swaps the two entries of each pair."""
+        pairs = _int_pairs(pairs, None)
+        images = list(range(2 * len(pairs)))
         for a, b in pairs:
             images[a], images[b] = b, a
         return cls(tuple(images))
@@ -161,7 +161,7 @@ class PartialPairing:
         object.__setattr__(self, "pairs", norm)
         support = [i for p in norm for i in p]
         if len(set(support)) != len(support):
-            raise ValidationError(f"pairs are not disjoint: {norm}")
+            raise ValidationError(f"pairs are not disjoint: {shown(norm)}")
 
     @property
     def singles(self) -> tuple[int, ...]:
@@ -195,10 +195,17 @@ def catalan(p: int) -> int:
     return math.comb(2 * p, p) // (p + 1)
 
 
+def _pairing_count(m: int, power: int = 1) -> str:
+    """(2m-1)!!^power as a refusal prints it: in full below 2^FULL_COUNT_BITS, else "at least 2^FULL_COUNT_BITS".
+    As (2m-1)!! >= 2^(m-1), it is built only up to m = FULL_COUNT_BITS + 1, so its cost does not grow with m."""
+    count = double_factorial_odd(min(m, FULL_COUNT_BITS + 1)) ** power
+    return str(count) if count.bit_length() <= FULL_COUNT_BITS else f"at least 2^{FULL_COUNT_BITS}"
+
+
 def _check_pairing_count(m: int) -> None:
     if checked_index(m, "m", 1) > PAIRING_HALF_SIZE_CAP:
         raise EnumerationLimitError(
-            f"enumerating pairings of 2m={2 * m} points needs {double_factorial_odd(m)} pairings, "
+            f"enumerating pairings of 2m={shown(2 * m)} points needs {_pairing_count(m)} pairings, "
             f"above cap {PAIRING_ENUMERATION_CAP}"
         )
 
@@ -434,7 +441,7 @@ def box_index(i: int, x: int, side: int, p: int, r: int) -> int:
     """Flatten the wire-endpoint triple (copy i, channel x, side) to an integer."""
     i, x, side, p, r = (checked_index(v, what, None) for v, what in zip((i, x, side, p, r), "i x side p r".split()))
     if not (0 <= i < p and 0 <= x < r and side in (SIDE_L, SIDE_R)):
-        raise ValidationError(f"box label ({i}, {x}, {side}) out of range for p={p}, r={r}")
+        raise ValidationError(f"box label {shown((i, x, side))} out of range for p={shown(p)}, r={shown(r)}")
     return ((i * r) + x) * 2 + side
 
 
@@ -487,7 +494,7 @@ def wiring_sum(pairings, coeffs, dim: int) -> np.ndarray:
     if len(sizes) != 1:
         raise ValidationError(f"wiring sum needs pairings of one size, got sizes {sizes}")
     q = sizes[0] // 2
-    size = checked_size(dim, 2 * q, OUTPUT_TENSOR_BUDGET, "wiring pattern needs dim^(2pr)")
+    size = checked_size(dim, 2 * q, "wiring pattern needs dim^(2pr)")
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (len(pairings),):
         raise ValidationError(f"need one coefficient per pairing, got shape {coeffs.shape} for {len(pairings)}")
@@ -530,7 +537,8 @@ def min_transverse_distance(beta: Pairing) -> tuple[int, list[Pairing]]:
 
 def _check_partial_count(points: int) -> int:
     if points > PARTIAL_PAIRING_CAP:
-        raise EnumerationLimitError(f"partial pairing enumeration capped at r <= {PARTIAL_PAIRING_CAP}, got {points}")
+        what = f"partial pairing enumeration capped at r <= {PARTIAL_PAIRING_CAP}"
+        raise EnumerationLimitError(f"{what}, got {shown(points)}")
     return points
 
 
@@ -588,6 +596,6 @@ def combine_copies(blocks: list[PartialPairing], r: int) -> PartialPairing:
     pairs = []
     for i, block in enumerate(blocks):
         if block.n_points != r:
-            raise ValidationError(f"copy block on {block.n_points} points, expected {r}")
+            raise ValidationError(f"copy block on {shown(block.n_points)} points, expected {shown(r)}")
         pairs.extend((i * r + a, i * r + b) for a, b in block.pairs)
     return PartialPairing(len(blocks) * r, tuple(pairs))

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError, checked_index, checked_real
+from .errors import ValidationError, checked_index, checked_real, shown
 from .pairings import (
     Pairing,
     _int_entries,
@@ -150,7 +150,7 @@ def integrate_monomial(index_rows, n: float) -> float:
         raise ValidationError(f"index_rows must be a sequence of (row, column) pairs, got {index_rows!r}")
     rows = [_int_entries(rc, "row or column index") for rc in index_rows]
     if any(len(rc) != 2 for rc in rows):
-        raise ValidationError(f"each factor needs one (row, column) index pair, got {rows}")
+        raise ValidationError(f"each factor needs one (row, column) index pair, got {shown(rows)}")
     if len(rows) % 2 == 1:
         return 0.0
     if not rows:

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from orthochan import asymptotics, channels
+from orthochan import asymptotics, channels, errors
 from orthochan.asymptotics import (
     ConvexBody,
     _q_terms,
@@ -331,9 +331,9 @@ class TestBodyProjection:
     def test_vertex_stack_over_budget_raises_before_building(self, monkeypatch):
         # r = 3, k = 2: four vertices of 2^6 entries each
         assert len(ConvexBody(3, 2, 0.5).vertices) == 4
-        monkeypatch.setattr(asymptotics, "OUTPUT_TENSOR_BUDGET", 4 * 2**6)
+        monkeypatch.setattr(errors, "OUTPUT_TENSOR_BUDGET", 4 * 2**6)
         ConvexBody(3, 2, 0.5)
-        monkeypatch.setattr(asymptotics, "OUTPUT_TENSOR_BUDGET", 4 * 2**6 - 1)
+        monkeypatch.setattr(errors, "OUTPUT_TENSOR_BUDGET", 4 * 2**6 - 1)
         built = []
         monkeypatch.setattr(asymptotics, "op_S_tilde", lambda *args: built.append(args))
         with pytest.raises(BudgetError, match="4 vertices"):

@@ -835,20 +835,20 @@ def test_size_check_does_not_build_a_power_beyond_the_budget():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError, match=r"^x = at least 2\^100 entries, above budget 16777216$"):
-            checked_size(4, 10**8, 2**24, "x")
+            checked_size(4, 10**8, "x")
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
     # below 2^100 the count is built and printed in full, whatever the exponent
     with pytest.raises(BudgetError, match=f"^x = {3**26} entries, above budget 16777216$"):
-        checked_size(3, 26, 2**24, "x")
-    assert checked_size(1, 10**8, 2**24, "x") == 1
+        checked_size(3, 26, "x")
+    assert checked_size(1, 10**8, "x") == 1
 
 
 def test_size_at_its_budget_is_accepted():
-    assert checked_size(2, 24, 2**24, "x") == 2**24
+    assert checked_size(2, 24, "x") == 2**24
     with pytest.raises(BudgetError, match=r"^x = 16777217 entries, above budget 16777216$"):
-        checked_size(2**24 + 1, 1, 2**24, "x")
+        checked_size(2**24 + 1, 1, "x")
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -346,11 +346,9 @@ MALFORMED = [
     ("experiment-r0", [*_EXPERIMENT, "--r", "0", "--n", "8"]),
     ("wg-nan", ["wg", "--m", "2", "--n", "nan"]),
     ("wg-inf", ["wg", "--m", "2", "--n", "inf"]),
-    ("moment-dense-dim", ["moment", *_DIMS, "--r", "1", "--max-dense-dim", "999999999"]),
     # the caps are integers >= 1: a negative one once exited 3 with "above cap -4"
     ("moment-cap-negative", ["moment", *_DIMS, "--r", "1", "--max-pairing-size", "-4"]),
     ("terms-cap-zero", ["moment", *_DIMS, "--r", "1", "--report", "terms", "--max-pairing-size", "0"]),
-    ("moment-dense-dim-negative", ["moment", *_DIMS, "--r", "1", "--max-dense-dim", "-1"]),
     # tables and leading-order values that leave float64 once ended in a traceback
     ("wg-huge-n", ["wg", "--m", "3", "--n", "1e308"]),
     ("wg-tiny-n", ["wg", "--m", "3", "--n", "1e-320"]),
@@ -401,7 +399,7 @@ class TestExitCodes:
     def test_kn_beyond_the_round_off_range_exits_2(self, capsys, argv):
         code = main(argv)
         assert code == 2
-        assert capsys.readouterr().err == f"error: kn must be <= 100000000000, got {2 * _HUGE}\n"
+        assert capsys.readouterr().err == "error: kn must be <= 100000000000, got an integer of 1330 bits\n"
 
     @pytest.mark.parametrize("command", ["moment", "simulate", "experiment", "body"])
     def test_t_one_runs(self, capsys, command):
@@ -451,9 +449,8 @@ class TestExitCodes:
         [
             (["--max-pairing-size", "99"], "cap must be <= 12, got 99"),
             (["--report", "terms", "--max-pairing-size", "99"], "cap must be <= 12, got 99"),
-            (["--max-dense-dim", "999999999"], "budget must be <= 67108864, got 999999999"),
         ],
-        ids=["value", "terms", "dense-dim"],
+        ids=["value", "terms"],
     )
     def test_hard_bounds_are_the_library_refusals(self, capsys, flags, message):
         # at 2pr = 12: the terms report exits 2 on the flag, not 3 on its listing cap

@@ -26,8 +26,6 @@ from orthochan.channels import (
 )
 from orthochan.errors import BudgetError, EnumerationLimitError, InvalidStateError, ValidationError
 from orthochan.moments import (
-    CONTRACTION_BUDGET,
-    CONTRACTION_HARD_BUDGET,
     EXACT_PAIRING_HARD_CAP,
     MomentTerm,
     _engine_arrays,
@@ -94,6 +92,11 @@ def f_beta_dense_oracle(beta, state, p, d, r):
     return np.sum(rho_power * pattern)
 
 
+# the smallest Bell input whose f_beta contraction at (p, r) = (2, 2) is refused: 65^4 = 17850625 > 2^24
+BELL_65 = bell_state_vector(PartialPairing(2, ((0, 1),)), 65)
+BELL_65_REFUSAL = "f_beta contraction needs d^(pr) = 17850625 entries, above budget 16777216"
+
+
 class TestFBeta:
     def test_horizontal_wires_give_trace(self):
         delta, _ = delta_gamma(1, 2)
@@ -154,10 +157,9 @@ class TestFBeta:
             assert abs(f_beta(beta, state, p)) <= d**inward + 1e-9
 
     def test_budget(self):
-        beta = enumerate_pairings(2)[0]
-        rho = np.eye(16) / 16
-        with pytest.raises(BudgetError):
-            f_beta(beta, rho, 1, budget=10)
+        # d = 65 at (p, r) = (2, 2): a 4225-entry state whose contraction space 65^4 is just above 2^24
+        with pytest.raises(BudgetError, match=f"^{re.escape(BELL_65_REFUSAL)}$"):
+            f_beta(delta_gamma(2, 2)[0], BELL_65, 2)
 
     @pytest.mark.parametrize("engine", [exact_trace_moment, term_report])
     def test_budget_refused_before_any_table(self, engine, monkeypatch):
@@ -166,8 +168,9 @@ class TestFBeta:
             raise AssertionError("wg_exact ran before the budget check")
 
         monkeypatch.setattr(moments, "wg_exact", no_table)
-        with pytest.raises(BudgetError, match=r"^f_beta contraction needs d\^\(pr\) = 81 entries, above budget 80$"):
-            engine(2, 2, 2, 3, 0.5, np.eye(9) / 9, budget=80)
+        assert input_dim(2, 65, 0.5) == 65
+        with pytest.raises(BudgetError, match=f"^{re.escape(BELL_65_REFUSAL)}$"):
+            engine(2, 2, 2, 65, 0.5, BELL_65)
 
     @pytest.mark.parametrize(
         "call, message",
@@ -179,16 +182,10 @@ class TestFBeta:
             # at 2pr = 12 the cap is refused ahead of the term listing cap (BudgetError)
             pytest.param(lambda: term_report(3, 2, 2, 3, 0.5, np.eye(9) / 9, cap=99),
                          "cap must be <= 12, got 99", id="report-2pr-12-cap-99"),
-            pytest.param(lambda: exact_trace_moment(2, 1, 2, 3, 0.5, np.eye(3) / 3, budget=2**26 + 1),
-                         "budget must be <= 67108864, got 67108865", id="exact-budget"),
-            pytest.param(lambda: term_report(2, 1, 2, 3, 0.5, np.eye(3) / 3, budget=2**26 + 1),
-                         "budget must be <= 67108864, got 67108865", id="report-budget"),
-            pytest.param(lambda: f_beta(delta_gamma(1, 2)[0], np.eye(4) / 4, 1, budget=2**26 + 1),
-                         "budget must be <= 67108864, got 67108865", id="f-beta-budget"),
         ],
     )
-    def test_cap_and_budget_above_their_hard_bounds_raise(self, call, message, monkeypatch):
-        # a cap above 12 was once clamped to 12, and any budget was taken
+    def test_cap_above_its_hard_bound_raises(self, call, message, monkeypatch):
+        # a cap above 12 was once clamped to 12
         def no_table(*args):
             raise AssertionError("wg_exact ran before the bound check")
 
@@ -196,13 +193,11 @@ class TestFBeta:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             call()
 
-    def test_cap_and_budget_at_their_hard_bounds_run(self):
-        rho, beta = np.eye(3) / 3, delta_gamma(2, 1)[0]
-        bounds = {"cap": EXACT_PAIRING_HARD_CAP, "budget": CONTRACTION_HARD_BUDGET}
-        assert (EXACT_PAIRING_HARD_CAP, CONTRACTION_HARD_BUDGET) == (12, 2**26)
-        assert exact_trace_moment(2, 1, 2, 3, 0.5, rho, **bounds) == exact_trace_moment(2, 1, 2, 3, 0.5, rho)
-        assert term_report(2, 1, 2, 3, 0.5, rho, **bounds) == term_report(2, 1, 2, 3, 0.5, rho)
-        assert f_beta(beta, rho, 2, budget=CONTRACTION_HARD_BUDGET) == f_beta(beta, rho, 2)
+    def test_cap_at_its_hard_bound_runs(self):
+        rho = np.eye(3) / 3
+        assert EXACT_PAIRING_HARD_CAP == 12
+        assert exact_trace_moment(2, 1, 2, 3, 0.5, rho, cap=12) == exact_trace_moment(2, 1, 2, 3, 0.5, rho)
+        assert term_report(2, 1, 2, 3, 0.5, rho, cap=12) == term_report(2, 1, 2, 3, 0.5, rho)
 
 
 def complex_state(kind, dim, seed):
@@ -235,7 +230,7 @@ class TestSymmetryOrbits:
     @pytest.mark.parametrize("kind", ["density", "vector"])
     def test_orbit_values_match_per_pairing(self, p, r, kind):
         state = complex_state(kind, 2**r, seed=p + 10 * r)
-        batched = _f_values(enumerate_pairings(p * r), state, p, CONTRACTION_BUDGET, _state_orbits(state, p, r))
+        batched = _f_values(enumerate_pairings(p * r), state, p, _state_orbits(state, p, r))
         assert np.max(np.abs(batched - per_pairing_f(state, p, r))) <= 1e-15
 
     @pytest.mark.parametrize("p,r", [(2, 2), (1, 3), (1, 5), (5, 1), (3, 1), (2, 3)])
@@ -246,7 +241,7 @@ class TestSymmetryOrbits:
         # member may round differently: Bell at d = 2, (p, r) = (2, 2) differs by one ulp
         # already under the copy swaps alone.
         state = np.eye(d**r) / d**r if rule == "mixed" else experiment_input(rule, r, d)
-        batched = _f_values(enumerate_pairings(p * r), state, p, CONTRACTION_BUDGET, _state_orbits(state, p, r))
+        batched = _f_values(enumerate_pairings(p * r), state, p, _state_orbits(state, p, r))
         assert np.array_equal(batched, per_pairing_f(state, p, r))
 
     @pytest.mark.parametrize("rule, merged", [("mixed", True), ("product", True), ("bell", True), ("e0e1", False)])
@@ -297,7 +292,7 @@ class TestSymmetryOrbits:
         part = (tilted + tilted.conj().T) / 2
         assert np.max(np.abs(tilted - part)) > 0
         assert exact_trace_moment(2, 2, 2, 3, 0.5, tilted) == exact_trace_moment(2, 2, 2, 3, 0.5, part)
-        f_vals = _engine_arrays(2, 2, 2, 3, 0.5, tilted, 8, CONTRACTION_BUDGET)[3]
+        f_vals = _engine_arrays(2, 2, 2, 3, 0.5, tilted, 8)[3]
         assert np.max(np.abs(f_vals - per_pairing_f(part, 2, 2))) <= 1e-15
 
 
@@ -512,7 +507,7 @@ def term_report_reference(p, r, k, n, t, state):
 
 def dense_term_arrays(p, r, k, n, t, state, cap):
     """The sorted term values, rows, columns and coset types from one N^2 complex array and a float sort."""
-    pair_list, n_exp, k_exp, f_vals, table, _ = _engine_arrays(p, r, k, n, t, state, cap, CONTRACTION_BUDGET)
+    pair_list, n_exp, k_exp, f_vals, table, _ = _engine_arrays(p, r, k, n, t, state, cap)
     scale = float(n) ** n_exp * float(k) ** k_exp
     values = ((scale[:, None] * f_vals[None, :]) * dense_table(p * r, k * n)).ravel()
     order = np.argsort(-np.abs(values), kind="stable")
@@ -549,7 +544,7 @@ class TestTermValueIds:
         p, r, k, n, t, state = args = VALUE_ID_CASES[case]
         if case.startswith("flipped"):
             assert _state_orbits(state, p, r)[2].any()
-        arrays = _term_arrays(*args, 2 * p * r, CONTRACTION_BUDGET)
+        arrays = _term_arrays(*args, 2 * p * r)
         values, rows, cols, types = dense_term_arrays(*args, 2 * p * r)
         if case in ("basis-product", "real-vector"):
             # a real input: the side swap leaves f real but turns +0.0 imaginary parts into -0.0,
@@ -643,7 +638,7 @@ class TestTermReport:
 
     def test_terms_box_the_array_form(self):
         # each field is its _term_arrays entry, as a Python object shared by its row, column, type or value id
-        args = (2, 2, 2, 3, 0.5, complex_state("vector", 9, seed=13), 8, CONTRACTION_BUDGET)
+        args = (2, 2, 2, 3, 0.5, complex_state("vector", 9, seed=13), 8)
         arrays = _term_arrays(*args)
         terms = term_report(*args[:6])
         assert len(terms) == len(arrays.value_ids)

@@ -103,7 +103,7 @@ class TestEnumeration:
         p = enumerate_pairings(2)[1]
         text = json.dumps(p.pair_list())
         assert text == "[[0, 2], [1, 3]]"
-        assert Pairing.from_pairs(json.loads(text), 4) == p
+        assert Pairing.from_pairs(json.loads(text)) == p
 
 
 # arguments whose sizes or entries do not fit together
@@ -118,20 +118,19 @@ SIZE_REFUSALS = {
     # a block of a 3-point or a 1-point "pair" once gave entropies and operators for no block at all
     "partial-pair-too-long": (lambda: PartialPairing(3, ((0, 1, 2),)), "pairs need two entries each: ((0, 1, 2),)"),
     "partial-pair-too-short": (lambda: PartialPairing(2, ((0,),)), "pairs need two entries each: ((0,),)"),
-    "pairing-pair-range": (lambda: Pairing.from_pairs([(0, 5)], 4), "pair entries outside 0..3: ((0, 5),)"),
-    "pairing-pair-too-long": (lambda: Pairing.from_pairs([(0, 1, 2)], 4), "pairs need two entries each: ((0, 1, 2),)"),
-    "pairing-pair-too-short": (lambda: Pairing.from_pairs([(0,)], 2), "pairs need two entries each: ((0,),)"),
+    "pairing-pair-range": (lambda: Pairing.from_pairs([(0, 5)]), "pair entries outside 0..1: ((0, 5),)"),
+    "pairing-pair-too-long": (lambda: Pairing.from_pairs([(0, 1, 2)]), "pairs need two entries each: ((0, 1, 2),)"),
+    "pairing-pair-too-short": (lambda: Pairing.from_pairs([(0,)]), "pairs need two entries each: ((0,),)"),
     # malformed entries once reached Python's indexing or iteration and raised a bare TypeError
     "partial-pairs-flat": (lambda: PartialPairing(2, (0, 1)), "pairs need two entries each: (0, 1)"),
-    "pairing-pairs-flat": (lambda: Pairing.from_pairs([0, 1], 2), "pairs need two entries each: [0, 1]"),
-    "pairing-pair-entry-float": (lambda: Pairing.from_pairs([(0, 1.0)], 2), "pair entry must be an integer, got 1.0"),
-    "pairing-size-float": (lambda: Pairing.from_pairs([(0, 1)], 2.5), "size must be an integer, got 2.5"),
+    "pairing-pairs-flat": (lambda: Pairing.from_pairs([0, 1]), "pairs need two entries each: [0, 1]"),
+    "pairing-pair-entry-float": (lambda: Pairing.from_pairs([(0, 1.0)]), "pair entry must be an integer, got 1.0"),
     "pairing-images-float": (lambda: Pairing((1, 0.0)), "permutation image must be an integer, got 0.0"),
     # entries that once slipped past the check made by indexing with them: a bool indexes a tuple, -1 reads
     # from the end, and a bare permutation was never indexed with its images at all
     "pairing-images-bool": (lambda: Pairing((True, False)), "permutation image must be an integer, got True"),
-    "pairing-pair-entry-bool": (lambda: Pairing.from_pairs([(0, True)], 2), "pair entry must be an integer, got True"),
-    "pairing-pair-negative": (lambda: Pairing.from_pairs([(0, -1)], 2), "pair entries outside 0..1: ((0, -1),)"),
+    "pairing-pair-entry-bool": (lambda: Pairing.from_pairs([(0, True)]), "pair entry must be an integer, got True"),
+    "pairing-pair-negative": (lambda: Pairing.from_pairs([(0, -1)]), "pair entries outside 0..1: ((0, -1),)"),
     "permutation-images-float": (lambda: Permutation((1, 0.0)), "permutation image must be an integer, got 0.0"),
     "permutation-images-string": (lambda: Permutation(("a", 0)), "permutation image must be an integer, got 'a'"),
     "permutation-not-a-sequence": (lambda: Permutation(5), "not a sequence of integers: 5"),

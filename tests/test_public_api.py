@@ -22,6 +22,8 @@ import pytest
 
 import orthochan
 from orthochan import ChannelSpec, ConvexBody, Pairing, PartialPairing, Permutation, RngStream
+from orthochan.channels import input_dim
+from orthochan.cli import main
 from orthochan.errors import OrthochanError, ValidationError
 
 SOURCES = sorted(Path(orthochan.__file__).parent.glob("*.py"))
@@ -189,7 +191,7 @@ def isometry(k, n):
 
 T, DIM = real("t"), real("dimension parameter", 0, math.inf, exclusive=True)
 P, R, K, K2, N, D = index("p", 1), index("r", 1), index("k", 1), index("k", 2), index("n", 1), index("d", 1)
-CAP, BUDGET, MC_SAMPLES, SEED = index("cap", 1, 12), index("budget", 1, 2**26), index("samples", 2), index("seed")
+CAP, MC_SAMPLES, SEED = index("cap", 1, 12), index("samples", 2), index("seed")
 BLOCK, BETA, ALPHA = instance("block", PartialPairing), instance("beta", Pairing), instance("alpha", Pairing)
 SPEC, STREAM = instance("spec", ChannelSpec), instance("rng", RngStream)
 _PAIR, _BLOCK, _RHO, _STREAM = Pairing((1, 0)), PartialPairing(2, ((0, 1),)), np.eye(2) / 2, RngStream(0)
@@ -206,7 +208,7 @@ SWEEP = {
     "ExperimentResult": (("bell", 1, 2, 0.5, (2,), 1, 0, (), ()), ()),
     "MomentTerm": ((_PAIR, _PAIR, 1, 1, 1j, 0.5, 1j), ()),
     "Pairing": (((1, 0),), ()),
-    "Pairing.from_pairs": ((((0, 1),), 2), (None, lambda size: None if size is None else index("size")(size))),
+    "Pairing.from_pairs": ((((0, 1),),), ()),
     "PartialPairing": ((2, ((0, 1),)), (index("n_points"),)),
     "PartialPairing.contains": ((_BLOCK,), (instance("other", PartialPairing),)),
     "Permutation": (((1, 0),), ()),
@@ -226,8 +228,8 @@ SWEEP = {
     "enumerate_pairings": ((1,), (index("m", 1),)),
     "enumerate_partial_pairings": ((2,), (index("r"),)),
     "exact_mean_output": ((1, 2, 2, 0.5, _RHO), (R, K, N, T)),
-    "exact_trace_moment": ((1, 1, 2, 2, 0.5, _RHO, 8, 2**24), (P, R, K, N, T, None, CAP, BUDGET)),
-    "f_beta": ((_PAIR, _RHO, 1, 2**24), (BETA, None, P, BUDGET)),
+    "exact_trace_moment": ((1, 1, 2, 2, 0.5, _RHO, 8), (P, R, K, N, T, None, CAP)),
+    "f_beta": ((_PAIR, _RHO, 1), (BETA, None, P)),
     "g_from_state": ((_RHO, 1, 2, 2, 0.5), (None, R, K, N, T)),
     "gram_matrix": ((2, 3.0), (index("m", 1), DIM)),
     "integrate_monomial": (([(0, 0), (0, 0)], 3.0), (None, DIM)),
@@ -251,7 +253,7 @@ SWEEP = {
     "pairing_from_partial": ((_BLOCK,), (BLOCK,)),
     "project_to_body": ((_RHO, ConvexBody(1, 2, 0.5)), (None, instance("body", ConvexBody))),
     "sample_haar_orthogonal": ((2, _STREAM), (index("dimension", 1), STREAM)),
-    "term_report": ((1, 1, 2, 2, 0.5, _RHO, 8, 2**24), (P, R, K, N, T, None, CAP, BUDGET)),
+    "term_report": ((1, 1, 2, 2, 0.5, _RHO, 8), (P, R, K, N, T, None, CAP)),
     "von_neumann_entropy": ((_RHO,), ()),
     "wg_asymptotic": ((_PAIR, _PAIR, 3.0), (ALPHA, BETA, DIM)),
     "wg_exact": ((1, 3.0), (index("m", 1), DIM)),
@@ -292,3 +294,70 @@ def test_malformed_arguments_raise_orthochan_errors(name, i):
         if rule and rule(value) not in (None, outcome):
             leaks.append((value, outcome))
     assert leaks == []
+
+
+# Integers far beyond any size the library takes.  A refusal once printed such an integer in full, which
+# Python refuses past 4300 digits (ValueError), built (2m-1)!! only to print it (seconds at m = 10^5, never
+# at 10^5000), or formed a float coefficient from it (OverflowError).  Each is now refused by an
+# OrthochanError that names a huge integer by its bit count and a huge count by 2^FULL_COUNT_BITS.
+_HUGE, _K_HUGE = 10**5000, 10**200
+_BIG_PATTERN = "wiring pattern needs dim^(2pr) = at least 2^100 entries, above budget 16777216"
+_BIG_K2 = "k^2 must lie in [4, inf], got an integer of 1329 bits"
+HUGE_INTEGER_CALLS = {
+    "input_dim-kn": (lambda: input_dim(_HUGE, 1, 0.5), "kn must be <= 100000000000, got an integer of 16610 bits"),
+    "input_dim-t": (lambda: input_dim(2, 2, _HUGE), "t must lie in [0, 1], got an integer of 16610 bits"),
+    "Permutation": (lambda: Permutation((_HUGE,)), "not a permutation of 0..0: (an integer of 16610 bits,)"),
+    "wg_exact": (
+        lambda: orthochan.wg_exact(2, _HUGE), "dimension parameter must lie in (0, inf), got an integer of 16610 bits"
+    ),
+    "exact_trace_moment": (
+        lambda: orthochan.exact_trace_moment(_HUGE, 1, 2, 3, 0.5, np.eye(3) / 3),
+        "exact engine needs 2pr = an integer of 16611 bits diagram endpoints, above cap 8",
+    ),
+    "enumerate_partial_pairings": (
+        lambda: orthochan.enumerate_partial_pairings(_HUGE),
+        "partial pairing enumeration capped at r <= 8, got an integer of 16610 bits",
+    ),
+    "enumerate_pairings-1e5": (
+        lambda: orthochan.enumerate_pairings(10**5),
+        "enumerating pairings of 2m=200000 points needs at least 2^100 pairings, above cap 10395",
+    ),
+    "enumerate_pairings-huge": (
+        lambda: orthochan.enumerate_pairings(_HUGE),
+        "enumerating pairings of 2m=an integer of 16611 bits points needs at least 2^100 pairings, above cap 10395",
+    ),
+    "term_report-2000": (
+        lambda: orthochan.term_report(2000, 1, 2, 3, 0.5, np.eye(3) / 3),
+        "a term report at 2pr = 4000 would list at least 2^100 terms; the cap is 2pr <= 10",
+    ),
+    "op_S_tilde": (lambda: orthochan.op_S_tilde(_BLOCK, _K_HUGE, 0.5), _BIG_PATTERN),
+    "isotropic_eta": (lambda: orthochan.isotropic_eta(_K_HUGE, 0.5), _BIG_PATTERN),
+    "op_R_tilde": (lambda: orthochan.op_R_tilde(_BLOCK, _K_HUGE, 0.5), _BIG_PATTERN),
+    "op_Q_tilde": (lambda: orthochan.op_Q_tilde(_BLOCK, _K_HUGE**2), _BIG_PATTERN),
+    "bell_input": (lambda: orthochan.bell_input(_BLOCK, _K_HUGE**2), _BIG_PATTERN),
+    "isotropic_entropy": (lambda: orthochan.isotropic_entropy(_K_HUGE, 0.5), _BIG_K2),
+    "entropy_extremal": (lambda: orthochan.entropy_extremal(_BLOCK, _K_HUGE, 0.5), _BIG_K2),
+    "f_beta-p": (
+        lambda: orthochan.f_beta(_PAIR, _RHO, _HUGE), "pairing size 2 is not a multiple of 2p = an integer of 16611 bits"
+    ),
+    "mc_trace_moment-samples": (
+        lambda: orthochan.mc_trace_moment(1, 1, 2, 2, 0.5, _RHO, _HUGE, 0),
+        "samples must be <= 2**64, one stream each, got an integer of 16610 bits",
+    ),
+    "bumps": (lambda: orthochan.bumps(_HUGE), "beta must be a Pairing, got an integer of 16610 bits"),
+    "cli-pairings-m-2000": (
+        ["pairings", "--m", "2000"],
+        "enumerating pairings of 2m=4000 points needs at least 2^100 pairings, above cap 10395",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", HUGE_INTEGER_CALLS.values(), ids=HUGE_INTEGER_CALLS.keys())
+def test_huge_integers_are_refused_by_orthochan_errors(capsys, call, message):
+    if isinstance(call, list):  # a command line: the CLI exits 3 on its one error: line
+        assert main(call) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        return
+    with pytest.raises(OrthochanError) as refusal:
+        call()
+    assert str(refusal.value) == message

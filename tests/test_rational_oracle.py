@@ -229,11 +229,10 @@ def test_m6_monte_carlo_matches_rationals(p, r, n):
 
 
 def bell_wiring(p: int, r: int) -> Pairing:
-    """The wiring of p copies of the Bell-pair input: cells 2j and 2j + 1 of each copy joined on each side."""
+    """The wiring of p copies of the Bell-pair input (r even): cells 2j and 2j + 1 of each copy joined on each side."""
     return Pairing.from_pairs(
         [(box_index(i, x, side, p, r), box_index(i, x + 1, side, p, r))
-         for i in range(p) for x in range(0, r, 2) for side in (SIDE_L, SIDE_R)],
-        2 * p * r,
+         for i in range(p) for x in range(0, r, 2) for side in (SIDE_L, SIDE_R)]
     )
 
 
