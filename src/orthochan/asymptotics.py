@@ -40,16 +40,6 @@ from .pairings import _check_partial_count, _ordered, _pair_sets
 KKT_TOL = 1e-12  # relative slack of the projection's optimality certificate
 
 
-def maximally_entangled(dim: int) -> np.ndarray:
-    """The rank-one pair projector Omega Omega^* on dim^2, of trace dim: op_T of one pair."""
-    return op_T(PartialPairing(2, ((0, 1),)), checked_index(dim, "dim", 1))
-
-
-def isotropic_eta(k: int, t: float) -> np.ndarray:
-    """Isotropic state t/k * omega + (1-t)/k^2 * I on k^2: op_S_tilde of one pair."""
-    return op_S_tilde(PartialPairing(2, ((0, 1),)), k, t)
-
-
 def _sized(block: PartialPairing, dim: int) -> int:
     """block.n_points = r once the dim^(2r) pattern is within the budget: before a coefficient is formed from dim."""
     checked_size(dim, 2 * checked_instance(block, PartialPairing, "block").n_points, "wiring pattern needs dim^(2pr)")
@@ -70,12 +60,6 @@ def op_T(block: PartialPairing, k: int) -> np.ndarray:
     both sides of each pair, a horizontal wire through each single).
     """
     return _pattern_sum([(checked_instance(block, PartialPairing, "block"), 1.0)], checked_index(k, "k", 1))
-
-
-def op_T_tilde(block: PartialPairing, d: int) -> np.ndarray:
-    """d^-|B| times op_T on local dimension d."""
-    d = checked_index(d, "d", 1)
-    return op_T(block, d) / d**block.n_pairs
 
 
 def op_R_tilde(block: PartialPairing, k: int, t: float) -> np.ndarray:
@@ -109,7 +93,7 @@ def _q_terms(block: PartialPairing, d: int) -> list[tuple[PartialPairing, float]
 
 
 def op_Q_tilde(block: PartialPairing, d: int) -> np.ndarray:
-    """Alternating sum of op_T_tilde over blocks containing the given one.
+    """Sum of (-1)^(|S|-|B|) d^-|S| T_S over the blocks S containing the given one B.
 
     These resolve the identity, and their spectra concentrate on {0, 1} as the
     local dimension grows.
@@ -180,7 +164,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     eigs, _ = _checked_spectrum(_checked_state(rho, rho.shape[0]))
     eigs = np.clip(eigs, 0.0, None)
     positive = eigs[eigs > 0]
-    return float(-np.sum(positive * np.log(positive)))
+    return float(0.0 - np.sum(positive * np.log(positive)))  # +0.0, not -0.0, at a unit eigenvalue
 
 
 def isotropic_entropy(k: int, t: float) -> float:

@@ -37,7 +37,6 @@ from .pairings import (
     delta_gamma,
     dominant_pairs,
     enumerate_pairings,
-    enumerate_partial_pairings,
     pairing_from_partial,
     type_lengths,
     wiring_sum,
@@ -347,15 +346,3 @@ def asymptotic_trace_moment(
             * (-1) ** (block.n_pairs - sub.n_pairs)
         )
     return total
-
-
-def g_from_state(state: np.ndarray, r: int, k: int, n: int, t: float) -> dict[PartialPairing, float]:
-    """Block weights g_B = f_beta(B) / (tkn)^|B| of a concrete input state on d^r, d = floor(tkn)."""
-    r = checked_index(r, "r", 1)
-    _checked_state(state, input_dim(k, n, t) ** r)
-    out = {}
-    for block in enumerate_partial_pairings(r):
-        beta = pairing_from_partial(block)
-        value = f_beta(beta, state, 1).real / (t * n * k) ** block.n_pairs
-        out[block] = value
-    return out

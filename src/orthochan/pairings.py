@@ -97,9 +97,6 @@ class Permutation:
             raise ValidationError(f"size mismatch: {self.size} vs {other.size}")
         return Permutation(tuple(self.images[j] for j in other.images))
 
-    def inverse(self) -> "Permutation":
-        return Permutation(tuple(sorted(range(self.size), key=self.images.__getitem__)))
-
     def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * self.size
         out = []
@@ -175,9 +172,6 @@ class PartialPairing:
     def is_maximal(self) -> bool:
         return self.n_pairs == self.n_points // 2
 
-    def contains(self, other: "PartialPairing") -> bool:
-        return set(checked_instance(other, PartialPairing, "other").pairs) <= set(self.pairs)
-
     def sub_blocks(self) -> list["PartialPairing"]:
         """Every partial pairing contained in this one, by pair count, then in combinations order."""
         return _pair_sets(self.n_points, self.pairs)
@@ -241,11 +235,6 @@ def _matchings(points, images):
 @lru_cache(maxsize=None)  # one entry per m <= 6 under the enumeration cap
 def _enumerate_pairings(m: int) -> tuple[Pairing, ...]:
     return tuple(Pairing(images) for images in _matchings(tuple(range(2 * m)), [0] * (2 * m)))
-
-
-def length(sigma: Permutation) -> int:
-    """Cayley-graph length of sigma: N minus the number of cycles."""
-    return checked_instance(sigma, Permutation, "sigma").size - sigma.cycle_count()
 
 
 def coset_type(alpha: Pairing, beta: Pairing) -> tuple[int, ...]:
@@ -509,11 +498,6 @@ def bumps(beta: Pairing) -> int:
     return sum(1 for a, b in checked_instance(beta, Pairing, "beta").pairs if a % 2 == SIDE_R and b % 2 == SIDE_R)
 
 
-def is_transverse(tau: Pairing) -> bool:
-    """True iff every pair of tau joins an L endpoint to an R endpoint."""
-    return all((a % 2) != (b % 2) for a, b in checked_instance(tau, Pairing, "tau").pairs)
-
-
 def transverse_pairings(q: int) -> list[Pairing]:
     """All q! transverse pairings of 2q endpoints, in a fixed order: L of cell c to R of cell perm[c]."""
     perms = itertools.permutations(range(q))
@@ -557,14 +541,6 @@ def enumerate_partial_pairings(r: int) -> list[PartialPairing]:
     return _pair_sets(r, list(itertools.combinations(range(r), 2)))
 
 
-def partial_pairing_count(r: int) -> int:
-    """Closed-form count: sum over j of r! / (j! 2^j (r-2j)!)."""
-    return sum(
-        math.factorial(r) // (math.factorial(j) * 2**j * math.factorial(r - 2 * j))
-        for j in range(r // 2 + 1)
-    )
-
-
 def pairing_from_partial(block: PartialPairing) -> Pairing:
     """The diagram pairing of 2 * block.n_points endpoints: symmetric bumps on a cell block plus horizontal wires.
 
@@ -589,13 +565,3 @@ def dominant_pairs(p: int, r: int, inward_only: bool = False) -> list[tuple[Part
     pairs = itertools.combinations(range(_check_partial_count(p * r)), 2)
     blocks = _pair_sets(p * r, [(c1, c2) for c1, c2 in pairs if not inward_only or c1 // r == c2 // r])
     return [(sub, block) for block in blocks for sub in block.sub_blocks()]
-
-
-def combine_copies(blocks: list[PartialPairing], r: int) -> PartialPairing:
-    """Stack per-copy partial pairings of [r] into one on the p x r cell grid."""
-    pairs = []
-    for i, block in enumerate(blocks):
-        if block.n_points != r:
-            raise ValidationError(f"copy block on {shown(block.n_points)} points, expected {shown(r)}")
-        pairs.extend((i * r + a, i * r + b) for a, b in block.pairs)
-    return PartialPairing(len(blocks) * r, tuple(pairs))

@@ -16,21 +16,17 @@ from orthochan.asymptotics import (
     entropy_extremal,
     experiment_input,
     isotropic_entropy,
-    isotropic_eta,
-    maximally_entangled,
     maximal_block,
     mean_output_asymptotic,
     op_Q_tilde,
     op_R_tilde,
     op_S_tilde,
     op_T,
-    op_T_tilde,
     project_to_body,
     von_neumann_entropy,
 )
 from orthochan.channels import RngStream, _checked_state, make_channel, output_state
 from orthochan.errors import BudgetError, EnumerationLimitError, InvalidStateError, OrthochanError, ValidationError
-from orthochan.moments import g_from_state
 from orthochan.pairings import PartialPairing, enumerate_partial_pairings
 
 
@@ -51,32 +47,26 @@ def omega(dim):
     return np.outer(vec, vec)
 
 
+PAIR = PartialPairing(2, ((0, 1),))  # op_T of it is omega, op_S_tilde of it the isotropic state
+
+
 class TestIsotropicState:
     def test_t_zero(self):
-        assert np.allclose(isotropic_eta(2, 0.0), np.eye(4) / 4)
+        assert np.allclose(op_S_tilde(PAIR, 2, 0.0), np.eye(4) / 4)
 
     def test_t_one(self):
-        assert np.allclose(isotropic_eta(3, 1.0), maximally_entangled(3) / 3)
+        assert np.allclose(op_S_tilde(PAIR, 3, 1.0), op_T(PAIR, 3) / 3)
 
     def test_eigenvalues_k2_t_half(self):
-        eigs = np.sort(np.linalg.eigvalsh(isotropic_eta(2, 0.5)))
+        eigs = np.sort(np.linalg.eigvalsh(op_S_tilde(PAIR, 2, 0.5)))
         assert np.allclose(eigs, [0.125, 0.125, 0.125, 0.625])
-
-    def test_t_range_validated(self):
-        # t just above 1 keeps floor(t*k*n) <= kn, so only the t rule refuses it
-        with pytest.raises(ValidationError, match=r"t must lie in \[0, 1\], got 1.05"):
-            g_from_state(np.eye(8)[0], 1, 2, 4, 1.05)
-
-
-# a dimension and r below 1 outside __all__; each once raised ZeroDivisionError or returned nonsense
-BELOW_LEAST = {"maximally-entangled-dim": lambda: maximally_entangled(0), "maximal-block-r": lambda: maximal_block(-1)}
 
 
 class TestOperatorFamily:
-    @pytest.mark.parametrize("call", BELOW_LEAST.values(), ids=BELOW_LEAST.keys())
-    def test_dimension_and_r_below_one_raise_validation_error(self, call):
+    def test_r_below_one_raises_validation_error(self):
+        # maximal_block is outside __all__; it once returned nonsense for r < 1
         with pytest.raises(ValidationError, match="must be >= 1"):
-            call()
+            maximal_block(-1)
 
     def test_s_empty_is_maximally_mixed(self):
         for r in (1, 2, 3):
@@ -84,8 +74,8 @@ class TestOperatorFamily:
             assert np.allclose(s, np.eye(2**r) / 2**r)
 
     def test_s_single_pair_is_eta(self):
-        s = op_S_tilde(PartialPairing(2, ((0, 1),)), 2, 0.5)
-        assert np.allclose(s, isotropic_eta(2, 0.5))
+        # eta = t/k omega + (1-t)/k^2 I
+        assert np.allclose(op_S_tilde(PAIR, 2, 0.5), omega(2) / 4 + np.eye(4) / 8)
 
     def test_s_states_are_density_matrices(self):
         for r in (2, 3, 4):
@@ -125,15 +115,11 @@ class TestOperatorFamily:
     def test_q_terms_list_the_blocks_containing_the_given_one(self, r):
         blocks = enumerate_partial_pairings(r)
         for block in blocks:
-            assert [sup for sup, _ in _q_terms(block, 3)] == [s for s in blocks if s.contains(block)]
+            assert [sup for sup, _ in _q_terms(block, 3)] == [s for s in blocks if set(block.pairs) <= set(s.pairs)]
 
     def test_q_terms_refuse_above_the_partial_pairing_cap(self):
         with pytest.raises(EnumerationLimitError, match=r"^partial pairing enumeration capped at r <= 8, got 9$"):
             op_Q_tilde(PartialPairing(9, ()), 1)
-
-    def test_t_tilde_normalization(self):
-        block = PartialPairing(2, ((0, 1),))
-        assert np.allclose(op_T_tilde(block, 4), op_T(block, 4) / 4)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_op_t_scatter_matches_dense_construction(self, r):
@@ -165,9 +151,9 @@ class TestMeanOutputAsymptotic:
 
     def test_bell_input_gives_eta_exactly(self):
         for d in (2, 4, 8):
-            psi = bell_state_vector(PartialPairing(2, ((0, 1),)), d)
+            psi = bell_state_vector(PAIR, d)
             m = mean_output_asymptotic(psi, 2, 2, 0.5)
-            assert np.max(np.abs(m - isotropic_eta(2, 0.5))) < 1e-12
+            assert np.max(np.abs(m - op_S_tilde(PAIR, 2, 0.5))) < 1e-12
 
     @pytest.mark.parametrize("r,d", [(1, 3), (2, 3), (3, 2)])
     def test_two_expansions_agree(self, r, d):
@@ -201,7 +187,7 @@ class TestBellInput:
     def test_r3_has_mixed_factor(self):
         d = 3
         g = bell_input(PartialPairing(3, ((0, 1),)), d)
-        omega_hat = maximally_entangled(d) / d
+        omega_hat = op_T(PAIR, d) / d
         assert np.max(np.abs(g - np.kron(omega_hat, np.eye(d) / d))) < 1e-12
 
     def test_non_maximal_rejected(self):
@@ -221,9 +207,12 @@ class TestBellInput:
 
 class TestEntropy:
     def test_pure_state(self):
+        # a unit eigenvalue once gave -0.0, the negated empty sum
         psi = np.zeros(4)
         psi[0] = 1
-        assert von_neumann_entropy(np.outer(psi, psi)) == pytest.approx(0.0, abs=1e-12)
+        for rho in (np.outer(psi, psi), np.diag([1.0, 0.0]), np.eye(1)):
+            entropy = von_neumann_entropy(rho)
+            assert entropy == 0.0 and not np.signbit(entropy)
 
     def test_maximally_mixed(self):
         for r, k in ((1, 2), (2, 2), (2, 3)):
@@ -231,7 +220,7 @@ class TestEntropy:
 
     def test_eta_value(self):
         expected = -0.625 * math.log(0.625) - 3 * 0.125 * math.log(0.125)
-        assert von_neumann_entropy(isotropic_eta(2, 0.5)) == pytest.approx(expected)
+        assert von_neumann_entropy(op_S_tilde(PAIR, 2, 0.5)) == pytest.approx(expected)
         assert expected == pytest.approx(1.0735, abs=1e-4)
 
     def test_invalid_state_raises(self):

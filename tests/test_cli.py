@@ -413,6 +413,10 @@ class TestExitCodes:
             assert len(out.splitlines()) == 2 + 2  # config, header and one row per sample
         else:
             assert json.loads(out)["config"]["t"] == 1.0
+        if command == "body":
+            # the Bell vertex is pure; its entropy was once written as -0.0 beside a closed form of 0.0
+            for vertex in json.loads(out)["results"]["vertices"]:
+                assert repr(vertex["entropy"]) == repr(vertex["entropy_closed_form"])
 
     def test_body_at_t_zero_runs(self, capsys):
         # the convex body's closed forms take t = 0; only a channel needs floor(tkn) >= 1

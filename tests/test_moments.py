@@ -12,7 +12,6 @@ from orthochan.asymptotics import (
     basis_product_state,
     bell_state_vector,
     experiment_input,
-    isotropic_eta,
     mean_output_asymptotic,
 )
 from orthochan.channels import (
@@ -37,7 +36,6 @@ from orthochan.moments import (
     exact_mean_output,
     exact_trace_moment,
     f_beta,
-    g_from_state,
     term_report,
     wiring_matrix,
 )
@@ -49,19 +47,34 @@ from orthochan.pairings import (
     _symmetry_orbits,
     box_index,
     bumps,
-    combine_copies,
     connected_components,
     coset_types,
     delta_gamma,
     dominant_pairs,
     enumerate_pairings,
     enumerate_partial_pairings,
-    length,
     pairing_from_partial,
     wiring_sum,
 )
 from orthochan.weingarten import wg_exact
 from test_weingarten import dense_table
+
+
+def block_weights(state, p, r, k, n, t):
+    """asymptotic_trace_moment's g for p copies of a state on d^r, d = floor(tkn).
+
+    One copy weighs its block B by g_B = Re f_beta(B, state, 1) / (tkn)^|B|;
+    a block of the p x r cell grid with B_i on copy i weighs the product of the g_(B_i).
+    """
+    one_copy = [
+        (block, f_beta(pairing_from_partial(block), state, 1).real / (t * n * k) ** block.n_pairs)
+        for block in enumerate_partial_pairings(r)
+    ]
+    weights = {}
+    for copies in itertools.product(one_copy, repeat=p):
+        pairs = tuple((i * r + a, i * r + b) for i, (block, _) in enumerate(copies) for a, b in block.pairs)
+        weights[PartialPairing(p * r, pairs)] = math.prod(value for _, value in copies)
+    return weights
 
 
 def random_density(dim, seed):
@@ -437,7 +450,6 @@ class TestExactTraceMoment:
                 lambda: exact_mean_output(2, 2, 3, 0.5, state),
                 lambda: term_report(2, 2, 2, 3, 0.5, state),
                 lambda: mean_output_asymptotic(state, 2, 2, 0.5),
-                lambda: g_from_state(state, 2, 2, 3, 0.5),
             ]
         for call in calls:
             with pytest.raises(error):
@@ -738,7 +750,7 @@ class TestExponentBounds:
                     connected_components(delta, a)
                     + bumps(b)
                     - p * r
-                    - length(a.compose(b)) // 2
+                    - (2 * p * r - a.compose(b).cycle_count()) // 2
                 )
                 assert expo <= 0
                 if expo == 0:
@@ -765,12 +777,7 @@ class TestAsymptoticTraceMoment:
         n = 8 if (t * k * 8) == int(t * k * 8) else 10
         d = math.floor(t * k * n)
         bell = bell_state_vector(PartialPairing(2, ((0, 1),)), d)
-        g1 = g_from_state(bell, r, k, n, t)
-        g2 = {}
-        for b1, v1 in g1.items():
-            for b2, v2 in g1.items():
-                g2[combine_copies([b1, b2], r)] = v1 * v2
-        lhs = asymptotic_trace_moment(2, r, k, t, g2)
+        lhs = asymptotic_trace_moment(2, r, k, t, block_weights(bell, 2, r, k, n, t))
         m = mean_output_asymptotic(bell, r, k, t)
         assert lhs == pytest.approx(float(np.trace(m @ m).real), rel=1e-9)
 
@@ -785,13 +792,8 @@ class TestAsymptoticTraceMoment:
                 state = bell_state_vector(PartialPairing(2, ((0, 1),)), d)
             else:
                 state = basis_product_state(d, r)
-            g1 = g_from_state(state, r, k, n, t)
-            g = {
-                combine_copies(blocks, r): math.prod(g1[b] for b in blocks)
-                for blocks in itertools.product(g1, repeat=p)
-            }
             exact = exact_trace_moment(p, r, k, n, t, state, cap=cap)
-            gaps.append(abs(exact - asymptotic_trace_moment(p, r, k, t, g)))
+            gaps.append(abs(exact - asymptotic_trace_moment(p, r, k, t, block_weights(state, p, r, k, n, t))))
         return gaps
 
     @pytest.mark.parametrize("rule", ["bell", "product"])
@@ -820,32 +822,24 @@ class TestAsymptoticTraceMoment:
         assert built == []
 
 
-class TestGFromState:
+class TestBlockWeights:
     def test_bell_weights_are_one_at_exact_d(self):
         k, t, n = 2, 0.5, 8
         d = int(t * k * n)
         bell = bell_state_vector(PartialPairing(2, ((0, 1),)), d)
-        g = g_from_state(bell, 2, k, n, t)
+        g = block_weights(bell, 1, 2, k, n, t)
         for value in g.values():
             assert value == pytest.approx(1.0)
 
     def test_product_weights_decay(self):
         k, t, n = 2, 0.5, 8
         d = int(t * k * n)
-        g = g_from_state(basis_product_state(d, 2), 2, k, n, t)
+        g = block_weights(basis_product_state(d, 2), 1, 2, k, n, t)
         for block, value in g.items():
             if block.n_pairs == 0:
                 assert value == pytest.approx(1.0)
             else:
                 assert value <= 1.0 / d + 1e-12
-
-    def test_output_matches_eta_through_the_formula(self):
-        # M built from the bell weights reproduces the isotropic state
-        k, t, n = 2, 0.5, 8
-        d = int(t * k * n)
-        bell = bell_state_vector(PartialPairing(2, ((0, 1),)), d)
-        m = mean_output_asymptotic(bell, 2, k, t)
-        assert np.max(np.abs(m - isotropic_eta(k, t))) < 1e-12
 
 
 def complex_haar_unitary(dim, seed):
@@ -887,7 +881,7 @@ class TestOrthogonalVersusUnitary:
             lambda s: mean_output_asymptotic(s, 2, self.K, self.T),
         ):
             assert np.max(np.abs(engine(rotated) - engine(rho))) <= 1e-13
-        g, g_rotated = g_from_state(rho, 2, self.K, self.N, self.T), g_from_state(rotated, 2, self.K, self.N, self.T)
+        g, g_rotated = (block_weights(s, 1, 2, self.K, self.N, self.T) for s in (rho, rotated))
         assert g.keys() == g_rotated.keys()
         assert max(abs(g_rotated[block] - g[block]) for block in g) <= 1e-13
 

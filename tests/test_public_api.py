@@ -1,4 +1,5 @@
-"""The public surface stays honest: __all__ resolves, no module imports a name it never uses,
+"""The public surface stays honest: __all__ resolves, each public name is called by an entry
+point or defined in README, no module imports a name it never uses,
 no private function or class is left with no reader, pyproject.toml names the package's
 version and a console-script entry that runs, and a malformed argument to any public
 callable raises an OrthochanError, never a builtin exception.
@@ -10,10 +11,12 @@ benchmark tracer: the (module, name) must be one of ``BOUNDARIES`` in
 ``perfbench/spans.py``.
 """
 import ast
+import functools
 import importlib
 import inspect
 import math
 import numbers
+import re
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -27,13 +30,55 @@ from orthochan.cli import main
 from orthochan.errors import OrthochanError, ValidationError
 
 SOURCES = sorted(Path(orthochan.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_names_resolve():
     assert [name for name in orthochan.__all__ if not hasattr(orthochan, name)] == []
 
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = (ROOT / "README.md").read_text()
+ENTRY_POINTS = [ROOT / path for path in ("src/orthochan/cli.py", "src/orthochan/verify.py", "perfbench/workloads.py")]
+QUICK_TOUR = re.search(r"^## Library quick tour\n\n```python\n(.*?)^```", README, re.DOTALL | re.MULTILINE).group(1)
+# Public names that no entry point calls, kept because README defines each one.
+README_DEFINED = {
+    "paper objects": (
+        "Pairing", "Permutation", "apply_channel", "asymptotic_trace_moment", "bell_input", "delta_gamma",
+        "dominant_pairs", "integrate_monomial", "mean_output_asymptotic", "mobius", "op_T",
+        "pairing_from_partial", "sample_haar_orthogonal", "wiring_matrix",
+    ),
+    "return types": ("ChannelSpec", "ExperimentResult", "MomentTerm", "WeingartenTable"),
+    "raise types": ("EnumerationLimitError", "InvalidStateError"),
+}
+
+
+def code_names(source: str) -> set[str]:
+    """Every name and attribute the Python source reads."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+@functools.cache
+def earned_names() -> set[str]:
+    """Names the CLI, verify, the benchmark or the quick tour calls, and names README defines."""
+    called = code_names(QUICK_TOUR).union(*(code_names(path.read_text()) for path in ENTRY_POINTS))
+    called |= {attribute.split(".")[0] for _, attribute in traced_boundaries()}
+    fenced = README.split("```")  # the odd parts are fenced blocks
+    code = fenced[1::2] + [span for prose in fenced[::2] for span in re.findall(r"`([^`]+)`", prose)]
+    in_readme = set(re.findall(r"\w+", " ".join(code)))
+    return called | {name for names in README_DEFINED.values() if set(names) <= in_readme for name in names}
+
+
+@pytest.mark.parametrize("name", orthochan.__all__)
+def test_every_public_name_earns_its_place(name):
+    # a name stays public if an entry point or the quick tour calls it, or README defines it
+    assert name in earned_names()
+
+
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_pyproject_version_and_console_script(capsys):
@@ -74,7 +119,7 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def traced_boundaries() -> set[tuple[str, str]]:
@@ -199,7 +244,6 @@ _SPEC = orthochan.make_channel(2, 2, 0.5, _STREAM)
 METHODS = {
     "Pairing.from_pairs": Pairing.from_pairs,
     "Permutation.compose": _PAIR.compose,
-    "PartialPairing.contains": _BLOCK.contains,
 }
 # name: (valid arguments, rules of the leading arguments; the rest take None)
 SWEEP = {
@@ -210,7 +254,6 @@ SWEEP = {
     "Pairing": (((1, 0),), ()),
     "Pairing.from_pairs": ((((0, 1),),), ()),
     "PartialPairing": ((2, ((0, 1),)), (index("n_points"),)),
-    "PartialPairing.contains": ((_BLOCK,), (instance("other", PartialPairing),)),
     "Permutation": (((1, 0),), ()),
     "Permutation.compose": ((_PAIR,), (instance("other", Permutation),)),
     "RngStream": ((0, 0), (SEED, index("stream"))),
@@ -230,13 +273,9 @@ SWEEP = {
     "exact_mean_output": ((1, 2, 2, 0.5, _RHO), (R, K, N, T)),
     "exact_trace_moment": ((1, 1, 2, 2, 0.5, _RHO, 8), (P, R, K, N, T, None, CAP)),
     "f_beta": ((_PAIR, _RHO, 1), (BETA, None, P)),
-    "g_from_state": ((_RHO, 1, 2, 2, 0.5), (None, R, K, N, T)),
     "gram_matrix": ((2, 3.0), (index("m", 1), DIM)),
     "integrate_monomial": (([(0, 0), (0, 0)], 3.0), (None, DIM)),
-    "is_transverse": ((_PAIR,), (instance("tau", Pairing),)),
     "isotropic_entropy": ((2, 0.5), (K2, T)),
-    "isotropic_eta": ((2, 0.5), (K2, T)),
-    "length": ((_PAIR,), (instance("sigma", Permutation),)),
     "make_channel": ((2, 2, 0.5, _STREAM), (K, N, T, STREAM)),
     "mc_conjugation_mean": ((np.eye(2), 2, 0), (None, MC_SAMPLES, SEED)),
     "mc_mean_output": ((1, 2, 2, 0.5, _RHO, 2, 0), (R, K, N, T, None, MC_SAMPLES, SEED)),
@@ -248,7 +287,6 @@ SWEEP = {
     "op_R_tilde": ((_BLOCK, 2, 0.5), (BLOCK, K, T)),
     "op_S_tilde": ((_BLOCK, 2, 0.5), (BLOCK, K2, T)),
     "op_T": ((_BLOCK, 2), (BLOCK, K)),
-    "op_T_tilde": ((_BLOCK, 2), (BLOCK, D)),
     "output_state": ((_SPEC, 1, _RHO), (SPEC, R)),
     "pairing_from_partial": ((_BLOCK,), (BLOCK,)),
     "project_to_body": ((_RHO, ConvexBody(1, 2, 0.5)), (None, instance("body", ConvexBody))),
@@ -331,7 +369,6 @@ HUGE_INTEGER_CALLS = {
         "a term report at 2pr = 4000 would list at least 2^100 terms; the cap is 2pr <= 10",
     ),
     "op_S_tilde": (lambda: orthochan.op_S_tilde(_BLOCK, _K_HUGE, 0.5), _BIG_PATTERN),
-    "isotropic_eta": (lambda: orthochan.isotropic_eta(_K_HUGE, 0.5), _BIG_PATTERN),
     "op_R_tilde": (lambda: orthochan.op_R_tilde(_BLOCK, _K_HUGE, 0.5), _BIG_PATTERN),
     "op_Q_tilde": (lambda: orthochan.op_Q_tilde(_BLOCK, _K_HUGE**2), _BIG_PATTERN),
     "bell_input": (lambda: orthochan.bell_input(_BLOCK, _K_HUGE**2), _BIG_PATTERN),
