@@ -335,10 +335,11 @@ def convergence_experiment(
     if not _ordered(n_grid):  # a set would order the rows by its iteration
         raise ValidationError(f"n_grid must be a sequence of integers, got {n_grid!r}")
     n_grid = tuple(checked_index(n, "n", 1) for n in n_grid)
-    samples = checked_index(samples, "samples", 1)
+    samples, seed = checked_index(samples, "samples", 1), checked_index(seed, "seed")
     if not n_grid:
         raise ValidationError("need a nonempty n grid")
     body = ConvexBody(r, k, t)  # sizes the k^(2r) outputs too
+    r, k, t = body.r, body.k, body.t  # as the body checked them
     for n in n_grid:  # size every draw and refuse a degenerate d before any is built
         checked_size(k * n, 2, "a Haar draw needs dim^2")
         input_dim(k, n, t)

@@ -51,8 +51,8 @@ class RngStream:
     stream: int = 0
 
     def __post_init__(self):
-        checked_index(self.seed, "seed")
-        checked_index(self.stream, "stream")
+        object.__setattr__(self, "seed", checked_index(self.seed, "seed"))
+        object.__setattr__(self, "stream", checked_index(self.stream, "stream"))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
@@ -145,6 +145,11 @@ def _checked_spectrum(rho: np.ndarray, vectors: bool = False):
 
 def input_dim(k: int, n: int, t: float) -> int:
     """Channel input dimension d = floor(t*k*n) for integers k, n >= 1 with kn <= 10^11 and t in [0, 1]; d < 1 raises."""
+    return _checked_dims(k, n, t)[2]
+
+
+def _checked_dims(k: int, n: int, t: float) -> tuple[int, int, int]:
+    """(k, n, input_dim(k, n, t)), k and n as the Python ints checked_index reads them as."""
     k, n = checked_index(k, "k", 1), checked_index(n, "n", 1)
     t = checked_real(t, "t", 0, 1)
     checked_index(k * n, "kn", 1, 10**11)  # so the round-off lift below stays under 0.1 and d <= kn
@@ -153,7 +158,7 @@ def input_dim(k: int, n: int, t: float) -> int:
         raise ValidationError(
             f"floor(t*k*n) = {d} is degenerate at t={t}, k={k}, n={n}; need t*k*n >= 1"
         )
-    return d
+    return k, n, d
 
 
 def _haar_columns(
@@ -257,7 +262,7 @@ def make_channel(k: int, n: int, t: float, rng: RngStream) -> ChannelSpec:
 
     The isometry is the first d columns of sample_haar_orthogonal(k*n, rng).
     """
-    d = input_dim(k, n, t)
+    k, n, d = _checked_dims(k, n, t)
     v = _haar_columns([checked_instance(rng, RngStream, "rng").generator()], 1, k * n, d)[0]
     v.setflags(write=False)
     return ChannelSpec(k=k, n=n, isometry=v)
@@ -442,7 +447,7 @@ def _trace_power_batch(z: np.ndarray, p: int) -> np.ndarray:
 
 def _output_draw(r: int, k: int, n: int, t: float, state: np.ndarray):
     """Chunk size and draw(gens, count) -> outputs (count, k^r, k^r) of r-th channel powers."""
-    r, d = checked_index(r, "r", 1), input_dim(k, n, t)  # r is refused before k, n and t
+    r, (k, n, d) = checked_index(r, "r", 1), _checked_dims(k, n, t)  # r is refused before k, n and t
     chunk, lift = _lift(r, k, n, d, state)
     return chunk, lambda gens, count: lift(_haar_columns(gens, count, k * n, d))
 

@@ -264,15 +264,15 @@ def _q_spectrum_distance(r: int, d: int) -> float:
 def criterion_10_q_spectrum(seed: int) -> tuple[bool, str]:
     """Spectra of the identity-resolving family sit on or approach {0, 1}.
 
-    At r=2 the family is exactly projective, so the distance is zero at every
-    d (asserted to 1e-12, which subsumes any decrease); the genuine O(1/d)
-    decay shows up from r=3 on, where strict decrease is asserted.
+    At r=2 the family is exactly projective: the distance is asserted <= 1e-12 at every d, which
+    subsumes any decrease, and printed at that resolution, below which eigvalsh's residues move with
+    the BLAS thread count.  The O(1/d) decay shows from r=3 on, where strict decrease is asserted.
     """
     dists_r2 = [_q_spectrum_distance(2, d) for d in (8, 16, 32)]
     dists_r3 = [_q_spectrum_distance(3, d) for d in (4, 8, 12)]
     ok = max(dists_r2) <= 1e-12 and dists_r3[0] > dists_r3[1] > dists_r3[2]
     return ok, (
-        "r=2 (d=8,16,32): " + ", ".join(f"{x:.2e}" for x in dists_r2)
+        "r=2 (d=8,16,32): " + ", ".join(_fmt(round(x, 12)) for x in dists_r2)
         + "; r=3 (d=4,8,12): " + ", ".join(_fmt(x) for x in dists_r3)
     )
 

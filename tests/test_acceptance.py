@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from orthochan import verify
 from orthochan.verify import CRITERIA
 
 SEED = 0
@@ -23,6 +24,18 @@ def test_criterion(criterion):
     assert result.index == CRITERIA.index(criterion) + 1
     assert criterion.__name__.startswith(f"criterion_{result.index}_")
     assert result.passed, f"criterion {result.index}: {result.name} [{result.detail}]"
+
+
+def test_criterion_10_detail_does_not_depend_on_the_r2_residues(monkeypatch):
+    # criterion 10's r = 2 distances are rounding residues of a dense eigvalsh, which move with the
+    # BLAS thread count; these are its readings at one and at two OpenBLAS threads.  The detail prints
+    # them at the 1e-12 resolution the criterion asserts, and the r = 3 distances in full.
+    details = []
+    for r2 in ((8.88e-16, 1.44e-15, 1.55e-15), (8.88e-16, 1.55e-15, 2.00e-15)):
+        distances = {**dict(zip([(2, 8), (2, 16), (2, 32)], r2)), (3, 4): 0.5, (3, 8): 0.25, (3, 12): 1 / 6}
+        monkeypatch.setattr(verify, "_q_spectrum_distance", lambda r, d: distances[r, d])
+        details.append(verify.criterion_10_q_spectrum(SEED).detail)
+    assert details == ["r=2 (d=8,16,32): 0, 0, 0; r=3 (d=4,8,12): 0.5, 0.25, 0.166667"] * 2
 
 
 def test_identity_resolution_holds_one_dense_array_per_r():

@@ -2,7 +2,8 @@
 point or defined in README, no module imports a name it never uses,
 no private function or class is left with no reader, pyproject.toml names the package's
 version and a console-script entry that runs, and a malformed argument to any public
-callable raises an OrthochanError, never a builtin exception.
+callable raises an OrthochanError, never a builtin exception, while a valid integer or
+real one passed as a numpy scalar is read as its Python value.
 
 The repo runs no linter, so these checks stand in for pyflakes' F401 and
 F822 and for a dead-code pass.  An import kept on purpose is marked
@@ -11,6 +12,7 @@ benchmark tracer: the (module, name) must be one of ``BOUNDARIES`` in
 ``perfbench/spans.py``.
 """
 import ast
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -332,6 +334,50 @@ def test_malformed_arguments_raise_orthochan_errors(name, i):
         if rule and rule(value) not in (None, outcome):
             leaks.append((value, outcome))
     assert leaks == []
+
+
+# A valid integer or real sweep argument passed as a numpy scalar is read as its Python value: the call
+# returns what the Python-scalar call returns, down to the types of the fields a record keeps.
+NUMPY_FORMS = {int: (np.int64, np.int32), float: (np.float64, np.float32)}  # every valid real is exact in float32
+SCALAR_ARGUMENTS = [
+    (argument, argument_id)
+    for argument, argument_id in zip(ARGUMENTS, ARGUMENT_IDS)
+    if argument[1] < len(SWEEP[argument[0]][1]) and type(SWEEP[argument[0]][0][argument[1]]) in NUMPY_FORMS
+]
+
+
+def same(a, b) -> bool:
+    """a and b hold equal values of the same types: arrays by dtype and entries, records field by field."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+    if dataclasses.is_dataclass(a):
+        return all(same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[key], b[key]) for key in a)
+    return a == b or (a != a and b != b)  # NaN equals NaN here
+
+
+@pytest.mark.parametrize(
+    "name, i", [argument for argument, _ in SCALAR_ARGUMENTS], ids=[argument_id for _, argument_id in SCALAR_ARGUMENTS]
+)
+def test_numpy_scalar_arguments_read_as_python_scalars(name, i):
+    args = SWEEP[name][0]
+    call = CALLS[name]
+    expected = call(*args)
+    differences = []
+    for form in NUMPY_FORMS[type(args[i])]:
+        try:
+            result = call(*args[:i], form(args[i]), *args[i + 1:])
+        except Exception as error:  # a builtin exception or an OrthochanError: both refuse a valid value
+            differences.append((form.__name__, repr(error)))
+            continue
+        if not same(result, expected):
+            differences.append((form.__name__, repr(result)))
+    assert differences == []
 
 
 # Integers far beyond any size the library takes.  A refusal once printed such an integer in full, which
