@@ -24,8 +24,7 @@ from .channels import (
     _checked_rule,
     _checked_spectrum,
     _checked_state,
-    _haar_columns,
-    _rule_output,
+    _output_draw,
     input_dim,
     make_channel,
     map_ordered,
@@ -323,9 +322,10 @@ def convergence_experiment(
     Each draw's output is the Kronecker product of the rule's pair and
     single-point outputs: no d^r input, no eigh and no lift through (kn)^r.
     A Bell draw is output_state(make_channel(...), r, "bell").  A product
-    draw reads only V e_0, so it orthogonalises only the first Gaussian
-    column, whose Q column is bit for bit that of make_channel, and hands it
-    to the same block routine as output_state(spec, r, "product").  Every
+    draw is the Monte Carlo sampler's draw on the name: it reads only V e_0,
+    so it orthogonalises only the first Gaussian column, whose Q column is
+    bit for bit that of make_channel, and lifts it as
+    output_state(spec, r, "product") does.  Every
     grid point's Haar draw and d are checked before the first draw.  Draw s
     of grid point index g uses random stream (seed, g*samples + s), so the
     result table is reproducible and independent of the worker and BLAS
@@ -348,8 +348,7 @@ def convergence_experiment(
         gi, s = job
         n, rng = n_grid[gi], RngStream(seed, gi * samples + s)
         if input_rule == "product":
-            v = _haar_columns([rng.generator()], 1, k * n, 1)[0]
-            z = _rule_output(k, n, v, r, input_rule)
+            z = _output_draw(r, k, n, t, input_rule)[1]([rng.generator()], 1)[0]
         else:
             z = output_state(make_channel(k, n, t, rng), r, input_rule)
         proj = project_to_body(z, body)

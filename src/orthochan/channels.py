@@ -293,18 +293,23 @@ def _state_components(state: np.ndarray, dim: int) -> np.ndarray:
     return factor if np.any(factor.imag) else factor.real
 
 
-def _lift(r: int, k: int, n: int, d: int, state: np.ndarray) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
-    """Chunk size and lift(v) -> outputs (B, k^r, k^r) of the r-th channel power for isometries v (B, kn, d).
+def _lift(r: int, k: int, n: int, d: int, state: np.ndarray | str) -> tuple[int, int, Callable]:
+    """Chunk size, the isometry columns read, and lift(v) -> outputs (B, k^r, k^r) of the r-th channel power.
 
-    The input is factored once into F (d^r, C) with F F^H = state.  V is
-    applied to one leg of F at a time and the lifted leg moved to the back, so
-    V^(tensor r) is never formed.  F's column axis rides along as one more
-    ancilla leg: with L of shape (B, k^r, C n^r), output legs by ancilla legs,
-    Z = L L^H traces out the ancilla and sums the components.  F is lifted in
-    blocks of columns, so (kn)^r x columns stays within OUTPUT_TENSOR_BUDGET;
-    real factors stay in float64.
+    v holds B isometries' leading columns, (B, kn, columns).  A rule name,
+    "bell" or "product", reads d columns or 1 and sizes only the k^(2r)
+    output.  An array is factored once into F (d^r, C) with F F^H = state.
+    V is applied to one leg of F at a time and the lifted leg moved to the
+    back, so V^(tensor r) is never formed.  F's column axis rides along as
+    one more ancilla leg: with L of shape (B, k^r, C n^r), output legs by
+    ancilla legs, Z = L L^H traces out the ancilla and sums the components.
+    F is lifted in blocks of columns, so (kn)^r x columns stays within
+    OUTPUT_TENSOR_BUDGET; real factors stay in float64.
     """
     r = checked_index(r, "r", 1)
+    if isinstance(state, str):
+        rule, size = _checked_rule(state), checked_size(k, 2 * r, "the output needs k^(2r)")
+        return _chunk_size(max(size, (k * n) ** 2)), d if rule == "bell" else 1, lambda v: _rule_output(k, n, v, r, rule)
     per_column = checked_size(k * n, r, "lifted state tensor needs (kn)^r")
     factor = _state_components(state, d**r)
     cols = min(OUTPUT_TENSOR_BUDGET // per_column, factor.shape[1])
@@ -321,7 +326,7 @@ def _lift(r: int, k: int, n: int, d: int, state: np.ndarray) -> tuple[int, Calla
 
         return functools.reduce(operator.add, map(block, range(0, factor.shape[1], cols)))
 
-    return _chunk_size(max((k * n) ** r * cols, (k * n) ** 2)), lift
+    return _chunk_size(max((k * n) ** r * cols, (k * n) ** 2)), d, lift
 
 
 def _checked_rule(rule: str) -> str:
@@ -332,10 +337,10 @@ def _checked_rule(rule: str) -> str:
 
 
 def _rule_output(k: int, n: int, v: np.ndarray, r: int, rule: str) -> np.ndarray:
-    """Output of the r-th tensor power on a rule input, from its block outputs.
+    """Outputs (B, k^r, k^r) of the r-th tensor power on a rule input, from its block outputs.
 
-    v holds the leading isometry columns the rule reads: at least column 0
-    for "product", and all d for "bell", which reads d from v's shape.
+    v holds B isometries' leading columns, (B, kn, columns): at least column
+    0 for "product", and all d for "bell", which reads d from v's shape.
 
     Phi^(tensor r)(A tensor B) = Phi^(tensor s)(A) tensor Phi^(tensor (r-s))(B),
     so the output is the Kronecker product of one output per block, in
@@ -347,32 +352,30 @@ def _rule_output(k: int, n: int, v: np.ndarray, r: int, rule: str) -> np.ndarray
     applied to the pair vector, so a pair gives L L^T / d, L = M regrouped as
     (k^2, n^2), and the single gives ptr_n(M) / d.
     """
-    checked_size(k, 2 * r, "the output needs k^(2r)")
+    b, d = len(v), v.shape[2]
     if rule == "product":
-        u = np.ascontiguousarray(v[:, 0]).reshape(k, n)
-        blocks = [u @ u.T] * r
+        u = np.ascontiguousarray(v[:, :, 0]).reshape(b, k, n)
+        blocks = [u @ u.swapaxes(1, 2)] * r
     else:
-        d = v.shape[1]
-        m = (v @ v.T).reshape(k, n, k, n)
-        ell = m.transpose(0, 2, 1, 3).reshape(k * k, n * n)
-        blocks = [ell @ ell.T / d] * (r // 2) + [np.einsum("imjm->ij", m) / d] * (r % 2)
-    return functools.reduce(np.kron, blocks).astype(complex)
+        m = (v @ v.swapaxes(1, 2)).reshape(b, k, n, k, n)
+        ell = m.transpose(0, 1, 3, 2, 4).reshape(b, k * k, n * n)
+        blocks = [ell @ ell.swapaxes(1, 2) / d] * (r // 2) + [np.einsum("bimjm->bij", m) / d] * (r % 2)
+
+    def kron(x, y):  # np.kron of each batch entry's pair
+        return (x[:, :, None, :, None] * y[:, None, :, None, :]).reshape(b, x.shape[1] * y.shape[1], -1)
+
+    return functools.reduce(kron, blocks).astype(complex)
 
 
 def output_state(spec: ChannelSpec, r: int, state: np.ndarray | str) -> np.ndarray:
     """Output of the r-th tensor power on a pure vector, a density matrix or a rule input.
 
-    A vector or matrix on d^r goes through the lift that the Monte Carlo
-    sampler uses.  A rule name, "bell" or "product", stands for the input
-    asymptotics.experiment_input(rule, r, d) builds; its output is the
-    Kronecker product of k^2 x k^2 pair and k x k single-point outputs, so
-    no d^r input is built or lifted, and only the k^(2r) output is sized.
+    Every input takes _lift, the Monte Carlo sampler's prepared draw.  A rule
+    name, "bell" or "product", stands for experiment_input(rule, r, d); its
+    output is built from pair and single-point outputs, with no d^r input.
     """
     checked_instance(spec, ChannelSpec, "spec")
-    if isinstance(state, str):
-        r, rule = checked_index(r, "r", 1), _checked_rule(state)
-        return _rule_output(spec.k, spec.n, spec.isometry, r, rule)
-    _, lift = _lift(r, spec.k, spec.n, spec.d, state)
+    _, _, lift = _lift(r, spec.k, spec.n, spec.d, state)
     return lift(spec.isometry[None])[0].astype(complex)
 
 
@@ -445,21 +448,21 @@ def _trace_power_batch(z: np.ndarray, p: int) -> np.ndarray:
     return np.einsum("bii->b", m)
 
 
-def _output_draw(r: int, k: int, n: int, t: float, state: np.ndarray):
-    """Chunk size and draw(gens, count) -> outputs (count, k^r, k^r) of r-th channel powers."""
+def _output_draw(r: int, k: int, n: int, t: float, state: np.ndarray | str):
+    """Chunk size and draw(gens, count) -> outputs (count, k^r, k^r), drawing the columns _lift reads."""
     r, (k, n, d) = checked_index(r, "r", 1), _checked_dims(k, n, t)  # r is refused before k, n and t
-    chunk, lift = _lift(r, k, n, d, state)
-    return chunk, lambda gens, count: lift(_haar_columns(gens, count, k * n, d))
+    chunk, cols, lift = _lift(r, k, n, d, state)
+    return chunk, lambda gens, count: lift(_haar_columns(gens, count, k * n, cols))
 
 
 def mc_trace_moment(
-    p: int, r: int, k: int, n: int, t: float, state: np.ndarray, samples: int, seed: int
+    p: int, r: int, k: int, n: int, t: float, state: np.ndarray | str, samples: int, seed: int
 ) -> tuple[float, float]:
     """Sample mean and standard error of Tr Z^p over independent channel draws.
 
-    Sample i uses random stream (seed, i), and partial results are combined
-    in a fixed order, so the result is bitwise reproducible for a given seed
-    under any thread count.
+    state is an array or a rule name, as output_state takes it.  Sample i
+    draws from stream (seed, i) and partials combine in a fixed order, so the
+    result is bitwise reproducible for a seed under any thread count.
     """
     p = checked_index(p, "p", 1)
     chunk, outputs = _output_draw(r, k, n, t, state)
@@ -472,7 +475,7 @@ def mc_trace_moment(
 
 
 def mc_mean_output(
-    r: int, k: int, n: int, t: float, state: np.ndarray, samples: int, seed: int
+    r: int, k: int, n: int, t: float, state: np.ndarray | str, samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise sample mean and standard error of the output state Z."""
     chunk, outputs = _output_draw(r, k, n, t, state)

@@ -47,7 +47,7 @@ from .weingarten import wg_asymptotic, wg_exact
 def matrix_to_json(m: np.ndarray) -> list:
     """Nested lists with innermost [re, im] pairs."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def matrix_from_json(data) -> np.ndarray:
@@ -175,7 +175,7 @@ def cmd_moment(args) -> int:
 def cmd_simulate(args) -> int:
     config = _config(args)
     d = input_dim(args.k, args.n, args.t)
-    state = _load_state(args, d, args.r)
+    state = args.input if args.input in _INPUT_RULES else _load_state(args, d, args.r)
     estimate, stderr = mc_trace_moment(
         args.p, args.r, args.k, args.n, args.t, state, args.samples, args.seed
     )

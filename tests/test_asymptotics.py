@@ -25,7 +25,7 @@ from orthochan.asymptotics import (
     project_to_body,
     von_neumann_entropy,
 )
-from orthochan.channels import RngStream, _checked_state, make_channel, output_state
+from orthochan.channels import RngStream, _checked_state, make_channel, mc_trace_moment, output_state
 from orthochan.errors import BudgetError, EnumerationLimitError, InvalidStateError, OrthochanError, ValidationError
 from orthochan.pairings import PartialPairing, enumerate_partial_pairings
 
@@ -507,14 +507,16 @@ class TestConvergenceExperiment:
     @pytest.mark.parametrize("rule", ["bell", "product"])
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_no_dense_input_lift_or_eigh_on_the_path(self, monkeypatch, rule, r):
+        # _state_components is where a dense input is read and factored for the lift
         def refused(*args, **kwargs):
-            raise AssertionError("the experiment built a dense input, lifted one or factored one")
+            raise AssertionError("a named rule built a dense input, lifted one or factored one")
 
-        monkeypatch.setattr(channels, "_lift", refused)
+        monkeypatch.setattr(channels, "_state_components", refused)
         monkeypatch.setattr(asymptotics, "experiment_input", refused)
         monkeypatch.setattr(np.linalg, "eigh", refused)
         res = convergence_experiment(rule, r, 2, 0.5, (4, 8), samples=3, seed=2)
         assert [row[:2] for row in res.rows] == [(n, s) for n in (4, 8) for s in range(3)]
+        assert math.isfinite(mc_trace_moment(2, r, 2, 4, 0.5, rule, 20, 0)[0])
 
     @pytest.mark.parametrize("r, n", [(3, 32), (5, 64)])
     def test_sizes_once_refused_for_their_dense_input_run(self, r, n):

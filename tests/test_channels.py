@@ -583,14 +583,17 @@ class TestOutputAgainstDenseReference:
         out = output_state(spec, r, rho)
         assert np.max(np.abs(out - _dense_output(spec.isometry, k, n, r, rho))) < 1e-13
 
-    @pytest.mark.parametrize("r, columns", [(1, None), (2, None), (3, None), (2, 2)])
+    @pytest.mark.parametrize("r, columns", [(1, None), (2, None), (3, None), (4, None), (2, 2)])
     def test_output_state_is_the_samplers_draw(self, monkeypatch, r, columns):
         # output_state on stream i's channel and the Monte Carlo draw of stream i
-        # share one prepared lift, so they agree bit for bit, in column blocks too
+        # share one prepared lift, so they agree bit for bit, in column blocks
+        # too, and on a rule name, for which the sampler draws only the
+        # isometry columns the rule reads
         k, n, t, seed = 2, 3, 0.5, 23
         if columns:
             monkeypatch.setattr(channels, "OUTPUT_TENSOR_BUDGET", columns * (k * n) ** r)
-        for i, (label, state) in enumerate(self._inputs(input_dim(k, n, t), r).items()):
+        inputs = {**self._inputs(input_dim(k, n, t), r), "bell": "bell", "product": "product"}
+        for i, (label, state) in enumerate(inputs.items()):
             single = output_state(make_channel(k, n, t, RngStream(seed, i)), r, state)
             _, draw = _output_draw(r, k, n, t, state)
             sampled = draw(_stream_generators(seed, i, i + 1), 1)[0].astype(complex)
@@ -610,6 +613,18 @@ class TestRuleOutputs:
             blocks = output_state(spec, r, rule)
             assert blocks.dtype == complex and blocks.shape == dense.shape == (k**r, k**r)
             assert np.max(np.abs(blocks - dense)) < 1e-14, seed
+
+    @pytest.mark.parametrize("rule", ["bell", "product"])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k, n", [(2, 4), (3, 2)])
+    def test_estimators_on_a_name_match_the_dense_input(self, rule, r, k, n):
+        # the same streams drive both; only the route from isometry to output differs
+        t, samples, seed = 0.5, 40, 17
+        dense = experiment_input(rule, r, input_dim(k, n, t))
+        named, reference = (mc_trace_moment(2, r, k, n, t, x, samples, seed)[0] for x in (rule, dense))
+        assert abs(named - reference) <= 1e-12 * abs(reference)
+        named, reference = (mc_mean_output(r, k, n, t, x, samples, seed)[0] for x in (rule, dense))
+        assert np.max(np.abs(named - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("rule", ["bogus", "Bell", ""])
     def test_unknown_rule_refused(self, rule):
@@ -692,6 +707,19 @@ def test_odd_r_bell_experiment_independent_of_blas_thread_count():
     one = _run_with_blas_threads(1, _ODD_R_BLAS_SCRIPT)
     assert one.count("\n") == 1
     assert one == _run_with_blas_threads(2, _ODD_R_BLAS_SCRIPT)
+
+
+_ODD_R_SIMULATE_SCRIPT = """
+from orthochan.cli import main
+main("simulate --p 2 --r 3 --k 2 --n 8 --t 0.5 --samples 2000 --seed 7 --input bell".split())
+"""
+
+
+def test_odd_r_bell_simulate_independent_of_blas_thread_count():
+    # simulate passes the rule name, so no dense 512 x 512 input is factored by eigh
+    one = _run_with_blas_threads(1, _ODD_R_SIMULATE_SCRIPT)
+    assert one.count("\n") == 1
+    assert one == _run_with_blas_threads(2, _ODD_R_SIMULATE_SCRIPT)
 
 
 _UNADDRESSABLE_SCRIPT = """

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from orthochan import __version__
+from orthochan.asymptotics import ConvexBody, entropy_extremal, von_neumann_entropy
 from orthochan.cli import main, matrix_from_json, matrix_to_json
 from orthochan.moments import EXACT_PAIRING_CAP, exact_trace_moment, term_report
 from orthochan.pairings import enumerate_pairings
@@ -65,6 +66,30 @@ def reference_wg_csv(m, n) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reference_matrix_json(m) -> list:
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
+
+
+def reference_body_json(r, k, t) -> str:
+    """`body` output with every vertex matrix rendered entry by entry: the byte reference.
+
+    The CLI renders a matrix's [re, im] pairs with one numpy stack; this
+    renders each entry's pair, as the CLI once did.
+    """
+    config = {"r": r, "k": k, "t": t, "version": __version__}
+    body = ConvexBody(r, k, t)
+    vertices = [
+        {
+            "pairs": [list(p) for p in block.pairs],
+            "entropy": von_neumann_entropy(vertex),
+            "entropy_closed_form": entropy_extremal(block, k, t),
+            "matrix": _reference_matrix_json(vertex),
+        }
+        for block, vertex in zip(body.blocks, body.vertices)
+    ]
+    return json.dumps({"config": config, "results": {"vertices": vertices}}, sort_keys=True) + "\n"
+
+
 def _complex_r2_state(tmp_path):
     """A seeded complex unit vector on 3^2, written as a state file; many of its f_beta are complex."""
     rng = np.random.default_rng(8)
@@ -80,6 +105,13 @@ class TestMatrixJson:
         m = np.array([[1.0 + 2.0j, 0.0], [0.5, -1.0j]])
         back = matrix_from_json(matrix_to_json(m))
         assert np.array_equal(back, m)
+
+    def test_matches_per_entry_rendering(self):
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        m = np.array([[-0.0, complex(0.0, -0.0), tiny], [complex(np.nan, np.inf), -np.inf, 1 / 3 - 2.5j]])
+        rng = np.random.default_rng(5)
+        for matrix in (m, rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))):
+            assert json.dumps(matrix_to_json(matrix)) == json.dumps(_reference_matrix_json(matrix))
 
     def test_vector_form(self):
         v = matrix_from_json([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]])
@@ -221,6 +253,11 @@ class TestSubcommands:
         assert len(vertices) == 2
         for vertex in vertices:
             assert vertex["entropy"] == pytest.approx(vertex["entropy_closed_form"], abs=1e-10)
+
+    def test_body_matches_per_entry_reference(self, capsys):
+        code, out = run_cli(capsys, "body", "--r", "3", "--k", "3", "--t", "0.3")
+        assert code == 0
+        assert out == reference_body_json(3, 3, 0.3)
 
     def test_experiment_csv(self, capsys):
         code, out = run_cli(

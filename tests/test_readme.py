@@ -32,7 +32,7 @@ def test_readme_python_block_runs(code):
 
 
 def test_readme_has_cli_examples():
-    assert len(CLI_LINES) >= 8
+    assert len(CLI_LINES) >= 11
 
 
 @pytest.mark.parametrize("line", CLI_LINES, ids=[shlex.split(line)[1] for line in CLI_LINES])
